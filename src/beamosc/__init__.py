@@ -95,4 +95,24 @@ from .explore import (
 from .config import ProjectConfig, load_builtin_design, load_config
 from .report import ComparisonReport, build_comparison, load_reference
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BeamoscError", "ConfigError", "ConvergenceError", "GridCapError",
+    "InsufficientDataError", "PullInError", "SimulationError", "StageError",
+    "ValidationError", "LaminateProperties", "LaminateSpec", "MemsRuleSet",
+    "RuleViolation", "check_mems_rules", "laminate_properties", "Anchor",
+    "BeamGeometry", "LumpedBeamModel", "area_moment", "frequency_shift",
+    "lumped_mass", "pull_in_voltage", "resonant_frequency",
+    "spring_constant", "spring_softening", "static_deflection", "EPS0",
+    "EquivalentCircuit", "Transducer", "coupling_coefficient",
+    "displacement_limit", "electrode_capacitance", "extract_circuit",
+    "motional_current", "motional_resistance", "series_impedance",
+    "LocusPoint", "PierceConfig", "PierceOptimum", "StartupReport",
+    "complex_impedance", "impedance_locus", "max_negative_resistance",
+    "negative_resistance", "required_gm", "startup_check", "SimConfig",
+    "Trace", "envelope", "growth_rate", "measure_frequency",
+    "simulate_startup", "summarize", "ConstraintCheck", "DesignInputs",
+    "DesignPoint", "OptimizeResult", "SweepAxis", "SweepSpec", "evaluate",
+    "flatten", "optimize", "set_parameter", "sweep", "ProjectConfig",
+    "load_builtin_design", "load_config", "ComparisonReport",
+    "build_comparison", "load_reference",
+]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -29,9 +30,10 @@ from .pierce import PierceConfig
 from .process import check_mems_rules
 from .simulate import envelope, simulate_startup, summarize
 from .traceio import (
+    json_text,
     write_envelope_csv,
     write_json,
-    write_rows_csv,
+    write_rows,
     write_trace_csv,
     write_trace_svg,
 )
@@ -77,6 +79,11 @@ def _out_dir(args) -> Path | None:
     return path
 
 
+def _check_finite(option: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{option}: must be a finite number, got {value!r}")
+
+
 def _config_digest(cfg: ProjectConfig) -> str:
     canonical = json.dumps(cfg.data, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -118,7 +125,7 @@ def cmd_analyze(args) -> int:
     point = evaluate(cfg.build_inputs())
     payload = _point_payload(point)
     payload["description"] = cfg.data["description"]
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
     out = _out_dir(args)
     if out is not None:
         write_json(payload, out / "analyze.json")
@@ -136,15 +143,19 @@ def cmd_table1(args) -> int:
     print(report.render_text())
     out = _out_dir(args)
     if out is not None:
+        rows = report.to_rows()
+        columns = {key: [row[key] for row in rows] for key in rows[0]}
         if args.format == "json":
-            write_json(report.to_rows(), out / "table1.json")
+            write_rows(columns, json_path=out / "table1.json")
         else:
-            write_rows_csv(report.to_rows(), out / "table1.csv")
+            write_rows(columns, csv_path=out / "table1.csv")
     return 0 if report.all_pass else 2
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_project(args)
+    _check_finite("--gm", args.gm)
+    _check_finite("--x-max", args.x_max)
     point = evaluate(cfg.build_inputs())
     gm = args.gm if args.gm is not None else point.gm
     amplifier = PierceConfig(
@@ -159,7 +170,7 @@ def cmd_simulate(args) -> int:
     summary["expected_f0_hz"] = point.circuit.f0
     summary["gm"] = gm
     summary["x_max_m"] = x_max if x_max != float("inf") else None
-    print(json.dumps(summary, indent=2))
+    print(json_text(summary))
     out = _out_dir(args)
     if out is not None:
         try:
@@ -178,21 +189,20 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_project(args)
     spec = cfg.build_sweep_spec()
-    points = sweep(cfg.build_inputs(), spec)
-    rows = [flatten(p) for p in points]
-    n_feasible = sum(1 for p in points if p.feasible)
-    print(json.dumps({"points": len(rows), "feasible": n_feasible}, indent=2))
+    columns = sweep(cfg.build_inputs(), spec)
+    n_points = len(columns["feasible"])
+    n_feasible = int(columns["feasible"].sum())
+    print(json_text({"points": n_points, "feasible": n_feasible}))
     out = _out_dir(args)
     if out is not None:
-        write_rows_csv(rows, out / "sweep.csv")
-        write_json(rows, out / "sweep.json")
+        write_rows(columns, csv_path=out / "sweep.csv", json_path=out / "sweep.json")
         axes = [
             {"path": a.path, "min": a.minimum, "max": a.maximum,
              "steps": a.steps, "scale": a.scale}
             for a in spec.axes
         ]
         write_json(
-            _manifest(cfg, "sweep", axes=axes, points=len(rows),
+            _manifest(cfg, "sweep", axes=axes, points=n_points,
                       feasible=n_feasible),
             out / "manifest.json",
         )
@@ -211,7 +221,7 @@ def cmd_optimize(args) -> int:
         "evaluations": result.evaluations,
         "most_violated": result.most_violated,
     }
-    print(json.dumps(summary, indent=2))
+    print(json_text(summary))
     out = _out_dir(args)
     if out is not None:
         payload = dict(summary)
@@ -226,10 +236,7 @@ def cmd_optimize(args) -> int:
 def cmd_check_rules(args) -> int:
     cfg = _load_project(args)
     inputs = cfg.build_inputs()
-    from dataclasses import replace
-
-    transducer = replace(inputs.transducer, electrode_height=inputs.beam.W)
-    violations = check_mems_rules(inputs.beam, transducer, inputs.rules)
+    violations = check_mems_rules(inputs.beam, inputs.resolved_transducer, inputs.rules)
     if not violations:
         print("all manufacturability rules pass")
         return 0

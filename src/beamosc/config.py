@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,6 +39,12 @@ def _is_number(v) -> bool:
 def _number(path, v, *, minimum=None, exclusive_minimum=None, maximum=None):
     if not _is_number(v):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{path}: must be a finite number, got {v!r}")
     if exclusive_minimum is not None and v <= exclusive_minimum:
         raise ConfigError(f"{path}: must be > {exclusive_minimum}, got {v}")
     if minimum is not None and v < minimum:
@@ -81,7 +88,7 @@ def _gm(path, v):
     if v == "auto":
         return "auto"
     if _is_number(v) and v >= 0:
-        return float(v)
+        return _number(path, v)
     raise ConfigError(f'{path}: expected "auto" or a number >= 0, got {v!r}')
 
 

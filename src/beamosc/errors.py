@@ -50,3 +50,48 @@ class StageError(BeamoscError):
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def checks():
+    """A check runner for floats: raises at the first broken precondition.
+
+    Each physics function and validated dataclass takes its checks as a
+    `check` argument, RAISE by default. check(bad, message, *args,
+    error=ValidationError) raises `error` when `bad`, with the str.format
+    template `message` filled from `args`; check.stage names the pipeline
+    stage running. The sweep kernel passes a collector with the same
+    interface that records a failure mask per stage instead, so the same
+    code also runs on numpy columns.
+
+    A plain function, because one evaluation runs dozens of checks and a
+    function call costs less than any callable object's.
+    """
+    def check(bad, message: str, *args, error=ValidationError) -> None:
+        if bad:
+            raise error(message.format(*args) if args else message)
+
+    check.stage = None
+    return check
+
+
+RAISE = checks()
+
+
+def build(cls, check, **fields):
+    """cls(**fields) for a dataclass, validated by cls.__post_init__(check).
+
+    All fields must be given. They are set directly, as copy.copy does, so
+    a frozen dataclass costs no setattr per field, and under the sweep's
+    collector they may be numpy columns.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    post_init = getattr(cls, "__post_init__", None)
+    if post_init is not None:
+        post_init(obj, check)
+    return obj
+
+
+def rebuild(obj, check, **changes):
+    """dataclasses.replace(obj, **changes), validated through build()."""
+    return build(type(obj), check, **{**obj.__dict__, **changes})

@@ -8,21 +8,35 @@ amplifier sizing and grades it against four feasibility constraints:
   startup     |Re(Z_C)| / R_x >= target margin (3x by default)
   rules       release-etch manufacturability rules hold
 
-sweep() maps a Cartesian grid, keeping infeasible points flagged rather than
-dropped. optimize() runs a coarse feasible-grid pass and refines the best
-cell with a derivative-free simplex search that rejects constraint
-violations; the result is never worse than the best grid point.
+The pipeline is written once, in _chain(). evaluate() runs it on Python
+floats for one design; sweep() runs it once on numpy columns holding the
+whole grid, with the same bits in every output. sweep() keeps infeasible
+points flagged rather than dropped. optimize() runs a coarse feasible-grid
+pass and refines the best cell with a derivative-free simplex search that
+rejects constraint violations; the result is never worse than the best
+grid point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BeamoscError, GridCapError, ValidationError
+from ._num import fmax, select
+from .errors import (
+    RAISE,
+    BeamoscError,
+    GridCapError,
+    StageError,
+    ValidationError,
+    build,
+    checks,
+    rebuild,
+)
 from .mechanics import (
     BeamGeometry,
     LumpedBeamModel,
@@ -32,9 +46,9 @@ from .mechanics import (
 from .pierce import (
     PierceConfig,
     StartupReport,
+    _gm_roots,
     max_negative_resistance,
     negative_resistance,
-    required_gm,
     startup_check,
 )
 from .process import (
@@ -42,8 +56,8 @@ from .process import (
     LaminateSpec,
     MemsRuleSet,
     RuleViolation,
-    check_mems_rules,
     laminate_properties,
+    rule_checks,
 )
 from .transduction import (
     EquivalentCircuit,
@@ -54,7 +68,6 @@ from .transduction import (
     extract_circuit,
     motional_current,
 )
-from .errors import StageError
 
 _SLACK = 1e-9  # relative slack on constraint boundaries
 
@@ -63,9 +76,10 @@ _SLACK = 1e-9  # relative slack on constraint boundaries
 class DesignInputs:
     """Everything needed to evaluate one resonator/oscillator candidate.
 
-    The electrode height always follows the beam stack thickness; whatever
-    `transducer.electrode_height` was constructed with is replaced by
-    `beam.W` during evaluation, so sweeping the thickness stays consistent.
+    The electrode height always follows the beam stack thickness: evaluation
+    uses `resolved_transducer`, whose electrode_height is `beam.W` whatever
+    `transducer.electrode_height` was constructed with, so sweeping the
+    thickness stays consistent.
 
     gm = None sizes the amplifier automatically: the smallest
     transconductance that reaches target_margin, falling back to the
@@ -93,21 +107,33 @@ class DesignInputs:
     youngs_modulus: float | None = None
     density: float | None = None
 
-    def __post_init__(self):
-        if self.q_factor <= 0:
-            raise ValidationError("q_factor must be > 0")
-        if min(self.c1, self.c2, self.c0) <= 0:
-            raise ValidationError("c1, c2 and c0 must all be > 0")
-        if self.gm is not None and self.gm < 0:
-            raise ValidationError("gm must be >= 0 (or None for automatic sizing)")
-        if self.target_margin <= 0:
-            raise ValidationError("target_margin must be > 0")
-        if not 0 < self.alpha_pull_in <= 1:
-            raise ValidationError("alpha_pull_in must be in (0, 1]")
-        if self.vibration_amplitude is not None and self.vibration_amplitude < 0:
-            raise ValidationError("vibration_amplitude must be >= 0")
-        if self.x_amplitude is not None and self.x_amplitude < 0:
-            raise ValidationError("x_amplitude must be >= 0")
+    def __post_init__(self, check=RAISE):
+        check(self.q_factor <= 0, "q_factor must be > 0")
+        check((self.c1 <= 0) | (self.c2 <= 0) | (self.c0 <= 0),
+              "c1, c2 and c0 must all be > 0")
+        if self.gm is not None:
+            check(self.gm < 0, "gm must be >= 0 (or None for automatic sizing)")
+        check(self.target_margin <= 0, "target_margin must be > 0")
+        alpha = self.alpha_pull_in
+        check((alpha != alpha) | (alpha <= 0) | (alpha > 1), "alpha_pull_in must be in (0, 1]")
+        if self.vibration_amplitude is not None:
+            check(self.vibration_amplitude < 0, "vibration_amplitude must be >= 0")
+        if self.x_amplitude is not None:
+            check(self.x_amplitude < 0, "x_amplitude must be >= 0")
+
+    @property
+    def resolved_transducer(self) -> Transducer:
+        """The transducer with its electrode height set to beam.W."""
+        return _resolved_transducer(self, RAISE)
+
+
+def _resolved_transducer(inputs: DesignInputs, check) -> Transducer:
+    """DesignInputs.resolved_transducer, on floats or columns. Evaluation,
+    sweeps and check-rules all resolve the electrode height here."""
+    t, height = inputs.transducer, inputs.beam.W
+    if not isinstance(height, np.ndarray) and t.electrode_height == height:
+        return t  # already validated with this height
+    return rebuild(t, check, electrode_height=height)
 
 
 @dataclass(frozen=True)
@@ -149,6 +175,7 @@ class DesignPoint:
     re_zc: float
     startup: StartupReport
     rule_violations: tuple[RuleViolation, ...]
+    rule_violation_count: int
     constraints: tuple[ConstraintCheck, ...]
     feasible: bool
 
@@ -159,110 +186,91 @@ class DesignPoint:
         raise KeyError(name)
 
 
-def evaluate(inputs: DesignInputs) -> DesignPoint:
-    """Run the full pipeline on one candidate.
+def _chain(inputs: DesignInputs, check) -> DesignPoint:
+    """The evaluation pipeline, on one design or on a whole grid.
 
-    Any validation or physics error is re-raised as a StageError naming the
-    pipeline stage that rejected the candidate.
+    `check` runs every precondition, including those of each part built.
+    errors.checks() raises at the first broken one; _Masks records a
+    failure mask per stage and goes on, so `inputs` and the parts may hold
+    numpy columns. check.stage names the stage running.
     """
-    stage = "process"
-    try:
-        lam = laminate_properties(
-            inputs.laminate,
-            youngs_modulus=inputs.youngs_modulus,
-            density=inputs.density,
-        )
+    check.stage = "process"
+    beam = inputs.beam
+    lam = laminate_properties(inputs.laminate, youngs_modulus=inputs.youngs_modulus,
+                              density=inputs.density, thickness=beam.W, check=check)
 
-        stage = "mechanics"
-        beam = inputs.beam
-        model = LumpedBeamModel.from_geometry(
-            beam, lam.youngs_modulus, lam.density, inputs.q_factor, inputs.mass_model
-        )
+    check.stage = "mechanics"
+    model = LumpedBeamModel.from_geometry(
+        beam, lam.youngs_modulus, lam.density, inputs.q_factor, inputs.mass_model, check)
 
-        stage = "transduction"
-        tr = replace(inputs.transducer, electrode_height=beam.W)
-        if tr.electrode_length > beam.L * (1.0 + _SLACK):
-            raise ValidationError(
-                f"electrode_length {tr.electrode_length:.6g} m exceeds "
-                f"beam length {beam.L:.6g} m"
-            )
-        eta = coupling_coefficient(tr)
-        c_static = electrode_capacitance(tr)
-        x_limit = displacement_limit(tr)
-        v_pi = pull_in_voltage(model.k, tr.gap, tr.area, tr.permittivity)
-        x_static = static_deflection(model.k, tr, inputs.deflection_mode)
-        circuit = extract_circuit(model.k, model.m, model.q, eta)
-        i_x = None
-        if inputs.x_amplitude is not None:
-            i_x = motional_current(eta, circuit.f0, inputs.x_amplitude)
+    check.stage = "transduction"
+    tr = _resolved_transducer(inputs, check)
+    check(tr.electrode_length > beam.L * (1.0 + _SLACK),
+          "electrode_length {:.6g} m exceeds beam length {:.6g} m",
+          tr.electrode_length, beam.L)
+    eta = coupling_coefficient(tr)
+    v_pi = pull_in_voltage(model.k, tr.gap, tr.area, tr.permittivity, check)
+    x_static = static_deflection(model.k, tr, inputs.deflection_mode, check)
+    x_limit = displacement_limit(tr)
+    circuit = extract_circuit(model.k, model.m, model.q, eta, check)
+    i_x = None
+    if inputs.x_amplitude is not None:
+        i_x = motional_current(eta, circuit.f0, inputs.x_amplitude, check)
 
-        stage = "pierce"
-        opt = max_negative_resistance(inputs.c1, inputs.c2, inputs.c0, circuit.f0)
-        if inputs.gm is None:
-            roots = required_gm(
-                inputs.c1, inputs.c2, inputs.c0, circuit.f0,
-                inputs.target_margin * circuit.r_x,
-            )
-            gm = roots[0] if roots else opt.gm_opt
-        else:
-            gm = inputs.gm
-        re_zc = negative_resistance(
-            PierceConfig(c1=inputs.c1, c2=inputs.c2, c0=inputs.c0, gm=gm, f0=circuit.f0)
-        )
-        startup = startup_check(re_zc, circuit.r_x)
+    check.stage = "pierce"
+    c1, c2, c0 = inputs.c1, inputs.c2, inputs.c0
+    opt = max_negative_resistance(c1, c2, c0, circuit.f0, check)
+    gm = inputs.gm
+    if gm is None:
+        reachable, _, gm_low, _ = _gm_roots(
+            c1, c2, c0, circuit.f0, inputs.target_margin * circuit.r_x, check)
+        gm = select(reachable, gm_low, opt.gm_opt)
+    re_zc = negative_resistance(
+        build(PierceConfig, check, c1=c1, c2=c2, c0=c0, gm=gm, f0=circuit.f0))
+    startup = startup_check(re_zc, circuit.r_x, check)
 
-        stage = "rules"
-        violations = tuple(check_mems_rules(beam, tr, inputs.rules))
-    except BeamoscError as err:
-        raise StageError(stage, err) from err
+    check.stage = "rules"
+    rules = rule_checks(tr.gap, beam.H, beam.W, inputs.rules)
 
     bias_limit = inputs.alpha_pull_in * v_pi
-    allowance = (
-        inputs.vibration_amplitude
-        if inputs.vibration_amplitude is not None
-        else max(0.0, x_limit - x_static)
+    if inputs.vibration_amplitude is None:
+        allowance = fmax(0.0, x_limit - x_static)
+    else:
+        allowance = inputs.vibration_amplitude
+    deflection = x_static + allowance
+    # The first largest relative miss among the broken rules, 0 if none is.
+    n_broken, rules_violation = 0, 0.0
+    for _, broken, measured, limit in rules:
+        miss = abs(measured - limit) / limit
+        rules_violation = select(broken & ((n_broken == 0) | (miss > rules_violation)),
+                                 miss, rules_violation)
+        n_broken = n_broken + broken
+    target = inputs.target_margin
+    bias_ok = tr.bias_voltage <= bias_limit * (1.0 + _SLACK)
+    deflection_ok = deflection <= x_limit * (1.0 + _SLACK)
+    startup_ok = startup.margin >= target * (1.0 - _SLACK)
+    rules_ok = n_broken == 0
+    constraints = (
+        build(ConstraintCheck, check, name="bias", ok=bias_ok,
+                   measured=tr.bias_voltage, limit=bias_limit,
+                   violation=fmax(0.0, tr.bias_voltage / bias_limit - 1.0)),
+        build(ConstraintCheck, check, name="deflection", ok=deflection_ok,
+                   measured=deflection, limit=x_limit,
+                   violation=fmax(0.0, deflection / x_limit - 1.0)),
+        build(ConstraintCheck, check, name="startup", ok=startup_ok,
+                   measured=startup.margin, limit=target,
+                   violation=fmax(0.0, 1.0 - startup.margin / target)),
+        build(ConstraintCheck, check, name="rules", ok=rules_ok,
+                   measured=n_broken + 0.0, limit=0.0, violation=rules_violation),
     )
-    deflection_measured = x_static + allowance
-    rules_violation = max(
-        (abs(v.measured - v.limit) / v.limit for v in violations), default=0.0
-    )
-    checks = (
-        ConstraintCheck(
-            name="bias",
-            ok=tr.bias_voltage <= bias_limit * (1.0 + _SLACK),
-            measured=tr.bias_voltage,
-            limit=bias_limit,
-            violation=max(0.0, tr.bias_voltage / bias_limit - 1.0),
-        ),
-        ConstraintCheck(
-            name="deflection",
-            ok=deflection_measured <= x_limit * (1.0 + _SLACK),
-            measured=deflection_measured,
-            limit=x_limit,
-            violation=max(0.0, deflection_measured / x_limit - 1.0),
-        ),
-        ConstraintCheck(
-            name="startup",
-            ok=startup.margin >= inputs.target_margin * (1.0 - _SLACK),
-            measured=startup.margin,
-            limit=inputs.target_margin,
-            violation=max(0.0, 1.0 - startup.margin / inputs.target_margin),
-        ),
-        ConstraintCheck(
-            name="rules",
-            ok=not violations,
-            measured=float(len(violations)),
-            limit=0.0,
-            violation=rules_violation,
-        ),
-    )
-    return DesignPoint(
+    return build(
+        DesignPoint, check,
         inputs=inputs,
         laminate=lam,
         model=model,
         transducer=tr,
         eta=eta,
-        c_static=c_static,
+        c_static=electrode_capacitance(tr),
         v_pull_in=v_pi,
         x_static=x_static,
         x_limit=x_limit,
@@ -273,10 +281,39 @@ def evaluate(inputs: DesignInputs) -> DesignPoint:
         gm=gm,
         re_zc=re_zc,
         startup=startup,
-        rule_violations=violations,
-        constraints=checks,
-        feasible=all(c.ok for c in checks),
+        # A sweep lists no violations: they differ by point. It reads the count.
+        rule_violations=tuple(RuleViolation(rule, measured, limit)
+                              for rule, broken, measured, limit in rules
+                              if not isinstance(broken, np.ndarray) and broken),
+        rule_violation_count=n_broken,
+        constraints=constraints,
+        feasible=bias_ok & deflection_ok & startup_ok & rules_ok,
     )
+
+
+class _Masks:
+    """Check collector for columns: a failure mask per stage (see
+    errors.checks() for the interface)."""
+
+    def __init__(self):
+        self.stage = None
+        self.failed: dict[str, object] = {}
+
+    def __call__(self, bad, message, *args, error=ValidationError):
+        self.failed[self.stage] = self.failed.get(self.stage, False) | bad
+
+
+def evaluate(inputs: DesignInputs) -> DesignPoint:
+    """Run the full pipeline on one candidate.
+
+    Any validation or physics error is raised as a StageError naming the
+    pipeline stage that rejected the candidate.
+    """
+    check = checks()
+    try:
+        return _chain(inputs, check)
+    except BeamoscError as err:
+        raise StageError(check.stage, err) from err
 
 
 def feasible_for(point: DesignPoint, names: tuple[str, ...]) -> bool:
@@ -284,103 +321,97 @@ def feasible_for(point: DesignPoint, names: tuple[str, ...]) -> bool:
     return all(point.constraint(n).ok for n in names)
 
 
+# Output columns of analyze/optimize payloads and of sweep.csv/sweep.json,
+# in order: name and how to read it from a DesignPoint.
+COLUMNS = tuple((name, operator.attrgetter(path)) for name, path in (
+    ("beam.anchor", "inputs.beam.anchor.value"),
+    ("beam.length", "inputs.beam.L"),
+    ("beam.in_plane_width", "inputs.beam.H"),
+    ("beam.thickness", "inputs.beam.W"),
+    ("beam.q_factor", "inputs.q_factor"),
+    ("laminate.top_metal_index", "inputs.laminate.top_metal_index"),
+    ("laminate.thickness", "laminate.thickness"),
+    ("laminate.youngs_modulus", "laminate.youngs_modulus"),
+    ("laminate.density", "laminate.density"),
+    ("transducer.gap", "transducer.gap"),
+    ("transducer.electrode_length", "transducer.electrode_length"),
+    ("transducer.bias_voltage", "transducer.bias_voltage"),
+    ("transducer.port", "transducer.port"),
+    ("pierce.c1", "inputs.c1"),
+    ("pierce.c2", "inputs.c2"),
+    ("pierce.c0", "inputs.c0"),
+    ("derived.spring_constant", "model.k"),
+    ("derived.mass", "model.m"),
+    ("derived.f0", "model.f0"),
+    ("derived.v_pull_in", "v_pull_in"),
+    ("derived.x_static", "x_static"),
+    ("derived.x_limit", "x_limit"),
+    ("derived.eta", "eta"),
+    ("derived.c_static", "c_static"),
+    ("derived.r_x", "circuit.r_x"),
+    ("derived.l_x", "circuit.l_x"),
+    ("derived.c_x", "circuit.c_x"),
+    ("derived.i_x", "i_x"),
+    ("derived.re_zc", "re_zc"),
+    ("derived.re_zc_max", "re_max"),
+    ("derived.gm_opt", "gm_opt"),
+    ("derived.gm", "gm"),
+    ("derived.startup_margin", "startup.margin"),
+    ("derived.oscillates", "startup.oscillates"),
+    ("derived.meets_3x", "startup.meets_3x"),
+)) + tuple(
+    (f"constraint.{name}_ok", lambda p, name=name: p.constraint(name).ok)
+    for name in CONSTRAINT_NAMES
+) + (
+    ("rule_violation_count", operator.attrgetter("rule_violation_count")),
+    ("feasible", operator.attrgetter("feasible")),
+)
+
+
 def flatten(point: DesignPoint) -> dict:
     """One row of scalars per design point, for CSV/JSON export."""
-    ins = point.inputs
-    row = {
-        "beam.anchor": ins.beam.anchor.value,
-        "beam.length": ins.beam.L,
-        "beam.in_plane_width": ins.beam.H,
-        "beam.thickness": ins.beam.W,
-        "beam.q_factor": ins.q_factor,
-        "laminate.top_metal_index": ins.laminate.top_metal_index,
-        "laminate.thickness": point.laminate.thickness,
-        "laminate.youngs_modulus": point.laminate.youngs_modulus,
-        "laminate.density": point.laminate.density,
-        "transducer.gap": point.transducer.gap,
-        "transducer.electrode_length": point.transducer.electrode_length,
-        "transducer.bias_voltage": point.transducer.bias_voltage,
-        "transducer.port": point.transducer.port,
-        "pierce.c1": ins.c1,
-        "pierce.c2": ins.c2,
-        "pierce.c0": ins.c0,
-        "derived.spring_constant": point.model.k,
-        "derived.mass": point.model.m,
-        "derived.f0": point.model.f0,
-        "derived.v_pull_in": point.v_pull_in,
-        "derived.x_static": point.x_static,
-        "derived.x_limit": point.x_limit,
-        "derived.eta": point.eta,
-        "derived.c_static": point.c_static,
-        "derived.r_x": point.circuit.r_x,
-        "derived.l_x": point.circuit.l_x,
-        "derived.c_x": point.circuit.c_x,
-        "derived.i_x": point.i_x,
-        "derived.re_zc": point.re_zc,
-        "derived.re_zc_max": point.re_max,
-        "derived.gm_opt": point.gm_opt,
-        "derived.gm": point.gm,
-        "derived.startup_margin": point.startup.margin,
-        "derived.oscillates": point.startup.oscillates,
-        "derived.meets_3x": point.startup.meets_3x,
-    }
-    for check in point.constraints:
-        row[f"constraint.{check.name}_ok"] = check.ok
-    row["rule_violation_count"] = len(point.rule_violations)
-    row["feasible"] = point.feasible
-    return row
+    return {name: get(point) for name, get in COLUMNS}
 
 
-def _set_beam(field: str):
-    def setter(inputs: DesignInputs, value: float) -> DesignInputs:
-        return replace(inputs, beam=replace(inputs.beam, **{field: value}))
-    return setter
-
-
-def _set_transducer(field: str):
-    def setter(inputs: DesignInputs, value: float) -> DesignInputs:
-        return replace(inputs, transducer=replace(inputs.transducer, **{field: value}))
-    return setter
-
-
-def _set_scalar(field: str):
-    def setter(inputs: DesignInputs, value: float) -> DesignInputs:
-        return replace(inputs, **{field: value})
-    return setter
-
-
-# Sweepable parameter paths. Names match the config file / --set syntax.
+# Sweepable parameter paths, named as in the config file / --set syntax:
+# path -> (the DesignInputs part it lives in, or None, and the field name).
 PARAMETER_PATHS = {
-    "beam.length": _set_beam("L"),
-    "beam.in_plane_width": _set_beam("H"),
-    "beam.thickness": _set_beam("W"),
-    "beam.q_factor": _set_scalar("q_factor"),
-    "transducer.gap": _set_transducer("gap"),
-    "transducer.electrode_length": _set_transducer("electrode_length"),
-    "transducer.bias_voltage": _set_transducer("bias_voltage"),
-    "pierce.c0": _set_scalar("c0"),
-    "pierce.c1": _set_scalar("c1"),
-    "pierce.c2": _set_scalar("c2"),
-    "pierce.gm": _set_scalar("gm"),
-    "pierce.target_margin": _set_scalar("target_margin"),
-    "materials.youngs_modulus": _set_scalar("youngs_modulus"),
-    "materials.density": _set_scalar("density"),
-    "explore.alpha_pull_in": _set_scalar("alpha_pull_in"),
-    "explore.vibration_amplitude": _set_scalar("vibration_amplitude"),
-    "explore.x_amplitude": _set_scalar("x_amplitude"),
+    "beam.length": ("beam", "L"),
+    "beam.in_plane_width": ("beam", "H"),
+    "beam.thickness": ("beam", "W"),
+    "beam.q_factor": (None, "q_factor"),
+    "transducer.gap": ("transducer", "gap"),
+    "transducer.electrode_length": ("transducer", "electrode_length"),
+    "transducer.bias_voltage": ("transducer", "bias_voltage"),
+    "pierce.c0": (None, "c0"),
+    "pierce.c1": (None, "c1"),
+    "pierce.c2": (None, "c2"),
+    "pierce.gm": (None, "gm"),
+    "pierce.target_margin": (None, "target_margin"),
+    "materials.youngs_modulus": (None, "youngs_modulus"),
+    "materials.density": (None, "density"),
+    "explore.alpha_pull_in": (None, "alpha_pull_in"),
+    "explore.vibration_amplitude": (None, "vibration_amplitude"),
+    "explore.x_amplitude": (None, "x_amplitude"),
 }
 
 
-def set_parameter(inputs: DesignInputs, path: str, value: float) -> DesignInputs:
-    """Return a copy of `inputs` with one dotted-path parameter replaced."""
+def set_parameter(inputs: DesignInputs, path: str, value: float,
+                  check=RAISE) -> DesignInputs:
+    """Return a copy of `inputs` with one dotted-path parameter replaced.
+
+    `value` may be a numpy column when `check` is the sweep's collector.
+    """
     try:
-        setter = PARAMETER_PATHS[path]
+        part, field = PARAMETER_PATHS[path]
     except KeyError:
         raise ValidationError(
             f"unknown parameter path {path!r}; valid paths: "
             f"{', '.join(sorted(PARAMETER_PATHS))}"
         ) from None
-    return setter(inputs, value)
+    if part is None:
+        return rebuild(inputs, check, **{field: value})
+    return rebuild(inputs, check, **{part: rebuild(getattr(inputs, part), check, **{field: value})})
 
 
 @dataclass(frozen=True)
@@ -398,6 +429,8 @@ class SweepAxis:
             raise ValidationError(f"unknown parameter path {self.path!r}")
         if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
             raise ValidationError("steps must be an integer >= 1")
+        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
+            raise ValidationError("axis bounds must be finite")
         if self.minimum > self.maximum:
             raise ValidationError("axis minimum must not exceed maximum")
         if self.scale not in ("linear", "log"):
@@ -465,23 +498,59 @@ def _check_cap(sizes: list[int], cap: int) -> int:
     return total
 
 
-def sweep(inputs: DesignInputs, spec: SweepSpec) -> list[DesignPoint]:
-    """Evaluate the full Cartesian grid, in row-major axis order.
+def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
+    """Evaluate the full Cartesian grid in one pass over columns.
 
-    Infeasible points are returned flagged, not dropped. Points whose
-    parameter combination is outright invalid (for example an electrode
-    longer than the beam) raise StageError; choose axis bounds inside the
-    valid region.
+    Returns one column per COLUMNS name, each holding every grid point in
+    row-major axis order (the order of itertools.product over the axes),
+    with the bits evaluate() gives for that point. Columns that do not vary
+    over the grid are zero-stride views of one value. Infeasible points are
+    flagged, not dropped.
+
+    Every check of set_parameter() and evaluate() runs on every point. If
+    any point fails one, the sweep raises what set_parameter() and
+    evaluate() raise for the first such point in grid order; choose axis
+    bounds inside the valid region.
     """
     grids = [axis.values() for axis in spec.axes]
-    _check_cap([len(g) for g in grids], spec.grid_cap)
-    points = []
-    for combo in itertools.product(*grids):
+    n = _check_cap([len(g) for g in grids], spec.grid_cap)
+    axis_columns = [c.ravel() for c in np.meshgrid(*grids, indexing="ij")]
+
+    def replay(i: int) -> None:
         candidate = inputs
-        for axis, value in zip(spec.axes, combo):
-            candidate = set_parameter(candidate, axis.path, float(value))
-        points.append(evaluate(candidate))
-    return points
+        for axis, column in zip(spec.axes, axis_columns):
+            candidate = set_parameter(candidate, axis.path, float(column[i]))
+        evaluate(candidate)
+
+    checks = _Masks()
+    checks.stage = "inputs"
+    try:
+        with np.errstate(all="ignore"):
+            candidate = inputs
+            for axis, column in zip(spec.axes, axis_columns):
+                candidate = set_parameter(candidate, axis.path, column, checks)
+            point = _chain(candidate, checks)
+    except (ArithmeticError, ValueError):
+        # A part of the chain the axes do not vary failed on floats, so
+        # every point fails: raise what the first one raises.
+        replay(0)
+        raise
+    failed = np.zeros(n, dtype=bool)
+    for mask in checks.failed.values():
+        failed |= mask
+    columns = {name: np.broadcast_to(get(point), (n,)) for name, get in COLUMNS}
+    # A float error (a zero divisor, an overflowing power) leaves a
+    # non-finite value in a column where evaluate() raises.
+    suspect = failed.copy()
+    for column in columns.values():
+        if column.dtype.kind == "f":
+            suspect |= ~np.isfinite(column)
+    for i in np.flatnonzero(suspect):
+        replay(int(i))
+        if failed[i]:
+            raise RuntimeError(
+                f"sweep failed grid point {i} on a check that evaluate() passes")
+    return columns
 
 
 @dataclass(frozen=True)

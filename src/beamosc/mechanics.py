@@ -19,7 +19,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, PullInError, ValidationError
+import numpy as np
+
+from ._num import logical_not, power, select, sqrt
+from .errors import RAISE, ConvergenceError, PullInError, ValidationError, build
 from .transduction import EPS0, Transducer, coupling_coefficient
 
 
@@ -56,7 +59,7 @@ class BeamGeometry:
     H: float
     W: float
 
-    def __post_init__(self):
+    def __post_init__(self, check=RAISE):
         # Accept plain strings for the anchor to keep config plumbing simple.
         if not isinstance(self.anchor, Anchor):
             try:
@@ -66,47 +69,53 @@ class BeamGeometry:
                 raise ValidationError(
                     f"anchor must be one of {valid}, got {self.anchor!r}"
                 ) from None
-        if self.L <= 0 or self.H <= 0 or self.W <= 0:
-            raise ValidationError("beam dimensions must all be > 0")
-        if self.L <= self.H:
-            raise ValidationError("beam length must exceed its in-plane width")
+        L, H, W = self.L, self.H, self.W
+        check((L <= 0) | (H <= 0) | (W <= 0), "beam dimensions must all be > 0")
+        check(L <= H, "beam length must exceed its in-plane width")
+
+
+# The functions below take floats, or numpy columns from the sweep kernel;
+# `geometry` may be any object with the BeamGeometry attributes. `check`
+# runs each precondition (errors.RAISE by default).
 
 
 def area_moment(geometry: BeamGeometry) -> float:
     """Second moment of area for in-plane bending, m^4."""
-    return geometry.W * geometry.H ** 3 / 12.0
+    return geometry.W * power(geometry.H, 3) / 12.0
 
 
-def spring_constant(geometry: BeamGeometry, youngs_modulus: float) -> float:
+def spring_constant(geometry: BeamGeometry, youngs_modulus: float, check=RAISE) -> float:
     """Point-load stiffness at the drive point, N/m."""
-    if youngs_modulus <= 0:
-        raise ValidationError("youngs_modulus must be > 0")
+    check(youngs_modulus <= 0, "youngs_modulus must be > 0")
     coeff = STIFFNESS_COEFF[geometry.anchor]
-    return coeff * youngs_modulus * area_moment(geometry) / geometry.L ** 3
+    return coeff * youngs_modulus * area_moment(geometry) / power(geometry.L, 3)
 
 
-def lumped_mass(geometry: BeamGeometry, density: float, mass_model: str = "full") -> float:
+def lumped_mass(geometry: BeamGeometry, density: float, mass_model: str = "full",
+                check=RAISE) -> float:
     """Equivalent mass at the drive point, kg.
 
     "full" lumps the entire beam mass (the calibration used throughout the
     bundled reference designs); "modal" scales it by the fundamental-mode
     participation fraction.
     """
-    if density <= 0:
-        raise ValidationError("density must be > 0")
+    check(density <= 0, "density must be > 0")
     if mass_model not in MASS_MODELS:
         raise ValidationError(f"mass_model must be one of {MASS_MODELS}")
     m = density * geometry.L * geometry.H * geometry.W
     if mass_model == "modal":
-        m *= MODAL_MASS_FRACTION[geometry.anchor]
+        m = m * MODAL_MASS_FRACTION[geometry.anchor]
     return m
 
 
-def resonant_frequency(k: float, m: float) -> float:
+def resonant_frequency(k: float, m: float, check=RAISE) -> float:
     """Natural frequency sqrt(k/m)/(2*pi), Hz."""
-    if k <= 0 or m <= 0:
-        raise ValidationError("k and m must be > 0")
-    return math.sqrt(k / m) / (2.0 * math.pi)
+    check((k <= 0) | (m <= 0), "k and m must be > 0")
+    return _natural_frequency(k, m)
+
+
+def _natural_frequency(k, m):
+    return sqrt(k / m) / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -118,16 +127,13 @@ class LumpedBeamModel:
     f0: float
     q: float
 
-    def __post_init__(self):
-        if self.k <= 0 or self.m <= 0 or self.f0 <= 0:
-            raise ValidationError("k, m and f0 must all be > 0")
-        if not self.q > 0:
-            raise ValidationError("q must be > 0")
-        expected = resonant_frequency(self.k, self.m)
-        if abs(self.f0 / expected - 1.0) > 1e-12:
-            raise ValidationError(
-                f"f0 = {self.f0!r} inconsistent with sqrt(k/m)/2pi = {expected!r}"
-            )
+    def __post_init__(self, check=RAISE):
+        check((self.k <= 0) | (self.m <= 0) | (self.f0 <= 0),
+              "k, m and f0 must all be > 0")
+        check((self.q != self.q) | (self.q <= 0), "q must be > 0")
+        expected = _natural_frequency(self.k, self.m)  # k, m > 0 checked above
+        check(abs(self.f0 / expected - 1.0) > 1e-12,
+              "f0 = {!r} inconsistent with sqrt(k/m)/2pi = {!r}", self.f0, expected)
 
     @classmethod
     def from_geometry(
@@ -137,59 +143,108 @@ class LumpedBeamModel:
         density: float,
         q: float,
         mass_model: str = "full",
+        check=RAISE,
     ) -> "LumpedBeamModel":
-        k = spring_constant(geometry, youngs_modulus)
-        m = lumped_mass(geometry, density, mass_model)
-        return cls(k=k, m=m, f0=resonant_frequency(k, m), q=q)
+        k = spring_constant(geometry, youngs_modulus, check)
+        m = lumped_mass(geometry, density, mass_model, check)
+        return build(cls, check, k=k, m=m, f0=resonant_frequency(k, m, check), q=q)
 
 
 def pull_in_voltage(
-    k: float, gap: float, electrode_area: float, permittivity: float = EPS0
+    k: float, gap: float, electrode_area: float, permittivity: float = EPS0,
+    check=RAISE,
 ) -> float:
     """Bias at which the gap collapses: sqrt(8*k*g^3 / (27*eps*A)), V."""
-    if min(k, gap, electrode_area, permittivity) <= 0:
-        raise ValidationError("k, gap, electrode_area and permittivity must be > 0")
-    return math.sqrt(8.0 * k * gap ** 3 / (27.0 * permittivity * electrode_area))
+    check((k <= 0) | (gap <= 0) | (electrode_area <= 0) | (permittivity <= 0),
+          "k, gap, electrode_area and permittivity must be > 0")
+    return sqrt(8.0 * k * power(gap, 3) / (27.0 * permittivity * electrode_area))
 
 
-def static_deflection(k: float, transducer: Transducer, mode: str = "linearized") -> float:
+_CROSSED = "deflection iterate crossed the stable-branch limit g/3"
+_NOT_CONVERGED = (f"static deflection fixed point did not reach {_FP_TOL} m "
+                  f"within {_FP_MAX_ITER} iterations")
+
+
+def static_deflection(k: float, transducer: Transducer, mode: str = "linearized",
+                      check=RAISE) -> float:
     """DC gap closure under bias, m.
 
     "linearized" evaluates the force at the rest gap, x = eta*V_P/(2k).
     "nonlinear" solves x = eps*A*V^2 / (2k*(g-x)^2) by a damped fixed point
     (damping 0.5, tolerance 1e-15 m, at most 1000 iterations) and requires
-    the bias to sit strictly below pull-in.
+    the bias to sit strictly below pull-in. An unbiased gap does not move.
     """
-    if k <= 0:
-        raise ValidationError("k must be > 0")
+    check(k <= 0, "k must be > 0")
     if mode not in DEFLECTION_MODES:
         raise ValidationError(f"mode must be one of {DEFLECTION_MODES}")
     t = transducer
-    if t.bias_voltage == 0.0:
-        return 0.0
+    biased = t.bias_voltage != 0.0
     if mode == "linearized":
-        return coupling_coefficient(t) * t.bias_voltage / (2.0 * k)
+        return select(biased, coupling_coefficient(t) * t.bias_voltage / (2.0 * k), 0.0)
 
-    v_pi = pull_in_voltage(k, t.gap, t.area, t.permittivity)
-    if t.bias_voltage >= v_pi:
-        raise PullInError(
-            f"bias {t.bias_voltage} V >= pull-in voltage {v_pi:.6g} V"
-        )
-    force_num = t.permittivity * t.area * t.bias_voltage ** 2 / (2.0 * k)
+    v_pi = pull_in_voltage(k, t.gap, t.area, t.permittivity, check)
+    pulled_in = biased & (t.bias_voltage >= v_pi)
+    check(pulled_in, "bias {} V >= pull-in voltage {:.6g} V", t.bias_voltage, v_pi,
+          error=PullInError)
+    force_num = t.permittivity * t.area * power(t.bias_voltage, 2) / (2.0 * k)
+    if isinstance(force_num, np.ndarray) or isinstance(t.gap, np.ndarray):
+        solve = _fixed_point_columns
+    else:
+        solve = _fixed_point
+    active = biased & (k > 0) & logical_not(pulled_in)
+    return select(biased, solve(force_num, t.gap, active, check), 0.0)
+
+
+def _deflection_step(x, force_num, gap):
+    """One damped iterate of x = force_num / (g - x)^2."""
+    return x + _FP_DAMPING * (force_num / power(gap - x, 2) - x)
+
+
+def _fixed_point(force_num: float, gap: float, active: bool, check) -> float:
+    if not active:
+        return 0.0
     x = 0.0
     for _ in range(_FP_MAX_ITER):
-        target = force_num / (t.gap - x) ** 2
-        x_next = x + _FP_DAMPING * (target - x)
-        if x_next >= t.gap / 3.0:
+        x_next = _deflection_step(x, force_num, gap)
+        if x_next >= gap / 3.0:
             # Past the stable-branch boundary: treat as collapse.
-            raise PullInError("deflection iterate crossed the stable-branch limit g/3")
+            check(True, _CROSSED, error=PullInError)
+            return math.nan
         if abs(x_next - x) < _FP_TOL:
             return x_next
         x = x_next
-    raise ConvergenceError(
-        f"static deflection fixed point did not reach {_FP_TOL} m "
-        f"within {_FP_MAX_ITER} iterations"
-    )
+    check(True, _NOT_CONVERGED, error=ConvergenceError)
+    return math.nan
+
+
+def _fixed_point_columns(force_num, gap, active, check):
+    """_fixed_point() on every active element, each through the same
+    iterates: elements leave the loop as they converge or fail."""
+    force_num, gap, active = np.broadcast_arrays(force_num, gap, active)
+    result = np.zeros(force_num.shape)
+    crossed = np.zeros(force_num.shape, dtype=bool)
+    stuck = np.zeros(force_num.shape, dtype=bool)
+    idx = np.flatnonzero(active)
+    x = np.zeros(idx.size)
+    f, g = force_num[idx], gap[idx]
+    for _ in range(_FP_MAX_ITER):
+        if not idx.size:
+            break
+        x_next = _deflection_step(x, f, g)
+        cross = x_next >= g / 3.0
+        done = abs(x_next - x) < _FP_TOL
+        # A NaN iterate stays NaN: it can only run out of iterations.
+        lost = np.isnan(x_next) & ~cross
+        crossed[idx[cross]] = True
+        stuck[idx[lost]] = True
+        converged = done & ~cross
+        result[idx[converged]] = x_next[converged]
+        keep = ~(cross | done | lost)
+        idx, x, f, g = idx[keep], x_next[keep], f[keep], g[keep]
+    stuck[idx] = True
+    check(crossed, _CROSSED, error=PullInError)
+    check(stuck, _NOT_CONVERGED, error=ConvergenceError)
+    return result
 
 
 def spring_softening(transducer: Transducer) -> float:

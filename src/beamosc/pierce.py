@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import ValidationError
+from ._num import fmax, power, select, sqrt
+from .errors import RAISE, build
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,19 @@ class PierceConfig:
     gm: float
     f0: float
 
-    def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0 or self.c0 <= 0:
-            raise ValidationError("c1, c2 and c0 must all be > 0")
-        if self.gm < 0:
-            raise ValidationError("gm must be >= 0")
-        if self.f0 <= 0:
-            raise ValidationError("f0 must be > 0")
+    def __post_init__(self, check=RAISE):
+        check((self.c1 <= 0) | (self.c2 <= 0) | (self.c0 <= 0),
+              "c1, c2 and c0 must all be > 0")
+        check(self.gm < 0, "gm must be >= 0")
+        check(self.f0 <= 0, "f0 must be > 0")
 
 
 def _sum_products(c1: float, c2: float, c0: float) -> float:
     return c1 * c2 + c2 * c0 + c0 * c1
+
+
+# The functions below also take numpy columns from the sweep kernel. `check`
+# runs each precondition (errors.RAISE by default).
 
 
 def negative_resistance(config: PierceConfig) -> float:
@@ -58,7 +61,7 @@ def negative_resistance(config: PierceConfig) -> float:
     w = 2.0 * math.pi * config.f0
     s = _sum_products(config.c1, config.c2, config.c0)
     num = config.gm * config.c1 * config.c2
-    den = (config.gm * config.c0) ** 2 + (w * s) ** 2
+    den = power(config.gm * config.c0, 2) + power(w * s, 2)
     return num / den
 
 
@@ -78,10 +81,11 @@ class PierceOptimum(NamedTuple):
     gm_opt: float  # A/V
 
 
-def max_negative_resistance(c1: float, c2: float, c0: float, f0: float) -> PierceOptimum:
+def max_negative_resistance(c1: float, c2: float, c0: float, f0: float,
+                            check=RAISE) -> PierceOptimum:
     """Best achievable |Re(Z_C)| and the transconductance that reaches it."""
-    if min(c1, c2, c0, f0) <= 0:
-        raise ValidationError("c1, c2, c0 and f0 must all be > 0")
+    check((c1 <= 0) | (c2 <= 0) | (c0 <= 0) | (f0 <= 0),
+          "c1, c2, c0 and f0 must all be > 0")
     w = 2.0 * math.pi * f0
     s = _sum_products(c1, c2, c0)
     return PierceOptimum(
@@ -99,27 +103,38 @@ def required_gm(
     roots below/above g_m_opt, one double root at the peak, or an empty
     tuple when the target exceeds Re_max.
     """
-    if min(c1, c2, c0, f0) <= 0:
-        raise ValidationError("c1, c2, c0 and f0 must all be > 0")
-    if target_resistance <= 0:
-        raise ValidationError("target_resistance must be > 0")
+    reachable, double, gm_low, gm_high = _gm_roots(c1, c2, c0, f0, target_resistance)
+    if not reachable:
+        return ()
+    return (gm_low,) if double else (gm_low, gm_high)
+
+
+def _gm_roots(c1, c2, c0, f0, target_resistance, check=RAISE):
+    """required_gm() on floats or columns: (reachable, double, low, high).
+
+    At a double root low == high; where the target is out of reach the
+    roots are meaningless.
+    """
+    check((c1 <= 0) | (c2 <= 0) | (c0 <= 0) | (f0 <= 0),
+          "c1, c2, c0 and f0 must all be > 0")
+    check(target_resistance <= 0, "target_resistance must be > 0")
     w = 2.0 * math.pi * f0
     s = _sum_products(c1, c2, c0)
     a = target_resistance * c0 * c0
     b = -c1 * c2
-    c = target_resistance * (w * s) ** 2
+    c = target_resistance * power(w * s, 2)
     disc = b * b - 4.0 * a * c
     # Relative discriminant guards the target == Re_max boundary against
     # rounding: treat |disc| below 1e-12*b^2 as a double root.
     rel = disc / (b * b)
-    if rel < -1e-12:
-        return ()
-    if rel <= 1e-12:
-        return (-b / (2.0 * a),)
-    root = math.sqrt(disc)
+    reachable = (rel != rel) | (rel >= -1e-12)  # not rel < -1e-12
+    double = rel <= 1e-12
+    root = sqrt(fmax(disc, 0.0))
     gm_high = (-b + root) / (2.0 * a)
     gm_low = c / (a * gm_high)  # stable form of the subtractive root
-    return (gm_low, gm_high)
+    gm_double = -b / (2.0 * a)
+    return (reachable, double, select(double, gm_double, gm_low),
+            select(double, gm_double, gm_high))
 
 
 @dataclass(frozen=True)
@@ -136,19 +151,19 @@ class StartupReport:
     oscillates: bool
     meets_3x: bool
 
-    def __post_init__(self):
-        if self.meets_3x and not self.oscillates:
-            raise ValidationError("meets_3x implies oscillates")
+    def __post_init__(self, check=RAISE):
+        # On bools, a > b is "a and not b".
+        check(self.meets_3x > self.oscillates, "meets_3x implies oscillates")
 
 
-def startup_check(neg_resistance: float, motional_resistance: float) -> StartupReport:
+def startup_check(neg_resistance: float, motional_resistance: float,
+                  check=RAISE) -> StartupReport:
     """Compare achievable |Re(Z_C)| against the motional resistance."""
-    if neg_resistance < 0:
-        raise ValidationError("neg_resistance must be >= 0")
-    if motional_resistance <= 0:
-        raise ValidationError("motional_resistance must be > 0")
+    check(neg_resistance < 0, "neg_resistance must be >= 0")
+    check(motional_resistance <= 0, "motional_resistance must be > 0")
     margin = neg_resistance / motional_resistance
-    return StartupReport(
+    return build(
+        StartupReport, check,
         negative_resistance=neg_resistance,
         motional_resistance=motional_resistance,
         margin=margin,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from ._num import select
+from .errors import RAISE, ValidationError, build
 
 # Effective laminate properties, fitted to the bundled reference devices.
 DEFAULT_YOUNGS_MODULUS = 63e9  # Pa
@@ -51,9 +52,9 @@ class LaminateProperties:
     youngs_modulus: float
     density: float
 
-    def __post_init__(self):
-        if min(self.thickness, self.youngs_modulus, self.density) <= 0:
-            raise ValidationError("laminate properties must all be > 0")
+    def __post_init__(self, check=RAISE):
+        check((self.thickness <= 0) | (self.youngs_modulus <= 0) | (self.density <= 0),
+              "laminate properties must all be > 0")
 
 
 def laminate_properties(
@@ -63,13 +64,14 @@ def laminate_properties(
     density: float | None = None,
     thickness_per_pair: float | None = None,
     thickness: float | None = None,
+    check=RAISE,
 ) -> LaminateProperties:
     """Resolve a laminate spec to thickness and effective material constants.
 
     Thickness scales linearly with the metal count (1.2 um per
     metal+dielectric pair, so a 4-metal stack is 4.8 um). Keyword overrides
     replace the fitted defaults; an explicit `thickness` wins over the
-    per-pair scaling.
+    per-pair scaling. The material values may be floats or columns.
     """
     pitch = THICKNESS_PER_PAIR if thickness_per_pair is None else thickness_per_pair
     if pitch <= 0:
@@ -78,7 +80,8 @@ def laminate_properties(
         thickness = spec.top_metal_index * pitch
         if not spec.include_dielectric:
             thickness *= METAL_FRACTION
-    return LaminateProperties(
+    return build(
+        LaminateProperties, check,
         thickness=thickness,
         youngs_modulus=DEFAULT_YOUNGS_MODULUS if youngs_modulus is None else youngs_modulus,
         density=DEFAULT_DENSITY if density is None else density,
@@ -122,6 +125,29 @@ class RuleViolation:
         return f"{self.rule}: measured {self.measured:.6g}, limit {self.limit:.6g}"
 
 
+def rule_checks(gap, width, thickness, rules: MemsRuleSet = MemsRuleSet()) -> list[tuple]:
+    """Every release-etch rule as (rule, broken, measured, limit).
+
+    Takes the electrode gap, in-plane width and stack thickness as floats
+    or columns; `broken` is a bool or a bool column.
+    """
+    checks = [
+        ("lateral_gap", gap < rules.min_lateral_gap, gap, rules.min_lateral_gap),
+        ("release_width", width > rules.max_release_width, width,
+         rules.max_release_width),
+    ]
+    if rules.require_metal_cover:
+        # min() with a key: the first grid height closest to the thickness.
+        grid = rules.metal_thickness_grid
+        nearest, distance = grid[0], abs(grid[0] - thickness)
+        for height in grid[1:]:
+            closer = abs(height - thickness) < distance
+            nearest = select(closer, height, nearest)
+            distance = select(closer, abs(height - thickness), distance)
+        checks.append(("metal_cover", abs(nearest - thickness) > 1e-9, thickness, nearest))
+    return checks
+
+
 def check_mems_rules(geometry, transducer, rules: MemsRuleSet = MemsRuleSet()) -> list[RuleViolation]:
     """Check a beam/transducer pair against the release-etch rules.
 
@@ -129,17 +155,9 @@ def check_mems_rules(geometry, transducer, rules: MemsRuleSet = MemsRuleSet()) -
     Shrinking the gap or widening the beam can only add violations, never
     remove them.
     """
-    violations: list[RuleViolation] = []
-    if transducer.gap < rules.min_lateral_gap:
-        violations.append(
-            RuleViolation("lateral_gap", transducer.gap, rules.min_lateral_gap)
-        )
-    if geometry.H > rules.max_release_width:
-        violations.append(
-            RuleViolation("release_width", geometry.H, rules.max_release_width)
-        )
-    if rules.require_metal_cover:
-        nearest = min(rules.metal_thickness_grid, key=lambda t: abs(t - geometry.W))
-        if abs(nearest - geometry.W) > 1e-9:
-            violations.append(RuleViolation("metal_cover", geometry.W, nearest))
-    return violations
+    return [
+        RuleViolation(rule, measured, limit)
+        for rule, broken, measured, limit
+        in rule_checks(transducer.gap, geometry.H, geometry.W, rules)
+        if broken
+    ]

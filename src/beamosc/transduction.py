@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from ._num import select, sqrt
+from .errors import RAISE, ValidationError, build
 
 EPS0 = 8.854e-12  # vacuum permittivity, F/m
 
@@ -52,26 +53,24 @@ class Transducer:
     port: str = PORT_ONE
     permittivity: float = EPS0
 
-    def __post_init__(self):
-        if self.gap <= 0:
-            raise ValidationError("transducer gap must be > 0")
-        if self.electrode_length <= 0:
-            raise ValidationError("electrode_length must be > 0")
-        if self.electrode_height <= 0:
-            raise ValidationError("electrode_height must be > 0")
-        if self.bias_voltage < 0:
-            raise ValidationError("bias_voltage must be >= 0")
-        if self.port not in VALID_PORTS:
+    def __post_init__(self, check=RAISE):
+        check(self.gap <= 0, "transducer gap must be > 0")
+        check(self.electrode_length <= 0, "electrode_length must be > 0")
+        check(self.electrode_height <= 0, "electrode_height must be > 0")
+        check(self.bias_voltage < 0, "bias_voltage must be >= 0")
+        if self.port not in VALID_PORTS:  # never a column
             raise ValidationError(
-                f"port must be one of {sorted(VALID_PORTS)}, got {self.port!r}"
-            )
-        if self.permittivity <= 0:
-            raise ValidationError("permittivity must be > 0")
+                f"port must be one of {sorted(VALID_PORTS)}, got {self.port!r}")
+        check(self.permittivity <= 0, "permittivity must be > 0")
 
     @property
     def area(self) -> float:
         """Electrode face area, m^2."""
         return self.electrode_length * self.electrode_height
+
+
+# The functions below take floats, or numpy columns from the sweep kernel;
+# `check` runs each precondition (errors.RAISE by default).
 
 
 def electrode_capacitance(transducer: Transducer) -> float:
@@ -105,28 +104,20 @@ class EquivalentCircuit:
     f0: float   # series resonance, Hz
     q: float    # quality factor (may be math.inf)
 
-    def __post_init__(self):
-        if self.l_x <= 0 or self.c_x <= 0 or self.f0 <= 0:
-            raise ValidationError("l_x, c_x and f0 must all be > 0")
-        if self.r_x < 0:
-            raise ValidationError("r_x must be >= 0")
-        if not self.q > 0:
-            raise ValidationError("q must be > 0")
-        w0 = 2.0 * math.pi * self.f0
-        res = w0 * math.sqrt(self.l_x * self.c_x)
-        if abs(res - 1.0) > _IDENTITY_RTOL:
-            raise ValidationError(
-                f"resonance identity violated: w0*sqrt(LxCx) = {res!r}"
-            )
-        if math.isinf(self.q):
-            if self.r_x != 0.0:
-                raise ValidationError("q = inf requires r_x = 0")
-        else:
-            char = math.sqrt(self.l_x / self.c_x)
-            if abs(self.r_x * self.q / char - 1.0) > _IDENTITY_RTOL:
-                raise ValidationError(
-                    "Q identity violated: r_x*q != sqrt(Lx/Cx)"
-                )
+    def __post_init__(self, check=RAISE):
+        r_x, l_x, c_x, f0, q = self.r_x, self.l_x, self.c_x, self.f0, self.q
+        check((l_x <= 0) | (c_x <= 0) | (f0 <= 0), "l_x, c_x and f0 must all be > 0")
+        check(r_x < 0, "r_x must be >= 0")
+        check((q != q) | (q <= 0), "q must be > 0")
+        w0 = 2.0 * math.pi * f0
+        res = w0 * sqrt(l_x * c_x)
+        check(abs(res - 1.0) > _IDENTITY_RTOL,
+              "resonance identity violated: w0*sqrt(LxCx) = {!r}", res)
+        lossless = abs(q) == math.inf
+        check(lossless & (r_x != 0.0), "q = inf requires r_x = 0")
+        char = sqrt(l_x / c_x)
+        check((abs(q) != math.inf) & (abs(r_x * q / char - 1.0) > _IDENTITY_RTOL),
+              "Q identity violated: r_x*q != sqrt(Lx/Cx)")
 
 
 def motional_resistance(k: float, f0: float, q: float, eta: float) -> float:
@@ -136,21 +127,20 @@ def motional_resistance(k: float, f0: float, q: float, eta: float) -> float:
     return k / (2.0 * math.pi * f0 * q * eta * eta)
 
 
-def extract_circuit(k: float, m: float, q: float, eta: float) -> EquivalentCircuit:
+def extract_circuit(k: float, m: float, q: float, eta: float,
+                    check=RAISE) -> EquivalentCircuit:
     """Map spring constant, mass, Q and coupling onto the series RLC branch.
 
     q may be math.inf for a lossless branch (r_x = 0).
     """
-    if k <= 0 or m <= 0 or eta <= 0:
-        raise ValidationError("k, m and eta must all be > 0")
-    if not q > 0:
-        raise ValidationError("q must be > 0")
-    w0 = math.sqrt(k / m)
+    check((k <= 0) | (m <= 0) | (eta <= 0), "k, m and eta must all be > 0")
+    check((q != q) | (q <= 0), "q must be > 0")
+    w0 = sqrt(k / m)
     f0 = w0 / (2.0 * math.pi)
     l_x = m / (eta * eta)
     c_x = eta * eta / k
-    r_x = 0.0 if math.isinf(q) else k / (w0 * q * eta * eta)
-    return EquivalentCircuit(r_x=r_x, l_x=l_x, c_x=c_x, f0=f0, q=q)
+    r_x = select(abs(q) == math.inf, 0.0, k / (w0 * q * eta * eta))
+    return build(EquivalentCircuit, check, r_x=r_x, l_x=l_x, c_x=c_x, f0=f0, q=q)
 
 
 def series_impedance(circuit: EquivalentCircuit, frequency: float) -> complex:
@@ -161,10 +151,8 @@ def series_impedance(circuit: EquivalentCircuit, frequency: float) -> complex:
     return complex(circuit.r_x, w * circuit.l_x - 1.0 / (w * circuit.c_x))
 
 
-def motional_current(eta: float, f0: float, x_amplitude: float) -> float:
+def motional_current(eta: float, f0: float, x_amplitude: float, check=RAISE) -> float:
     """Peak motional current eta * w0 * x for vibration amplitude x, A."""
-    if eta <= 0 or f0 <= 0:
-        raise ValidationError("eta and f0 must be > 0")
-    if x_amplitude < 0:
-        raise ValidationError("x_amplitude must be >= 0")
+    check((eta <= 0) | (f0 <= 0), "eta and f0 must be > 0")
+    check(x_amplitude < 0, "x_amplitude must be >= 0")
     return eta * 2.0 * math.pi * f0 * x_amplitude

@@ -185,16 +185,17 @@ def test_criterion_09_design_exploration(reference, design_points):
             design_points[1].inputs,
             transducer=replace(design_points[1].transducer,
                                electrode_length=45e-6))
-        points = sweep(base, SweepSpec(axes=(
+        grid = sweep(base, SweepSpec(axes=(
             SweepAxis("beam.length", 60e-6, 100e-6, 2),
             SweepAxis("beam.in_plane_width", 1e-6, 2e-6, 2),
         )))
-        assert points[0].model.f0 == pytest.approx(
+        f0, feasible = grid["derived.f0"], grid["feasible"]
+        assert f0[0] == pytest.approx(
             reference["2"]["values"]["f0_hz"], rel=0.002)
-        assert points[3].model.f0 == pytest.approx(
+        assert f0[3] == pytest.approx(
             reference["1"]["values"]["f0_hz"], rel=0.002)
-        assert not points[0].feasible  # flagged, not dropped
-        assert points[3].feasible
+        assert not feasible[0]  # flagged, not dropped
+        assert feasible[3]
 
         rail = optimize(design_points[1].inputs, SweepSpec(
             axes=(SweepAxis("transducer.bias_voltage", 2.0, 9.5, 5),),

@@ -1,10 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import beamosc
 from beamosc.cli import main
 
 
@@ -241,10 +244,97 @@ class TestCheckRules:
 class TestEntryPoint:
     def test_installed_script_reports_version(self):
         exe = shutil.which("beamosc")
+        env = None
         if exe is None:
             argv = [sys.executable, "-m", "beamosc.cli", "--version"]
+            # Run the package under test, wherever pytest imported it from.
+            src = str(Path(beamosc.__file__).resolve().parents[1])
+            env = {**os.environ,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         else:
             argv = [exe, "--version"]
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "beamosc" in proc.stdout
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_set_rejects_non_finite_numbers(self, capsys, text):
+        rc, out, err = run_cli(capsys, "analyze", "--design", "1",
+                               "--set", f"beam.length={text}")
+        assert rc == 1
+        assert out == ""
+        assert "beam.length" in err and "finite" in err
+
+    def test_config_file_rejects_non_finite_axis_bounds(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"explore": {"axes": [
+            {"path": "beam.length", "min": 60e-6, "max": float("inf"), "steps": 3},
+        ]}}))
+        out = tmp_path / "run"
+        rc, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+        assert rc == 1
+        assert "explore.axes[0].max" in err
+        assert not out.exists()
+
+    def test_config_file_rejects_nan_gm(self, capsys, tmp_path):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"pierce": {"gm": float("nan")}}))
+        rc, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert rc == 1
+        assert "pierce.gm" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_simulate_rejects_non_finite_gm(self, capsys, tmp_path, value):
+        out = tmp_path / "run"
+        rc, stdout, err = run_cli(capsys, "simulate", "--design", "1", "--gm", value,
+                                  "--out", str(out))
+        assert rc == 1
+        assert stdout == ""
+        assert "--gm" in err
+        assert not out.exists()
+
+
+class TestStackThickness:
+    @pytest.mark.parametrize("key", ["beam.thickness", "materials.thickness"])
+    def test_laminate_thickness_reports_the_resolved_stack(self, capsys, key):
+        rc, payload, _ = run_json(capsys, "analyze", "--design", "1",
+                                  "--set", f"{key}=3e-6")
+        assert rc in (0, 2)
+        assert payload["beam.thickness"] == 3e-6
+        assert payload["laminate.thickness"] == 3e-6
+
+    def test_sweep_reports_the_swept_thickness(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        rc, _, _ = run_cli(
+            capsys, "sweep", "--design", "1", "--out", str(out), "--set",
+            'explore.axes=[{"path":"beam.thickness","min":3e-6,"max":4e-6,"steps":2}]')
+        assert rc == 0
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [r["laminate.thickness"] for r in rows] == [3e-6, 4e-6]
+
+    def test_check_rules_and_analyze_agree_under_an_override(self, capsys):
+        overrides = ("--set", "beam.thickness=3e-6",
+                     "--set", "rules.require_metal_cover=true")
+        rc, out, _ = run_cli(capsys, "check-rules", "--design", "1", *overrides)
+        assert rc == 2
+        _, payload, _ = run_json(capsys, "analyze", "--design", "1", *overrides)
+        violations = payload["rule_violations"]
+        assert [v["rule"] for v in violations] == ["metal_cover"]
+        assert out.splitlines() == [
+            f"{v['rule']}: measured {v['measured']:.6g}, limit {v['limit']:.6g}"
+            for v in violations
+        ]
+
+
+def test_sweep_with_an_invalid_point_writes_nothing(capsys, tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"transducer": {"electrode_length": 45e-6}, "explore": {
+        "axes": [{"path": "beam.length", "min": 40e-6, "max": 100e-6, "steps": 4}]}}))
+    out = tmp_path / "grid"
+    rc, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert rc == 1
+    assert stdout == ""
+    assert err.startswith("error: transduction: electrode_length 4.5e-05 m exceeds")
+    assert not out.exists()

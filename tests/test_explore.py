@@ -176,6 +176,8 @@ class TestSweepAxis:
             SweepAxis("beam.length", 0.0, 2.0, 2, scale="log")
         with pytest.raises(ValidationError):
             SweepAxis("beam.length", 1.0, 2.0, 2, scale="cubic")
+        with pytest.raises(ValidationError, match="finite"):
+            SweepAxis("beam.length", math.nan, 2.0, 2)
 
 
 class TestSweep:
@@ -188,18 +190,18 @@ class TestSweep:
             SweepAxis("beam.length", 60e-6, 100e-6, 2),
             SweepAxis("beam.in_plane_width", 1e-6, 2e-6, 2),
         ))
-        points = sweep(self.base(design_points), spec)
-        assert len(points) == 4
-        lengths = [p.inputs.beam.L for p in points]
-        widths = [p.inputs.beam.H for p in points]
+        grid = sweep(self.base(design_points), spec)
+        assert len(grid["feasible"]) == 4
+        lengths = grid["beam.length"].tolist()
+        widths = grid["beam.in_plane_width"].tolist()
         assert lengths == [60e-6, 60e-6, 100e-6, 100e-6]  # row-major order
         assert widths == [1e-6, 2e-6, 1e-6, 2e-6]
         # Corners reproduce the bundled short and long designs.
-        assert points[0].model.f0 == pytest.approx(105.4e3, rel=2e-3)
-        assert not points[0].feasible  # bias sits too close to pull-in
-        assert not points[0].constraint("bias").ok
-        assert points[3].model.f0 == pytest.approx(75.9e3, rel=2e-3)
-        assert points[3].feasible
+        assert grid["derived.f0"][0] == pytest.approx(105.4e3, rel=2e-3)
+        assert not grid["feasible"][0]  # bias sits too close to pull-in
+        assert not grid["constraint.bias_ok"][0]
+        assert grid["derived.f0"][3] == pytest.approx(75.9e3, rel=2e-3)
+        assert grid["feasible"][3]
 
     def test_grid_cap_enforced(self, design_points):
         spec = SweepSpec(
