@@ -38,12 +38,10 @@ from .mechanics import (
     BeamGeometry,
     LumpedBeamModel,
     area_moment,
-    frequency_shift,
     lumped_mass,
     pull_in_voltage,
     resonant_frequency,
     spring_constant,
-    spring_softening,
     static_deflection,
 )
 from .transduction import (
@@ -55,16 +53,12 @@ from .transduction import (
     electrode_capacitance,
     extract_circuit,
     motional_current,
-    motional_resistance,
-    series_impedance,
 )
 from .pierce import (
-    LocusPoint,
     PierceConfig,
     PierceOptimum,
     StartupReport,
     complex_impedance,
-    impedance_locus,
     max_negative_resistance,
     negative_resistance,
     required_gm,
@@ -100,14 +94,12 @@ __all__ = [
     "InsufficientDataError", "PullInError", "SimulationError", "StageError",
     "ValidationError", "LaminateProperties", "LaminateSpec", "MemsRuleSet",
     "RuleViolation", "check_mems_rules", "laminate_properties", "Anchor",
-    "BeamGeometry", "LumpedBeamModel", "area_moment", "frequency_shift",
-    "lumped_mass", "pull_in_voltage", "resonant_frequency",
-    "spring_constant", "spring_softening", "static_deflection", "EPS0",
-    "EquivalentCircuit", "Transducer", "coupling_coefficient",
-    "displacement_limit", "electrode_capacitance", "extract_circuit",
-    "motional_current", "motional_resistance", "series_impedance",
-    "LocusPoint", "PierceConfig", "PierceOptimum", "StartupReport",
-    "complex_impedance", "impedance_locus", "max_negative_resistance",
+    "BeamGeometry", "LumpedBeamModel", "area_moment", "lumped_mass",
+    "pull_in_voltage", "resonant_frequency", "spring_constant",
+    "static_deflection", "EPS0", "EquivalentCircuit", "Transducer",
+    "coupling_coefficient", "displacement_limit", "electrode_capacitance",
+    "extract_circuit", "motional_current", "PierceConfig", "PierceOptimum",
+    "StartupReport", "complex_impedance", "max_negative_resistance",
     "negative_resistance", "required_gm", "startup_check", "SimConfig",
     "Trace", "envelope", "growth_rate", "measure_frequency",
     "simulate_startup", "summarize", "ConstraintCheck", "DesignInputs",

@@ -29,14 +29,7 @@ from .explore import evaluate, flatten, optimize, sweep
 from .pierce import PierceConfig
 from .process import check_mems_rules
 from .simulate import envelope, simulate_startup, summarize
-from .traceio import (
-    json_text,
-    write_envelope_csv,
-    write_json,
-    write_rows,
-    write_trace_csv,
-    write_trace_svg,
-)
+from .traceio import json_text, write_json, write_rows, write_trace_svg
 
 
 def _version() -> str:
@@ -177,9 +170,11 @@ def cmd_simulate(args) -> int:
             env = envelope(trace)
         except InsufficientDataError:
             env = None
-        write_trace_csv(trace, out / "trace.csv")
+        write_rows({"t": trace.time, "v_in": trace.v_in, "v_out": trace.v_out,
+                    "x": trace.x}, csv_path=out / "trace.csv")
         if env is not None:
-            write_envelope_csv(env, out / "envelope.csv")
+            write_rows({"t": env[:, 0], "amplitude": env[:, 1]},
+                       csv_path=out / "envelope.csv")
         write_trace_svg(trace, out / "trace.svg", env=env)
         write_json(summary, out / "summary.json")
         write_json(_manifest(cfg, "simulate", summary=summary), out / "manifest.json")

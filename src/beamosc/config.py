@@ -25,7 +25,7 @@ from .explore import (
     SweepSpec,
 )
 from .mechanics import Anchor, BeamGeometry, DEFLECTION_MODES, MASS_MODELS
-from .process import LaminateSpec, MemsRuleSet, laminate_properties
+from .process import LaminateSpec, MemsRuleSet, metal_stack_heights
 from .simulate import SimConfig
 from .transduction import Transducer, VALID_PORTS
 
@@ -134,7 +134,6 @@ SCHEMA = {
         "density": (None, _nullable(_number), {"exclusive_minimum": 0}),
         "top_metal_index": (4, _integer, {"minimum": 1, "maximum": 4}),
         "include_dielectric": (True, _boolean, {}),
-        "thickness": (None, _nullable(_number), {"exclusive_minimum": 0}),
         "thickness_per_pair": (None, _nullable(_number), {"exclusive_minimum": 0}),
     },
     "beam": {
@@ -290,24 +289,18 @@ class ProjectConfig:
             raw = apply_overrides(raw, overrides)
         return cls(data=validate_config(raw))
 
-    def _thickness(self) -> float:
-        mat = self.data["materials"]
-        if self.data["beam"]["thickness"] is not None:
-            return self.data["beam"]["thickness"]
-        lam = laminate_properties(
-            LaminateSpec(mat["top_metal_index"], mat["include_dielectric"]),
-            thickness_per_pair=mat["thickness_per_pair"],
-            thickness=mat["thickness"],
-        )
-        return lam.thickness
-
     def build_inputs(self) -> DesignInputs:
         d = self.data
         mat, beam, tr, prc, exp, rules, ana = (
             d["materials"], d["beam"], d["transducer"], d["pierce"],
             d["explore"], d["rules"], d["analysis"],
         )
-        thickness = self._thickness()
+        # The stack pitch sets both the derived thickness and the heights
+        # the metal-cover rule accepts.
+        heights = metal_stack_heights(mat["include_dielectric"], mat["thickness_per_pair"])
+        thickness = beam["thickness"]
+        if thickness is None:
+            thickness = heights[mat["top_metal_index"] - 1]
         geometry = BeamGeometry(
             anchor=beam["anchor"], L=beam["length"],
             H=beam["in_plane_width"], W=thickness,
@@ -334,6 +327,7 @@ class ProjectConfig:
                 min_lateral_gap=rules["min_lateral_gap"],
                 max_release_width=rules["max_release_width"],
                 require_metal_cover=rules["require_metal_cover"],
+                metal_thickness_grid=heights,
             ),
             youngs_modulus=mat["youngs_modulus"],
             density=mat["density"],

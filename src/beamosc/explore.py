@@ -316,11 +316,6 @@ def evaluate(inputs: DesignInputs) -> DesignPoint:
         raise StageError(check.stage, err) from err
 
 
-def feasible_for(point: DesignPoint, names: tuple[str, ...]) -> bool:
-    """Feasibility against a subset of the constraint set."""
-    return all(point.constraint(n).ok for n in names)
-
-
 # Output columns of analyze/optimize payloads and of sweep.csv/sweep.json,
 # in order: name and how to read it from a DesignPoint.
 COLUMNS = tuple((name, operator.attrgetter(path)) for name, path in (
@@ -439,8 +434,6 @@ class SweepAxis:
             raise ValidationError("log axes need minimum > 0")
 
     def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.minimum])
         if self.scale == "log":
             return np.geomspace(self.minimum, self.maximum, self.steps)
         return np.linspace(self.minimum, self.maximum, self.steps)
@@ -613,7 +606,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             log.append({"phase": phase, "params": dict(params),
                         "objective": None, "feasible": False})
             return math.inf
-        if not feasible_for(point, enabled):
+        if not all(point.constraint(n).ok for n in enabled):
             infeasible_candidates.append(point)
             log.append({"phase": phase, "params": dict(params),
                         "objective": extract(point), "feasible": False})

@@ -246,21 +246,3 @@ def _fixed_point_columns(force_num, gap, active, check):
     check(stuck, _NOT_CONVERGED, error=ConvergenceError)
     return result
 
-
-def spring_softening(transducer: Transducer) -> float:
-    """Electrical spring constant k_e = eps*A*V_P^2 / g^3, N/m."""
-    t = transducer
-    return t.permittivity * t.area * t.bias_voltage ** 2 / t.gap ** 3
-
-
-def frequency_shift(model: LumpedBeamModel, delta_k: float) -> float:
-    """Resonance after a stiffness perturbation, sqrt((k+dk)/m)/(2*pi), Hz.
-
-    Pass delta_k = -spring_softening(...) for the bias-induced shift.
-    """
-    k_eff = model.k + delta_k
-    if k_eff <= 0:
-        raise ValidationError(
-            f"stiffness perturbation {delta_k} collapses the resonator (k = {model.k})"
-        )
-    return resonant_frequency(k_eff, model.m)

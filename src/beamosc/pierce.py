@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from ._num import fmax, power, select, sqrt
 from .errors import RAISE, build
@@ -171,26 +171,3 @@ def startup_check(neg_resistance: float, motional_resistance: float,
         meets_3x=margin >= 3.0,
     )
 
-
-class LocusPoint(NamedTuple):
-    """One sample of the impedance locus: g_m and Z_C split by component."""
-
-    gm: float
-    re_magnitude: float  # ohm, |Re(Z_C)| (Re itself is <= 0)
-    im: float            # ohm, Im(Z_C) (capacitive, < 0)
-
-
-def impedance_locus(
-    c1: float, c2: float, c0: float, f0: float, gm_values: Iterable[float]
-) -> list[LocusPoint]:
-    """Trace Z_C over a grid of transconductances.
-
-    The real part stays non-positive and the imaginary part strictly
-    capacitive for every g_m >= 0.
-    """
-    points = []
-    for gm in gm_values:
-        cfg = PierceConfig(c1=c1, c2=c2, c0=c0, gm=gm, f0=f0)
-        z = complex_impedance(cfg)
-        points.append(LocusPoint(gm=gm, re_magnitude=-z.real, im=z.imag))
-    return points

@@ -88,7 +88,17 @@ def laminate_properties(
     )
 
 
-DEFAULT_METAL_GRID = tuple(THICKNESS_PER_PAIR * i for i in range(1, MAX_METAL_INDEX + 1))
+def metal_stack_heights(include_dielectric: bool = True,
+                        thickness_per_pair: float | None = None) -> tuple[float, ...]:
+    """Stack thickness for each top metal 1..MAX_METAL_INDEX at this pitch:
+    the heights a metal-covered beam may have."""
+    return tuple(
+        laminate_properties(LaminateSpec(i, include_dielectric),
+                            thickness_per_pair=thickness_per_pair).thickness
+        for i in range(1, MAX_METAL_INDEX + 1))
+
+
+DEFAULT_METAL_GRID = metal_stack_heights()
 
 
 @dataclass(frozen=True)

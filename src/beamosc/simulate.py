@@ -277,10 +277,14 @@ def growth_rate(trace: Trace, ceiling: float | None = None, signal: str = "v_out
     never sees saturation. ceiling defaults to 0.1*v_limit. Requires at
     least 10 envelope points in the window and a positive slope.
     """
-    env = envelope(trace, signal=signal)
+    return _fit_growth(envelope(trace, signal=signal), ceiling, trace.v_limit)
+
+
+def _fit_growth(env: np.ndarray, ceiling: float | None, v_limit: float | None) -> float:
+    """growth_rate() on an envelope that is already computed."""
     amps = env[:, 1]
     if ceiling is None:
-        ceiling = 0.1 * trace.v_limit if trace.v_limit else float(amps.max())
+        ceiling = 0.1 * v_limit if v_limit else float(amps.max())
     if ceiling <= 0:
         raise ValidationError("ceiling must be > 0")
     crossed = np.nonzero(amps >= ceiling)[0]
@@ -345,7 +349,7 @@ def summarize(trace: Trace) -> dict:
             frequency = None
 
     try:
-        growth = growth_rate(trace)
+        growth = None if env is None else _fit_growth(env, None, trace.v_limit)
     except (InsufficientDataError, ValidationError):
         growth = None
 

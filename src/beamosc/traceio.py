@@ -1,4 +1,4 @@
-"""Deterministic file output: trace/envelope CSV, row tables, and SVG plots.
+"""Deterministic file output: CSV/JSON row tables, JSON documents, SVG plots.
 
 Identical inputs produce byte-identical files: floats are written with
 repr() (shortest round-trip form), row order is the natural iteration
@@ -22,22 +22,6 @@ from .simulate import Trace
 _SVG_W, _SVG_H = 900, 360
 _PAD_L, _PAD_R, _PAD_T, _PAD_B = 64, 16, 28, 40
 _MAX_POLYLINE = 4000  # plotted samples cap; traces are strided down to this
-
-
-def write_trace_csv(trace: Trace, path) -> None:
-    """Waveforms as CSV with header t,v_in,v_out,x."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,v_in,v_out,x\n")
-        for t, vi, vo, x in zip(trace.time, trace.v_in, trace.v_out, trace.x):
-            fh.write(f"{float(t)!r},{float(vi)!r},{float(vo)!r},{float(x)!r}\n")
-
-
-def write_envelope_csv(env: np.ndarray, path) -> None:
-    """Envelope rows as CSV with header t,amplitude."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,amplitude\n")
-        for t, a in env:
-            fh.write(f"{float(t)!r},{float(a)!r}\n")
 
 
 ROW_BLOCK = 4096  # rows formatted and written at a time by write_rows()

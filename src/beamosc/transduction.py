@@ -120,13 +120,6 @@ class EquivalentCircuit:
               "Q identity violated: r_x*q != sqrt(Lx/Cx)")
 
 
-def motional_resistance(k: float, f0: float, q: float, eta: float) -> float:
-    """R_x = k / (2*pi*f0 * Q * eta^2), ohm."""
-    if min(k, f0, q, eta) <= 0:
-        raise ValidationError("k, f0, q and eta must all be > 0")
-    return k / (2.0 * math.pi * f0 * q * eta * eta)
-
-
 def extract_circuit(k: float, m: float, q: float, eta: float,
                     check=RAISE) -> EquivalentCircuit:
     """Map spring constant, mass, Q and coupling onto the series RLC branch.
@@ -141,14 +134,6 @@ def extract_circuit(k: float, m: float, q: float, eta: float,
     c_x = eta * eta / k
     r_x = select(abs(q) == math.inf, 0.0, k / (w0 * q * eta * eta))
     return build(EquivalentCircuit, check, r_x=r_x, l_x=l_x, c_x=c_x, f0=f0, q=q)
-
-
-def series_impedance(circuit: EquivalentCircuit, frequency: float) -> complex:
-    """Impedance R_x + j(wL_x - 1/(wC_x)) of the branch at `frequency`, ohm."""
-    if frequency <= 0:
-        raise ValidationError("frequency must be > 0")
-    w = 2.0 * math.pi * frequency
-    return complex(circuit.r_x, w * circuit.l_x - 1.0 / (w * circuit.c_x))
 
 
 def motional_current(eta: float, f0: float, x_amplitude: float, check=RAISE) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -116,6 +117,21 @@ class TestSimulate:
         assert svg.startswith("<svg")
         summary = json.loads((dirs[0] / "summary.json").read_text())
         assert summary["status"] == "growing"
+
+    def test_seed_7_trace_bytes_are_pinned(self, capsys, tmp_path):
+        # 700 cycles of design 1; the benchmark checks the same trace.csv hash.
+        f0 = 75901.52851033452
+        rc, _, _ = run_json(
+            capsys, "simulate", "--design", "1", "--seed", "7",
+            "--set", "sim.displacement_guard=false",
+            "--set", f"sim.duration={700 / f0!r}", "--out", str(tmp_path))
+        assert rc == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("trace.csv", "envelope.csv")}
+        assert digests == {
+            "trace.csv": "49b1652ee03e006016acbd2989eddcf857e818e0b8a568f0a904d1c3023f2edf",
+            "envelope.csv": "42a0316be9bb5d6300c62de3020915e2c4175e0c59f3e76f2ae35d6790e1d139",
+        }
 
     def test_dead_amplifier_decays(self, capsys):
         rc, payload, _ = run_json(
@@ -297,13 +313,34 @@ class TestNonFiniteInputs:
 
 
 class TestStackThickness:
-    @pytest.mark.parametrize("key", ["beam.thickness", "materials.thickness"])
+    @pytest.mark.parametrize("key", ["beam.thickness"])
     def test_laminate_thickness_reports_the_resolved_stack(self, capsys, key):
         rc, payload, _ = run_json(capsys, "analyze", "--design", "1",
                                   "--set", f"{key}=3e-6")
         assert rc in (0, 2)
         assert payload["beam.thickness"] == 3e-6
         assert payload["laminate.thickness"] == 3e-6
+
+    def test_beam_thickness_is_the_only_absolute_thickness_key(self, capsys):
+        rc, out, err = run_cli(capsys, "analyze", "--design", "1",
+                               "--set", "materials.thickness=3e-6",
+                               "--set", "beam.thickness=4e-6")
+        assert rc == 1
+        assert out == ""
+        assert "materials.thickness" in err
+
+    @pytest.mark.parametrize("overrides", [
+        # 4 pairs at 1.0 um: a 4.0 um stack.
+        ["materials.thickness_per_pair=1.0e-6"],
+        # Metals 1-3 without dielectric: 3 * 1.2 um * 0.5 = 1.8 um.
+        ["materials.include_dielectric=false", "materials.top_metal_index=3"],
+    ], ids=["pitch", "metal_only"])
+    def test_metal_cover_follows_the_configured_stack(self, capsys, overrides):
+        argv = ["check-rules", "--design", "1", "--set", "rules.require_metal_cover=true"]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        rc, out, _ = run_cli(capsys, *argv)
+        assert (rc, out) == (0, "all manufacturability rules pass\n")
 
     def test_sweep_reports_the_swept_thickness(self, capsys, tmp_path):
         out = tmp_path / "run"

@@ -10,12 +10,10 @@ from beamosc.mechanics import (
     LumpedBeamModel,
     MODAL_MASS_FRACTION,
     area_moment,
-    frequency_shift,
     lumped_mass,
     pull_in_voltage,
     resonant_frequency,
     spring_constant,
-    spring_softening,
     static_deflection,
 )
 from beamosc.process import DEFAULT_DENSITY, DEFAULT_YOUNGS_MODULUS
@@ -193,34 +191,6 @@ class TestStaticDeflection:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             static_deflection(0.6048, reference_transducer(1), mode="exact")
-
-
-class TestSpringSoftening:
-    def test_softening_value_reference_design(self):
-        k_e = spring_softening(reference_transducer(1))
-        assert k_e == pytest.approx(0.166474, rel=1e-4)
-
-    def test_softened_frequency_drops(self):
-        model = LumpedBeamModel.from_geometry(BEAMS[1], E, RHO, q=4000.0)
-        k_e = spring_softening(reference_transducer(1))
-        f_soft = frequency_shift(model, -k_e)
-        assert f_soft == pytest.approx(64617.0, rel=1e-3)
-        assert f_soft < model.f0
-
-    @given(dk=st.one_of(st.floats(min_value=1e-6, max_value=0.5),
-                        st.floats(min_value=-0.5, max_value=-1e-6)))
-    def test_shift_is_monotone_in_stiffness(self, dk):
-        model = LumpedBeamModel.from_geometry(BEAMS[1], E, RHO, q=4000.0)
-        f = frequency_shift(model, dk)
-        if dk > 0:
-            assert f > model.f0
-        else:
-            assert f < model.f0
-
-    def test_collapse_perturbation_rejected(self):
-        model = LumpedBeamModel.from_geometry(BEAMS[1], E, RHO, q=4000.0)
-        with pytest.raises(ValidationError):
-            frequency_shift(model, -model.k)
 
 
 class TestGeometryValidation:

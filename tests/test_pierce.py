@@ -8,7 +8,6 @@ from beamosc.errors import ValidationError
 from beamosc.pierce import (
     PierceConfig,
     complex_impedance,
-    impedance_locus,
     max_negative_resistance,
     negative_resistance,
     required_gm,
@@ -204,19 +203,11 @@ class TestStartupCheck:
 
 class TestLocus:
     def test_locus_touches_peak(self):
+        # Z_C traced over g_m: |Re| peaks at Re_max, Re <= 0 and Im < 0 throughout.
         f0 = 75901.5285
         re_max, gm_opt = max_negative_resistance(C1, C2, C0, f0)
-        gms = gm_opt * np.logspace(-2, 2, 201)
-        points = impedance_locus(C1, C2, C0, f0, gms)
-        best = max(p.re_magnitude for p in points)
-        assert best == pytest.approx(re_max, rel=1e-3)
-        assert all(p.re_magnitude >= 0 for p in points)
-        assert all(p.im < 0 for p in points)
-
-    def test_locus_matches_complex_impedance(self):
-        f0 = 75901.5285
-        points = impedance_locus(C1, C2, C0, f0, [50e-6, 100e-6])
-        for p in points:
-            z = complex_impedance(cfg(p.gm, f0=f0))
-            assert p.re_magnitude == pytest.approx(-z.real, rel=1e-12)
-            assert p.im == pytest.approx(z.imag, rel=1e-12)
+        locus = [complex_impedance(cfg(gm, f0=f0))
+                 for gm in gm_opt * np.logspace(-2, 2, 201)]
+        assert max(-z.real for z in locus) == pytest.approx(re_max, rel=1e-3)
+        assert all(z.real <= 0 for z in locus)
+        assert all(z.imag < 0 for z in locus)

@@ -14,8 +14,6 @@ from beamosc.transduction import (
     electrode_capacitance,
     extract_circuit,
     motional_current,
-    motional_resistance,
-    series_impedance,
 )
 from test_mechanics import BEAMS, E, reference_transducer
 
@@ -78,13 +76,6 @@ class TestDisplacementLimit:
 
 
 class TestEquivalentCircuit:
-    def test_motional_resistance_reference(self, reference):
-        for n in (1, 2, 3):
-            eta = coupling_coefficient(reference_transducer(n))
-            ref = reference[str(n)]["values"]
-            rx = motional_resistance(spring(n), ref["f0_hz"], Q_FACTORS[n], eta)
-            assert rx == pytest.approx(ref["r_x_ohm"], rel=1e-2)
-
     def test_extract_circuit_reference(self, reference):
         for n, beam in BEAMS.items():
             eta = coupling_coefficient(reference_transducer(n))
@@ -134,28 +125,6 @@ class TestEquivalentCircuit:
 
 
 class TestImpedanceAndCurrent:
-    def circuit(self):
-        eta = coupling_coefficient(reference_transducer(1))
-        return extract_circuit(spring(1), 2.6592e-12, 4000.0, eta)
-
-    def test_impedance_real_at_resonance(self):
-        ec = self.circuit()
-        z = series_impedance(ec, ec.f0)
-        assert z.real == ec.r_x
-        assert abs(z.imag) < 1e-3 * ec.r_x
-
-    def test_impedance_narrowband_slope(self):
-        # Near resonance Im(Z) ~ 2*Q*delta*R_x for fractional offset delta.
-        ec = self.circuit()
-        delta = 0.01
-        z = series_impedance(ec, ec.f0 * (1 + delta))
-        assert z.imag == pytest.approx(2 * ec.q * delta * ec.r_x, rel=2e-2)
-        assert z.imag > 0  # inductive above resonance
-
-    def test_impedance_capacitive_below_resonance(self):
-        ec = self.circuit()
-        assert series_impedance(ec, 0.9 * ec.f0).imag < 0
-
     def test_motional_current_reference(self, reference, design_points):
         for n in (1, 2, 3):
             point = design_points[n]
@@ -173,8 +142,4 @@ class TestImpedanceAndCurrent:
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValidationError):
-            motional_resistance(0.6048, 75.9e3, 0.0, 2.1e-8)
-        with pytest.raises(ValidationError):
             motional_current(2.1e-8, 75.9e3, -1e-9)
-        with pytest.raises(ValidationError):
-            series_impedance(self.circuit(), 0.0)
