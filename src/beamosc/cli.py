@@ -24,11 +24,11 @@ from importlib import metadata
 from pathlib import Path
 
 from .config import ProjectConfig, load_builtin_design, load_config
-from .errors import BeamoscError, ConfigError, InsufficientDataError
+from .errors import BeamoscError, ConfigError
 from .explore import evaluate, flatten, optimize, sweep
 from .pierce import PierceConfig
 from .process import check_mems_rules
-from .simulate import envelope, simulate_startup, summarize
+from .simulate import _summarize, simulate_startup
 from .traceio import json_text, write_json, write_rows, write_trace_svg
 
 
@@ -159,17 +159,13 @@ def cmd_simulate(args) -> int:
     trace = simulate_startup(
         point.circuit, amplifier, cfg.build_sim(args.seed), point.eta, x_max=x_max
     )
-    summary = summarize(trace)
+    summary, env = _summarize(trace)
     summary["expected_f0_hz"] = point.circuit.f0
     summary["gm"] = gm
     summary["x_max_m"] = x_max if x_max != float("inf") else None
     print(json_text(summary))
     out = _out_dir(args)
     if out is not None:
-        try:
-            env = envelope(trace)
-        except InsufficientDataError:
-            env = None
         write_rows({"t": trace.time, "v_in": trace.v_in, "v_out": trace.v_out,
                     "x": trace.x}, csv_path=out / "trace.csv")
         if env is not None:

@@ -11,15 +11,14 @@ amplifier sizing and grades it against four feasibility constraints:
 The pipeline is written once, in _chain(). evaluate() runs it on Python
 floats for one design; sweep() runs it once on numpy columns holding the
 whole grid, with the same bits in every output. sweep() keeps infeasible
-points flagged rather than dropped. optimize() runs a coarse feasible-grid
-pass and refines the best cell with a derivative-free simplex search that
-rejects constraint violations; the result is never worse than the best
-grid point.
+points flagged rather than dropped. optimize() grades a coarse grid in the
+same column pass and refines the best cell with a derivative-free simplex
+search, point by point, that rejects constraint violations; the result is
+never worse than the best grid point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -491,6 +490,39 @@ def _check_cap(sizes: list[int], cap: int) -> int:
     return total
 
 
+def _column_pass(inputs: DesignInputs, axes, axis_columns):
+    """set_parameter() + _chain() once over grid columns.
+
+    Returns the point, whose fields hold columns or values shared by every
+    grid point; the mask of points that failed a check; and the mask of
+    points to replay through the scalar path: those plus every point with
+    a non-finite float output, where evaluate() may raise instead (a zero
+    divisor, an overflowing power). Raises ArithmeticError or ValueError
+    when a part the axes do not vary fails on floats, so every point fails.
+    """
+    checks = _Masks()
+    checks.stage = "inputs"
+    with np.errstate(all="ignore"):
+        candidate = inputs
+        for axis, column in zip(axes, axis_columns):
+            candidate = set_parameter(candidate, axis.path, column, checks)
+        point = _chain(candidate, checks)
+    failed = np.zeros(len(axis_columns[0]), dtype=bool)
+    for mask in checks.failed.values():
+        failed |= mask
+    replay = failed.copy()
+    for _, get in COLUMNS:
+        value = np.asarray(get(point))
+        if value.dtype.kind == "f":
+            replay |= ~np.isfinite(value)
+    return point, failed, replay
+
+
+def _axis_columns(grids: list[np.ndarray]) -> list[np.ndarray]:
+    """One column per axis over the grid, in itertools.product order."""
+    return [c.ravel() for c in np.meshgrid(*grids, indexing="ij")]
+
+
 def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
     """Evaluate the full Cartesian grid in one pass over columns.
 
@@ -507,7 +539,7 @@ def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
     """
     grids = [axis.values() for axis in spec.axes]
     n = _check_cap([len(g) for g in grids], spec.grid_cap)
-    axis_columns = [c.ravel() for c in np.meshgrid(*grids, indexing="ij")]
+    axis_columns = _axis_columns(grids)
 
     def replay(i: int) -> None:
         candidate = inputs
@@ -515,35 +547,17 @@ def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
             candidate = set_parameter(candidate, axis.path, float(column[i]))
         evaluate(candidate)
 
-    checks = _Masks()
-    checks.stage = "inputs"
     try:
-        with np.errstate(all="ignore"):
-            candidate = inputs
-            for axis, column in zip(spec.axes, axis_columns):
-                candidate = set_parameter(candidate, axis.path, column, checks)
-            point = _chain(candidate, checks)
+        point, failed, suspect = _column_pass(inputs, spec.axes, axis_columns)
     except (ArithmeticError, ValueError):
-        # A part of the chain the axes do not vary failed on floats, so
-        # every point fails: raise what the first one raises.
         replay(0)
         raise
-    failed = np.zeros(n, dtype=bool)
-    for mask in checks.failed.values():
-        failed |= mask
-    columns = {name: np.broadcast_to(get(point), (n,)) for name, get in COLUMNS}
-    # A float error (a zero divisor, an overflowing power) leaves a
-    # non-finite value in a column where evaluate() raises.
-    suspect = failed.copy()
-    for column in columns.values():
-        if column.dtype.kind == "f":
-            suspect |= ~np.isfinite(column)
     for i in np.flatnonzero(suspect):
         replay(int(i))
         if failed[i]:
             raise RuntimeError(
                 f"sweep failed grid point {i} on a check that evaluate() passes")
-    return columns
+    return {name: np.broadcast_to(get(point), (n,)) for name, get in COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -565,87 +579,14 @@ _NM_ITER_PER_DIM = 60
 _NM_TOL = 1e-4        # normalized simplex spread at convergence
 
 
-def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
-    """Coarse grid pass plus simplex refinement of the best feasible cell.
+def _refine(axes, grids: list[np.ndarray], start: dict, grade) -> None:
+    """Nelder-Mead from the grid point `start` in the normalized axis box.
 
-    Candidates violating any enabled constraint (or failing to evaluate at
-    all) are rejected rather than penalized smoothly. The refined result is
-    never worse than the best feasible grid point. Fully deterministic.
-
-    If no grid point is feasible the result reports the constraint that was
-    closest to blocking everywhere (most_violated).
+    grade(params) evaluates one candidate and returns its signed objective,
+    math.inf when it is rejected; the caller keeps the best. The first
+    simplex steps half the finest grid cell away from `start`; points
+    outside the box score math.inf without being graded.
     """
-    sense, extract = OBJECTIVES[spec.objective]
-    sign = -1.0 if sense == "max" else 1.0
-    enabled = spec.enabled_constraints
-
-    axes = spec.axes
-    grids = [
-        axis.values() if axis.steps <= _COARSE_LIMIT
-        else replace(axis, steps=_COARSE_LIMIT).values()
-        for axis in axes
-    ]
-    _check_cap([len(g) for g in grids], spec.grid_cap)
-
-    log: list[dict] = []
-    evaluations = 0
-    last_error: BeamoscError | None = None
-    infeasible_candidates: list[DesignPoint] = []
-    best: tuple[float, dict, DesignPoint] | None = None  # (signed obj, params, point)
-
-    def try_point(phase: str, params: dict):
-        nonlocal evaluations, best, last_error
-        evaluations += 1
-        candidate = inputs
-        try:
-            for path, value in params.items():
-                candidate = set_parameter(candidate, path, value)
-            point = evaluate(candidate)
-        except BeamoscError as err:
-            last_error = err
-            log.append({"phase": phase, "params": dict(params),
-                        "objective": None, "feasible": False})
-            return math.inf
-        if not all(point.constraint(n).ok for n in enabled):
-            infeasible_candidates.append(point)
-            log.append({"phase": phase, "params": dict(params),
-                        "objective": extract(point), "feasible": False})
-            return math.inf
-        value = extract(point)
-        log.append({"phase": phase, "params": dict(params),
-                    "objective": value, "feasible": True})
-        signed = sign * value
-        if best is None or signed < best[0]:
-            best = (signed, dict(params), point)
-        return signed
-
-    for combo in itertools.product(*grids):
-        params = {axis.path: float(v) for axis, v in zip(axes, combo)}
-        try_point("grid", params)
-
-    if best is None:
-        if not infeasible_candidates:
-            assert last_error is not None
-            raise last_error
-        closest = min(
-            infeasible_candidates,
-            key=lambda p: sum(c.violation for c in p.constraints if c.name in enabled),
-        )
-        worst = max(
-            (c for c in closest.constraints if c.name in enabled),
-            key=lambda c: c.violation,
-        )
-        return OptimizeResult(
-            objective=spec.objective,
-            feasible=False,
-            best=None,
-            best_params=None,
-            objective_value=None,
-            evaluations=evaluations,
-            most_violated=worst.name,
-            log=tuple(log),
-        )
-
     # Normalized box coordinates: u in [0,1] per axis, geometric for log axes.
     los = np.array([a.minimum for a in axes])
     his = np.array([a.maximum for a in axes])
@@ -677,11 +618,11 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     def objective_u(u: np.ndarray) -> float:
         if np.any(u < 0.0) or np.any(u > 1.0):
             return math.inf
-        return try_point("refine", to_params(u))
+        return grade(to_params(u))
 
     dim = len(axes)
     step = 0.5 / max(len(g) - 1 for g in grids) if max(len(g) for g in grids) > 1 else 0.25
-    u0 = to_u(best[1])
+    u0 = to_u(start)
     simplex = [u0]
     for i in range(dim):
         v = u0.copy()
@@ -720,7 +661,130 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                     fvals[i] = objective_u(simplex[i])
 
+
+def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
+    """Coarse grid pass plus simplex refinement of the best feasible cell.
+
+    Candidates violating any enabled constraint (or failing to evaluate at
+    all) are rejected rather than penalized smoothly. The refined result is
+    never worse than the best feasible grid point. Fully deterministic.
+
+    If no grid point is feasible the result reports the constraint that was
+    closest to blocking everywhere (most_violated).
+
+    The coarse grid runs as one column pass, with the result, log and
+    errors of evaluating it point by point: a point that fails a check or
+    has a non-finite output is evaluated alone, and so is the winning grid
+    point, whose DesignPoint the result carries (that evaluation is not
+    counted, so evaluations == len(log)).
+    """
+    sense, extract = OBJECTIVES[spec.objective]
+    sign = -1.0 if sense == "max" else 1.0
+    enabled = spec.enabled_constraints
+
+    axes = spec.axes
+    grids = [
+        axis.values() if axis.steps <= _COARSE_LIMIT
+        else replace(axis, steps=_COARSE_LIMIT).values()
+        for axis in axes
+    ]
+    _check_cap([len(g) for g in grids], spec.grid_cap)
+
+    log: list[dict] = []
+    evaluations = 0
+    last_error: BeamoscError | None = None
+    # Enabled constraint violations of each infeasible candidate, in order;
+    # read only when no grid point is feasible, so no refinement ran.
+    infeasible_violations: list[tuple[float, ...]] = []
+    names = [name for name in CONSTRAINT_NAMES if name in enabled]
+    # (signed objective, params, point); point is None for a grid point
+    # graded from the columns until it is evaluated at the end.
+    best: tuple[float, dict, DesignPoint | None] | None = None
+
+    def record(phase: str, params: dict, value: float | None, feasible: bool,
+               point: DesignPoint | None) -> float:
+        nonlocal evaluations, best
+        evaluations += 1
+        log.append({"phase": phase, "params": dict(params),
+                    "objective": value, "feasible": feasible})
+        if not feasible:
+            return math.inf
+        signed = sign * value
+        if best is None or signed < best[0]:
+            best = (signed, dict(params), point)
+        return signed
+
+    def candidate_for(params: dict) -> DesignInputs:
+        candidate = inputs
+        for path, value in params.items():
+            candidate = set_parameter(candidate, path, value)
+        return candidate
+
+    def try_point(phase: str, params: dict) -> float:
+        nonlocal last_error
+        try:
+            point = evaluate(candidate_for(params))
+        except BeamoscError as err:
+            last_error = err
+            return record(phase, params, None, False, None)
+        feasible = all(point.constraint(n).ok for n in enabled)
+        if not feasible:
+            infeasible_violations.append(
+                tuple(c.violation for c in point.constraints if c.name in enabled))
+        return record(phase, params, extract(point), feasible, point)
+
+    # The coarse grid in one column pass; points the pass cannot vouch for
+    # go through try_point, in grid order like the rest.
+    axis_columns = _axis_columns(grids)
+    paths = [axis.path for axis in axes]
+    n = len(axis_columns[0])
+    try:
+        point, _, replay = _column_pass(inputs, axes, axis_columns)
+        with np.errstate(all="ignore"):
+            objective = np.broadcast_to(extract(point), (n,))
+    except (ArithmeticError, ValueError):
+        # A part the axes do not vary failed on floats: replay every point.
+        point, replay = None, np.ones(n, dtype=bool)
+    if point is not None:
+        replay = replay | ~np.isfinite(objective)
+        ok = np.ones(n, dtype=bool)
+        for name in enabled:
+            ok &= point.constraint(name).ok
+        objective, ok = objective.tolist(), ok.tolist()
+        violations = [np.broadcast_to(point.constraint(name).violation, (n,)).tolist()
+                      for name in names]
+    replay = replay.tolist()
+    for i, combo in enumerate(zip(*(c.tolist() for c in axis_columns))):
+        params = dict(zip(paths, combo))
+        if replay[i]:
+            try_point("grid", params)
+            continue
+        if not ok[i]:
+            infeasible_violations.append(tuple(v[i] for v in violations))
+        record("grid", params, objective[i], ok[i], None)
+
+    if best is None:
+        if not infeasible_violations:
+            assert last_error is not None
+            raise last_error
+        closest = min(infeasible_violations, key=sum)
+        worst = max(range(len(names)), key=closest.__getitem__)
+        return OptimizeResult(
+            objective=spec.objective,
+            feasible=False,
+            best=None,
+            best_params=None,
+            objective_value=None,
+            evaluations=evaluations,
+            most_violated=names[worst],
+            log=tuple(log),
+        )
+
+    _refine(axes, grids, best[1], lambda params: try_point("refine", params))
+
     signed, params, point = best
+    if point is None:  # a grid point graded from the columns
+        point = evaluate(candidate_for(params))
     return OptimizeResult(
         objective=spec.objective,
         feasible=True,

@@ -310,6 +310,12 @@ def summarize(trace: Trace) -> dict:
     peak; growing means it gained more than 5%; anything else stabilized.
     frequency_hz is null for decayed runs.
     """
+    return _summarize(trace)[0]
+
+
+def _summarize(trace: Trace) -> tuple[dict, np.ndarray | None]:
+    """summarize() and the envelope it read, None when the run has fewer
+    than 3 full cycles."""
     try:
         env = envelope(trace)
     except InsufficientDataError:
@@ -362,4 +368,4 @@ def summarize(trace: Trace) -> dict:
         "peak_amplitude_v": peak,
         "duration_s": float(trace.time[-1]),
         "steps": int(len(trace.time) - 1),
-    }
+    }, env

@@ -10,6 +10,7 @@ import pytest
 
 import beamosc
 from beamosc.cli import main
+from beamosc.simulate import envelope
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +134,26 @@ class TestSimulate:
             "envelope.csv": "42a0316be9bb5d6300c62de3020915e2c4175e0c59f3e76f2ae35d6790e1d139",
         }
 
+    def test_out_computes_the_envelope_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return envelope(*args, **kwargs)
+
+        # Every module that holds envelope, whatever name it imported it by.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("beamosc"):
+                for name, value in list(vars(module).items()):
+                    if value is envelope:
+                        monkeypatch.setattr(module, name, counted)
+        rc, _, _ = run_json(
+            capsys, "simulate", "--design", "1", "--seed", "7",
+            "--set", "sim.duration=1.5e-3", "--out", str(tmp_path))
+        assert rc == 0
+        assert (tmp_path / "envelope.csv").exists()
+        assert len(calls) == 1
+
     def test_dead_amplifier_decays(self, capsys):
         rc, payload, _ = run_json(
             capsys, "simulate", "--design", "1",
@@ -161,6 +182,20 @@ class TestSimulate:
         assert payload["status"] == "stabilized"
         assert payload["frequency_hz"] == pytest.approx(
             payload["expected_f0_hz"], rel=1e-2)
+
+
+class TestReadmeOptimize:
+    def test_optimize_json_bytes_are_pinned(self, capsys, tmp_path):
+        # The README `optimize` example.
+        rc, _, _ = run_json(
+            capsys, "optimize", "--design", "1",
+            "--set", "explore.objective=min_Rx",
+            "--set", 'explore.axes=[{"path":"transducer.bias_voltage",'
+                     '"min":6,"max":9.5,"steps":4}]',
+            "--out", str(tmp_path))
+        assert rc == 0
+        digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
+        assert digest == "e7dcde7bda0ce00603605ed438cec7d314e22a9bae18b5a86090c3d88151b1f4"
 
 
 class TestSweepCommand:

@@ -3,14 +3,16 @@
 sweep() evaluates a whole grid in one pass over numpy columns. Every column
 must hold, bit for bit, what evaluate() + flatten() give point by point,
 and a grid with an invalid point must raise what the scalar path raises
-for the first such point. write_rows() must give the bytes of
-csv.DictWriter and json.dump(indent=2).
+for the first such point. optimize() grades its coarse grid in the same
+pass and must return, bit for bit, what grading it point by point gives.
+write_rows() must give the bytes of csv.DictWriter and json.dump(indent=2).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -24,11 +26,16 @@ from beamosc import _num
 from beamosc.errors import BeamoscError, StageError, ValidationError
 from beamosc.explore import (
     COLUMNS,
+    CONSTRAINT_NAMES,
+    OBJECTIVES,
     PARAMETER_PATHS,
+    OptimizeResult,
     SweepAxis,
     SweepSpec,
+    _refine,
     evaluate,
     flatten,
+    optimize,
     set_parameter,
     sweep,
 )
@@ -61,7 +68,7 @@ def test_every_sweepable_path_is_sampled():
 
 
 @st.composite
-def axes(draw):
+def axes(draw, max_steps=4):
     paths = draw(st.lists(st.sampled_from(sorted(PATH_RANGES)), min_size=1, max_size=3))
     out = []
     for path in paths:
@@ -69,7 +76,7 @@ def axes(draw):
         a = draw(st.floats(lo, hi))
         b = draw(st.floats(a, hi))
         scale = draw(st.sampled_from(["linear", "log"])) if a > 0 else "linear"
-        out.append(SweepAxis(path, a, b, draw(st.integers(1, 4)), scale))
+        out.append(SweepAxis(path, a, b, draw(st.integers(1, max_steps)), scale))
     return tuple(out)
 
 
@@ -178,6 +185,130 @@ def test_an_invalid_point_raises_what_the_scalar_path_raises(
     with pytest.raises(type(error)) as raised:
         sweep(inputs, spec)
     assert str(raised.value) == str(error)
+
+
+def per_point_optimize(inputs, spec):
+    """optimize() with its coarse grid graded point by point: set_parameter
+    + evaluate for each itertools.product combination, then the same
+    refinement."""
+    sense, extract = OBJECTIVES[spec.objective]
+    sign = -1.0 if sense == "max" else 1.0
+    enabled = spec.enabled_constraints
+    grids = [axis.values() if axis.steps <= 5 else replace(axis, steps=5).values()
+             for axis in spec.axes]
+    log, infeasible = [], []
+    last_error, best = None, None
+
+    def try_point(phase, params):
+        nonlocal last_error, best
+        candidate = inputs
+        try:
+            for path, value in params.items():
+                candidate = set_parameter(candidate, path, value)
+            point = evaluate(candidate)
+        except BeamoscError as err:
+            last_error = err
+            log.append({"phase": phase, "params": dict(params),
+                        "objective": None, "feasible": False})
+            return math.inf
+        value = extract(point)
+        feasible = all(point.constraint(n).ok for n in enabled)
+        log.append({"phase": phase, "params": dict(params),
+                    "objective": value, "feasible": feasible})
+        if not feasible:
+            infeasible.append(point)
+            return math.inf
+        if best is None or sign * value < best[0]:
+            best = (sign * value, dict(params), point)
+        return sign * value
+
+    for combo in itertools.product(*grids):
+        try_point("grid", {axis.path: float(v) for axis, v in zip(spec.axes, combo)})
+    if best is None:
+        if not infeasible:
+            raise last_error
+        closest = min(infeasible, key=lambda p: sum(
+            c.violation for c in p.constraints if c.name in enabled))
+        worst = max((c for c in closest.constraints if c.name in enabled),
+                    key=lambda c: c.violation)
+        return OptimizeResult(spec.objective, False, None, None, None,
+                              len(log), worst.name, tuple(log))
+    _refine(spec.axes, grids, best[1], lambda params: try_point("refine", params))
+    signed, params, point = best
+    return OptimizeResult(spec.objective, True, point, params, sign * signed,
+                          len(log), None, tuple(log))
+
+
+def assert_same(a, b, where="result"):
+    """Equal trees of dicts, lists and tuples with same() leaves."""
+    if isinstance(a, dict):
+        assert type(b) is dict and list(a) == list(b), where
+        for key in a:
+            assert_same(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{where}[{i}]")
+    else:
+        assert same(a, b), (where, a, b)
+
+
+@st.composite
+def optimize_specs(draw):
+    """Grids of up to 8 steps per axis (more than 5 are coarsened), linear
+    or log, and one of four kinds: inside the valid region, crossing the
+    30 um electrode length, all infeasible, or all failing."""
+    kind = draw(st.sampled_from(["inside", "crosses electrode", "infeasible", "fails"]))
+    grid_axes = draw(axes(max_steps=8))
+    constraints = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(CONSTRAINT_NAMES), min_size=1, unique=True).map(tuple)))
+    moved = {"crosses electrode": ("beam.length", "transducer.electrode_length"),
+             "fails": ("beam.length", "transducer.electrode_length"),
+             "infeasible": ("explore.vibration_amplitude",)}.get(kind, ())
+    grid_axes = tuple(a for a in grid_axes if a.path not in moved)
+    steps = draw(st.integers(1, 8))
+    if kind == "crosses electrode":
+        extra = SweepAxis("beam.length", draw(st.floats(2e-6, 29e-6)), 100e-6, max(steps, 2))
+    elif kind == "fails":
+        extra = SweepAxis("beam.length", 5e-6, 25e-6, steps, draw(st.sampled_from(["linear", "log"])))
+    elif kind == "infeasible":
+        # A vibration budget beyond every displacement limit breaks deflection.
+        extra = SweepAxis("explore.vibration_amplitude", 1e-5, 2e-5, steps)
+        constraints = tuple(sorted(set(constraints or CONSTRAINT_NAMES) | {"deflection"}))
+    else:
+        extra = None
+    if extra is not None:
+        where = draw(st.integers(0, len(grid_axes)))
+        grid_axes = grid_axes[:where] + (extra,) + grid_axes[where:]
+    return kind, SweepSpec(axes=grid_axes, objective=draw(st.sampled_from(sorted(OBJECTIVES))),
+                           constraints=constraints)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), case=optimize_specs())
+def test_optimize_equals_the_per_point_grid(design_points, data, case):
+    kind, spec = case
+    inputs = data.draw(base_inputs(design_points))
+    try:
+        want = per_point_optimize(inputs, spec)
+    except Exception as err:  # noqa: BLE001 - optimize must raise the same
+        event(f"{kind}: raises")
+        with pytest.raises(type(err)) as raised:
+            optimize(inputs, spec)
+        assert str(raised.value) == str(err)
+        assert getattr(raised.value, "stage", None) == getattr(err, "stage", None)
+        return
+    event(f"{kind}: {'feasible' if want.feasible else 'infeasible'}")
+    got = optimize(inputs, spec)
+    assert got.evaluations == want.evaluations == len(got.log)
+    assert_same(list(got.log), list(want.log), "log")
+    assert got.feasible is want.feasible
+    assert got.most_violated == want.most_violated
+    assert_same(got.best_params, want.best_params, "best_params")
+    assert same(got.objective_value, want.objective_value) or (
+        got.objective_value is want.objective_value is None)
+    if want.best is not None:
+        assert_same(flatten(got.best), flatten(want.best), "best")
 
 
 class TestInvalidPoints:

@@ -295,6 +295,30 @@ class TestOptimize:
         assert a.objective_value == b.objective_value
         assert a.evaluations == b.evaluations
 
+    def test_grid_points_that_fail_are_logged_and_skipped(self, design_points):
+        # The two shortest beams are shorter than the 75 um electrode.
+        spec = SweepSpec(
+            axes=(SweepAxis("beam.length", 60e-6, 100e-6, 5),),
+            objective="min_Rx",
+        )
+        result = optimize(design_points[1].inputs, spec)
+        for entry in result.log[:2]:
+            assert entry["objective"] is None
+            assert entry["feasible"] is False
+        assert result.log[2]["objective"] is not None
+        assert result.feasible
+        assert result.evaluations == len(result.log) == 18
+
+    def test_a_grid_where_every_point_fails_raises_the_last_error(self, design_points):
+        spec = SweepSpec(
+            axes=(SweepAxis("beam.length", 40e-6, 60e-6, 3),),
+            objective="min_Rx",
+        )
+        with pytest.raises(StageError) as raised:
+            optimize(design_points[1].inputs, spec)
+        assert raised.value.stage == "transduction"
+        assert "beam length 6e-05 m" in str(raised.value)
+
     def test_refinement_never_loses_to_the_grid(self, design_points):
         spec = SweepSpec(
             axes=(SweepAxis("beam.length", 75e-6, 120e-6, 4),
