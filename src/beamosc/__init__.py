@@ -2,7 +2,7 @@
 
 Modules, in pipeline order:
 
-  process       laminate stack properties and manufacturability rules
+  process       metal-stack heights and manufacturability rules
   mechanics     lumped spring/mass/frequency model of the beam
   transduction  gap transducer coupling and the series RLC equivalent
   pierce        sustaining amplifier small-signal impedance
@@ -25,14 +25,7 @@ from .errors import (
     StageError,
     ValidationError,
 )
-from .process import (
-    LaminateProperties,
-    LaminateSpec,
-    MemsRuleSet,
-    RuleViolation,
-    check_mems_rules,
-    laminate_properties,
-)
+from .process import MemsRuleSet, RuleViolation, check_mems_rules
 from .mechanics import (
     Anchor,
     BeamGeometry,
@@ -92,8 +85,7 @@ from .report import ComparisonReport, build_comparison, load_reference
 __all__ = [
     "BeamoscError", "ConfigError", "ConvergenceError", "GridCapError",
     "InsufficientDataError", "PullInError", "SimulationError", "StageError",
-    "ValidationError", "LaminateProperties", "LaminateSpec", "MemsRuleSet",
-    "RuleViolation", "check_mems_rules", "laminate_properties", "Anchor",
+    "ValidationError", "MemsRuleSet", "RuleViolation", "check_mems_rules", "Anchor",
     "BeamGeometry", "LumpedBeamModel", "area_moment", "lumped_mass",
     "pull_in_voltage", "resonant_frequency", "spring_constant",
     "static_deflection", "EPS0", "EquivalentCircuit", "Transducer",

@@ -149,6 +149,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_project(args)
     _check_finite("--gm", args.gm)
     _check_finite("--x-max", args.x_max)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     point = evaluate(cfg.build_inputs())
     gm = args.gm if args.gm is not None else point.gm
     amplifier = PierceConfig(
@@ -227,7 +229,7 @@ def cmd_optimize(args) -> int:
 def cmd_check_rules(args) -> int:
     cfg = _load_project(args)
     inputs = cfg.build_inputs()
-    violations = check_mems_rules(inputs.beam, inputs.resolved_transducer, inputs.rules)
+    violations = check_mems_rules(inputs.beam, inputs.transducer, inputs.rules)
     if not violations:
         print("all manufacturability rules pass")
         return 0

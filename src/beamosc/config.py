@@ -25,7 +25,7 @@ from .explore import (
     SweepSpec,
 )
 from .mechanics import Anchor, BeamGeometry, DEFLECTION_MODES, MASS_MODELS
-from .process import LaminateSpec, MemsRuleSet, metal_stack_heights
+from .process import MemsRuleSet, metal_stack_heights
 from .simulate import SimConfig
 from .transduction import Transducer, VALID_PORTS
 
@@ -160,7 +160,7 @@ SCHEMA = {
     "sim": {
         "dt": (None, _nullable(_number), {"exclusive_minimum": 0}),
         "duration": (None, _nullable(_number), {"exclusive_minimum": 0}),
-        "noise_seed": (None, _nullable(_integer), {}),
+        "noise_seed": (None, _nullable(_integer), {"minimum": 0}),
         "initial_kick": (1e-6, _number, {"minimum": 0}),
         "initial_displacement": (0.0, _number, {}),
         "v_limit": (0.1, _number, {"exclusive_minimum": 0}),
@@ -295,8 +295,9 @@ class ProjectConfig:
             d["materials"], d["beam"], d["transducer"], d["pierce"],
             d["explore"], d["rules"], d["analysis"],
         )
-        # The stack pitch sets both the derived thickness and the heights
-        # the metal-cover rule accepts.
+        # The stack is resolved here, once: the pitch sets both the derived
+        # thickness and the heights the metal-cover rule accepts, and the
+        # electrode height is that same thickness (beam.W).
         heights = metal_stack_heights(mat["include_dielectric"], mat["thickness_per_pair"])
         thickness = beam["thickness"]
         if thickness is None:
@@ -307,11 +308,12 @@ class ProjectConfig:
         )
         transducer = Transducer(
             gap=tr["gap"], electrode_length=tr["electrode_length"],
-            electrode_height=thickness, bias_voltage=tr["bias_voltage"],
-            port=tr["port"],
+            bias_voltage=tr["bias_voltage"], port=tr["port"],
         )
+        # Unset material constants keep the DesignInputs defaults, the fitted ones.
+        constants = {key: mat[key] for key in ("youngs_modulus", "density")
+                     if mat[key] is not None}
         return DesignInputs(
-            laminate=LaminateSpec(mat["top_metal_index"], mat["include_dielectric"]),
             beam=geometry,
             transducer=transducer,
             q_factor=beam["q_factor"],
@@ -329,8 +331,7 @@ class ProjectConfig:
                 require_metal_cover=rules["require_metal_cover"],
                 metal_thickness_grid=heights,
             ),
-            youngs_modulus=mat["youngs_modulus"],
-            density=mat["density"],
+            **constants,
         )
 
     def build_sim(self, seed_override: int | None = None) -> SimConfig:

@@ -51,11 +51,10 @@ from .pierce import (
     startup_check,
 )
 from .process import (
-    LaminateProperties,
-    LaminateSpec,
+    DEFAULT_DENSITY,
+    DEFAULT_YOUNGS_MODULUS,
     MemsRuleSet,
     RuleViolation,
-    laminate_properties,
     rule_checks,
 )
 from .transduction import (
@@ -75,10 +74,10 @@ _SLACK = 1e-9  # relative slack on constraint boundaries
 class DesignInputs:
     """Everything needed to evaluate one resonator/oscillator candidate.
 
-    The electrode height always follows the beam stack thickness: evaluation
-    uses `resolved_transducer`, whose electrode_height is `beam.W` whatever
-    `transducer.electrode_height` was constructed with, so sweeping the
-    thickness stays consistent.
+    The beam and its electrode are cut from the same interconnect stack, so
+    the electrode height is the beam stack thickness beam.W and the
+    electrode area is transducer.electrode_length * beam.W. youngs_modulus
+    and density are the effective laminate constants.
 
     gm = None sizes the amplifier automatically: the smallest
     transconductance that reaches target_margin, falling back to the
@@ -88,7 +87,6 @@ class DesignInputs:
     deflection constraint, defaulting to the remaining headroom.
     """
 
-    laminate: LaminateSpec
     beam: BeamGeometry
     transducer: Transducer
     q_factor: float
@@ -103,8 +101,8 @@ class DesignInputs:
     mass_model: str = "full"
     deflection_mode: str = "linearized"
     rules: MemsRuleSet = MemsRuleSet()
-    youngs_modulus: float | None = None
-    density: float | None = None
+    youngs_modulus: float = DEFAULT_YOUNGS_MODULUS
+    density: float = DEFAULT_DENSITY
 
     def __post_init__(self, check=RAISE):
         check(self.q_factor <= 0, "q_factor must be > 0")
@@ -119,20 +117,6 @@ class DesignInputs:
             check(self.vibration_amplitude < 0, "vibration_amplitude must be >= 0")
         if self.x_amplitude is not None:
             check(self.x_amplitude < 0, "x_amplitude must be >= 0")
-
-    @property
-    def resolved_transducer(self) -> Transducer:
-        """The transducer with its electrode height set to beam.W."""
-        return _resolved_transducer(self, RAISE)
-
-
-def _resolved_transducer(inputs: DesignInputs, check) -> Transducer:
-    """DesignInputs.resolved_transducer, on floats or columns. Evaluation,
-    sweeps and check-rules all resolve the electrode height here."""
-    t, height = inputs.transducer, inputs.beam.W
-    if not isinstance(height, np.ndarray) and t.electrode_height == height:
-        return t  # already validated with this height
-    return rebuild(t, check, electrode_height=height)
 
 
 @dataclass(frozen=True)
@@ -158,9 +142,7 @@ class DesignPoint:
     """Fully evaluated candidate: resolved parts, derived figures, verdict."""
 
     inputs: DesignInputs
-    laminate: LaminateProperties
     model: LumpedBeamModel
-    transducer: Transducer
     eta: float
     c_static: float
     v_pull_in: float
@@ -194,22 +176,22 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     numpy columns. check.stage names the stage running.
     """
     check.stage = "process"
-    beam = inputs.beam
-    lam = laminate_properties(inputs.laminate, youngs_modulus=inputs.youngs_modulus,
-                              density=inputs.density, thickness=beam.W, check=check)
+    beam, youngs_modulus, density = inputs.beam, inputs.youngs_modulus, inputs.density
+    check((youngs_modulus <= 0) | (density <= 0), "laminate properties must all be > 0")
 
     check.stage = "mechanics"
     model = LumpedBeamModel.from_geometry(
-        beam, lam.youngs_modulus, lam.density, inputs.q_factor, inputs.mass_model, check)
+        beam, youngs_modulus, density, inputs.q_factor, inputs.mass_model, check)
 
     check.stage = "transduction"
-    tr = _resolved_transducer(inputs, check)
+    tr = inputs.transducer
     check(tr.electrode_length > beam.L * (1.0 + _SLACK),
           "electrode_length {:.6g} m exceeds beam length {:.6g} m",
           tr.electrode_length, beam.L)
-    eta = coupling_coefficient(tr)
-    v_pi = pull_in_voltage(model.k, tr.gap, tr.area, tr.permittivity, check)
-    x_static = static_deflection(model.k, tr, inputs.deflection_mode, check)
+    area = tr.electrode_length * beam.W
+    eta = coupling_coefficient(tr, area)
+    v_pi = pull_in_voltage(model.k, tr.gap, area, tr.permittivity, check)
+    x_static = static_deflection(model.k, tr, area, eta, v_pi, inputs.deflection_mode, check)
     x_limit = displacement_limit(tr)
     circuit = extract_circuit(model.k, model.m, model.q, eta, check)
     i_x = None
@@ -265,11 +247,9 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     return build(
         DesignPoint, check,
         inputs=inputs,
-        laminate=lam,
         model=model,
-        transducer=tr,
         eta=eta,
-        c_static=electrode_capacitance(tr),
+        c_static=electrode_capacitance(tr, area),
         v_pull_in=v_pi,
         x_static=x_static,
         x_limit=x_limit,
@@ -323,14 +303,12 @@ COLUMNS = tuple((name, operator.attrgetter(path)) for name, path in (
     ("beam.in_plane_width", "inputs.beam.H"),
     ("beam.thickness", "inputs.beam.W"),
     ("beam.q_factor", "inputs.q_factor"),
-    ("laminate.top_metal_index", "inputs.laminate.top_metal_index"),
-    ("laminate.thickness", "laminate.thickness"),
-    ("laminate.youngs_modulus", "laminate.youngs_modulus"),
-    ("laminate.density", "laminate.density"),
-    ("transducer.gap", "transducer.gap"),
-    ("transducer.electrode_length", "transducer.electrode_length"),
-    ("transducer.bias_voltage", "transducer.bias_voltage"),
-    ("transducer.port", "transducer.port"),
+    ("laminate.youngs_modulus", "inputs.youngs_modulus"),
+    ("laminate.density", "inputs.density"),
+    ("transducer.gap", "inputs.transducer.gap"),
+    ("transducer.electrode_length", "inputs.transducer.electrode_length"),
+    ("transducer.bias_voltage", "inputs.transducer.bias_voltage"),
+    ("transducer.port", "inputs.transducer.port"),
     ("pierce.c1", "inputs.c1"),
     ("pierce.c2", "inputs.c2"),
     ("pierce.c0", "inputs.c0"),
@@ -406,6 +384,13 @@ def set_parameter(inputs: DesignInputs, path: str, value: float,
     if part is None:
         return rebuild(inputs, check, **{field: value})
     return rebuild(inputs, check, **{part: rebuild(getattr(inputs, part), check, **{field: value})})
+
+
+def _with_params(inputs: DesignInputs, pairs, check=RAISE) -> DesignInputs:
+    """set_parameter() applied for each (path, value) pair, in order."""
+    for path, value in pairs:
+        inputs = set_parameter(inputs, path, value, check)
+    return inputs
 
 
 @dataclass(frozen=True)
@@ -503,9 +488,7 @@ def _column_pass(inputs: DesignInputs, axes, axis_columns):
     checks = _Masks()
     checks.stage = "inputs"
     with np.errstate(all="ignore"):
-        candidate = inputs
-        for axis, column in zip(axes, axis_columns):
-            candidate = set_parameter(candidate, axis.path, column, checks)
+        candidate = _with_params(inputs, zip([a.path for a in axes], axis_columns), checks)
         point = _chain(candidate, checks)
     failed = np.zeros(len(axis_columns[0]), dtype=bool)
     for mask in checks.failed.values():
@@ -542,10 +525,8 @@ def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
     axis_columns = _axis_columns(grids)
 
     def replay(i: int) -> None:
-        candidate = inputs
-        for axis, column in zip(spec.axes, axis_columns):
-            candidate = set_parameter(candidate, axis.path, float(column[i]))
-        evaluate(candidate)
+        evaluate(_with_params(inputs, [(axis.path, float(column[i]))
+                                       for axis, column in zip(spec.axes, axis_columns)]))
 
     try:
         point, failed, suspect = _column_pass(inputs, spec.axes, axis_columns)
@@ -714,16 +695,10 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             best = (signed, dict(params), point)
         return signed
 
-    def candidate_for(params: dict) -> DesignInputs:
-        candidate = inputs
-        for path, value in params.items():
-            candidate = set_parameter(candidate, path, value)
-        return candidate
-
     def try_point(phase: str, params: dict) -> float:
         nonlocal last_error
         try:
-            point = evaluate(candidate_for(params))
+            point = evaluate(_with_params(inputs, params.items()))
         except BeamoscError as err:
             last_error = err
             return record(phase, params, None, False, None)
@@ -784,7 +759,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
 
     signed, params, point = best
     if point is None:  # a grid point graded from the columns
-        point = evaluate(candidate_for(params))
+        point = evaluate(_with_params(inputs, params.items()))
     return OptimizeResult(
         objective=spec.objective,
         feasible=True,

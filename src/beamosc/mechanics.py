@@ -23,7 +23,7 @@ import numpy as np
 
 from ._num import logical_not, power, select, sqrt
 from .errors import RAISE, ConvergenceError, PullInError, ValidationError, build
-from .transduction import EPS0, Transducer, coupling_coefficient
+from .transduction import EPS0, Transducer
 
 
 class Anchor(str, enum.Enum):
@@ -165,9 +165,14 @@ _NOT_CONVERGED = (f"static deflection fixed point did not reach {_FP_TOL} m "
                   f"within {_FP_MAX_ITER} iterations")
 
 
-def static_deflection(k: float, transducer: Transducer, mode: str = "linearized",
+def static_deflection(k: float, transducer: Transducer, electrode_area: float,
+                      eta: float, v_pull_in: float, mode: str = "linearized",
                       check=RAISE) -> float:
     """DC gap closure under bias, m.
+
+    `eta` and `v_pull_in` are the coupling coefficient and pull-in voltage
+    of this electrode, as coupling_coefficient() and pull_in_voltage() give
+    them for `electrode_area`.
 
     "linearized" evaluates the force at the rest gap, x = eta*V_P/(2k).
     "nonlinear" solves x = eps*A*V^2 / (2k*(g-x)^2) by a damped fixed point
@@ -180,13 +185,12 @@ def static_deflection(k: float, transducer: Transducer, mode: str = "linearized"
     t = transducer
     biased = t.bias_voltage != 0.0
     if mode == "linearized":
-        return select(biased, coupling_coefficient(t) * t.bias_voltage / (2.0 * k), 0.0)
+        return select(biased, eta * t.bias_voltage / (2.0 * k), 0.0)
 
-    v_pi = pull_in_voltage(k, t.gap, t.area, t.permittivity, check)
-    pulled_in = biased & (t.bias_voltage >= v_pi)
-    check(pulled_in, "bias {} V >= pull-in voltage {:.6g} V", t.bias_voltage, v_pi,
+    pulled_in = biased & (t.bias_voltage >= v_pull_in)
+    check(pulled_in, "bias {} V >= pull-in voltage {:.6g} V", t.bias_voltage, v_pull_in,
           error=PullInError)
-    force_num = t.permittivity * t.area * power(t.bias_voltage, 2) / (2.0 * k)
+    force_num = t.permittivity * electrode_area * power(t.bias_voltage, 2) / (2.0 * k)
     if isinstance(force_num, np.ndarray) or isinstance(t.gap, np.ndarray):
         solve = _fixed_point_columns
     else:

@@ -145,8 +145,6 @@ class StartupReport:
     meets_3x reports the margin >= 3 design rule.
     """
 
-    negative_resistance: float
-    motional_resistance: float
     margin: float
     oscillates: bool
     meets_3x: bool
@@ -164,8 +162,6 @@ def startup_check(neg_resistance: float, motional_resistance: float,
     margin = neg_resistance / motional_resistance
     return build(
         StartupReport, check,
-        negative_resistance=neg_resistance,
-        motional_resistance=motional_resistance,
         margin=margin,
         oscillates=margin > 1.0,
         meets_3x=margin >= 3.0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._num import select
-from .errors import RAISE, ValidationError, build
+from .errors import ValidationError
 
 # Effective laminate properties, fitted to the bundled reference devices.
 DEFAULT_YOUNGS_MODULUS = 63e9  # Pa
@@ -22,80 +22,20 @@ METAL_FRACTION = 0.5           # thickness share left when dielectric is exclude
 MAX_METAL_INDEX = 4
 
 
-@dataclass(frozen=True)
-class LaminateSpec:
-    """Which part of the interconnect stack forms the structure.
-
-    top_metal_index     highest metal layer included (1..4)
-    include_dielectric  keep inter-metal dielectric in the laminate (the
-                        normal released structure) or count metal only
-    """
-
-    top_metal_index: int
-    include_dielectric: bool = True
-
-    def __post_init__(self):
-        if not isinstance(self.top_metal_index, int) or isinstance(self.top_metal_index, bool):
-            raise ValidationError("top_metal_index must be an integer")
-        if not 1 <= self.top_metal_index <= MAX_METAL_INDEX:
-            raise ValidationError(
-                f"top_metal_index must be in 1..{MAX_METAL_INDEX}, "
-                f"got {self.top_metal_index}"
-            )
-
-
-@dataclass(frozen=True)
-class LaminateProperties:
-    """Resolved stack: thickness [m], Young's modulus [Pa], density [kg/m^3]."""
-
-    thickness: float
-    youngs_modulus: float
-    density: float
-
-    def __post_init__(self, check=RAISE):
-        check((self.thickness <= 0) | (self.youngs_modulus <= 0) | (self.density <= 0),
-              "laminate properties must all be > 0")
-
-
-def laminate_properties(
-    spec: LaminateSpec,
-    *,
-    youngs_modulus: float | None = None,
-    density: float | None = None,
-    thickness_per_pair: float | None = None,
-    thickness: float | None = None,
-    check=RAISE,
-) -> LaminateProperties:
-    """Resolve a laminate spec to thickness and effective material constants.
+def metal_stack_heights(include_dielectric: bool = True,
+                        thickness_per_pair: float | None = None) -> tuple[float, ...]:
+    """Stack thickness for each top metal 1..MAX_METAL_INDEX: the heights a
+    metal-covered beam may have.
 
     Thickness scales linearly with the metal count (1.2 um per
-    metal+dielectric pair, so a 4-metal stack is 4.8 um). Keyword overrides
-    replace the fitted defaults; an explicit `thickness` wins over the
-    per-pair scaling. The material values may be floats or columns.
+    metal+dielectric pair by default, so a 4-metal stack is 4.8 um) and
+    keeps METAL_FRACTION of that when the dielectric is excluded.
     """
     pitch = THICKNESS_PER_PAIR if thickness_per_pair is None else thickness_per_pair
     if pitch <= 0:
         raise ValidationError("thickness_per_pair must be > 0")
-    if thickness is None:
-        thickness = spec.top_metal_index * pitch
-        if not spec.include_dielectric:
-            thickness *= METAL_FRACTION
-    return build(
-        LaminateProperties, check,
-        thickness=thickness,
-        youngs_modulus=DEFAULT_YOUNGS_MODULUS if youngs_modulus is None else youngs_modulus,
-        density=DEFAULT_DENSITY if density is None else density,
-    )
-
-
-def metal_stack_heights(include_dielectric: bool = True,
-                        thickness_per_pair: float | None = None) -> tuple[float, ...]:
-    """Stack thickness for each top metal 1..MAX_METAL_INDEX at this pitch:
-    the heights a metal-covered beam may have."""
-    return tuple(
-        laminate_properties(LaminateSpec(i, include_dielectric),
-                            thickness_per_pair=thickness_per_pair).thickness
-        for i in range(1, MAX_METAL_INDEX + 1))
+    fraction = 1.0 if include_dielectric else METAL_FRACTION
+    return tuple(i * pitch * fraction for i in range(1, MAX_METAL_INDEX + 1))
 
 
 DEFAULT_METAL_GRID = metal_stack_heights()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .config import BUILTIN_DESIGNS, ProjectConfig, load_builtin_design
+from .errors import ConfigError
 from .explore import DesignPoint, evaluate
 
 # (key, label, unit label, display scale, getter)
@@ -115,6 +116,9 @@ def build_comparison(overrides: list[str] | None = None) -> ComparisonReport:
     points: dict[int, DesignPoint] = {}
     for n in BUILTIN_DESIGNS:
         cfg = ProjectConfig.from_raw(load_builtin_design(n), overrides or [])
+        if cfg.data["transducer"]["x_amplitude"] is None:
+            raise ConfigError("transducer.x_amplitude: table1 compares I_x at this "
+                              "amplitude, so it must be a number, got null")
         point = evaluate(cfg.build_inputs())
         points[n] = point
         entry = reference["designs"][str(n)]

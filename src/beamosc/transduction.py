@@ -5,6 +5,9 @@ drive voltage into force with the same coupling coefficient
 
     eta = V_P * eps * A / g^2        [N/V, equivalently A/(m/s)]
 
+where the electrode area A is the electrode length times the beam stack
+thickness: the electrode is cut from the same interconnect stack as the beam.
+
 Seen from the electrode, the vibrating beam behaves as a series RLC branch:
 
     R_x = k / (w0 * Q * eta^2)    L_x = m / eta^2    C_x = eta^2 / k
@@ -39,7 +42,6 @@ class Transducer:
 
     gap               electrode-to-beam spacing at rest, m
     electrode_length  electrode overlap measured along the beam, m
-    electrode_height  electrode height, equal to the beam stack thickness, m
     bias_voltage      DC polarization across the gap, V
     port              "one_port" (drive and sense share the electrode) or
                       "two_port"
@@ -48,7 +50,6 @@ class Transducer:
 
     gap: float
     electrode_length: float
-    electrode_height: float
     bias_voltage: float
     port: str = PORT_ONE
     permittivity: float = EPS0
@@ -56,32 +57,27 @@ class Transducer:
     def __post_init__(self, check=RAISE):
         check(self.gap <= 0, "transducer gap must be > 0")
         check(self.electrode_length <= 0, "electrode_length must be > 0")
-        check(self.electrode_height <= 0, "electrode_height must be > 0")
         check(self.bias_voltage < 0, "bias_voltage must be >= 0")
         if self.port not in VALID_PORTS:  # never a column
             raise ValidationError(
                 f"port must be one of {sorted(VALID_PORTS)}, got {self.port!r}")
         check(self.permittivity <= 0, "permittivity must be > 0")
 
-    @property
-    def area(self) -> float:
-        """Electrode face area, m^2."""
-        return self.electrode_length * self.electrode_height
-
 
 # The functions below take floats, or numpy columns from the sweep kernel;
-# `check` runs each precondition (errors.RAISE by default).
+# `check` runs each precondition (errors.RAISE by default); `area` is the
+# electrode face area A, m^2.
 
 
-def electrode_capacitance(transducer: Transducer) -> float:
+def electrode_capacitance(transducer: Transducer, area: float) -> float:
     """Static gap capacitance eps*A/g at rest, F."""
-    return transducer.permittivity * transducer.area / transducer.gap
+    return transducer.permittivity * area / transducer.gap
 
 
-def coupling_coefficient(transducer: Transducer) -> float:
+def coupling_coefficient(transducer: Transducer, area: float) -> float:
     """Electromechanical coupling eta = V_P * eps * A / g^2, N/V."""
     t = transducer
-    return t.bias_voltage * t.permittivity * t.area / (t.gap * t.gap)
+    return t.bias_voltage * t.permittivity * area / (t.gap * t.gap)
 
 
 def displacement_limit(transducer: Transducer) -> float:

@@ -183,7 +183,7 @@ def test_criterion_09_design_exploration(reference, design_points):
                       "lands on the constrained optimum"):
         base = replace(
             design_points[1].inputs,
-            transducer=replace(design_points[1].transducer,
+            transducer=replace(design_points[1].inputs.transducer,
                                electrode_length=45e-6))
         grid = sweep(base, SweepSpec(axes=(
             SweepAxis("beam.length", 60e-6, 100e-6, 2),
@@ -205,7 +205,7 @@ def test_criterion_09_design_exploration(reference, design_points):
 
         short = optimize(
             replace(design_points[2].inputs,
-                    transducer=replace(design_points[2].transducer,
+                    transducer=replace(design_points[2].inputs.transducer,
                                        bias_voltage=9.0)),
             SweepSpec(axes=(SweepAxis("beam.length", 60e-6, 100e-6, 5),),
                       objective="max_f0"))

@@ -99,6 +99,15 @@ class TestTable1:
         assert len(rows) == 27
         assert all(row["passed"] for row in rows)
 
+    def test_null_x_amplitude_is_named(self, capsys, tmp_path):
+        out = tmp_path / "t"
+        rc, stdout, err = run_cli(capsys, "table1", "--set", "transducer.x_amplitude=null",
+                                  "--out", str(out))
+        assert rc == 1
+        assert stdout == ""
+        assert "transducer.x_amplitude" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_seeded_runs_are_byte_identical(self, capsys, tmp_path):
@@ -154,6 +163,19 @@ class TestSimulate:
         assert (tmp_path / "envelope.csv").exists()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv, key", [
+        (["--seed", "-1"], "--seed"),
+        (["--set", "sim.noise_seed=-3"], "sim.noise_seed"),
+    ], ids=["seed_option", "config_key"])
+    def test_negative_seed_is_named(self, capsys, tmp_path, argv, key):
+        out = tmp_path / "run"
+        rc, stdout, err = run_cli(capsys, "simulate", "--design", "1", *argv,
+                                  "--out", str(out))
+        assert rc == 1
+        assert stdout == ""
+        assert err.startswith(f"error: {key}: must be >= 0")
+        assert not out.exists()
+
     def test_dead_amplifier_decays(self, capsys):
         rc, payload, _ = run_json(
             capsys, "simulate", "--design", "1",
@@ -186,7 +208,9 @@ class TestSimulate:
 
 class TestReadmeOptimize:
     def test_optimize_json_bytes_are_pinned(self, capsys, tmp_path):
-        # The README `optimize` example.
+        # The README `optimize` example. The pinned bytes equal the earlier
+        # pin, e7dcde7b...1f4, with laminate.top_metal_index and
+        # laminate.thickness deleted from best_point.
         rc, _, _ = run_json(
             capsys, "optimize", "--design", "1",
             "--set", "explore.objective=min_Rx",
@@ -195,7 +219,7 @@ class TestReadmeOptimize:
             "--out", str(tmp_path))
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
-        assert digest == "e7dcde7bda0ce00603605ed438cec7d314e22a9bae18b5a86090c3d88151b1f4"
+        assert digest == "423ab7a180ead5b2657ba32b2f9c3ffe118bb02351abd75c34423cb9376ea0e9"
 
 
 class TestSweepCommand:
@@ -348,13 +372,19 @@ class TestNonFiniteInputs:
 
 
 class TestStackThickness:
-    @pytest.mark.parametrize("key", ["beam.thickness"])
-    def test_laminate_thickness_reports_the_resolved_stack(self, capsys, key):
+    # Dropped columns: the stack thickness is beam.thickness, and the metal
+    # index is a config input that manifest.json records.
+    REMOVED_KEYS = {"laminate.thickness", "laminate.top_metal_index"}
+
+    def test_beam_thickness_reports_the_resolved_stack(self, capsys):
         rc, payload, _ = run_json(capsys, "analyze", "--design", "1",
-                                  "--set", f"{key}=3e-6")
+                                  "--set", "beam.thickness=3e-6")
         assert rc in (0, 2)
         assert payload["beam.thickness"] == 3e-6
-        assert payload["laminate.thickness"] == 3e-6
+        assert not self.REMOVED_KEYS & set(payload)
+        rc, payload, _ = run_json(capsys, "analyze", "--design", "1",
+                                  "--set", "materials.top_metal_index=3")
+        assert payload["beam.thickness"] == pytest.approx(3.6e-6, rel=1e-12)
 
     def test_beam_thickness_is_the_only_absolute_thickness_key(self, capsys):
         rc, out, err = run_cli(capsys, "analyze", "--design", "1",
@@ -384,7 +414,10 @@ class TestStackThickness:
             'explore.axes=[{"path":"beam.thickness","min":3e-6,"max":4e-6,"steps":2}]')
         assert rc == 0
         rows = json.loads((out / "sweep.json").read_text())
-        assert [r["laminate.thickness"] for r in rows] == [3e-6, 4e-6]
+        assert [r["beam.thickness"] for r in rows] == [3e-6, 4e-6]
+        assert not any(self.REMOVED_KEYS & set(r) for r in rows)
+        header = (out / "sweep.csv").read_text().splitlines()[0].split(",")
+        assert not self.REMOVED_KEYS & set(header)
 
     def test_check_rules_and_analyze_agree_under_an_override(self, capsys):
         overrides = ("--set", "beam.thickness=3e-6",

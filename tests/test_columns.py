@@ -314,7 +314,7 @@ def test_optimize_equals_the_per_point_grid(design_points, data, case):
 class TestInvalidPoints:
     def base(self, design_points):
         return replace(design_points[1].inputs,
-                       transducer=replace(design_points[1].transducer,
+                       transducer=replace(design_points[1].inputs.transducer,
                                           electrode_length=45e-6))
 
     def test_electrode_longer_than_one_beam_length(self, design_points):
@@ -340,6 +340,16 @@ class TestInvalidPoints:
             sweep(self.base(design_points), spec)
         assert not isinstance(raised.value, StageError)
         assert str(raised.value) == "beam length must exceed its in-plane width"
+
+    def test_an_unbiased_point_fails_like_evaluate(self, design_points):
+        # eta = 0 divides by zero in the column pass; under the suite's
+        # RuntimeWarning filter this also checks that np.errstate holds it.
+        spec = SweepSpec(axes=(SweepAxis("transducer.bias_voltage", 0.0, 9.0, 3),))
+        _, error = scalar_path(self.base(design_points), spec)
+        with pytest.raises(StageError) as raised:
+            sweep(self.base(design_points), spec)
+        assert str(raised.value) == str(error)
+        assert raised.value.stage == "transduction"
 
     def test_nonlinear_pull_in_names_its_stage(self, design_points):
         inputs = replace(self.base(design_points), deflection_mode="nonlinear")

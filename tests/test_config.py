@@ -47,6 +47,12 @@ class TestValidation:
             validate_config({"beam": {"anchor": "welded"}})
         with pytest.raises(ConfigError, match=r"sim\.noise_seed"):
             validate_config({"sim": {"noise_seed": 1.5}})
+        with pytest.raises(ConfigError, match=r"sim\.noise_seed: must be >= 0"):
+            validate_config({"sim": {"noise_seed": -3}})
+        # materials.top_metal_index outside 1..4: test_process.TestLaminate.
+        for pitch in (0, -1.2e-6):
+            with pytest.raises(ConfigError, match=r"materials\.thickness_per_pair"):
+                validate_config({"materials": {"thickness_per_pair": pitch}})
         with pytest.raises(ConfigError, match=r"rules\.require_metal_cover"):
             validate_config({"rules": {"require_metal_cover": "yes"}})
 

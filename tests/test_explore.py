@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from beamosc import explore, mechanics, transduction
 from beamosc.errors import GridCapError, StageError, ValidationError
 from beamosc.explore import (
     CONSTRAINT_NAMES,
@@ -29,7 +30,7 @@ class TestEvaluate:
         assert [c.name for c in point.constraints] == list(CONSTRAINT_NAMES)
         assert point.startup.margin == pytest.approx(90.238, rel=1e-3)
         assert point.i_x == pytest.approx(3.4e-9, rel=1e-2)
-        assert point.x_limit == pytest.approx(0.33 * point.transducer.gap, rel=1e-12)
+        assert point.x_limit == pytest.approx(0.33 * point.inputs.transducer.gap, rel=1e-12)
 
     def test_bundled_design_2_fails_only_on_bias(self, design_points):
         point = design_points[2]
@@ -46,11 +47,30 @@ class TestEvaluate:
         assert design_points[3].startup.meets_3x
 
     def test_electrode_height_follows_stack_thickness(self, design_points):
-        inputs = design_points[1].inputs
-        bent = with_transducer(inputs, electrode_height=1.0)
-        point = evaluate(bent)
-        assert point.transducer.electrode_height == inputs.beam.W
-        assert point.eta == pytest.approx(design_points[1].eta, rel=1e-12)
+        # The electrode area is electrode_length * W: eta and C_static scale
+        # with W, and V_pi ~ sqrt(k / A) does not move because k ~ W too.
+        base = design_points[1]
+        point = evaluate(set_parameter(base.inputs, "beam.thickness", 3e-6))
+        scale = 3e-6 / base.inputs.beam.W
+        assert point.eta == pytest.approx(base.eta * scale, rel=1e-12)
+        assert point.c_static == pytest.approx(base.c_static * scale, rel=1e-12)
+        assert point.v_pull_in == pytest.approx(base.v_pull_in, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["linearized", "nonlinear"])
+    def test_coupling_and_pull_in_are_computed_once(self, design_points, monkeypatch,
+                                                    mode):
+        calls = {"coupling_coefficient": 0, "pull_in_voltage": 0}
+        originals = {"coupling_coefficient": transduction.coupling_coefficient,
+                     "pull_in_voltage": mechanics.pull_in_voltage}
+        for name, original in originals.items():
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            # Both namespaces the pipeline could look the function up in.
+            for module in (explore, mechanics):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        evaluate(replace(design_points[1].inputs, deflection_mode=mode))
+        assert calls == {"coupling_coefficient": 1, "pull_in_voltage": 1}
 
     def test_unknown_constraint_name(self, design_points):
         with pytest.raises(KeyError):
@@ -263,7 +283,7 @@ class TestOptimize:
         # Ceiling grows with beam length until bias hits alpha * V_pi;
         # V_pi ~ L^-1.5 puts that boundary at a closed-form length.
         alpha = point.inputs.alpha_pull_in
-        bias = point.transducer.bias_voltage
+        bias = point.inputs.transducer.bias_voltage
         l_star = point.inputs.beam.L * (alpha * point.v_pull_in / bias) ** (2 / 3)
         assert result.best_params["beam.length"] == pytest.approx(l_star, rel=5e-4)
         assert result.best.constraint("bias").ok

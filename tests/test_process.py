@@ -1,15 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from beamosc.errors import ValidationError
+from beamosc.config import ProjectConfig
+from beamosc.errors import ConfigError, ValidationError
+from beamosc.explore import DesignInputs
 from beamosc.mechanics import BeamGeometry
 from beamosc.process import (
     DEFAULT_DENSITY,
+    DEFAULT_METAL_GRID,
     DEFAULT_YOUNGS_MODULUS,
-    LaminateSpec,
     MemsRuleSet,
     check_mems_rules,
-    laminate_properties,
+    metal_stack_heights,
 )
 from beamosc.transduction import Transducer
 
@@ -18,52 +20,69 @@ def beam(H=2e-6, W=4.8e-6, L=100e-6):
     return BeamGeometry(anchor="cantilever", L=L, H=H, W=W)
 
 
-def transducer(gap=1.2e-6, W=4.8e-6):
-    return Transducer(gap=gap, electrode_length=75e-6, electrode_height=W,
-                      bias_voltage=9.5)
+def transducer(gap=1.2e-6):
+    return Transducer(gap=gap, electrode_length=75e-6, bias_voltage=9.5)
+
+
+def stack_inputs(**materials):
+    return ProjectConfig.from_raw({"materials": materials}).build_inputs()
 
 
 class TestLaminate:
+    """The interconnect stack: metal_stack_heights() and how the config
+    resolves the beam thickness and material constants from it."""
+
     def test_four_metal_stack_thickness(self):
-        lam = laminate_properties(LaminateSpec(4))
-        assert lam.thickness == pytest.approx(4.8e-6, rel=1e-12)
-        assert lam.youngs_modulus == DEFAULT_YOUNGS_MODULUS == 63e9
-        assert lam.density == DEFAULT_DENSITY == 2770.0
+        assert metal_stack_heights()[3] == pytest.approx(4.8e-6, rel=1e-12)
+        inputs = stack_inputs()
+        assert inputs.beam.W == metal_stack_heights()[3]
+        assert inputs.youngs_modulus == DEFAULT_YOUNGS_MODULUS == 63e9
+        assert inputs.density == DEFAULT_DENSITY == 2770.0
+        fields = DesignInputs.__dataclass_fields__
+        assert fields["youngs_modulus"].default == DEFAULT_YOUNGS_MODULUS
+        assert fields["density"].default == DEFAULT_DENSITY
 
     def test_thickness_scales_with_metal_count(self):
-        thicknesses = [
-            laminate_properties(LaminateSpec(i)).thickness for i in (1, 2, 3, 4)
-        ]
-        assert thicknesses == pytest.approx([1.2e-6, 2.4e-6, 3.6e-6, 4.8e-6])
-        assert sorted(thicknesses) == thicknesses
+        heights = metal_stack_heights()
+        assert heights == pytest.approx([1.2e-6, 2.4e-6, 3.6e-6, 4.8e-6])
+        assert sorted(heights) == list(heights)
+        assert DEFAULT_METAL_GRID == heights
+        assert [stack_inputs(top_metal_index=i).beam.W for i in (1, 2, 3, 4)] == list(heights)
 
     def test_metal_only_stack_is_thinner(self):
-        full = laminate_properties(LaminateSpec(4)).thickness
-        bare = laminate_properties(LaminateSpec(4, include_dielectric=False)).thickness
-        assert bare < full
-        assert bare == pytest.approx(0.5 * full)
+        full = metal_stack_heights()
+        bare = metal_stack_heights(include_dielectric=False)
+        assert all(b < f for b, f in zip(bare, full))
+        assert bare == pytest.approx([0.5 * f for f in full], rel=1e-12)
+        assert stack_inputs(include_dielectric=False).beam.W == bare[3]
 
     @pytest.mark.parametrize("index", [0, 5, -1])
     def test_unknown_metal_index_rejected(self, index):
-        with pytest.raises(ValidationError):
-            LaminateSpec(index)
+        with pytest.raises(ConfigError, match=r"materials\.top_metal_index"):
+            stack_inputs(top_metal_index=index)
 
     def test_non_integer_index_rejected(self):
-        with pytest.raises(ValidationError):
-            LaminateSpec(2.5)  # type: ignore[arg-type]
+        with pytest.raises(ConfigError, match=r"materials\.top_metal_index"):
+            stack_inputs(top_metal_index=2.5)
 
     def test_material_overrides(self):
-        lam = laminate_properties(
-            LaminateSpec(2), youngs_modulus=70e9, density=2330.0,
-            thickness_per_pair=1.0e-6,
-        )
-        assert lam.youngs_modulus == 70e9
-        assert lam.density == 2330.0
-        assert lam.thickness == pytest.approx(2.0e-6)
+        assert metal_stack_heights(thickness_per_pair=1.0e-6) == pytest.approx(
+            [1.0e-6, 2.0e-6, 3.0e-6, 4.0e-6], rel=1e-12)
+        inputs = stack_inputs(youngs_modulus=70e9, density=2330.0, top_metal_index=2,
+                              thickness_per_pair=1.0e-6)
+        assert inputs.youngs_modulus == 70e9
+        assert inputs.density == 2330.0
+        assert inputs.beam.W == pytest.approx(2.0e-6)
 
     def test_explicit_thickness_wins(self):
-        lam = laminate_properties(LaminateSpec(4), thickness=3.3e-6)
-        assert lam.thickness == 3.3e-6
+        inputs = ProjectConfig.from_raw({"materials": {"top_metal_index": 2},
+                                         "beam": {"thickness": 3.3e-6}}).build_inputs()
+        assert inputs.beam.W == 3.3e-6
+
+    @pytest.mark.parametrize("pitch", [0.0, -1.2e-6])
+    def test_non_positive_pitch_rejected(self, pitch):
+        with pytest.raises(ValidationError, match="thickness_per_pair"):
+            metal_stack_heights(thickness_per_pair=pitch)
 
 
 class TestRules:
@@ -85,14 +104,14 @@ class TestRules:
         assert violations[0].limit == 8e-6
 
     def test_metal_cover_rule_disabled_by_default(self):
-        assert check_mems_rules(beam(W=2.0e-6), transducer(W=2.0e-6)) == []
+        assert check_mems_rules(beam(W=2.0e-6), transducer()) == []
 
     def test_metal_cover_rule_enforced(self):
         rules = MemsRuleSet(require_metal_cover=True)
-        bad = check_mems_rules(beam(W=2.0e-6), transducer(W=2.0e-6), rules)
+        bad = check_mems_rules(beam(W=2.0e-6), transducer(), rules)
         assert [v.rule for v in bad] == ["metal_cover"]
         assert bad[0].limit == pytest.approx(2.4e-6)
-        ok = check_mems_rules(beam(W=2.4e-6), transducer(W=2.4e-6), rules)
+        ok = check_mems_rules(beam(W=2.4e-6), transducer(), rules)
         assert ok == []
 
     def test_gap_at_limit_is_legal(self):

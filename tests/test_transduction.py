@@ -15,7 +15,7 @@ from beamosc.transduction import (
     extract_circuit,
     motional_current,
 )
-from test_mechanics import BEAMS, E, reference_transducer
+from test_mechanics import BEAMS, E, electrode_area, reference_transducer
 
 Q_FACTORS = {1: 4000.0, 2: 4500.0, 3: 5000.0}
 
@@ -28,7 +28,8 @@ class TestCoupling:
     def test_coupling_against_reference_capacitance(self, reference):
         # Independent check: eta^2 = k * C_x, with C_x from the table.
         for n in (1, 2, 3):
-            eta = coupling_coefficient(reference_transducer(n))
+            tr = reference_transducer(n)
+            eta = coupling_coefficient(tr, electrode_area(tr))
             expected = math.sqrt(spring(n) * reference[str(n)]["values"]["c_x_f"])
             assert eta == pytest.approx(expected, rel=1e-3)
 
@@ -37,11 +38,12 @@ class TestCoupling:
         for n in (1, 2, 3):
             tr = reference_transducer(n)
             eta_table = math.sqrt(spring(n) * reference[str(n)]["values"]["c_x_f"])
-            bias = eta_table * tr.gap ** 2 / (EPS0 * tr.area)
+            bias = eta_table * tr.gap ** 2 / (EPS0 * electrode_area(tr))
             assert bias == pytest.approx(9.5, rel=2e-3)
 
     def test_static_capacitance_value(self):
-        c = electrode_capacitance(reference_transducer(1))
+        tr = reference_transducer(1)
+        c = electrode_capacitance(tr, electrode_area(tr))
         assert c == pytest.approx(2.6562e-15, rel=1e-4)
 
     @given(
@@ -50,10 +52,10 @@ class TestCoupling:
         length=st.floats(min_value=10e-6, max_value=200e-6),
     )
     def test_coupling_equals_bias_times_capacitance_over_gap(self, gap, bias, length):
-        tr = Transducer(gap=gap, electrode_length=length,
-                        electrode_height=4.8e-6, bias_voltage=bias)
-        c = electrode_capacitance(tr)
-        assert coupling_coefficient(tr) == pytest.approx(bias * c / gap, rel=1e-12)
+        tr = Transducer(gap=gap, electrode_length=length, bias_voltage=bias)
+        area = length * 4.8e-6
+        c = electrode_capacitance(tr, area)
+        assert coupling_coefficient(tr, area) == pytest.approx(bias * c / gap, rel=1e-12)
 
 
 class TestDisplacementLimit:
@@ -63,22 +65,21 @@ class TestDisplacementLimit:
         )
 
     def test_two_port_limit_is_tighter(self):
-        two = Transducer(gap=1.2e-6, electrode_length=75e-6,
-                         electrode_height=4.8e-6, bias_voltage=9.5,
+        two = Transducer(gap=1.2e-6, electrode_length=75e-6, bias_voltage=9.5,
                          port="two_port")
         assert displacement_limit(two) == pytest.approx(0.11 * 1.2e-6)
 
     def test_unknown_port_rejected(self):
         with pytest.raises(ValidationError):
-            Transducer(gap=1.2e-6, electrode_length=75e-6,
-                       electrode_height=4.8e-6, bias_voltage=9.5,
+            Transducer(gap=1.2e-6, electrode_length=75e-6, bias_voltage=9.5,
                        port="three_port")
 
 
 class TestEquivalentCircuit:
     def test_extract_circuit_reference(self, reference):
         for n, beam in BEAMS.items():
-            eta = coupling_coefficient(reference_transducer(n))
+            tr = reference_transducer(n)
+            eta = coupling_coefficient(tr, electrode_area(tr))
             m = 2770.0 * beam.L * beam.H * beam.W
             ec = extract_circuit(spring(n), m, Q_FACTORS[n], eta)
             ref = reference[str(n)]["values"]
