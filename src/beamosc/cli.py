@@ -10,7 +10,7 @@ Subcommands:
   check-rules  run only the manufacturability rules
 
 Exit codes: 0 success/feasible, 2 infeasible (or failed comparison, or rule
-violations), 1 error (bad config, invalid geometry, integrator failure).
+violations), 1 error (usage, bad config, invalid geometry, integrator failure).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -39,17 +38,35 @@ def _version() -> str:
         return "0.0.0"
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--design", type=int, choices=(1, 2, 3),
-                    help="start from a bundled reference design")
-    sp.add_argument("--set", dest="overrides", action="append", default=[],
-                    metavar="KEY.PATH=VALUE",
-                    help="override one config key (repeatable)")
-    sp.add_argument("--out", help="directory for output files")
-    sp.add_argument("--seed", type=int, help="override sim.noise_seed")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv",
-                    help="table output format (table1)")
+# Every option once: flag -> add_argument keywords. The value flags at the
+# end are shorthands whose dest is the config key they set: they are applied
+# after every --set, so the flag wins, and manifest.json records them.
+_OPTIONS = {
+    "--config": {"help": "JSON config file"},
+    "--design": {"type": int, "choices": (1, 2, 3),
+                 "help": "start from a bundled reference design"},
+    "--set": {"dest": "overrides", "action": "append", "metavar": "KEY.PATH=VALUE",
+              "help": "override one config key (repeatable)"},
+    "--out": {"help": "directory for output files"},
+    "--format": {"choices": ("csv", "json"), "default": "csv",
+                 "help": "table output format"},
+    "--seed": {"dest": "sim.noise_seed", "type": int, "metavar": "N",
+               "help": "same as --set sim.noise_seed=N"},
+    "--gm": {"dest": "pierce.gm", "type": float, "metavar": "X",
+             "help": "same as --set pierce.gm=X"},
+    "--x-max": {"dest": "sim.x_max", "type": float, "metavar": "X",
+                "help": "same as --set sim.x_max=X"},
+    "--rho": {"dest": "materials.density", "type": float, "metavar": "X",
+              "help": "same as --set materials.density=X"},
+}
+
+
+def _overrides(args) -> list[str]:
+    """The --set assignments, then one per shorthand given (a dotted dest)."""
+    return list(args.overrides or ()) + [
+        f"{key}={json.dumps(value)}"
+        for key, value in vars(args).items() if "." in key and value is not None
+    ]
 
 
 def _load_project(args) -> ProjectConfig:
@@ -61,7 +78,7 @@ def _load_project(args) -> ProjectConfig:
         raw = load_builtin_design(args.design)
     else:
         raw = {}
-    return ProjectConfig.from_raw(raw, args.overrides)
+    return ProjectConfig.from_raw(raw, _overrides(args))
 
 
 def _out_dir(args) -> Path | None:
@@ -70,11 +87,6 @@ def _out_dir(args) -> Path | None:
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _check_finite(option: str, value: float | None) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ConfigError(f"{option}: must be a finite number, got {value!r}")
 
 
 def _config_digest(cfg: ProjectConfig) -> str:
@@ -129,10 +141,7 @@ def cmd_analyze(args) -> int:
 def cmd_table1(args) -> int:
     from .report import build_comparison
 
-    overrides = list(args.overrides)
-    if args.rho is not None:
-        overrides.append(f"materials.density={args.rho!r}")
-    report = build_comparison(overrides)
+    report = build_comparison(_overrides(args))
     print(report.render_text())
     out = _out_dir(args)
     if out is not None:
@@ -147,23 +156,14 @@ def cmd_table1(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_project(args)
-    _check_finite("--gm", args.gm)
-    _check_finite("--x-max", args.x_max)
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     point = evaluate(cfg.build_inputs())
-    gm = args.gm if args.gm is not None else point.gm
-    amplifier = PierceConfig(
-        c1=point.inputs.c1, c2=point.inputs.c2, c0=point.inputs.c0,
-        gm=gm, f0=point.circuit.f0,
-    )
-    x_max = args.x_max if args.x_max is not None else cfg.x_max(point.x_limit)
-    trace = simulate_startup(
-        point.circuit, amplifier, cfg.build_sim(args.seed), point.eta, x_max=x_max
-    )
+    amplifier = PierceConfig(c1=point.inputs.c1, c2=point.inputs.c2, c0=point.inputs.c0,
+                             gm=point.gm, f0=point.circuit.f0)
+    x_max = cfg.x_max(point.x_limit)
+    trace = simulate_startup(point.circuit, amplifier, cfg.build_sim(), point.eta, x_max=x_max)
     summary, env = _summarize(trace)
     summary["expected_f0_hz"] = point.circuit.f0
-    summary["gm"] = gm
+    summary["gm"] = point.gm
     summary["x_max_m"] = x_max if x_max != float("inf") else None
     print(json_text(summary))
     out = _out_dir(args)
@@ -238,44 +238,41 @@ def cmd_check_rules(args) -> int:
     return 2
 
 
+# command -> (handler, help, the options it reads).
+_COMMANDS = {
+    "analyze": (cmd_analyze, "evaluate one design", "--config --design --set --out"),
+    "table1": (cmd_table1, "compare bundled designs to the reference table",
+               "--set --out --format --rho"),
+    "simulate": (cmd_simulate, "time-domain startup simulation",
+                 "--config --design --set --out --seed --gm --x-max"),
+    "sweep": (cmd_sweep, "Cartesian parameter sweep", "--config --design --set --out"),
+    "optimize": (cmd_optimize, "constrained objective optimization",
+                 "--config --design --set --out"),
+    "check-rules": (cmd_check_rules, "manufacturability rules only", "--config --design --set"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other bad input; 2 means infeasible."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beamosc",
         description="MEMS beam resonator / Pierce oscillator design toolkit",
     )
     parser.add_argument("--version", action="version",
                         version=f"beamosc {_version()}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("analyze", help="evaluate one design")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("table1", help="compare bundled designs to the reference table")
-    _add_common(sp)
-    sp.add_argument("--rho", type=float,
-                    help="shorthand for --set materials.density=RHO")
-    sp.set_defaults(func=cmd_table1)
-
-    sp = sub.add_parser("simulate", help="time-domain startup simulation")
-    _add_common(sp)
-    sp.add_argument("--gm", type=float, help="override the amplifier gm, A/V")
-    sp.add_argument("--x-max", dest="x_max", type=float,
-                    help="displacement guard override, m")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="Cartesian parameter sweep")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("optimize", help="constrained objective optimization")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_optimize)
-
-    sp = sub.add_parser("check-rules", help="manufacturability rules only")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_check_rules)
-
+    for name, (func, help_, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag in options.split():
+            sp.add_argument(flag, **_OPTIONS[flag])
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .explore import (
     CONSTRAINT_NAMES,
     DEFAULT_GRID_CAP,
@@ -334,12 +334,12 @@ class ProjectConfig:
             **constants,
         )
 
-    def build_sim(self, seed_override: int | None = None) -> SimConfig:
+    def build_sim(self) -> SimConfig:
         s = self.data["sim"]
         return SimConfig(
             dt=s["dt"],
             duration=s["duration"],
-            noise_seed=seed_override if seed_override is not None else s["noise_seed"],
+            noise_seed=s["noise_seed"],
             initial_kick=s["initial_kick"],
             initial_displacement=s["initial_displacement"],
             v_limit=s["v_limit"],
@@ -361,16 +361,15 @@ class ProjectConfig:
             raise ConfigError(
                 "explore.axes: at least one axis is required for sweep/optimize"
             )
-        axes = tuple(
-            SweepAxis(
-                path=a["path"], minimum=a["min"], maximum=a["max"],
-                steps=a["steps"], scale=a["scale"],
-            )
-            for a in exp["axes"]
-        )
+        axes = []
+        for i, a in enumerate(exp["axes"]):
+            try:
+                axes.append(SweepAxis(a["path"], a["min"], a["max"], a["steps"], a["scale"]))
+            except ValidationError as err:
+                raise ConfigError(f"explore.axes[{i}]: {err}") from err
         constraints = exp["constraints"]
         return SweepSpec(
-            axes=axes,
+            axes=tuple(axes),
             objective=exp["objective"],
             grid_cap=exp["grid_cap"],
             constraints=None if constraints is None else tuple(constraints),

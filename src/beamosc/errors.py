@@ -47,7 +47,8 @@ class StageError(BeamoscError):
     """A design evaluation failed; records which pipeline stage rejected it."""
 
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"{stage}: {cause}")
+        detail = cause if isinstance(cause, BeamoscError) else f"{type(cause).__name__}: {cause}"
+        super().__init__(f"{stage}: {detail}")
         self.stage = stage
         self.cause = cause
 

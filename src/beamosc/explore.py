@@ -285,13 +285,13 @@ class _Masks:
 def evaluate(inputs: DesignInputs) -> DesignPoint:
     """Run the full pipeline on one candidate.
 
-    Any validation or physics error is raised as a StageError naming the
-    pipeline stage that rejected the candidate.
+    Any validation, physics or arithmetic error (an overflow, say) is raised
+    as a StageError naming the pipeline stage that rejected the candidate.
     """
     check = checks()
     try:
         return _chain(inputs, check)
-    except BeamoscError as err:
+    except (BeamoscError, ArithmeticError) as err:
         raise StageError(check.stage, err) from err
 
 
@@ -364,7 +364,7 @@ PARAMETER_PATHS = {
     "materials.density": (None, "density"),
     "explore.alpha_pull_in": (None, "alpha_pull_in"),
     "explore.vibration_amplitude": (None, "vibration_amplitude"),
-    "explore.x_amplitude": (None, "x_amplitude"),
+    "transducer.x_amplitude": (None, "x_amplitude"),
 }
 
 

@@ -37,7 +37,7 @@ class SimConfig:
 
     dt                    step, s; default 1/(250*f0), must be <= 1/(200*f0)
     duration              simulated span, s; default 400/f0, must be >= 50/f0
-    noise_seed            randomizes the initial kick; None = deterministic
+    noise_seed            randomizes the initial kick, >= 0; None = deterministic
     initial_kick          input-node voltage at t=0, V
     initial_displacement  beam displacement at t=0, m (energizes the
                           resonator directly, useful for ring-down tests)
@@ -60,6 +60,8 @@ class SimConfig:
             raise ValidationError("dt must be > 0")
         if self.duration is not None and self.duration <= 0:
             raise ValidationError("duration must be > 0")
+        if self.noise_seed is not None and self.noise_seed < 0:
+            raise ValidationError("noise_seed must be >= 0")
         if self.initial_kick < 0:
             raise ValidationError("initial_kick must be >= 0")
         if self.v_limit <= 0:

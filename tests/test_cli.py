@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import beamosc
-from beamosc.cli import main
+from beamosc.cli import build_parser, main
 from beamosc.simulate import envelope
 
 
@@ -164,7 +166,7 @@ class TestSimulate:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("argv, key", [
-        (["--seed", "-1"], "--seed"),
+        (["--seed", "-1"], "sim.noise_seed"),
         (["--set", "sim.noise_seed=-3"], "sim.noise_seed"),
     ], ids=["seed_option", "config_key"])
     def test_negative_seed_is_named(self, capsys, tmp_path, argv, key):
@@ -175,6 +177,27 @@ class TestSimulate:
         assert stdout == ""
         assert err.startswith(f"error: {key}: must be >= 0")
         assert not out.exists()
+
+    def test_manifest_config_reproduces_the_run(self, capsys, tmp_path):
+        # Value flags go into the recorded config (after every --set, so
+        # --seed wins over sim.noise_seed), and that config replays the run.
+        a, b = tmp_path / "a", tmp_path / "b"
+        rc, _, _ = run_json(
+            capsys, "simulate", "--design", "1", "--seed", "3", "--gm", "1e-4",
+            "--x-max", "2e-7", "--set", "sim.noise_seed=5",
+            "--set", "sim.duration=1.5e-3", "--out", str(a))
+        assert rc == 0
+        config = json.loads((a / "manifest.json").read_text())["config"]
+        assert config["sim"]["noise_seed"] == 3
+        assert config["pierce"]["gm"] == 1e-4
+        assert config["sim"]["x_max"] == 2e-7
+        recorded = tmp_path / "recorded.json"
+        recorded.write_text(json.dumps(config))
+        rc, _, _ = run_json(capsys, "simulate", "--config", str(recorded),
+                            "--out", str(b))
+        assert rc == 0
+        for name in ("trace.csv", "envelope.csv", "summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_dead_amplifier_decays(self, capsys):
         rc, payload, _ = run_json(
@@ -269,6 +292,26 @@ class TestSweepCommand:
         assert rc == 1
         assert "explore.axes" in err
 
+    def test_bad_axis_is_named_before_output(self, capsys, tmp_path):
+        out = tmp_path / "grid"
+        rc, stdout, err = run_cli(
+            capsys, "sweep", "--design", "1", "--out", str(out), "--set",
+            'explore.axes=[{"path":"beam.length","min":1e-4,"max":6e-5,"steps":2}]')
+        assert rc == 1
+        assert stdout == ""
+        assert err.startswith("error: explore.axes[0]: axis minimum must not exceed maximum")
+        assert not out.exists()
+
+    def test_axis_paths_are_config_keys(self, capsys):
+        axes = '[{"path":"%s","min":1e-7,"max":2e-7,"steps":2}]'
+        rc, payload, _ = run_json(capsys, "sweep", "--design", "1", "--set",
+                                  "explore.axes=" + axes % "transducer.x_amplitude")
+        assert (rc, payload["points"]) == (0, 2)
+        rc, _, err = run_cli(capsys, "sweep", "--design", "1", "--set",
+                             "explore.axes=" + axes % "explore.x_amplitude")
+        assert rc == 1
+        assert err.startswith("error: explore.axes[0].path: must be one of")
+
 
 class TestOptimizeCommand:
     def test_feasible_objective(self, capsys, tmp_path):
@@ -301,6 +344,88 @@ class TestOptimizeCommand:
         assert rc == 2
         assert payload["feasible"] is False
         assert payload["most_violated"] == "bias"
+
+
+class TestArithmeticErrors:
+    # Finite, schema-valid inputs whose arithmetic overflows or divides by
+    # zero: the error names the stage running, as a failed check does.
+    OVERFLOWING_AXIS = ("--set", "transducer.electrode_length=1e-5", "--set",
+                        'explore.axes=[{"path":"beam.length","min":1e-4,"max":1e200,"steps":2}]')
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["pierce.gm=1e300"], "pierce: OverflowError"),
+        (["pierce.c1=1e-320"], "pierce: ZeroDivisionError"),
+        (["beam.length=1e200", "transducer.electrode_length=1e-5"],
+         "mechanics: OverflowError"),
+    ], ids=["gm", "c1", "length"])
+    def test_analyze_names_the_stage(self, capsys, overrides, message):
+        argv = ["analyze"]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        rc, stdout, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert stdout == ""
+        assert err.startswith(f"error: {message}: ")
+
+    def test_sweep_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "grid"
+        rc, stdout, err = run_cli(capsys, "sweep", *self.OVERFLOWING_AXIS, "--out", str(out))
+        assert rc == 1
+        assert stdout == ""
+        assert err.startswith("error: mechanics: OverflowError: ")
+        assert not out.exists()
+
+    def test_optimize_logs_the_point(self, capsys, tmp_path):
+        rc, payload, _ = run_json(capsys, "optimize", *self.OVERFLOWING_AXIS,
+                                  "--out", str(tmp_path))
+        assert rc == 2
+        log = json.loads((tmp_path / "optimize.json").read_text())["log"]
+        assert log[1] == {"phase": "grid", "params": {"beam.length": 1e200},
+                          "objective": None, "feasible": False}
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--config", "x.json"],
+        ["analyze", "--seed", "2"],
+        ["check-rules", "--out", "d"],
+        ["analyze", "--design", "4"],
+    ], ids=["table1_config", "analyze_seed", "check_rules_out", "bad_design"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: beamosc")
+        assert "error: " in err
+
+    @pytest.mark.parametrize("command, options", [
+        ("analyze", ["--config", "--design", "--set", "--out"]),
+        ("sweep", ["--config", "--design", "--set", "--out"]),
+        ("optimize", ["--config", "--design", "--set", "--out"]),
+        ("simulate", ["--config", "--design", "--set", "--out", "--seed", "--gm", "--x-max"]),
+        ("table1", ["--set", "--out", "--format", "--rho"]),
+        ("check-rules", ["--config", "--design", "--set"]),
+    ])
+    def test_help_lists_the_options_read(self, capsys, command, options):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        assert listed == ["--help", *options]
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["beamosc"]:
+                    commands.append(argv[1:])
+        assert len(commands) >= 5
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
 
 class TestCheckRules:
@@ -367,7 +492,7 @@ class TestNonFiniteInputs:
                                   "--out", str(out))
         assert rc == 1
         assert stdout == ""
-        assert "--gm" in err
+        assert "pierce.gm" in err
         assert not out.exists()
 
 

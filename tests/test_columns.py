@@ -59,7 +59,7 @@ PATH_RANGES = {
     "materials.density": (1000.0, 8000.0),
     "explore.alpha_pull_in": (0.5, 1.0),
     "explore.vibration_amplitude": (0.0, 4e-7),
-    "explore.x_amplitude": (0.0, 1e-6),
+    "transducer.x_amplitude": (0.0, 1e-6),
 }
 
 

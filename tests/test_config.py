@@ -163,7 +163,6 @@ class TestBuilders:
     def test_build_sim_seed_override(self):
         cfg = ProjectConfig.from_raw({"sim": {"noise_seed": 3}})
         assert cfg.build_sim().noise_seed == 3
-        assert cfg.build_sim(seed_override=11).noise_seed == 11
 
     def test_x_max_resolution(self):
         guard_on = ProjectConfig.from_raw({})
@@ -187,6 +186,15 @@ class TestBuilders:
         assert spec.axes[0].scale == "log"
         assert spec.objective == "min_Rx"
         assert spec.enabled_constraints == ("bias",)
+
+    @pytest.mark.parametrize("axis", [
+        {"path": "beam.length", "min": 1e-4, "max": 6e-5, "steps": 3},
+        {"path": "beam.length", "min": 0.0, "max": 1e-4, "steps": 3, "scale": "log"},
+    ], ids=["min_above_max", "log_from_zero"])
+    def test_bad_axis_is_named(self, axis):
+        cfg = ProjectConfig.from_raw({"explore": {"axes": [axis]}})
+        with pytest.raises(ConfigError, match=r"^explore\.axes\[0\]: "):
+            cfg.build_sweep_spec()
 
     def test_from_raw_applies_overrides(self):
         cfg = ProjectConfig.from_raw({}, overrides=["beam.q_factor=9000"])

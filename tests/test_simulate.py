@@ -68,6 +68,10 @@ class TestIntegrationBasics:
         with pytest.raises(ValidationError):
             run_startup(point, sim=sim)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="noise_seed must be >= 0"):
+            SimConfig(noise_seed=-1)
+
     def test_trace_grid_is_uniform(self, startup_trace):
         steps = np.diff(startup_trace.time)
         assert np.max(np.abs(steps - startup_trace.dt)) <= 1e-9 * startup_trace.dt
