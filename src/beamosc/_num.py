@@ -10,6 +10,10 @@ inputs pass or fail a check the same way in both forms.
 
 The float path comes first and costs one Python call: where a column
 reaches it, its truth value is ambiguous and numpy raises ValueError.
+
+Columns run under float_errors(), so they fault wherever floats may raise
+(a zero divisor, an overflowing power, a math domain error), and also
+where floats run on to inf: a pass that faults vouches for no point.
 """
 
 from __future__ import annotations
@@ -20,21 +24,16 @@ import numpy as np
 
 
 def power(x, n: int):
-    """x ** n, with the bits of Python's float power for every element."""
+    """x ** n, with the bits and the OverflowError of Python's float power."""
     if not isinstance(x, np.ndarray):
         return x ** n
     values = x.tolist()
-    try:
-        return np.array([v ** n for v in values])
-    except OverflowError:  # where a float raises, a column holds inf
-        return np.array([_power_or_inf(v, n) for v in values])
+    return np.array([v ** n for v in values])
 
 
-def _power_or_inf(v: float, n: int) -> float:
-    try:
-        return v ** n
-    except OverflowError:
-        return math.copysign(math.inf, v) if n % 2 else math.inf
+def float_errors():
+    """np.errstate that raises at each IEEE 754 fault but underflow."""
+    return np.errstate(all="raise", under="ignore")
 
 
 def sqrt(x):

@@ -127,7 +127,8 @@ def _constraints(path, v):
             for i, n in enumerate(v)]
 
 
-# Schema: block -> field -> (default, validator, validator kwargs).
+# Schema: block -> field -> (default, validator, validator kwargs). A default
+# that a dataclass field holds is read from that field.
 SCHEMA = {
     "materials": {
         "youngs_modulus": (None, _nullable(_number), {"exclusive_minimum": 0}),
@@ -147,44 +148,46 @@ SCHEMA = {
         "gap": (1.2e-6, _number, {"exclusive_minimum": 0}),
         "electrode_length": (75e-6, _number, {"exclusive_minimum": 0}),
         "bias_voltage": (9.5, _number, {"minimum": 0}),
-        "port": ("one_port", _string, {"choices": VALID_PORTS}),
+        "port": (Transducer.port, _string, {"choices": VALID_PORTS}),
         "x_amplitude": (None, _nullable(_number), {"minimum": 0}),
     },
     "pierce": {
-        "c1": (2e-12, _number, {"exclusive_minimum": 0}),
-        "c2": (2e-12, _number, {"exclusive_minimum": 0}),
-        "c0": (10e-15, _number, {"exclusive_minimum": 0}),
+        "c1": (DesignInputs.c1, _number, {"exclusive_minimum": 0}),
+        "c2": (DesignInputs.c2, _number, {"exclusive_minimum": 0}),
+        "c0": (DesignInputs.c0, _number, {"exclusive_minimum": 0}),
         "gm": ("auto", _gm, {}),
-        "target_margin": (3.0, _number, {"exclusive_minimum": 0}),
+        "target_margin": (DesignInputs.target_margin, _number, {"exclusive_minimum": 0}),
     },
     "sim": {
-        "dt": (None, _nullable(_number), {"exclusive_minimum": 0}),
-        "duration": (None, _nullable(_number), {"exclusive_minimum": 0}),
-        "noise_seed": (None, _nullable(_integer), {"minimum": 0}),
-        "initial_kick": (1e-6, _number, {"minimum": 0}),
-        "initial_displacement": (0.0, _number, {}),
-        "v_limit": (0.1, _number, {"exclusive_minimum": 0}),
-        "r_feedback": (1e10, _number, {"exclusive_minimum": 0}),
-        "r_output": (1e9, _number, {"exclusive_minimum": 0}),
+        "dt": (SimConfig.dt, _nullable(_number), {"exclusive_minimum": 0}),
+        "duration": (SimConfig.duration, _nullable(_number), {"exclusive_minimum": 0}),
+        "noise_seed": (SimConfig.noise_seed, _nullable(_integer), {"minimum": 0}),
+        "initial_kick": (SimConfig.initial_kick, _number, {"minimum": 0}),
+        "initial_displacement": (SimConfig.initial_displacement, _number, {}),
+        "v_limit": (SimConfig.v_limit, _number, {"exclusive_minimum": 0}),
+        "r_feedback": (SimConfig.r_feedback, _number, {"exclusive_minimum": 0}),
+        "r_output": (SimConfig.r_output, _number, {"exclusive_minimum": 0}),
         "displacement_guard": (True, _boolean, {}),
         "x_max": (None, _nullable(_number), {"exclusive_minimum": 0}),
     },
     "explore": {
-        "alpha_pull_in": (0.97, _number, {"exclusive_minimum": 0, "maximum": 1}),
+        "alpha_pull_in": (DesignInputs.alpha_pull_in, _number,
+                          {"exclusive_minimum": 0, "maximum": 1}),
         "vibration_amplitude": (None, _nullable(_number), {"minimum": 0}),
-        "objective": ("startup_margin", _string, {"choices": set(OBJECTIVES)}),
+        "objective": (SweepSpec.objective, _string, {"choices": set(OBJECTIVES)}),
         "grid_cap": (DEFAULT_GRID_CAP, _integer, {"minimum": 1}),
         "axes": ([], _axes, {}),
         "constraints": (None, _constraints, {}),
     },
     "rules": {
-        "min_lateral_gap": (1.2e-6, _number, {"exclusive_minimum": 0}),
-        "max_release_width": (8e-6, _number, {"exclusive_minimum": 0}),
-        "require_metal_cover": (False, _boolean, {}),
+        "min_lateral_gap": (MemsRuleSet.min_lateral_gap, _number, {"exclusive_minimum": 0}),
+        "max_release_width": (MemsRuleSet.max_release_width, _number, {"exclusive_minimum": 0}),
+        "require_metal_cover": (MemsRuleSet.require_metal_cover, _boolean, {}),
     },
     "analysis": {
-        "mass_model": ("full", _string, {"choices": set(MASS_MODELS)}),
-        "deflection_mode": ("linearized", _string, {"choices": set(DEFLECTION_MODES)}),
+        "mass_model": (DesignInputs.mass_model, _string, {"choices": set(MASS_MODELS)}),
+        "deflection_mode": (DesignInputs.deflection_mode, _string,
+                            {"choices": set(DEFLECTION_MODES)}),
     },
 }
 

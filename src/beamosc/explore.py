@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import fmax, select
+from ._num import float_errors, fmax, select
 from .errors import (
     RAISE,
     BeamoscError,
@@ -476,34 +476,36 @@ def _check_cap(sizes: list[int], cap: int) -> int:
 
 
 def _column_pass(inputs: DesignInputs, axes, axis_columns):
-    """set_parameter() + _chain() once over grid columns.
+    """set_parameter() + _chain() once over grid columns, with the float
+    path's arithmetic: numpy raises at each fault (_num.float_errors()).
 
     Returns the point, whose fields hold columns or values shared by every
-    grid point; the mask of points that failed a check; and the mask of
-    points to replay through the scalar path: those plus every point with
-    a non-finite float output, where evaluate() may raise instead (a zero
-    divisor, an overflowing power). Raises ArithmeticError or ValueError
-    when a part the axes do not vary fails on floats, so every point fails.
+    grid point, and the mask of points that failed a check; the pass
+    vouches for every other point, which holds the bits evaluate() gives
+    it. Any fault, in a column or in a part the axes do not vary, raises
+    ArithmeticError or ValueError, and then the pass vouches for no point.
     """
     checks = _Masks()
     checks.stage = "inputs"
-    with np.errstate(all="ignore"):
+    with float_errors():
         candidate = _with_params(inputs, zip([a.path for a in axes], axis_columns), checks)
         point = _chain(candidate, checks)
     failed = np.zeros(len(axis_columns[0]), dtype=bool)
     for mask in checks.failed.values():
         failed |= mask
-    replay = failed.copy()
-    for _, get in COLUMNS:
-        value = np.asarray(get(point))
-        if value.dtype.kind == "f":
-            replay |= ~np.isfinite(value)
-    return point, failed, replay
+    return point, failed
 
 
 def _axis_columns(grids: list[np.ndarray]) -> list[np.ndarray]:
     """One column per axis over the grid, in itertools.product order."""
     return [c.ravel() for c in np.meshgrid(*grids, indexing="ij")]
+
+
+def _grid_params(axes, axis_columns):
+    """Each grid point's {path: value}, in grid order."""
+    paths = [axis.path for axis in axes]
+    for combo in zip(*(c.tolist() for c in axis_columns)):
+        yield dict(zip(paths, combo))
 
 
 def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
@@ -518,26 +520,25 @@ def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
     Every check of set_parameter() and evaluate() runs on every point. If
     any point fails one, the sweep raises what set_parameter() and
     evaluate() raise for the first such point in grid order; choose axis
-    bounds inside the valid region.
+    bounds inside the valid region. A grid whose arithmetic faults anywhere
+    (a zero divisor, an overflow) is evaluated point by point instead,
+    with the same result.
     """
-    grids = [axis.values() for axis in spec.axes]
-    n = _check_cap([len(g) for g in grids], spec.grid_cap)
-    axis_columns = _axis_columns(grids)
-
-    def replay(i: int) -> None:
+    n = _check_cap([axis.steps for axis in spec.axes], spec.grid_cap)
+    axis_columns = _axis_columns([axis.values() for axis in spec.axes])
+    try:
+        point, failed = _column_pass(inputs, spec.axes, axis_columns)
+    except (ArithmeticError, ValueError):  # the pass vouches for no point
+        points = (evaluate(_with_params(inputs, params.items()))
+                  for params in _grid_params(spec.axes, axis_columns))
+        columns = zip(*([get(p) for _, get in COLUMNS] for p in points))
+        return {name: np.array(values) for (name, _), values in zip(COLUMNS, columns)}
+    if failed.any():
+        i = int(failed.argmax())  # the first point that failed a check
         evaluate(_with_params(inputs, [(axis.path, float(column[i]))
                                        for axis, column in zip(spec.axes, axis_columns)]))
-
-    try:
-        point, failed, suspect = _column_pass(inputs, spec.axes, axis_columns)
-    except (ArithmeticError, ValueError):
-        replay(0)
-        raise
-    for i in np.flatnonzero(suspect):
-        replay(int(i))
-        if failed[i]:
-            raise RuntimeError(
-                f"sweep failed grid point {i} on a check that evaluate() passes")
+        raise RuntimeError(
+            f"sweep failed grid point {i} on a check that evaluate() passes")
     return {name: np.broadcast_to(get(point), (n,)) for name, get in COLUMNS}
 
 
@@ -654,14 +655,15 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     closest to blocking everywhere (most_violated).
 
     The coarse grid runs as one column pass, with the result, log and
-    errors of evaluating it point by point: a point that fails a check or
-    has a non-finite output is evaluated alone, and so is the winning grid
-    point, whose DesignPoint the result carries (that evaluation is not
-    counted, so evaluations == len(log)).
+    errors of evaluating it point by point: a point that fails a check is
+    evaluated alone, and so is every point of a grid whose arithmetic
+    faults anywhere. The winner is evaluated once more at the end for the
+    DesignPoint the result carries; that evaluation is not logged, and
+    evaluations == len(log).
     """
     sense, extract = OBJECTIVES[spec.objective]
     sign = -1.0 if sense == "max" else 1.0
-    enabled = spec.enabled_constraints
+    names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
 
     axes = spec.axes
     grids = [
@@ -672,27 +674,32 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     _check_cap([len(g) for g in grids], spec.grid_cap)
 
     log: list[dict] = []
-    evaluations = 0
     last_error: BeamoscError | None = None
     # Enabled constraint violations of each infeasible candidate, in order;
     # read only when no grid point is feasible, so no refinement ran.
     infeasible_violations: list[tuple[float, ...]] = []
-    names = [name for name in CONSTRAINT_NAMES if name in enabled]
-    # (signed objective, params, point); point is None for a grid point
-    # graded from the columns until it is evaluated at the end.
-    best: tuple[float, dict, DesignPoint | None] | None = None
+    best: tuple[float, dict] | None = None  # (signed objective, params)
+
+    def grade(point: DesignPoint):
+        """(objective, feasible, enabled violations) of a point or of columns."""
+        feasible = True
+        for name in names:
+            feasible = feasible & point.constraint(name).ok
+        return (extract(point), feasible,
+                tuple(point.constraint(name).violation for name in names))
 
     def record(phase: str, params: dict, value: float | None, feasible: bool,
-               point: DesignPoint | None) -> float:
-        nonlocal evaluations, best
-        evaluations += 1
+               violations: tuple[float, ...] | None) -> float:
+        nonlocal best
         log.append({"phase": phase, "params": dict(params),
                     "objective": value, "feasible": feasible})
         if not feasible:
+            if violations is not None:
+                infeasible_violations.append(violations)
             return math.inf
         signed = sign * value
         if best is None or signed < best[0]:
-            best = (signed, dict(params), point)
+            best = (signed, dict(params))
         return signed
 
     def try_point(phase: str, params: dict) -> float:
@@ -702,41 +709,26 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
         except BeamoscError as err:
             last_error = err
             return record(phase, params, None, False, None)
-        feasible = all(point.constraint(n).ok for n in enabled)
-        if not feasible:
-            infeasible_violations.append(
-                tuple(c.violation for c in point.constraints if c.name in enabled))
-        return record(phase, params, extract(point), feasible, point)
+        return record(phase, params, *grade(point))
 
-    # The coarse grid in one column pass; points the pass cannot vouch for
-    # go through try_point, in grid order like the rest.
+    # The coarse grid in one column pass; points the pass does not vouch
+    # for go through try_point, in grid order like the rest.
     axis_columns = _axis_columns(grids)
-    paths = [axis.path for axis in axes]
     n = len(axis_columns[0])
     try:
-        point, _, replay = _column_pass(inputs, axes, axis_columns)
-        with np.errstate(all="ignore"):
-            objective = np.broadcast_to(extract(point), (n,))
-    except (ArithmeticError, ValueError):
-        # A part the axes do not vary failed on floats: replay every point.
-        point, replay = None, np.ones(n, dtype=bool)
-    if point is not None:
-        replay = replay | ~np.isfinite(objective)
-        ok = np.ones(n, dtype=bool)
-        for name in enabled:
-            ok &= point.constraint(name).ok
-        objective, ok = objective.tolist(), ok.tolist()
-        violations = [np.broadcast_to(point.constraint(name).violation, (n,)).tolist()
-                      for name in names]
-    replay = replay.tolist()
-    for i, combo in enumerate(zip(*(c.tolist() for c in axis_columns))):
-        params = dict(zip(paths, combo))
-        if replay[i]:
+        point, failed = _column_pass(inputs, axes, axis_columns)
+        with float_errors():
+            objective, feasible, violations = grade(point)
+        graded = list(zip(*(np.broadcast_to(column, (n,)).tolist()
+                            for column in (objective, feasible, *violations))))
+    except (ArithmeticError, ValueError):  # the pass vouches for no point
+        failed = np.ones(n, dtype=bool)
+    for i, (params, alone) in enumerate(zip(_grid_params(axes, axis_columns), failed.tolist())):
+        if alone:
             try_point("grid", params)
-            continue
-        if not ok[i]:
-            infeasible_violations.append(tuple(v[i] for v in violations))
-        record("grid", params, objective[i], ok[i], None)
+        else:
+            value, ok, *violations = graded[i]
+            record("grid", params, value, ok, tuple(violations))
 
     if best is None:
         if not infeasible_violations:
@@ -750,23 +742,21 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             best=None,
             best_params=None,
             objective_value=None,
-            evaluations=evaluations,
+            evaluations=len(log),
             most_violated=names[worst],
             log=tuple(log),
         )
 
     _refine(axes, grids, best[1], lambda params: try_point("refine", params))
 
-    signed, params, point = best
-    if point is None:  # a grid point graded from the columns
-        point = evaluate(_with_params(inputs, params.items()))
+    signed, params = best
     return OptimizeResult(
         objective=spec.objective,
         feasible=True,
-        best=point,
+        best=evaluate(_with_params(inputs, params.items())),
         best_params=params,
         objective_value=sign * signed,
-        evaluations=evaluations,
+        evaluations=len(log),
         most_violated=None,
         log=tuple(log),
     )

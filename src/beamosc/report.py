@@ -17,19 +17,19 @@ from importlib import resources
 
 from .config import BUILTIN_DESIGNS, ProjectConfig, load_builtin_design
 from .errors import ConfigError
-from .explore import DesignPoint, evaluate
+from .explore import DesignPoint, evaluate, flatten
 
-# (key, label, unit label, display scale, getter)
+# (key, label, unit label, display scale, explore.COLUMNS name)
 QUANTITIES = (
-    ("f0_hz", "f0", "kHz", 1e-3, lambda p: p.model.f0),
-    ("v_pull_in_v", "V_pull_in", "V", 1.0, lambda p: p.v_pull_in),
-    ("i_x_a", "I_x", "nA", 1e9, lambda p: p.i_x),
-    ("z_static_m", "x_static", "nm", 1e9, lambda p: p.x_static),
-    ("re_zc_ohm", "|Re(Zc)|", "Mohm", 1e-6, lambda p: p.re_zc),
-    ("re_zc_max_ohm", "|Re(Zc)|max", "Mohm", 1e-6, lambda p: p.re_max),
-    ("r_x_ohm", "R_x", "kohm", 1e-3, lambda p: p.circuit.r_x),
-    ("l_x_h", "L_x", "H", 1.0, lambda p: p.circuit.l_x),
-    ("c_x_f", "C_x", "aF", 1e18, lambda p: p.circuit.c_x),
+    ("f0_hz", "f0", "kHz", 1e-3, "derived.f0"),
+    ("v_pull_in_v", "V_pull_in", "V", 1.0, "derived.v_pull_in"),
+    ("i_x_a", "I_x", "nA", 1e9, "derived.i_x"),
+    ("z_static_m", "x_static", "nm", 1e9, "derived.x_static"),
+    ("re_zc_ohm", "|Re(Zc)|", "Mohm", 1e-6, "derived.re_zc"),
+    ("re_zc_max_ohm", "|Re(Zc)|max", "Mohm", 1e-6, "derived.re_zc_max"),
+    ("r_x_ohm", "R_x", "kohm", 1e-3, "derived.r_x"),
+    ("l_x_h", "L_x", "H", 1.0, "derived.l_x"),
+    ("c_x_f", "C_x", "aF", 1e18, "derived.c_x"),
 )
 
 
@@ -121,11 +121,12 @@ def build_comparison(overrides: list[str] | None = None) -> ComparisonReport:
                               "amplitude, so it must be a number, got null")
         point = evaluate(cfg.build_inputs())
         points[n] = point
+        row = flatten(point)
         entry = reference["designs"][str(n)]
-        for key, label, unit, scale, getter in QUANTITIES:
+        for key, label, unit, scale, column in QUANTITIES:
             ref_value = entry["values"][key]
             tol = entry["tolerances"][key]
-            computed = getter(point)
+            computed = row[column]
             rel = (computed - ref_value) / ref_value
             cells.append(
                 CellComparison(

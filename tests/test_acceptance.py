@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import run_startup
-from beamosc.explore import SweepAxis, SweepSpec, optimize, sweep
+from beamosc.explore import SweepAxis, SweepSpec, flatten, optimize, sweep
 from beamosc.pierce import (
     PierceConfig,
     max_negative_resistance,
@@ -33,7 +33,7 @@ from beamosc.simulate import (
 )
 from beamosc.transduction import extract_circuit
 
-GETTERS = {key: getter for key, _, _, _, getter in QUANTITIES}
+COLUMN_OF = {key: column for key, _, _, _, column in QUANTITIES}
 
 
 @contextmanager
@@ -54,7 +54,7 @@ def check_cells(reference, design_points, keys, tolerances):
             if isinstance(tol, dict):
                 tol = tol[n]
             ref = entry["values"][key]
-            computed = GETTERS[key](point)
+            computed = flatten(point)[COLUMN_OF[key]]
             assert computed == pytest.approx(ref, rel=tol), (n, key)
 
 

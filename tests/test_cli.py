@@ -346,42 +346,58 @@ class TestOptimizeCommand:
         assert payload["most_violated"] == "bias"
 
 
+def set_args(assignments):
+    return [arg for assignment in assignments for arg in ("--set", assignment)]
+
+
 class TestArithmeticErrors:
     # Finite, schema-valid inputs whose arithmetic overflows or divides by
-    # zero: the error names the stage running, as a failed check does.
-    OVERFLOWING_AXIS = ("--set", "transducer.electrode_length=1e-5", "--set",
-                        'explore.axes=[{"path":"beam.length","min":1e-4,"max":1e200,"steps":2}]')
-
-    @pytest.mark.parametrize("overrides, message", [
-        (["pierce.gm=1e300"], "pierce: OverflowError"),
-        (["pierce.c1=1e-320"], "pierce: ZeroDivisionError"),
+    # zero: the error names the stage running, as a failed check does. A
+    # grid axis through the first override reaches that point at `index`;
+    # optimize then exits `code`.
+    CASES = pytest.mark.parametrize("overrides, message, axis, index, code", [
+        (["pierce.gm=1e300"], "pierce: OverflowError",
+         {"path": "pierce.gm", "min": 1e-4, "max": 1e300, "steps": 2, "scale": "log"}, 1, 0),
+        (["pierce.c1=1e-320"], "pierce: ZeroDivisionError",
+         {"path": "pierce.c1", "min": 1e-320, "max": 2e-12, "steps": 2}, 0, 0),
         (["beam.length=1e200", "transducer.electrode_length=1e-5"],
-         "mechanics: OverflowError"),
+         "mechanics: OverflowError",
+         {"path": "beam.length", "min": 1e-4, "max": 1e200, "steps": 2}, 1, 2),
     ], ids=["gm", "c1", "length"])
-    def test_analyze_names_the_stage(self, capsys, overrides, message):
-        argv = ["analyze"]
-        for assignment in overrides:
-            argv += ["--set", assignment]
-        rc, stdout, err = run_cli(capsys, *argv)
+
+    @staticmethod
+    def grid_args(overrides, axis):
+        return set_args(overrides[1:] + ["explore.axes=" + json.dumps([axis])])
+
+    @CASES
+    def test_analyze_names_the_stage(self, capsys, overrides, message, axis, index, code):
+        rc, stdout, err = run_cli(capsys, "analyze", *set_args(overrides))
         assert rc == 1
         assert stdout == ""
         assert err.startswith(f"error: {message}: ")
 
-    def test_sweep_writes_nothing(self, capsys, tmp_path):
+    @CASES
+    def test_sweep_writes_nothing(self, capsys, tmp_path, overrides, message, axis, index,
+                                  code):
         out = tmp_path / "grid"
-        rc, stdout, err = run_cli(capsys, "sweep", *self.OVERFLOWING_AXIS, "--out", str(out))
+        rc, stdout, err = run_cli(capsys, "sweep", *self.grid_args(overrides, axis),
+                                  "--out", str(out))
         assert rc == 1
         assert stdout == ""
-        assert err.startswith("error: mechanics: OverflowError: ")
+        assert err.startswith(f"error: {message}: ")
+        assert err == run_cli(capsys, "analyze", *set_args(overrides))[2]
         assert not out.exists()
 
-    def test_optimize_logs_the_point(self, capsys, tmp_path):
-        rc, payload, _ = run_json(capsys, "optimize", *self.OVERFLOWING_AXIS,
+    @CASES
+    def test_optimize_logs_the_point(self, capsys, tmp_path, overrides, message, axis,
+                                     index, code):
+        rc, payload, _ = run_json(capsys, "optimize", *self.grid_args(overrides, axis),
                                   "--out", str(tmp_path))
-        assert rc == 2
+        assert rc == code
         log = json.loads((tmp_path / "optimize.json").read_text())["log"]
-        assert log[1] == {"phase": "grid", "params": {"beam.length": 1e200},
-                          "objective": None, "feasible": False}
+        path, _, value = overrides[0].partition("=")
+        assert log[index] == {"phase": "grid", "params": {path: float(value)},
+                              "objective": None, "feasible": False}
 
 
 class TestUsage:

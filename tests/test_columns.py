@@ -63,16 +63,28 @@ PATH_RANGES = {
 }
 
 
+# Wider ranges whose arithmetic faults somewhere: evaluate() raises an
+# overflow (gm) or a zero division (c1), or the float path runs on to an
+# infinite constraint violation where a column overflows (vibration).
+FAULT_RANGES = {
+    "pierce.gm": (1e-6, 1e300),
+    "pierce.c1": (1e-320, 5e-12),
+    "explore.vibration_amplitude": (1e303, 1e308),
+}
+
+
 def test_every_sweepable_path_is_sampled():
     assert set(PATH_RANGES) == set(PARAMETER_PATHS)
 
 
 @st.composite
-def axes(draw, max_steps=4):
+def axes(draw, max_steps=4, faults=False):
     paths = draw(st.lists(st.sampled_from(sorted(PATH_RANGES)), min_size=1, max_size=3))
     out = []
     for path in paths:
         lo, hi = PATH_RANGES[path]
+        if faults and path in FAULT_RANGES and draw(st.booleans()):
+            lo, hi = FAULT_RANGES[path]
         a = draw(st.floats(lo, hi))
         b = draw(st.floats(a, hi))
         scale = draw(st.sampled_from(["linear", "log"])) if a > 0 else "linear"
@@ -122,7 +134,7 @@ def same(a, b) -> bool:
 
 
 @settings(max_examples=80)
-@given(data=st.data(), grid_axes=axes())
+@given(data=st.data(), grid_axes=axes(faults=True))
 def test_columns_equal_the_scalar_path_bitwise(design_points, data, grid_axes):
     inputs = data.draw(base_inputs(design_points))
     spec = SweepSpec(axes=grid_axes)
@@ -259,7 +271,7 @@ def optimize_specs(draw):
     or log, and one of four kinds: inside the valid region, crossing the
     30 um electrode length, all infeasible, or all failing."""
     kind = draw(st.sampled_from(["inside", "crosses electrode", "infeasible", "fails"]))
-    grid_axes = draw(axes(max_steps=8))
+    grid_axes = draw(axes(max_steps=8, faults=True))
     constraints = draw(st.one_of(st.none(), st.lists(
         st.sampled_from(CONSTRAINT_NAMES), min_size=1, unique=True).map(tuple)))
     moved = {"crosses electrode": ("beam.length", "transducer.electrode_length"),

@@ -13,7 +13,10 @@ from beamosc.config import (
     validate_config,
 )
 from beamosc.errors import ConfigError
-from beamosc.explore import evaluate
+from beamosc.explore import DesignInputs, SweepSpec, evaluate
+from beamosc.process import MemsRuleSet
+from beamosc.simulate import SimConfig
+from beamosc.transduction import Transducer
 
 
 class TestValidation:
@@ -163,6 +166,17 @@ class TestBuilders:
     def test_build_sim_seed_override(self):
         cfg = ProjectConfig.from_raw({"sim": {"noise_seed": 3}})
         assert cfg.build_sim().noise_seed == 3
+
+    def test_empty_config_builds_the_dataclass_defaults(self):
+        cfg = ProjectConfig.from_raw({})
+        assert cfg.build_sim() == SimConfig()
+        inputs = cfg.build_inputs()
+        assert inputs.rules == MemsRuleSet()
+        for field in ("c1", "c2", "c0", "target_margin", "alpha_pull_in",
+                      "mass_model", "deflection_mode"):
+            assert getattr(inputs, field) == getattr(DesignInputs, field), field
+        assert inputs.transducer.port == Transducer.port
+        assert cfg.data["explore"]["objective"] == SweepSpec.objective
 
     def test_x_max_resolution(self):
         guard_on = ProjectConfig.from_raw({})

@@ -232,6 +232,16 @@ class TestSweep:
         with pytest.raises(GridCapError):
             sweep(self.base(design_points), spec)
 
+    def test_grid_cap_is_checked_before_the_axes_are_sampled(self, design_points,
+                                                             monkeypatch):
+        def values(axis):
+            raise AssertionError(f"{axis.path} sampled before the cap check")
+
+        monkeypatch.setattr(SweepAxis, "values", values)
+        spec = SweepSpec(axes=(SweepAxis("beam.length", 60e-6, 100e-6, 10**10),))
+        with pytest.raises(GridCapError, match="10000000000 points"):
+            sweep(self.base(design_points), spec)
+
     def test_spec_validation(self):
         axis = SweepAxis("beam.length", 60e-6, 100e-6, 2)
         with pytest.raises(ValidationError):
