@@ -54,14 +54,12 @@ from .pierce import (
     complex_impedance,
     max_negative_resistance,
     negative_resistance,
-    required_gm,
     startup_check,
 )
 from .simulate import (
     SimConfig,
     Trace,
     envelope,
-    growth_rate,
     measure_frequency,
     simulate_startup,
     summarize,
@@ -92,11 +90,10 @@ __all__ = [
     "coupling_coefficient", "displacement_limit", "electrode_capacitance",
     "extract_circuit", "motional_current", "PierceConfig", "PierceOptimum",
     "StartupReport", "complex_impedance", "max_negative_resistance",
-    "negative_resistance", "required_gm", "startup_check", "SimConfig",
-    "Trace", "envelope", "growth_rate", "measure_frequency",
-    "simulate_startup", "summarize", "ConstraintCheck", "DesignInputs",
-    "DesignPoint", "OptimizeResult", "SweepAxis", "SweepSpec", "evaluate",
-    "flatten", "optimize", "set_parameter", "sweep", "ProjectConfig",
-    "load_builtin_design", "load_config", "ComparisonReport",
-    "build_comparison", "load_reference",
+    "negative_resistance", "startup_check", "SimConfig", "Trace", "envelope",
+    "measure_frequency", "simulate_startup", "summarize", "ConstraintCheck",
+    "DesignInputs", "DesignPoint", "OptimizeResult", "SweepAxis", "SweepSpec",
+    "evaluate", "flatten", "optimize", "set_parameter", "sweep", "ProjectConfig",
+    "load_builtin_design", "load_config", "ComparisonReport", "build_comparison",
+    "load_reference",
 ]

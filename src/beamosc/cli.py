@@ -16,6 +16,7 @@ violations), 1 error (usage, bad config, invalid geometry, integrator failure).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -27,7 +28,7 @@ from .errors import BeamoscError, ConfigError
 from .explore import evaluate, flatten, optimize, sweep
 from .pierce import PierceConfig
 from .process import check_mems_rules
-from .simulate import _summarize, simulate_startup
+from .simulate import simulate_startup, summarize
 from .traceio import json_text, write_json, write_rows, write_trace_svg
 
 
@@ -108,20 +109,8 @@ def _manifest(cfg: ProjectConfig, command: str, **extra) -> dict:
 
 def _point_payload(point) -> dict:
     payload = flatten(point)
-    payload["constraints"] = [
-        {
-            "name": c.name,
-            "ok": c.ok,
-            "measured": c.measured,
-            "limit": c.limit,
-            "violation": c.violation,
-        }
-        for c in point.constraints
-    ]
-    payload["rule_violations"] = [
-        {"rule": v.rule, "measured": v.measured, "limit": v.limit}
-        for v in point.rule_violations
-    ]
+    payload["constraints"] = [dataclasses.asdict(c) for c in point.constraints]
+    payload["rule_violations"] = [dataclasses.asdict(v) for v in point.rule_violations]
     return payload
 
 
@@ -161,7 +150,7 @@ def cmd_simulate(args) -> int:
                              gm=point.gm, f0=point.circuit.f0)
     x_max = cfg.x_max(point.x_limit)
     trace = simulate_startup(point.circuit, amplifier, cfg.build_sim(), point.eta, x_max=x_max)
-    summary, env = _summarize(trace)
+    summary, env = summarize(trace)
     summary["expected_f0_hz"] = point.circuit.f0
     summary["gm"] = point.gm
     summary["x_max_m"] = x_max if x_max != float("inf") else None

@@ -107,6 +107,9 @@ def _axes(path, v):
             if req not in item:
                 raise ConfigError(f"{p}.{req}: required")
         axis_path = _string(f"{p}.path", item["path"], choices=set(PARAMETER_PATHS))
+        earlier = [axis["path"] for axis in out]
+        if axis_path in earlier:
+            raise ConfigError(f"{p}.path: duplicates {path}[{earlier.index(axis_path)}]")
         out.append({
             "path": axis_path,
             "min": _number(f"{p}.min", item["min"]),

@@ -190,7 +190,7 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
           tr.electrode_length, beam.L)
     area = tr.electrode_length * beam.W
     eta = coupling_coefficient(tr, area)
-    v_pi = pull_in_voltage(model.k, tr.gap, area, tr.permittivity, check)
+    v_pi = pull_in_voltage(model.k, tr.gap, area, check)
     x_static = static_deflection(model.k, tr, area, eta, v_pi, inputs.deflection_mode, check)
     x_limit = displacement_limit(tr)
     circuit = extract_circuit(model.k, model.m, model.q, eta, check)
@@ -368,29 +368,30 @@ PARAMETER_PATHS = {
 }
 
 
-def set_parameter(inputs: DesignInputs, path: str, value: float,
-                  check=RAISE) -> DesignInputs:
-    """Return a copy of `inputs` with one dotted-path parameter replaced.
+def set_parameter(inputs: DesignInputs, params: dict, check=RAISE) -> DesignInputs:
+    """Return a copy of `inputs` with the {dotted path: value} `params` replaced.
 
-    `value` may be a numpy column when `check` is the sweep's collector.
+    The new values form one design, whatever their order: each part they
+    touch is rebuilt once with all of its new values, then `inputs`, in
+    the order config.build_inputs() builds them, so every check sees every
+    new value. Values may be numpy columns when `check` is the sweep's
+    collector.
     """
-    try:
-        part, field = PARAMETER_PATHS[path]
-    except KeyError:
-        raise ValidationError(
-            f"unknown parameter path {path!r}; valid paths: "
-            f"{', '.join(sorted(PARAMETER_PATHS))}"
-        ) from None
-    if part is None:
-        return rebuild(inputs, check, **{field: value})
-    return rebuild(inputs, check, **{part: rebuild(getattr(inputs, part), check, **{field: value})})
-
-
-def _with_params(inputs: DesignInputs, pairs, check=RAISE) -> DesignInputs:
-    """set_parameter() applied for each (path, value) pair, in order."""
-    for path, value in pairs:
-        inputs = set_parameter(inputs, path, value, check)
-    return inputs
+    changes: dict = {}  # part, None for inputs itself -> {field: value}
+    for path, value in params.items():
+        try:
+            part, field = PARAMETER_PATHS[path]
+        except KeyError:
+            raise ValidationError(
+                f"unknown parameter path {path!r}; valid paths: "
+                f"{', '.join(sorted(PARAMETER_PATHS))}"
+            ) from None
+        changes.setdefault(part, {})[field] = value
+    fields = changes.pop(None, {})
+    for part in ("beam", "transducer"):
+        if part in changes:
+            fields[part] = rebuild(getattr(inputs, part), check, **changes[part])
+    return rebuild(inputs, check, **fields)
 
 
 @dataclass(frozen=True)
@@ -455,6 +456,11 @@ class SweepSpec:
             )
         if self.grid_cap < 1:
             raise ValidationError("grid_cap must be >= 1")
+        paths = [axis.path for axis in self.axes]
+        for i, path in enumerate(paths):
+            if paths.index(path) != i:
+                raise ValidationError(f"axis {i} duplicates axis {paths.index(path)} "
+                                      f"({path!r})")
         if self.constraints is not None:
             bad = set(self.constraints) - set(CONSTRAINT_NAMES)
             if bad:
@@ -488,7 +494,8 @@ def _column_pass(inputs: DesignInputs, axes, axis_columns):
     checks = _Masks()
     checks.stage = "inputs"
     with float_errors():
-        candidate = _with_params(inputs, zip([a.path for a in axes], axis_columns), checks)
+        candidate = set_parameter(
+            inputs, {a.path: column for a, column in zip(axes, axis_columns)}, checks)
         point = _chain(candidate, checks)
     failed = np.zeros(len(axis_columns[0]), dtype=bool)
     for mask in checks.failed.values():
@@ -529,14 +536,14 @@ def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
     try:
         point, failed = _column_pass(inputs, spec.axes, axis_columns)
     except (ArithmeticError, ValueError):  # the pass vouches for no point
-        points = (evaluate(_with_params(inputs, params.items()))
+        points = (evaluate(set_parameter(inputs, params))
                   for params in _grid_params(spec.axes, axis_columns))
         columns = zip(*([get(p) for _, get in COLUMNS] for p in points))
         return {name: np.array(values) for (name, _), values in zip(COLUMNS, columns)}
     if failed.any():
         i = int(failed.argmax())  # the first point that failed a check
-        evaluate(_with_params(inputs, [(axis.path, float(column[i]))
-                                       for axis, column in zip(spec.axes, axis_columns)]))
+        evaluate(set_parameter(inputs, {axis.path: float(column[i])
+                                        for axis, column in zip(spec.axes, axis_columns)}))
         raise RuntimeError(
             f"sweep failed grid point {i} on a check that evaluate() passes")
     return {name: np.broadcast_to(get(point), (n,)) for name, get in COLUMNS}
@@ -705,7 +712,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     def try_point(phase: str, params: dict) -> float:
         nonlocal last_error
         try:
-            point = evaluate(_with_params(inputs, params.items()))
+            point = evaluate(set_parameter(inputs, params))
         except BeamoscError as err:
             last_error = err
             return record(phase, params, None, False, None)
@@ -753,7 +760,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     return OptimizeResult(
         objective=spec.objective,
         feasible=True,
-        best=evaluate(_with_params(inputs, params.items())),
+        best=evaluate(set_parameter(inputs, params)),
         best_params=params,
         objective_value=sign * signed,
         evaluations=len(log),

@@ -150,14 +150,11 @@ class LumpedBeamModel:
         return build(cls, check, k=k, m=m, f0=resonant_frequency(k, m, check), q=q)
 
 
-def pull_in_voltage(
-    k: float, gap: float, electrode_area: float, permittivity: float = EPS0,
-    check=RAISE,
-) -> float:
-    """Bias at which the gap collapses: sqrt(8*k*g^3 / (27*eps*A)), V."""
-    check((k <= 0) | (gap <= 0) | (electrode_area <= 0) | (permittivity <= 0),
-          "k, gap, electrode_area and permittivity must be > 0")
-    return sqrt(8.0 * k * power(gap, 3) / (27.0 * permittivity * electrode_area))
+def pull_in_voltage(k: float, gap: float, electrode_area: float, check=RAISE) -> float:
+    """Bias at which the air gap collapses: sqrt(8*k*g^3 / (27*eps0*A)), V."""
+    check((k <= 0) | (gap <= 0) | (electrode_area <= 0),
+          "k, gap and electrode_area must be > 0")
+    return sqrt(8.0 * k * power(gap, 3) / (27.0 * EPS0 * electrode_area))
 
 
 _CROSSED = "deflection iterate crossed the stable-branch limit g/3"
@@ -190,7 +187,7 @@ def static_deflection(k: float, transducer: Transducer, electrode_area: float,
     pulled_in = biased & (t.bias_voltage >= v_pull_in)
     check(pulled_in, "bias {} V >= pull-in voltage {:.6g} V", t.bias_voltage, v_pull_in,
           error=PullInError)
-    force_num = t.permittivity * electrode_area * power(t.bias_voltage, 2) / (2.0 * k)
+    force_num = EPS0 * electrode_area * power(t.bias_voltage, 2) / (2.0 * k)
     if isinstance(force_num, np.ndarray) or isinstance(t.gap, np.ndarray):
         solve = _fixed_point_columns
     else:

@@ -94,26 +94,14 @@ def max_negative_resistance(c1: float, c2: float, c0: float, f0: float,
     )
 
 
-def required_gm(
-    c1: float, c2: float, c0: float, f0: float, target_resistance: float
-) -> tuple[float, ...]:
-    """Transconductances giving |Re(Z_C)| = target_resistance, ascending.
-
-    Solves target*(C0*gm)^2 - C1*C2*gm + target*(w*S)^2 = 0. Returns two
-    roots below/above g_m_opt, one double root at the peak, or an empty
-    tuple when the target exceeds Re_max.
-    """
-    reachable, double, gm_low, gm_high = _gm_roots(c1, c2, c0, f0, target_resistance)
-    if not reachable:
-        return ()
-    return (gm_low,) if double else (gm_low, gm_high)
-
-
 def _gm_roots(c1, c2, c0, f0, target_resistance, check=RAISE):
-    """required_gm() on floats or columns: (reachable, double, low, high).
+    """Transconductances giving |Re(Z_C)| = target_resistance, on floats
+    or columns: (reachable, double, low, high).
 
-    At a double root low == high; where the target is out of reach the
-    roots are meaningless.
+    Solves target*(C0*gm)^2 - C1*C2*gm + target*(w*S)^2 = 0. The roots lie
+    below and above g_m_opt; at a double root (the target equals Re_max)
+    low == high, at g_m_opt. Where the target exceeds Re_max it is not
+    reachable and the roots are meaningless.
     """
     check((c1 <= 0) | (c2 <= 0) | (c0 <= 0) | (f0 <= 0),
           "c1, c2, c0 and f0 must all be > 0")

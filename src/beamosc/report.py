@@ -17,7 +17,7 @@ from importlib import resources
 
 from .config import BUILTIN_DESIGNS, ProjectConfig, load_builtin_design
 from .errors import ConfigError
-from .explore import DesignPoint, evaluate, flatten
+from .explore import evaluate, flatten
 
 # (key, label, unit label, display scale, explore.COLUMNS name)
 QUANTITIES = (
@@ -57,10 +57,9 @@ class CellComparison:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """All cells for all designs plus the evaluated points behind them."""
+    """All cells for all designs."""
 
     cells: tuple[CellComparison, ...]
-    points: dict
 
     @property
     def all_pass(self) -> bool:
@@ -113,15 +112,12 @@ def build_comparison(overrides: list[str] | None = None) -> ComparisonReport:
     """
     reference = load_reference()
     cells = []
-    points: dict[int, DesignPoint] = {}
     for n in BUILTIN_DESIGNS:
         cfg = ProjectConfig.from_raw(load_builtin_design(n), overrides or [])
         if cfg.data["transducer"]["x_amplitude"] is None:
             raise ConfigError("transducer.x_amplitude: table1 compares I_x at this "
                               "amplitude, so it must be a number, got null")
-        point = evaluate(cfg.build_inputs())
-        points[n] = point
-        row = flatten(point)
+        row = flatten(evaluate(cfg.build_inputs()))
         entry = reference["designs"][str(n)]
         for key, label, unit, scale, column in QUANTITIES:
             ref_value = entry["values"][key]
@@ -142,4 +138,4 @@ def build_comparison(overrides: list[str] | None = None) -> ComparisonReport:
                     passed=abs(rel) <= tol,
                 )
             )
-    return ComparisonReport(cells=tuple(cells), points=points)
+    return ComparisonReport(cells=tuple(cells))

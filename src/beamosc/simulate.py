@@ -244,14 +244,12 @@ def envelope(trace: Trace, signal: str = "v_out") -> np.ndarray:
     return rows
 
 
-def measure_frequency(trace: Trace, cycles: int = 20, signal: str = "v_out") -> float:
-    """Mean oscillation frequency over the last `cycles` cycles, Hz.
+def measure_frequency(trace: Trace) -> float:
+    """Mean frequency of v_out over its last 20 cycles, Hz.
 
     Crossing times are refined by linear interpolation between samples.
     """
-    if cycles < 1:
-        raise ValidationError("cycles must be >= 1")
-    v = _signal(trace, signal)
+    cycles, v = 20, trace.v_out
     up = _upward_crossings(v)
     if len(up) < cycles + 1:
         raise InsufficientDataError(
@@ -271,24 +269,17 @@ def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(tc, y - y.mean()) / np.dot(tc, tc))
 
 
-def growth_rate(trace: Trace, ceiling: float | None = None, signal: str = "v_out") -> float:
-    """Exponential growth rate of the startup envelope, 1/s.
+def _fit_growth(env: np.ndarray, v_limit: float | None) -> float:
+    """Exponential growth rate of a startup envelope, 1/s.
 
     Fits log-amplitude against time over the small-signal window
     [ceiling/30, ceiling), stopping at the first ceiling crossing so the fit
-    never sees saturation. ceiling defaults to 0.1*v_limit. Requires at
-    least 10 envelope points in the window and a positive slope.
+    never sees saturation. The ceiling is 0.1*v_limit, or the envelope's
+    peak without a v_limit. Requires at least 10 envelope points in the
+    window and a positive slope.
     """
-    return _fit_growth(envelope(trace, signal=signal), ceiling, trace.v_limit)
-
-
-def _fit_growth(env: np.ndarray, ceiling: float | None, v_limit: float | None) -> float:
-    """growth_rate() on an envelope that is already computed."""
     amps = env[:, 1]
-    if ceiling is None:
-        ceiling = 0.1 * v_limit if v_limit else float(amps.max())
-    if ceiling <= 0:
-        raise ValidationError("ceiling must be > 0")
+    ceiling = 0.1 * v_limit if v_limit else float(amps.max())
     crossed = np.nonzero(amps >= ceiling)[0]
     stop = crossed[0] if len(crossed) else len(amps)
     floor = ceiling / 30.0
@@ -303,21 +294,17 @@ def _fit_growth(env: np.ndarray, ceiling: float | None, v_limit: float | None) -
     return slope
 
 
-def summarize(trace: Trace) -> dict:
-    """Classify a run and report its headline numbers as a JSON-ready dict.
+def summarize(trace: Trace) -> tuple[dict, np.ndarray | None]:
+    """Classify a run and report its headline numbers as a JSON-ready dict,
+    with the v_out envelope it read (None below 3 full cycles).
 
     status is one of pulled_in, growing, stabilized, decayed:
     pulled_in wins outright; decayed means the envelope lost more than 5%
     over the second half of the run or the signal died relative to its own
     peak; growing means it gained more than 5%; anything else stabilized.
-    frequency_hz is null for decayed runs.
+    frequency_hz is null for decayed runs; growth_rate_per_s is null where
+    the envelope does not grow through its small-signal window.
     """
-    return _summarize(trace)[0]
-
-
-def _summarize(trace: Trace) -> tuple[dict, np.ndarray | None]:
-    """summarize() and the envelope it read, None when the run has fewer
-    than 3 full cycles."""
     try:
         env = envelope(trace)
     except InsufficientDataError:
@@ -357,8 +344,8 @@ def _summarize(trace: Trace) -> tuple[dict, np.ndarray | None]:
             frequency = None
 
     try:
-        growth = None if env is None else _fit_growth(env, None, trace.v_limit)
-    except (InsufficientDataError, ValidationError):
+        growth = None if env is None else _fit_growth(env, trace.v_limit)
+    except InsufficientDataError:
         growth = None
 
     return {

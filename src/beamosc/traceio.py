@@ -194,8 +194,7 @@ def _polyline(xs: np.ndarray, ys: np.ndarray) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
 
-def write_trace_svg(trace: Trace, path, env: np.ndarray | None = None,
-                    title: str = "startup transient") -> None:
+def write_trace_svg(trace: Trace, path, env: np.ndarray | None = None) -> None:
     """Self-contained SVG plot of v_out against time, with optional envelope."""
     stride = max(1, len(trace.time) // _MAX_POLYLINE)
     t = trace.time[::stride]
@@ -222,7 +221,7 @@ def write_trace_svg(trace: Trace, path, env: np.ndarray | None = None,
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_PAD_L}" y="18" font-family="sans-serif" font-size="13">'
-        f"{title}</text>",
+        "startup transient</text>",
         f'<line x1="{_PAD_L}" y1="{y_mid:.2f}" x2="{_SVG_W - _PAD_R}" '
         f'y2="{y_mid:.2f}" stroke="#bbb"/>',
         f'<line x1="{_PAD_L}" y1="{_PAD_T}" x2="{_PAD_L}" '

@@ -45,14 +45,14 @@ class Transducer:
     bias_voltage      DC polarization across the gap, V
     port              "one_port" (drive and sense share the electrode) or
                       "two_port"
-    permittivity      gap dielectric permittivity, F/m (air gap by default)
+
+    The gap is air: its permittivity is EPS0.
     """
 
     gap: float
     electrode_length: float
     bias_voltage: float
     port: str = PORT_ONE
-    permittivity: float = EPS0
 
     def __post_init__(self, check=RAISE):
         check(self.gap <= 0, "transducer gap must be > 0")
@@ -61,7 +61,6 @@ class Transducer:
         if self.port not in VALID_PORTS:  # never a column
             raise ValidationError(
                 f"port must be one of {sorted(VALID_PORTS)}, got {self.port!r}")
-        check(self.permittivity <= 0, "permittivity must be > 0")
 
 
 # The functions below take floats, or numpy columns from the sweep kernel;
@@ -71,13 +70,13 @@ class Transducer:
 
 def electrode_capacitance(transducer: Transducer, area: float) -> float:
     """Static gap capacitance eps*A/g at rest, F."""
-    return transducer.permittivity * area / transducer.gap
+    return EPS0 * area / transducer.gap
 
 
 def coupling_coefficient(transducer: Transducer, area: float) -> float:
     """Electromechanical coupling eta = V_P * eps * A / g^2, N/V."""
     t = transducer
-    return t.bias_voltage * t.permittivity * area / (t.gap * t.gap)
+    return t.bias_voltage * EPS0 * area / (t.gap * t.gap)
 
 
 def displacement_limit(transducer: Transducer) -> float:

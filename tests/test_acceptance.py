@@ -18,15 +18,14 @@ from conftest import run_startup
 from beamosc.explore import SweepAxis, SweepSpec, flatten, optimize, sweep
 from beamosc.pierce import (
     PierceConfig,
+    _gm_roots,
     max_negative_resistance,
     negative_resistance,
-    required_gm,
 )
 from beamosc.report import QUANTITIES
 from beamosc.simulate import (
     SimConfig,
     envelope,
-    growth_rate,
     measure_frequency,
     simulate_startup,
     summarize,
@@ -131,7 +130,8 @@ def test_criterion_07_circuit_identities():
                 off = negative_resistance(PierceConfig(
                     c1=c1, c2=c2, c0=c0, gm=factor * opt.gm_opt, f0=f0))
                 assert off <= at_peak * (1 + 1e-12)
-            lo, hi = required_gm(c1, c2, c0, f0, 0.5 * opt.re_max)
+            reachable, double, lo, hi = _gm_roots(c1, c2, c0, f0, 0.5 * opt.re_max)
+            assert reachable and not double
             assert lo < opt.gm_opt < hi
 
 
@@ -139,20 +139,20 @@ def test_criterion_08_startup_simulation(design_points, startup_trace):
     with criterion(8, "simulated startup grows at the predicted rate, "
                       "stabilizes on frequency, and is reproducible"):
         point = design_points[1]
-        summary = summarize(startup_trace)
+        summary, _ = summarize(startup_trace)
         assert summary["status"] == "stabilized"
         assert measure_frequency(startup_trace) == pytest.approx(
             point.circuit.f0, rel=0.01)
         theory = (point.re_zc - point.circuit.r_x) / (2 * point.circuit.l_x)
-        assert growth_rate(startup_trace) == pytest.approx(theory, rel=0.1)
+        assert summary["growth_rate_per_s"] == pytest.approx(theory, rel=0.1)
 
         again = run_startup(point)
         assert np.array_equal(startup_trace.v_out, again.v_out)
 
         # Below unity loop gain the same model must ring down, not grow.
-        gm_half = required_gm(point.inputs.c1, point.inputs.c2,
-                              point.inputs.c0, point.circuit.f0,
-                              0.5 * point.circuit.r_x)[0]
+        _, _, gm_half, _ = _gm_roots(point.inputs.c1, point.inputs.c2,
+                                     point.inputs.c0, point.circuit.f0,
+                                     0.5 * point.circuit.r_x)
         ring = run_startup(point, gm=gm_half, sim=SimConfig(
             noise_seed=None, initial_kick=0.0, initial_displacement=5e-9,
             duration=160.0 / point.circuit.f0))

@@ -312,6 +312,17 @@ class TestSweepCommand:
         assert rc == 1
         assert err.startswith("error: explore.axes[0].path: must be one of")
 
+    def test_duplicate_axis_is_named_before_output(self, capsys, tmp_path):
+        out = tmp_path / "grid"
+        axis = '{"path":"beam.length","min":%s,"max":1e-4,"steps":%d}'
+        rc, stdout, err = run_cli(
+            capsys, "sweep", "--design", "1", "--out", str(out), "--set",
+            f"explore.axes=[{axis % ('6e-5', 2)},{axis % ('8e-5', 3)}]")
+        assert rc == 1
+        assert stdout == ""
+        assert err == "error: explore.axes[1].path: duplicates explore.axes[0]\n"
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_feasible_objective(self, capsys, tmp_path):

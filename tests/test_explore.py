@@ -50,7 +50,7 @@ class TestEvaluate:
         # The electrode area is electrode_length * W: eta and C_static scale
         # with W, and V_pi ~ sqrt(k / A) does not move because k ~ W too.
         base = design_points[1]
-        point = evaluate(set_parameter(base.inputs, "beam.thickness", 3e-6))
+        point = evaluate(set_parameter(base.inputs, {"beam.thickness": 3e-6}))
         scale = 3e-6 / base.inputs.beam.W
         assert point.eta == pytest.approx(base.eta * scale, rel=1e-12)
         assert point.c_static == pytest.approx(base.c_static * scale, rel=1e-12)
@@ -158,17 +158,17 @@ class TestStageErrors:
 class TestParameterPaths:
     def test_set_parameter_round_trip(self, design_points):
         inputs = design_points[1].inputs
-        out = set_parameter(inputs, "beam.length", 80e-6)
+        out = set_parameter(inputs, {"beam.length": 80e-6,
+                                     "transducer.bias_voltage": 5.0,
+                                     "pierce.gm": 1e-4})
         assert out.beam.L == 80e-6
         assert inputs.beam.L == 100e-6  # original untouched
-        out = set_parameter(inputs, "transducer.bias_voltage", 5.0)
         assert out.transducer.bias_voltage == 5.0
-        out = set_parameter(inputs, "pierce.gm", 1e-4)
         assert out.gm == 1e-4
 
     def test_unknown_path_is_named(self, design_points):
         with pytest.raises(ValidationError, match="beam.lenght"):
-            set_parameter(design_points[1].inputs, "beam.lenght", 1.0)
+            set_parameter(design_points[1].inputs, {"beam.lenght": 1.0})
 
 
 class TestSweepAxis:
@@ -250,6 +250,8 @@ class TestSweep:
             SweepSpec(axes=(axis,), objective="min_power")
         with pytest.raises(ValidationError):
             SweepSpec(axes=(axis,), constraints=("bias", "thermal"))
+        with pytest.raises(ValidationError, match="axis 1 duplicates axis 0"):
+            SweepSpec(axes=(axis, replace(axis, steps=3)))
         assert SweepSpec(axes=(axis,)).enabled_constraints == CONSTRAINT_NAMES
         assert SweepSpec(axes=(axis,), constraints=("bias",)).enabled_constraints \
             == ("bias",)

@@ -17,7 +17,7 @@ from beamosc.mechanics import (
     static_deflection,
 )
 from beamosc.process import DEFAULT_DENSITY, DEFAULT_YOUNGS_MODULUS
-from beamosc.transduction import Transducer, coupling_coefficient
+from beamosc.transduction import EPS0, Transducer, coupling_coefficient
 
 E = DEFAULT_YOUNGS_MODULUS
 RHO = DEFAULT_DENSITY
@@ -186,7 +186,7 @@ class TestStaticDeflection:
         k = 0.6048
         tr = reference_transducer(1)
         x = deflection(k, tr, mode="nonlinear")
-        force = tr.permittivity * electrode_area(tr) * tr.bias_voltage ** 2 / (
+        force = EPS0 * electrode_area(tr) * tr.bias_voltage ** 2 / (
             2 * k * (tr.gap - x) ** 2
         )
         assert x == pytest.approx(force, rel=1e-9)

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from beamosc.errors import ValidationError
 from beamosc.pierce import (
     PierceConfig,
+    _gm_roots,
     complex_impedance,
     max_negative_resistance,
     negative_resistance,
-    required_gm,
     startup_check,
 )
 
@@ -132,40 +132,43 @@ class TestPeak:
 
 
 class TestRequiredGm:
+    """_gm_roots(): (reachable, double, low, high) for a target |Re(Z_C)|."""
+
     def test_reference_design_roots(self, design_points):
         point = design_points[1]
-        roots = required_gm(C1, C2, C0, point.circuit.f0,
-                            point.re_zc)
-        assert len(roots) == 2
-        assert roots[0] == pytest.approx(67.389e-6, rel=1e-3)
-        assert roots[1] == pytest.approx(550.849e-6, rel=1e-3)
-        assert roots[0] < roots[1]
+        reachable, double, low, high = _gm_roots(C1, C2, C0, point.circuit.f0,
+                                                 point.re_zc)
+        assert reachable and not double
+        assert low == pytest.approx(67.389e-6, rel=1e-3)
+        assert high == pytest.approx(550.849e-6, rel=1e-3)
+        assert low < high
 
     @given(c1=caps, c2=caps, c0=shunts, f0=freqs,
            frac=st.floats(min_value=0.01, max_value=0.999))
     def test_roots_reproduce_target(self, c1, c2, c0, f0, frac):
         re_max, gm_opt = max_negative_resistance(c1, c2, c0, f0)
         target = frac * re_max
-        roots = required_gm(c1, c2, c0, f0, target)
-        assert len(roots) == 2
-        assert roots[0] < gm_opt < roots[1]
-        for gm in roots:
+        reachable, double, low, high = _gm_roots(c1, c2, c0, f0, target)
+        assert reachable and not double
+        assert low < gm_opt < high
+        for gm in (low, high):
             config = PierceConfig(c1=c1, c2=c2, c0=c0, gm=gm, f0=f0)
             assert negative_resistance(config) == pytest.approx(target, rel=1e-9)
 
     def test_unreachable_target_returns_empty(self):
         re_max, _ = max_negative_resistance(C1, C2, C0, 75901.5285)
-        assert required_gm(C1, C2, C0, 75901.5285, 1.01 * re_max) == ()
+        reachable, _, _, _ = _gm_roots(C1, C2, C0, 75901.5285, 1.01 * re_max)
+        assert not reachable
 
     def test_target_at_peak_gives_double_root(self):
         re_max, gm_opt = max_negative_resistance(C1, C2, C0, 75901.5285)
-        roots = required_gm(C1, C2, C0, 75901.5285, re_max)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(gm_opt, rel=1e-6)
+        reachable, double, low, high = _gm_roots(C1, C2, C0, 75901.5285, re_max)
+        assert reachable and double
+        assert low == high == pytest.approx(gm_opt, rel=1e-6)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValidationError):
-            required_gm(C1, C2, C0, 75901.5285, 0.0)
+            _gm_roots(C1, C2, C0, 75901.5285, 0.0)
 
 
 class TestStartupCheck:
