@@ -14,6 +14,8 @@ Modules, in pipeline order:
   cli           the `beamosc` command
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     BeamoscError,
     ConfigError,

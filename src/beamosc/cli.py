@@ -20,23 +20,15 @@ import dataclasses
 import hashlib
 import json
 import sys
-from importlib import metadata
 from pathlib import Path
 
+from . import __version__
 from .config import ProjectConfig, load_builtin_design, load_config
 from .errors import BeamoscError, ConfigError
 from .explore import evaluate, flatten, optimize, sweep
-from .pierce import PierceConfig
 from .process import check_mems_rules
 from .simulate import simulate_startup, summarize
 from .traceio import json_text, write_json, write_rows, write_trace_svg
-
-
-def _version() -> str:
-    try:
-        return metadata.version("beamosc")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
 
 
 # Every option once: flag -> add_argument keywords. The value flags at the
@@ -98,7 +90,7 @@ def _config_digest(cfg: ProjectConfig) -> str:
 def _manifest(cfg: ProjectConfig, command: str, **extra) -> dict:
     out = {
         "tool": "beamosc",
-        "version": _version(),
+        "version": __version__,
         "command": command,
         "config_sha256": _config_digest(cfg),
         "config": cfg.data,
@@ -146,13 +138,12 @@ def cmd_table1(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_project(args)
     point = evaluate(cfg.build_inputs())
-    amplifier = PierceConfig(c1=point.inputs.c1, c2=point.inputs.c2, c0=point.inputs.c0,
-                             gm=point.gm, f0=point.circuit.f0)
     x_max = cfg.x_max(point.x_limit)
-    trace = simulate_startup(point.circuit, amplifier, cfg.build_sim(), point.eta, x_max=x_max)
+    trace = simulate_startup(point.circuit, point.amplifier, cfg.build_sim(), point.eta,
+                             x_max=x_max)
     summary, env = summarize(trace)
     summary["expected_f0_hz"] = point.circuit.f0
-    summary["gm"] = point.gm
+    summary["gm"] = point.amplifier.gm
     summary["x_max_m"] = x_max if x_max != float("inf") else None
     print(json_text(summary))
     out = _out_dir(args)
@@ -255,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="MEMS beam resonator / Pierce oscillator design toolkit",
     )
     parser.add_argument("--version", action="version",
-                        version=f"beamosc {_version()}")
+                        version=f"beamosc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .errors import ConfigError, ValidationError
@@ -198,8 +198,8 @@ SCHEMA = {
 def default_config() -> dict:
     """The full default config as a plain dict."""
     out = {"description": ""}
-    for block, fields in SCHEMA.items():
-        out[block] = {name: copy.deepcopy(spec[0]) for name, spec in fields.items()}
+    for block, entries in SCHEMA.items():
+        out[block] = {name: copy.deepcopy(spec[0]) for name, spec in entries.items()}
     return out
 
 
@@ -297,61 +297,31 @@ class ProjectConfig:
 
     def build_inputs(self) -> DesignInputs:
         d = self.data
-        mat, beam, tr, prc, exp, rules, ana = (
-            d["materials"], d["beam"], d["transducer"], d["pierce"],
-            d["explore"], d["rules"], d["analysis"],
-        )
+        mat = d["materials"]
         # The stack is resolved here, once: the pitch sets both the derived
-        # thickness and the heights the metal-cover rule accepts, and the
-        # electrode height is that same thickness (beam.W).
+        # thickness (beam.W, the electrode height too) and the heights the
+        # metal-cover rule accepts.
         heights = metal_stack_heights(mat["include_dielectric"], mat["thickness_per_pair"])
-        thickness = beam["thickness"]
-        if thickness is None:
-            thickness = heights[mat["top_metal_index"] - 1]
-        geometry = BeamGeometry(
-            anchor=beam["anchor"], L=beam["length"],
-            H=beam["in_plane_width"], W=thickness,
-        )
-        transducer = Transducer(
-            gap=tr["gap"], electrode_length=tr["electrode_length"],
-            bias_voltage=tr["bias_voltage"], port=tr["port"],
-        )
-        # Unset material constants keep the DesignInputs defaults, the fitted ones.
-        constants = {key: mat[key] for key in ("youngs_modulus", "density")
-                     if mat[key] is not None}
+        parts = {
+            "beam": {"anchor": d["beam"]["anchor"], "W": heights[mat["top_metal_index"] - 1]},
+            "transducer": {"port": d["transducer"]["port"]},
+            None: dict(d["analysis"]),
+        }
+        # Every key an axis can set goes through the axes' own table; an
+        # unset one (null, or pierce.gm "auto") keeps its DesignInputs default.
+        for key, (part, field) in PARAMETER_PATHS.items():
+            block, name = key.split(".")
+            if d[block][name] not in (None, "auto"):
+                parts[part][field] = d[block][name]
         return DesignInputs(
-            beam=geometry,
-            transducer=transducer,
-            q_factor=beam["q_factor"],
-            c1=prc["c1"], c2=prc["c2"], c0=prc["c0"],
-            gm=None if prc["gm"] == "auto" else prc["gm"],
-            target_margin=prc["target_margin"],
-            alpha_pull_in=exp["alpha_pull_in"],
-            vibration_amplitude=exp["vibration_amplitude"],
-            x_amplitude=tr["x_amplitude"],
-            mass_model=ana["mass_model"],
-            deflection_mode=ana["deflection_mode"],
-            rules=MemsRuleSet(
-                min_lateral_gap=rules["min_lateral_gap"],
-                max_release_width=rules["max_release_width"],
-                require_metal_cover=rules["require_metal_cover"],
-                metal_thickness_grid=heights,
-            ),
-            **constants,
+            beam=BeamGeometry(**parts["beam"]),
+            transducer=Transducer(**parts["transducer"]),
+            rules=MemsRuleSet(**d["rules"], metal_thickness_grid=heights),
+            **parts[None],
         )
 
     def build_sim(self) -> SimConfig:
-        s = self.data["sim"]
-        return SimConfig(
-            dt=s["dt"],
-            duration=s["duration"],
-            noise_seed=s["noise_seed"],
-            initial_kick=s["initial_kick"],
-            initial_displacement=s["initial_displacement"],
-            v_limit=s["v_limit"],
-            r_feedback=s["r_feedback"],
-            r_output=s["r_output"],
-        )
+        return SimConfig(**{f.name: self.data["sim"][f.name] for f in fields(SimConfig)})
 
     def x_max(self, x_limit: float) -> float:
         """Displacement guard for simulation: explicit x_max, the port

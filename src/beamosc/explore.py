@@ -152,7 +152,7 @@ class DesignPoint:
     i_x: float | None
     re_max: float
     gm_opt: float
-    gm: float
+    amplifier: PierceConfig
     re_zc: float
     startup: StartupReport
     rule_violations: tuple[RuleViolation, ...]
@@ -206,8 +206,8 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
         reachable, _, gm_low, _ = _gm_roots(
             c1, c2, c0, circuit.f0, inputs.target_margin * circuit.r_x, check)
         gm = select(reachable, gm_low, opt.gm_opt)
-    re_zc = negative_resistance(
-        build(PierceConfig, check, c1=c1, c2=c2, c0=c0, gm=gm, f0=circuit.f0))
+    amplifier = build(PierceConfig, check, c1=c1, c2=c2, c0=c0, gm=gm, f0=circuit.f0)
+    re_zc = negative_resistance(amplifier)
     startup = startup_check(re_zc, circuit.r_x, check)
 
     check.stage = "rules"
@@ -257,7 +257,7 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
         i_x=i_x,
         re_max=opt.re_max,
         gm_opt=opt.gm_opt,
-        gm=gm,
+        amplifier=amplifier,
         re_zc=re_zc,
         startup=startup,
         # A sweep lists no violations: they differ by point. It reads the count.
@@ -327,7 +327,7 @@ COLUMNS = tuple((name, operator.attrgetter(path)) for name, path in (
     ("derived.re_zc", "re_zc"),
     ("derived.re_zc_max", "re_max"),
     ("derived.gm_opt", "gm_opt"),
-    ("derived.gm", "gm"),
+    ("derived.gm", "amplifier.gm"),
     ("derived.startup_margin", "startup.margin"),
     ("derived.oscillates", "startup.oscillates"),
     ("derived.meets_3x", "startup.meets_3x"),
@@ -569,36 +569,39 @@ _NM_TOL = 1e-4        # normalized simplex spread at convergence
 
 
 def _refine(axes, grids: list[np.ndarray], start: dict, grade) -> None:
-    """Nelder-Mead from the grid point `start` in the normalized axis box.
+    """Nelder-Mead from the grid point `start` in the normalized box of the
+    free axes, those with minimum < maximum.
 
     grade(params) evaluates one candidate and returns its signed objective,
-    math.inf when it is rejected; the caller keeps the best. The first
-    simplex steps half the finest grid cell away from `start`; points
-    outside the box score math.inf without being graded.
+    math.inf when it is rejected; the caller keeps the best. A fixed axis,
+    whose grid is its one value, keeps that value in every params, in axis
+    order; with no free axis there is nothing to refine. The first simplex
+    steps half the finest grid cell away from `start`; points outside the
+    box score math.inf without being graded.
     """
-    # Normalized box coordinates: u in [0,1] per axis, geometric for log axes.
-    los = np.array([a.minimum for a in axes])
-    his = np.array([a.maximum for a in axes])
-    logscale = np.array([a.scale == "log" for a in axes])
+    free = [axis for axis in axes if axis.minimum < axis.maximum]
+    if not free:
+        return
+    template = {axis.path: float(axis.minimum) for axis in axes}  # in axis order
+    # Normalized box coordinates: u in [0,1] per free axis, geometric for log axes.
+    los = np.array([axis.minimum for axis in free])
+    his = np.array([axis.maximum for axis in free])
+    logscale = np.array([axis.scale == "log" for axis in free])
 
     def to_params(u: np.ndarray) -> dict:
-        vals = {}
-        for i, axis in enumerate(axes):
-            if los[i] == his[i]:
-                vals[axis.path] = float(los[i])
-            elif logscale[i]:
+        vals = dict(template)
+        for i, axis in enumerate(free):
+            if logscale[i]:
                 vals[axis.path] = float(los[i] * (his[i] / los[i]) ** u[i])
             else:
                 vals[axis.path] = float(los[i] + u[i] * (his[i] - los[i]))
         return vals
 
     def to_u(params: dict) -> np.ndarray:
-        u = np.zeros(len(axes))
-        for i, axis in enumerate(axes):
+        u = np.zeros(len(free))
+        for i, axis in enumerate(free):
             v = params[axis.path]
-            if los[i] == his[i]:
-                u[i] = 0.0
-            elif logscale[i]:
+            if logscale[i]:
                 u[i] = math.log(v / los[i]) / math.log(his[i] / los[i])
             else:
                 u[i] = (v - los[i]) / (his[i] - los[i])
@@ -609,7 +612,7 @@ def _refine(axes, grids: list[np.ndarray], start: dict, grade) -> None:
             return math.inf
         return grade(to_params(u))
 
-    dim = len(axes)
+    dim = len(free)
     step = 0.5 / max(len(g) - 1 for g in grids) if max(len(g) for g in grids) > 1 else 0.25
     u0 = to_u(start)
     simplex = [u0]
@@ -673,9 +676,10 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
 
     axes = spec.axes
+    # A fixed axis (minimum == maximum) is one coarse step; _refine() skips it.
     grids = [
-        axis.values() if axis.steps <= _COARSE_LIMIT
-        else replace(axis, steps=_COARSE_LIMIT).values()
+        replace(axis, steps=min(axis.steps, _COARSE_LIMIT)
+                if axis.minimum < axis.maximum else 1).values()
         for axis in axes
     ]
     _check_cap([len(g) for g in grids], spec.grid_cap)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import settings
 
 from beamosc.config import BUILTIN_DESIGNS, ProjectConfig, load_builtin_design
 from beamosc.explore import evaluate
-from beamosc.pierce import PierceConfig
 from beamosc.report import load_reference
 from beamosc.simulate import SimConfig, simulate_startup
 
@@ -39,10 +40,7 @@ def run_startup(point, gm=None, sim=None, x_max=float("inf")):
     """
     if sim is None:
         sim = SimConfig(noise_seed=7, duration=700.0 / point.circuit.f0)
-    amplifier = PierceConfig(
-        c1=point.inputs.c1, c2=point.inputs.c2, c0=point.inputs.c0,
-        gm=point.gm if gm is None else gm, f0=point.circuit.f0,
-    )
+    amplifier = point.amplifier if gm is None else replace(point.amplifier, gm=gm)
     return simulate_startup(
         point.circuit, amplifier, sim, point.eta, x_max=x_max,
     )

@@ -162,8 +162,7 @@ def test_criterion_08_startup_simulation(design_points, startup_trace):
         ec = extract_circuit(point.model.k, point.model.m, math.inf, point.eta)
         lossless = simulate_startup(
             ec,
-            PierceConfig(c1=point.inputs.c1, c2=point.inputs.c2,
-                         c0=point.inputs.c0, gm=0.0, f0=ec.f0),
+            replace(point.amplifier, gm=0.0, f0=ec.f0),
             SimConfig(noise_seed=None, initial_kick=1e-2,
                       initial_displacement=1e-7, duration=60.0 / ec.f0,
                       r_feedback=1e15, r_output=1e15),

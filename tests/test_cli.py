@@ -482,7 +482,13 @@ class TestEntryPoint:
             argv = [exe, "--version"]
         proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
-        assert "beamosc" in proc.stdout
+        assert proc.stdout == f"beamosc {beamosc.__version__}\n"
+
+    def test_manifest_records_the_package_version(self, capsys, tmp_path):
+        rc, _, _ = run_cli(capsys, "analyze", "--design", "1", "--out", str(tmp_path))
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["version"] == beamosc.__version__
 
 
 class TestNonFiniteInputs:

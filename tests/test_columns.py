@@ -201,12 +201,12 @@ def test_an_invalid_point_raises_what_the_scalar_path_raises(
 def per_point_optimize(inputs, spec):
     """optimize() with its coarse grid graded point by point: set_parameter
     + evaluate for each itertools.product combination, then the same
-    refinement."""
+    refinement. A fixed axis (minimum == maximum) is one grid step."""
     sense, extract = OBJECTIVES[spec.objective]
     sign = -1.0 if sense == "max" else 1.0
     enabled = spec.enabled_constraints
-    grids = [axis.values() if axis.steps <= 5 else replace(axis, steps=5).values()
-             for axis in spec.axes]
+    grids = [replace(axis, steps=min(axis.steps, 5) if axis.minimum < axis.maximum else 1)
+             .values() for axis in spec.axes]
     log, infeasible = [], []
     last_error, best = None, None
 

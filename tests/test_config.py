@@ -2,9 +2,13 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from test_columns import PATH_RANGES
 from beamosc.config import (
     BUILTIN_DESIGNS,
+    SCHEMA,
     ProjectConfig,
     apply_overrides,
     default_config,
@@ -12,8 +16,8 @@ from beamosc.config import (
     load_config,
     validate_config,
 )
-from beamosc.errors import ConfigError
-from beamosc.explore import DesignInputs, SweepSpec, evaluate
+from beamosc.errors import ConfigError, ValidationError
+from beamosc.explore import PARAMETER_PATHS, DesignInputs, SweepSpec, evaluate, set_parameter
 from beamosc.process import MemsRuleSet
 from beamosc.simulate import SimConfig
 from beamosc.transduction import Transducer
@@ -213,6 +217,52 @@ class TestBuilders:
     def test_from_raw_applies_overrides(self):
         cfg = ProjectConfig.from_raw({}, overrides=["beam.q_factor=9000"])
         assert cfg.data["beam"]["q_factor"] == 9000.0
+
+
+@st.composite
+def parameter_values(draw):
+    """Values for a subset of the sweepable keys, in PATH_RANGES."""
+    keys = draw(st.lists(st.sampled_from(sorted(PATH_RANGES)), unique=True))
+    return {key: draw(st.floats(*PATH_RANGES[key])) for key in keys}
+
+
+class TestKeysMapLikeTheAxes:
+    """`--set key=value` and a sweep axis at key = value build one design."""
+
+    def test_every_axis_path_is_a_config_key(self):
+        for path in PARAMETER_PATHS:
+            block, field = path.split(".")
+            assert field in SCHEMA.get(block, {}), path
+
+    @given(design=st.sampled_from([None, *BUILTIN_DESIGNS]), params=parameter_values())
+    @example(design=1, params={"beam.length": 1e-6})  # shorter than its width
+    def test_set_builds_what_set_parameter_builds(self, design, params):
+        raw = {} if design is None else load_builtin_design(design)
+        overrides = [f"{key}={json.dumps(value)}" for key, value in params.items()]
+        try:
+            want = set_parameter(ProjectConfig.from_raw(raw).build_inputs(), params)
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as raised:
+                ProjectConfig.from_raw(raw, overrides).build_inputs()
+            assert str(raised.value) == str(err)
+            return
+        assert ProjectConfig.from_raw(raw, overrides).build_inputs() == want
+
+    @pytest.mark.parametrize("design", [None, *BUILTIN_DESIGNS])
+    def test_unset_keys_keep_the_defaults(self, design):
+        raw = {} if design is None else load_builtin_design(design)
+        keys = ("beam.thickness", "pierce.gm", "materials.youngs_modulus")
+        for key in keys:
+            block, field = key.split(".")
+            raw.get(block, {}).pop(field, None)
+        was_set = apply_overrides(raw, [f"{key}=1e-4" for key in keys])
+        inputs = ProjectConfig.from_raw(
+            was_set, ["beam.thickness=null", "pierce.gm=auto", "materials.youngs_modulus=null"],
+        ).build_inputs()
+        assert inputs.beam.W == ProjectConfig.from_raw({}).build_inputs().beam.W  # the stack
+        assert inputs.gm is None
+        assert inputs.youngs_modulus == DesignInputs.youngs_modulus
+        assert inputs == ProjectConfig.from_raw(raw).build_inputs()
 
 
 class TestFileLoading:

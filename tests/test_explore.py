@@ -83,14 +83,14 @@ class TestAmplifierSizing:
         point = evaluate(inputs)
         assert point.startup.margin == pytest.approx(point.inputs.target_margin,
                                                      rel=1e-9)
-        assert point.gm < point.gm_opt
+        assert point.amplifier.gm < point.gm_opt
         assert point.constraint("startup").ok
 
     def test_auto_gm_falls_back_to_peak_when_unreachable(self, design_points):
         # A 1 nF bridging capacitance caps |Re(Z_C)| far below 3 R_x.
         inputs = replace(design_points[1].inputs, gm=None, c0=1e-9)
         point = evaluate(inputs)
-        assert point.gm == pytest.approx(point.gm_opt, rel=1e-12)
+        assert point.amplifier.gm == pytest.approx(point.gm_opt, rel=1e-12)
         assert point.startup.margin == pytest.approx(point.re_max / point.circuit.r_x,
                                                      rel=1e-12)
         assert not point.constraint("startup").ok
@@ -98,7 +98,7 @@ class TestAmplifierSizing:
 
     def test_explicit_gm_is_respected(self, design_points):
         inputs = replace(design_points[1].inputs, gm=1e-5)
-        assert evaluate(inputs).gm == 1e-5
+        assert evaluate(inputs).amplifier.gm == 1e-5
 
 
 class TestConstraints:
@@ -362,6 +362,25 @@ class TestOptimize:
         grid_best = max(entry["objective"] for entry in result.log
                         if entry["feasible"] and entry["phase"] == "grid")
         assert result.objective_value >= grid_best
+
+    def test_a_fixed_axis_is_one_grid_step_and_no_simplex_dimension(self, design_points):
+        inputs = design_points[1].inputs
+        bias = SweepAxis("transducer.bias_voltage", 6.0, 9.4, 5)
+        width = SweepAxis("beam.in_plane_width", 1.5e-6, 3e-6, 5)
+        length = SweepAxis("beam.length", inputs.beam.L, inputs.beam.L, 3)  # design 1's own
+        free = optimize(inputs, SweepSpec(axes=(bias, width)))
+        fixed = optimize(inputs, SweepSpec(axes=(bias, length, width)))
+        assert fixed.evaluations == free.evaluations
+        for a, b in zip(free.log, fixed.log):
+            assert list(b["params"]) == [bias.path, length.path, width.path]
+            assert b["params"][length.path] == inputs.beam.L
+            assert {k: v for k, v in b["params"].items() if k != length.path} == a["params"]
+            assert (b["phase"], b["objective"], b["feasible"]) == \
+                (a["phase"], a["objective"], a["feasible"])
+        # With no free axis there is one design to grade and nothing to refine.
+        alone = optimize(inputs, SweepSpec(axes=(replace(bias, maximum=6.0, steps=3),)))
+        assert alone.evaluations == 1
+        assert alone.best_params == {bias.path: 6.0}
 
 
 class TestFlatten:

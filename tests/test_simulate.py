@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from beamosc.errors import (
     SimulationError,
     ValidationError,
 )
-from beamosc.pierce import PierceConfig, _gm_roots, negative_resistance
+from beamosc.pierce import _gm_roots, negative_resistance
 from beamosc.simulate import (
     SimConfig,
     Trace,
@@ -26,9 +27,7 @@ def linear_growth_theory(point, gm=None):
     if gm is None:
         re = point.re_zc
     else:
-        cfg = PierceConfig(c1=point.inputs.c1, c2=point.inputs.c2,
-                           c0=point.inputs.c0, gm=gm, f0=point.circuit.f0)
-        re = negative_resistance(cfg)
+        re = negative_resistance(replace(point.amplifier, gm=gm))
     return (re - point.circuit.r_x) / (2 * point.circuit.l_x)
 
 
@@ -210,8 +209,7 @@ class TestEnergyConservation:
                         initial_displacement=1e-7,
                         duration=100.0 / ec.f0,
                         r_feedback=1e15, r_output=1e15)
-        amplifier = PierceConfig(c1=point.inputs.c1, c2=point.inputs.c2,
-                                 c0=point.inputs.c0, gm=0.0, f0=ec.f0)
+        amplifier = replace(point.amplifier, gm=0.0, f0=ec.f0)
         trace = simulate_startup(ec, amplifier, sim, point.eta)
         c0, c1, c2 = point.inputs.c0, point.inputs.c1, point.inputs.c2
         q = trace.x * point.eta
