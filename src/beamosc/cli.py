@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -240,6 +241,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args() keeps no state, so one parser serves every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="beamosc",

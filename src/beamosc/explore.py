@@ -578,63 +578,58 @@ def _refine(axes, grids: list[np.ndarray], start: dict, grade) -> None:
     order; with no free axis there is nothing to refine. The first simplex
     steps half the finest grid cell away from `start`; points outside the
     box score math.inf without being graded.
+
+    Points are tuples of Python floats, a simplex being too small for numpy
+    to pay; each operation is numpy's, in numpy's order, so the points have
+    the bits numpy arrays would give them.
     """
     free = [axis for axis in axes if axis.minimum < axis.maximum]
     if not free:
         return
     template = {axis.path: float(axis.minimum) for axis in axes}  # in axis order
     # Normalized box coordinates: u in [0,1] per free axis, geometric for log axes.
-    los = np.array([axis.minimum for axis in free])
-    his = np.array([axis.maximum for axis in free])
-    logscale = np.array([axis.scale == "log" for axis in free])
+    box = [(axis.path, float(axis.minimum), float(axis.maximum), axis.scale == "log")
+           for axis in free]
 
-    def to_params(u: np.ndarray) -> dict:
+    def to_params(u: tuple) -> dict:
         vals = dict(template)
-        for i, axis in enumerate(free):
-            if logscale[i]:
-                vals[axis.path] = float(los[i] * (his[i] / los[i]) ** u[i])
-            else:
-                vals[axis.path] = float(los[i] + u[i] * (his[i] - los[i]))
+        for (path, lo, hi, log), x in zip(box, u):
+            vals[path] = lo * (hi / lo) ** x if log else lo + x * (hi - lo)
         return vals
 
-    def to_u(params: dict) -> np.ndarray:
-        u = np.zeros(len(free))
-        for i, axis in enumerate(free):
-            v = params[axis.path]
-            if logscale[i]:
-                u[i] = math.log(v / los[i]) / math.log(his[i] / los[i])
-            else:
-                u[i] = (v - los[i]) / (his[i] - los[i])
-        return u
-
-    def objective_u(u: np.ndarray) -> float:
-        if np.any(u < 0.0) or np.any(u > 1.0):
+    def objective_u(u: tuple) -> float:
+        if any(x < 0.0 or x > 1.0 for x in u):
             return math.inf
         return grade(to_params(u))
 
+    def halfway(a: tuple, b: tuple) -> tuple:
+        return tuple(x + 0.5 * (y - x) for x, y in zip(a, b))
+
     dim = len(free)
     step = 0.5 / max(len(g) - 1 for g in grids) if max(len(g) for g in grids) > 1 else 0.25
-    u0 = to_u(start)
+    u0 = tuple(math.log(start[path] / lo) / math.log(hi / lo) if log
+               else (start[path] - lo) / (hi - lo) for path, lo, hi, log in box)
     simplex = [u0]
     for i in range(dim):
-        v = u0.copy()
-        v[i] = v[i] + step if v[i] + step <= 1.0 else v[i] - step
-        simplex.append(v)
+        x = u0[i] + step if u0[i] + step <= 1.0 else u0[i] - step
+        simplex.append(u0[:i] + (x,) + u0[i + 1:])
     fvals = [objective_u(u) for u in simplex]
 
     for _ in range(_NM_ITER_PER_DIM * dim):
         order = sorted(range(dim + 1), key=lambda i: fvals[i])
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
-        spread = max(np.max(np.abs(s - simplex[0])) for s in simplex[1:])
-        if spread < _NM_TOL:
+        if all(abs(x - b) < _NM_TOL for u in simplex[1:] for x, b in zip(u, simplex[0])):
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        total = (0.0,) * dim  # np.mean(axis=0): sum from 0.0 in vertex order
+        for u in simplex[:-1]:
+            total = tuple(t + x for t, x in zip(total, u))
+        centroid = tuple(t / dim for t in total)
         worst_u, worst_f = simplex[-1], fvals[-1]
-        refl = centroid + (centroid - worst_u)
+        refl = tuple(c + (c - w) for c, w in zip(centroid, worst_u))
         f_refl = objective_u(refl)
         if f_refl < fvals[0]:
-            expd = centroid + 2.0 * (centroid - worst_u)
+            expd = tuple(c + 2.0 * (c - w) for c, w in zip(centroid, worst_u))
             f_expd = objective_u(expd)
             if f_expd < f_refl:
                 simplex[-1], fvals[-1] = expd, f_expd
@@ -643,14 +638,13 @@ def _refine(axes, grids: list[np.ndarray], start: dict, grade) -> None:
         elif f_refl < fvals[-2]:
             simplex[-1], fvals[-1] = refl, f_refl
         else:
-            base = refl if f_refl < worst_f else worst_u
-            contr = centroid + 0.5 * (base - centroid)
+            contr = halfway(centroid, refl if f_refl < worst_f else worst_u)
             f_contr = objective_u(contr)
             if f_contr < min(f_refl, worst_f):
                 simplex[-1], fvals[-1] = contr, f_contr
             else:
                 for i in range(1, dim + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    simplex[i] = halfway(simplex[0], simplex[i])
                     fvals[i] = objective_u(simplex[i])
 
 
@@ -667,9 +661,11 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     The coarse grid runs as one column pass, with the result, log and
     errors of evaluating it point by point: a point that fails a check is
     evaluated alone, and so is every point of a grid whose arithmetic
-    faults anywhere. The winner is evaluated once more at the end for the
+    faults anywhere. Each distinct params is graded once per run: a point
+    met again, as the simplex often revisits one, is logged again from the
+    first grade. The winner is evaluated once more at the end for the
     DesignPoint the result carries; that evaluation is not logged, and
-    evaluations == len(log).
+    evaluations == len(log) counts requests.
     """
     sense, extract = OBJECTIVES[spec.objective]
     sign = -1.0 if sense == "max" else 1.0
@@ -713,17 +709,28 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             best = (signed, dict(params))
         return signed
 
+    # The record() arguments of each params graded so far, by their float
+    # bits (0.0 and -0.0 differ): a point met again is logged, not re-graded.
+    known: dict[tuple[str, ...], tuple] = {}
+
+    def bits(params: dict) -> tuple[str, ...]:
+        return tuple(map(float.hex, params.values()))
+
     def try_point(phase: str, params: dict) -> float:
         nonlocal last_error
-        try:
-            point = evaluate(set_parameter(inputs, params))
-        except BeamoscError as err:
-            last_error = err
-            return record(phase, params, None, False, None)
-        return record(phase, params, *grade(point))
+        key = bits(params)
+        if key not in known:
+            try:
+                point = evaluate(set_parameter(inputs, params))
+            except BeamoscError as err:
+                last_error = err
+                known[key] = (None, False, None)
+            else:
+                known[key] = grade(point)
+        return record(phase, params, *known[key])
 
-    # The coarse grid in one column pass; points the pass does not vouch
-    # for go through try_point, in grid order like the rest.
+    # The coarse grid in one column pass, whose grades seed `known`; points
+    # the pass does not vouch for are graded by try_point, in grid order.
     axis_columns = _axis_columns(grids)
     n = len(axis_columns[0])
     try:
@@ -735,11 +742,10 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     except (ArithmeticError, ValueError):  # the pass vouches for no point
         failed = np.ones(n, dtype=bool)
     for i, (params, alone) in enumerate(zip(_grid_params(axes, axis_columns), failed.tolist())):
-        if alone:
-            try_point("grid", params)
-        else:
+        if not alone:
             value, ok, *violations = graded[i]
-            record("grid", params, value, ok, tuple(violations))
+            known[bits(params)] = (value, ok, tuple(violations))
+        try_point("grid", params)
 
     if best is None:
         if not infeasible_violations:

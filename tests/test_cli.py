@@ -455,6 +455,34 @@ class TestUsage:
             parser.parse_args(argv)
 
 
+class TestParserReuse:
+    """main() parses with one parser per process; no call may see another's
+    arguments."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_no_option_leaks_into_the_next_call(self, capsys):
+        with_gm = ["analyze", "--design", "1", "--set", "pierce.gm=2e-3"]
+        first, second = run_cli(capsys, *with_gm), run_cli(capsys, *with_gm)
+        assert first == second
+        plain = run_cli(capsys, "analyze", "--design", "1")
+        src = str(Path(beamosc.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = subprocess.run([sys.executable, "-m", "beamosc.cli", "analyze", "--design", "1"],
+                               capture_output=True, text=True, env=env)
+        assert plain == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert plain[1] != first[1]
+
+    def test_shorthand_dests_start_unset(self):
+        parser = build_parser()
+        parser.parse_args(["table1", "--rho", "2330", "--set", "beam.q_factor=9"])
+        args = parser.parse_args(["table1"])
+        assert args.overrides is None
+        assert getattr(args, "materials.density") is None
+
+
 class TestCheckRules:
     def test_clean_design(self, capsys):
         rc, out, _ = run_cli(capsys, "check-rules", "--design", "1")

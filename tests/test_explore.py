@@ -363,6 +363,26 @@ class TestOptimize:
                         if entry["feasible"] and entry["phase"] == "grid")
         assert result.objective_value >= grid_best
 
+    def test_each_distinct_params_is_graded_once(self, design_points, monkeypatch):
+        calls = []
+        monkeypatch.setattr(explore, "evaluate", lambda inputs: calls.append(1) or evaluate(inputs))
+        spec = SweepSpec(axes=(SweepAxis("transducer.bias_voltage", 6.0, 9.4, 5),
+                               SweepAxis("beam.in_plane_width", 1.5e-6, 3e-6, 5),
+                               SweepAxis("beam.length", 90e-6, 120e-6, 4)),
+                         objective="max_f0")
+        result = optimize(design_points[1].inputs, spec)
+
+        def bits(entry):
+            return tuple(map(float.hex, entry["params"].values()))
+        grid = {bits(e) for e in result.log if e["phase"] == "grid"}
+        refine = [bits(e) for e in result.log if e["phase"] == "refine"]
+        # The column pass grades the whole grid; the simplex revisits points
+        # of its own and of the grid.
+        assert all(e["objective"] is not None for e in result.log if e["phase"] == "grid")
+        assert len(set(refine)) < len(refine) and grid & set(refine)
+        assert len(calls) == len(set(refine) - grid) + 1  # + the winner's DesignPoint
+        assert result.evaluations == len(result.log) == len(grid) + len(refine)
+
     def test_a_fixed_axis_is_one_grid_step_and_no_simplex_dimension(self, design_points):
         inputs = design_points[1].inputs
         bias = SweepAxis("transducer.bias_voltage", 6.0, 9.4, 5)
