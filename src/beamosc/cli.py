@@ -29,7 +29,7 @@ from .errors import BeamoscError, ConfigError
 from .explore import evaluate, flatten, optimize, sweep
 from .process import check_mems_rules
 from .simulate import simulate_startup, summarize
-from .traceio import json_text, write_json, write_rows, write_trace_svg
+from .traceio import RowTable, json_text, write_json, write_rows, write_trace_svg
 
 
 # Every option once: flag -> add_argument keywords. The value flags at the
@@ -199,7 +199,10 @@ def cmd_optimize(args) -> int:
     out = _out_dir(args)
     if out is not None:
         payload = dict(summary)
-        payload["log"] = list(result.log)
+        log = {key: [entry[key] for entry in result.log] for key in result.log[0]}
+        log["params"] = {path: [params[path] for params in log["params"]]
+                         for path in log["params"][0]}  # a group of columns
+        payload["log"] = RowTable(log)
         if result.best is not None:
             payload["best_point"] = _point_payload(result.best)
         write_json(payload, out / "optimize.json")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -592,15 +593,23 @@ def _refine(axes, grids: list[np.ndarray], start: dict, grade) -> None:
            for axis in free]
 
     def to_params(u: tuple) -> dict:
-        vals = dict(template)
+        vals = template.copy()
         for (path, lo, hi, log), x in zip(box, u):
             vals[path] = lo * (hi / lo) ** x if log else lo + x * (hi - lo)
         return vals
 
     def objective_u(u: tuple) -> float:
-        if any(x < 0.0 or x > 1.0 for x in u):
-            return math.inf
+        for x in u:
+            if x < 0.0 or x > 1.0:
+                return math.inf
         return grade(to_params(u))
+
+    def converged() -> bool:
+        for u in simplex[1:]:
+            for x, b in zip(u, simplex[0]):
+                if not abs(x - b) < _NM_TOL:
+                    return False
+        return True
 
     def halfway(a: tuple, b: tuple) -> tuple:
         return tuple(x + 0.5 * (y - x) for x, y in zip(a, b))
@@ -616,14 +625,14 @@ def _refine(axes, grids: list[np.ndarray], start: dict, grade) -> None:
     fvals = [objective_u(u) for u in simplex]
 
     for _ in range(_NM_ITER_PER_DIM * dim):
-        order = sorted(range(dim + 1), key=lambda i: fvals[i])
+        order = sorted(range(dim + 1), key=fvals.__getitem__)
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
-        if all(abs(x - b) < _NM_TOL for u in simplex[1:] for x, b in zip(u, simplex[0])):
+        if converged():
             break
         total = (0.0,) * dim  # np.mean(axis=0): sum from 0.0 in vertex order
         for u in simplex[:-1]:
-            total = tuple(t + x for t, x in zip(total, u))
+            total = tuple(map(operator.add, total, u))
         centroid = tuple(t / dim for t in total)
         worst_u, worst_f = simplex[-1], fvals[-1]
         refl = tuple(c + (c - w) for c, w in zip(centroid, worst_u))
@@ -689,17 +698,18 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
 
     def grade(point: DesignPoint):
         """(objective, feasible, enabled violations) of a point or of columns."""
+        constraints = [point.constraint(name) for name in names]
         feasible = True
-        for name in names:
-            feasible = feasible & point.constraint(name).ok
-        return (extract(point), feasible,
-                tuple(point.constraint(name).violation for name in names))
+        for constraint in constraints:
+            feasible = feasible & constraint.ok
+        return extract(point), feasible, tuple(c.violation for c in constraints)
 
     def record(phase: str, params: dict, value: float | None, feasible: bool,
                violations: tuple[float, ...] | None) -> float:
         nonlocal best
-        log.append({"phase": phase, "params": dict(params),
-                    "objective": value, "feasible": feasible})
+        # Each request's params is a fresh dict; `best` keeps its own copy.
+        log.append({"phase": phase, "params": params, "objective": value,
+                    "feasible": feasible})
         if not feasible:
             if violations is not None:
                 infeasible_violations.append(violations)
@@ -711,14 +721,14 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
 
     # The record() arguments of each params graded so far, by their float
     # bits (0.0 and -0.0 differ): a point met again is logged, not re-graded.
-    known: dict[tuple[str, ...], tuple] = {}
+    known: dict[bytes, tuple] = {}
+    pack = struct.Struct(f"{len(axes)}d").pack
 
-    def bits(params: dict) -> tuple[str, ...]:
-        return tuple(map(float.hex, params.values()))
+    def bits(params: dict) -> bytes:
+        return pack(*params.values())
 
-    def try_point(phase: str, params: dict) -> float:
+    def try_point(phase: str, params: dict, key: bytes) -> float:
         nonlocal last_error
-        key = bits(params)
         if key not in known:
             try:
                 point = evaluate(set_parameter(inputs, params))
@@ -742,10 +752,11 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     except (ArithmeticError, ValueError):  # the pass vouches for no point
         failed = np.ones(n, dtype=bool)
     for i, (params, alone) in enumerate(zip(_grid_params(axes, axis_columns), failed.tolist())):
+        key = bits(params)
         if not alone:
             value, ok, *violations = graded[i]
-            known[bits(params)] = (value, ok, tuple(violations))
-        try_point("grid", params)
+            known[key] = (value, ok, tuple(violations))
+        try_point("grid", params, key)
 
     if best is None:
         if not infeasible_violations:
@@ -764,7 +775,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             log=tuple(log),
         )
 
-    _refine(axes, grids, best[1], lambda params: try_point("refine", params))
+    _refine(axes, grids, best[1], lambda params: try_point("refine", params, bits(params)))
 
     signed, params = best
     return OptimizeResult(

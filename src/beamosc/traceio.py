@@ -1,8 +1,10 @@
 """Deterministic file output: CSV/JSON row tables, JSON documents, SVG plots.
 
-Identical inputs produce byte-identical files: floats are written with
-repr() (shortest round-trip form), row order is the natural iteration
-order, and nothing timestamps the output.
+One row writer formats every table, alone (write_rows) or as a RowTable
+inside a JSON document (write_json, optimize.json's log). Identical inputs
+produce byte-identical files: floats are written with repr() (shortest
+round-trip form), row order is the natural iteration order, and nothing
+timestamps the output.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import io
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +31,14 @@ ROW_BLOCK = 4096  # rows formatted and written at a time by write_rows()
 
 _CSV_BOOL = {True: "True", False: "False"}
 _JSON_BOOL = {True: "true", False: "false"}
+_MARK = "\0"  # stands for a varying cell, or a RowTable, in text that json.dumps() writes
+
+
+@dataclass(frozen=True)
+class RowTable:
+    """write_rows() columns that write_json() writes as a list of row objects."""
+
+    columns: dict
 
 
 def _csv_string(text: str) -> str:
@@ -46,13 +57,7 @@ def _csv_cell(value) -> str:
 
 
 def _json_value(value) -> str:
-    if isinstance(value, (str, bool)) or value is None:
-        return json.dumps(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
-    raise TypeError(f"cannot write {type(value).__name__} value {value!r} as a row cell")
+    return float.__repr__(value) if type(value) is float else json.dumps(value)
 
 
 def _non_finite(column) -> bool:
@@ -63,9 +68,23 @@ def _non_finite(column) -> bool:
     return any(isinstance(v, float) and not math.isfinite(v) for v in column)
 
 
+def _object_texts(values: list) -> tuple[list, list]:
+    """CSV and JSON text of each value, formatted once per distinct (type,
+    value); 0.0 == -0.0, so a column holding a float zero goes cell by cell."""
+    keys = list(zip(map(type, values), values))
+    distinct = dict.fromkeys(keys)
+    if any(isinstance(v, float) and not v for _, v in distinct):
+        return list(map(_csv_cell, values)), list(map(_json_value, values))
+    texts = []
+    for cell in (_csv_cell, _json_value):
+        memo = {key: cell(key[1]) for key in distinct}
+        texts.append(list(map(memo.__getitem__, keys)))
+    return texts[0], texts[1]
+
+
 def _texts(column) -> tuple[list, list]:
-    """CSV and JSON text of every cell of one column block. The two lists
-    are the same object where the texts agree (numbers)."""
+    """CSV and JSON text of every cell of one column block, each distinct
+    value formatted once. The lists are one object where the texts agree."""
     kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
     if kind == "f":
         # Grid columns repeat values: format each distinct bit pattern once.
@@ -80,7 +99,7 @@ def _texts(column) -> tuple[list, list]:
         return text, text
     if kind == "b":
         return [_CSV_BOOL[v] for v in values], [_JSON_BOOL[v] for v in values]
-    return [_csv_cell(v) for v in values], [_json_value(v) for v in values]
+    return _object_texts(values)
 
 
 def _constant(column) -> bool:
@@ -89,58 +108,52 @@ def _constant(column) -> bool:
             and column.strides[0] == 0)
 
 
-def _pieces(layout: list) -> list[str]:
-    """Join the literal text between the varying cells (None) of a row."""
-    pieces, literal = [], []
-    for part in layout:
-        if part is None:
-            pieces.append("".join(literal))
-            literal = []
-        else:
-            literal.append(part)
-    pieces.append("".join(literal))
-    return pieces
+def _row(columns: dict, leaves: list) -> dict:
+    """One row of a table: each constant column's value, _MARK where a cell
+    varies. Appends (name, column) of every column to `leaves`, groups
+    flattened and a list of Python floats made a float array (same bits)."""
+    row = {}
+    for name, column in columns.items():
+        if isinstance(column, dict):
+            row[name] = _row(column, leaves)
+            continue
+        if not isinstance(column, np.ndarray) and set(map(type, column)) == {float}:
+            column = np.array(column)
+        leaves.append((name, column))
+        row[name] = column[:1].tolist()[0] if _constant(column) else _MARK
+    return row
 
 
-def write_rows(columns: dict, csv_path=None, json_path=None) -> None:
-    """Write equal-length columns as CSV rows and/or a JSON list of objects.
-
-    `columns` maps each header to a sequence or a 1-D numpy array. The bytes
-    are those of csv.DictWriter (minimal quoting, "\n" line ends, None as
-    an empty cell, after a header line) and of json.dump(rows, indent=2)
-    plus a final newline. Each value is formatted once per ROW_BLOCK rows,
-    the CSV and JSON files share the text of numbers, and a column that
-    repeats one value is formatted once, into the literal text of the row.
-    Non-finite floats are refused before anything is written.
-    """
-    names = list(columns)
-    if not names:
+def _checked(columns: dict) -> tuple[dict, list]:
+    """_row() of a table and its columns; raises unless they are of one
+    non-zero length and every value is finite."""
+    leaves = []
+    row = _row(columns, leaves)
+    if not leaves:
         raise ValueError("no columns to write")
-    n = len(columns[names[0]])
-    if n == 0 or any(len(columns[name]) != n for name in names):
+    n = len(leaves[0][1])
+    if n == 0 or any(len(column) != n for _, column in leaves):
         raise ValueError("columns must be non-empty and of equal length")
-    for name in names:
-        if _non_finite(columns[name]):
+    for name, column in leaves:
+        if _non_finite(column):
             raise ValidationError(
                 f"column {name!r} holds a non-finite value; refusing to write it")
+    return row, [column for _, column in leaves]
 
-    # The text of one row in each format, None where a varying cell goes.
-    csv_layout, json_layout, varying = [], ["  {\n"], []
-    for i, name in enumerate(names):
-        column = columns[name]
-        csv_cell = json_cell = None
-        if _constant(column):
-            (csv_cell,), (json_cell,) = _texts(column[:1])
-        else:
-            varying.append(column)
-        if i:
-            csv_layout.append(",")
-            json_layout.append(",\n")
-        csv_layout.append(csv_cell)
-        json_layout += [f"    {json.dumps(name)}: ", json_cell]
-    csv_pieces = _pieces(csv_layout + ["\n"])
-    json_pieces = _pieces(json_layout + ["\n  }"])
-    lone = len(names) == 1  # csv quotes the empty cell of a one-column row
+
+def _write_table(row: dict, leaves: list, csv_fh, json_fh, indent: str = "") -> None:
+    """Stream the rows of a table that _checked() gives as `row`, `leaves`:
+    CSV rows after the header line, and a JSON list whose lines after the
+    first start at `indent`, with no newline after its closing bracket."""
+    n = len(leaves[0])
+    varying = [column for column in leaves if not _constant(column)]
+    json_pieces = (f"{indent}  " + json.dumps(row, indent=2).replace("\n", f"\n{indent}  ")
+                   ).split(json.dumps(_MARK))
+    csv_pieces = ",".join(v if v == _MARK else _csv_cell(v) for v in row.values()).split(_MARK)
+    csv_pieces[-1] += "\n"
+    if len(json_pieces) != len(varying) + 1 or csv_fh and len(csv_pieces) != len(varying) + 1:
+        raise ValueError("a column name or value holds the row writer's mark")
+    lone = len(row) == 1  # csv quotes the empty cell of a one-column row
     if lone and csv_pieces == ["\n"]:
         csv_pieces = ['""\n']
 
@@ -151,42 +164,82 @@ def write_rows(columns: dict, csv_path=None, json_path=None) -> None:
             parts += [texts, itertools.repeat(piece, count)]
         return map("".join, zip(*parts))
 
+    if json_fh is not None:
+        json_fh.write("[\n")
+    for start in range(0, n, ROW_BLOCK):
+        count = min(ROW_BLOCK, n - start)
+        blocks = [_texts(column[start:start + count]) for column in varying]
+        if csv_fh is not None:
+            cells = [texts for texts, _ in blocks]
+            if lone and cells:
+                cells = [[c or '""' for c in cells[0]]]
+            csv_fh.write("".join(rows(csv_pieces, cells, count)))
+        if json_fh is not None:
+            json_fh.write((",\n" if start else "")
+                          + ",\n".join(rows(json_pieces, [texts for _, texts in blocks],
+                                             count)))
+    if json_fh is not None:
+        json_fh.write(f"\n{indent}]")
+
+
+def write_rows(columns: dict, csv_path=None, json_path=None) -> None:
+    """Write equal-length columns as CSV rows and/or a JSON list of objects.
+
+    `columns` maps each header to a sequence, a 1-D numpy array or a dict
+    of columns, a group that nests in each JSON row (not in CSV). The bytes
+    are those of csv.DictWriter (minimal quoting, "\n" line ends, None as
+    an empty cell, after a header line) and of json.dump(rows, indent=2)
+    plus a final newline. Each value is formatted once per ROW_BLOCK rows,
+    the CSV and JSON files share the text of numbers, and a column that
+    repeats one value is formatted once, into the literal text of the row.
+    Non-finite floats are refused before anything is written.
+    """
+    row, leaves = _checked(columns)
+    if csv_path is not None and any(isinstance(v, dict) for v in row.values()):
+        raise ValueError("a CSV table takes no column group")
     with contextlib.ExitStack() as stack:
         csv_fh = json_fh = None
         if csv_path is not None:
             csv_fh = stack.enter_context(open(csv_path, "w", encoding="utf-8", newline=""))
-            csv_fh.write(",".join(map(_csv_cell, names)) + "\n")
+            csv_fh.write(",".join(map(_csv_cell, columns)) + "\n")
         if json_path is not None:
             json_fh = stack.enter_context(open(json_path, "w", encoding="utf-8"))
-            json_fh.write("[\n")
-        for start in range(0, n, ROW_BLOCK):
-            count = min(ROW_BLOCK, n - start)
-            blocks = [_texts(column[start:start + count]) for column in varying]
-            if csv_fh is not None:
-                cells = [texts for texts, _ in blocks]
-                if lone and cells:
-                    cells = [[c or '""' for c in cells[0]]]
-                csv_fh.write("".join(rows(csv_pieces, cells, count)))
-            if json_fh is not None:
-                json_fh.write((",\n" if start else "")
-                              + ",\n".join(rows(json_pieces, [texts for _, texts in blocks],
-                                                 count)))
+        _write_table(row, leaves, csv_fh, json_fh)
         if json_fh is not None:
-            json_fh.write("\n]\n")
+            json_fh.write("\n")
 
 
-def json_text(obj) -> str:
-    """obj as indented JSON; non-finite floats are refused."""
+def json_text(obj, default=None) -> str:
+    """obj as indented JSON (json.dumps() `default`); non-finite floats are refused."""
     try:
-        return json.dumps(obj, indent=2, allow_nan=False)
+        return json.dumps(obj, indent=2, allow_nan=False, default=default)
     except ValueError as err:
         raise ValidationError(f"refusing to write non-finite JSON: {err}") from None
 
 
 def write_json(obj, path) -> None:
-    text = json_text(obj)
+    """json_text(obj) and a newline; the row writer writes each RowTable in
+    obj as json_text() would write its rows. Non-finite values are refused
+    before the file is opened."""
+    tables = []
+
+    def table(value):
+        if not isinstance(value, RowTable):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        tables.append(value.columns)
+        return _MARK
+
+    text = json_text(obj, default=table)
+    pieces = text.split(json.dumps(_MARK)) if tables else [text]
+    if len(pieces) != len(tables) + 1:
+        raise ValueError("a string in the document holds the row writer's mark")
+    checked = list(map(_checked, tables))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(pieces[0])
+        for (row, leaves), before, after in zip(checked, pieces, pieces[1:]):
+            line = before.rpartition("\n")[2]
+            _write_table(row, leaves, None, fh, line[:len(line) - len(line.lstrip(" "))])
+            fh.write(after)
         fh.write("\n")
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import beamosc
-from beamosc.cli import build_parser, main
+import beamosc.cli
+from beamosc.cli import _point_payload, build_parser, main
+from beamosc.explore import optimize
 from beamosc.simulate import envelope
 
 
@@ -355,6 +358,80 @@ class TestOptimizeCommand:
         assert rc == 2
         assert payload["feasible"] is False
         assert payload["most_violated"] == "bias"
+
+    def run_with_result(self, capsys, monkeypatch, tmp_path, axes, objective="min_Rx",
+                        change=None):
+        """optimize --out on design 1; the OptimizeResult that cli.optimize
+        returned, after change(result), and the optimize.json bytes."""
+        results = []
+
+        def spy(*args):
+            results.append(optimize(*args))
+            if change is not None:
+                change(results[-1])
+            return results[-1]
+
+        monkeypatch.setattr(beamosc.cli, "optimize", spy)
+        rc, _, _ = run_cli(capsys, "optimize", "--design", "1",
+                           "--set", f"explore.objective={objective}",
+                           "--set", "explore.axes=" + json.dumps(axes),
+                           "--out", str(tmp_path))
+        assert rc == (0 if results[0].feasible else 2)
+        return results[0], (tmp_path / "optimize.json").read_bytes()
+
+    @pytest.mark.parametrize("axes, objective, shows", [
+        # Beams shorter than the 75 um electrode fail: "objective": null.
+        ([{"path": "beam.length", "min": 60e-6, "max": 110e-6, "steps": 4}], "max_f0",
+         lambda r: r.feasible and any(e["objective"] is None for e in r.log)),
+        ([{"path": "transducer.bias_voltage", "min": 15.0, "max": 20.0, "steps": 2}],
+         "min_Rx", lambda r: r.best is None and r.most_violated == "bias"),
+        ([{"path": "transducer.bias_voltage", "min": 6.0, "max": 9.5, "steps": 4},
+          {"path": "beam.length", "min": 100e-6, "max": 100e-6, "steps": 3}], "min_Rx",
+         lambda r: len(r.log) > 4 and {e["params"]["beam.length"] for e in r.log} == {1e-4}),
+        ([{"path": "pierce.gm", "min": 1e-6, "max": 1e-3, "steps": 3, "scale": "log"},
+          {"path": "transducer.bias_voltage", "min": 6.0, "max": 9.5, "steps": 3}],
+         "startup_margin",
+         lambda r: sorted({e["params"]["pierce.gm"] for e in r.log if e["phase"] == "grid"})[1]
+         == pytest.approx(math.sqrt(1e-6 * 1e-3))),
+    ], ids=["failed_candidates", "infeasible", "fixed_axis", "log_axis"])
+    def test_optimize_json_is_the_json_text_of_the_payload(self, capsys, monkeypatch,
+                                                            tmp_path, axes, objective, shows):
+        result, written = self.run_with_result(capsys, monkeypatch, tmp_path, axes, objective)
+        assert shows(result)
+        payload = {
+            "objective": result.objective,
+            "feasible": result.feasible,
+            "best_params": result.best_params,
+            "objective_value": result.objective_value,
+            "evaluations": result.evaluations,
+            "most_violated": result.most_violated,
+            "log": list(result.log),
+        }
+        if result.best is not None:
+            payload["best_point"] = _point_payload(result.best)
+        assert written == (json.dumps(payload, indent=2) + "\n").encode()
+
+    def test_best_params_and_the_log_share_no_dict(self, capsys, monkeypatch, tmp_path):
+        axes = [{"path": "transducer.bias_voltage", "min": 6.0, "max": 9.5, "steps": 4},
+                {"path": "beam.length", "min": 90e-6, "max": 110e-6, "steps": 3}]
+        untouched, _ = self.run_with_result(capsys, monkeypatch, tmp_path / "a", axes)
+        want_log = [dict(entry["params"]) for entry in untouched.log]
+        want_best = dict(untouched.best_params)
+
+        def change(result):
+            for path in result.best_params:
+                result.best_params[path] = -1.0
+            assert [entry["params"] for entry in result.log] == want_log
+            for entry in result.log:
+                entry["params"]["beam.length"] = -2.0
+            assert result.best_params == dict.fromkeys(want_best, -1.0)
+
+        _, written = self.run_with_result(capsys, monkeypatch, tmp_path / "b", axes,
+                                          change=change)
+        report = json.loads(written)
+        assert report["best_params"] == dict.fromkeys(want_best, -1.0)
+        assert [entry["params"] for entry in report["log"]] == [
+            {**params, "beam.length": -2.0} for params in want_log]
 
 
 def set_args(assignments):

@@ -5,7 +5,8 @@ must hold, bit for bit, what evaluate() + flatten() give point by point,
 and a grid with an invalid point must raise what the scalar path raises
 for the first such point. optimize() grades its coarse grid in the same
 pass and must return, bit for bit, what grading it point by point gives.
-write_rows() must give the bytes of csv.DictWriter and json.dump(indent=2).
+write_rows() must give the bytes of csv.DictWriter and json.dump(indent=2),
+and write_json() those of json.dumps(indent=2) with a row table inside.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from beamosc import _num
@@ -39,7 +40,7 @@ from beamosc.explore import (
     set_parameter,
     sweep,
 )
-from beamosc.traceio import write_rows
+from beamosc.traceio import RowTable, write_json, write_rows
 
 # Sampled range of every sweepable path around bundled design 1.
 PATH_RANGES = {
@@ -388,12 +389,52 @@ cells = st.one_of(
 )
 
 
+names = st.text(alphabet='ab,"%é ', min_size=1, max_size=4)
+
+
 @st.composite
-def tables(draw):
-    names = draw(st.lists(st.text(alphabet='ab,"%é ', min_size=1, max_size=4),
-                          min_size=1, max_size=4, unique=True))
+def tables(draw, group=False):
+    """Columns of lists; with `group`, maybe one column group (0-3 columns)
+    at a drawn place among them."""
     n = draw(st.integers(1, 6))
-    return {name: draw(st.lists(cells, min_size=n, max_size=n)) for name in names}
+    items = [(name, draw(st.lists(cells, min_size=n, max_size=n)))
+             for name in draw(st.lists(names, min_size=1, max_size=4, unique=True))]
+    if group and draw(st.booleans()):
+        inner = draw(st.lists(names, max_size=3, unique=True))
+        key = draw(names.filter(lambda k: k not in dict(items)))
+        items.insert(draw(st.integers(0, len(items))),
+                     (key, {name: draw(st.lists(cells, min_size=n, max_size=n))
+                            for name in inner}))
+    return dict(items)
+
+
+def row_objects(columns: dict) -> list[dict]:
+    """The JSON rows of a table, a column group nested in each."""
+    n = len(next(c for c in columns.values() if not isinstance(c, dict)))
+
+    def row(cols, i):
+        return {k: row(c, i) if isinstance(c, dict) else c[i] for k, c in cols.items()}
+    return [row(columns, i) for i in range(n)]
+
+
+@st.composite
+def documents(draw):
+    """(document, reference, columns): a RowTable of `columns` at depth 1-2
+    inside a JSON document, in a list or under a key among other values,
+    and the same document holding the table's row objects instead."""
+    columns = draw(tables(group=True))
+    doc, ref = RowTable(columns), row_objects(columns)
+    for _ in range(draw(st.integers(1, 2))):
+        siblings = list(draw(st.dictionaries(names, cells, max_size=3)).items())
+        at = draw(st.integers(0, len(siblings)))
+        if draw(st.booleans()):
+            values = [v for _, v in siblings]
+            doc, ref = (values[:at] + [doc] + values[at:], values[:at] + [ref] + values[at:])
+        else:
+            key = draw(names.filter(lambda k: k not in dict(siblings)))
+            doc, ref = (dict(siblings[:at] + [(key, doc)] + siblings[at:]),
+                        dict(siblings[:at] + [(key, ref)] + siblings[at:]))
+    return doc, ref, columns
 
 
 def reference_bytes(columns: dict) -> tuple[str, str]:
@@ -409,6 +450,10 @@ def reference_bytes(columns: dict) -> tuple[str, str]:
 
 @settings(max_examples=150)
 @given(columns=tables())
+# A str, bool or None among the values sends floats down the object path,
+# which formats each distinct (type, value) once: 0.0 and -0.0 must keep
+# their own text, and True, 1 and 1.0 theirs.
+@example(columns={"z": [0.0, -0.0, None, -0.0, 1.0, True, 1, False, 0]})
 def test_rows_writer_matches_dictwriter_and_json(tmp_path_factory, columns):
     out = tmp_path_factory.mktemp("rows")
     write_rows(columns, csv_path=out / "t.csv", json_path=out / "t.json")
@@ -434,6 +479,47 @@ def test_rows_writer_on_numpy_columns(tmp_path_factory, n, seed):
     want_csv, want_json = reference_bytes({k: v.tolist() for k, v in columns.items()})
     assert (out / "t.csv").read_text() == want_csv
     assert (out / "t.json").read_text() == want_json
+
+
+@settings(max_examples=150)
+@given(case=documents())
+def test_json_writer_matches_json_dumps(tmp_path_factory, case):
+    doc, ref, columns = case
+    out = tmp_path_factory.mktemp("doc")
+    write_json(doc, out / "d.json")
+    assert (out / "d.json").read_bytes() == (json.dumps(ref, indent=2) + "\n").encode()
+    write_rows(columns, json_path=out / "t.json")
+    want = json.dumps(row_objects(columns), indent=2) + "\n"
+    assert (out / "t.json").read_bytes() == want.encode()
+
+
+@settings(max_examples=60)
+@given(case=documents(), data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_json_writer_refuses_a_non_finite_cell_anywhere(tmp_path_factory, case, data, bad):
+    doc, _, columns = case
+    leaves = [c for c in columns.values() if not isinstance(c, dict)] + [
+        c for group in columns.values() if isinstance(group, dict) for c in group.values()]
+    if data.draw(st.booleans()):
+        column = data.draw(st.sampled_from(leaves))
+        column[data.draw(st.integers(0, len(column) - 1))] = bad
+    else:
+        doc = {"before": bad, "doc": doc}
+    path = tmp_path_factory.mktemp("bad") / "d.json"
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_json(doc, path)
+    assert not path.exists()
+
+
+def test_json_writer_mark_shows_only_where_a_table_is(tmp_path):
+    # write_json() marks a RowTable's place with the string "\0"; a document
+    # holding no table is written whatever its strings, and one that holds
+    # a table and the mark as a string is refused, not written wrongly.
+    doc = {"\0": "\0", "list": ["\0"]}
+    write_json(doc, tmp_path / "plain.json")
+    assert (tmp_path / "plain.json").read_text() == json.dumps(doc, indent=2) + "\n"
+    with pytest.raises(ValueError, match="mark"):
+        write_json({"text": "\0", "rows": RowTable({"a": [1]})}, tmp_path / "t.json")
+    assert not (tmp_path / "t.json").exists()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
