@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -130,9 +131,9 @@ def cmd_table1(args) -> int:
         rows = report.to_rows()
         columns = {key: [row[key] for row in rows] for key in rows[0]}
         if args.format == "json":
-            write_rows(columns, json_path=out / "table1.json")
+            write_rows([columns], json_path=out / "table1.json")
         else:
-            write_rows(columns, csv_path=out / "table1.csv")
+            write_rows([columns], csv_path=out / "table1.csv")
     return 0 if report.all_pass else 2
 
 
@@ -149,10 +150,10 @@ def cmd_simulate(args) -> int:
     print(json_text(summary))
     out = _out_dir(args)
     if out is not None:
-        write_rows({"t": trace.time, "v_in": trace.v_in, "v_out": trace.v_out,
-                    "x": trace.x}, csv_path=out / "trace.csv")
+        write_rows([{"t": trace.time, "v_in": trace.v_in, "v_out": trace.v_out,
+                     "x": trace.x}], csv_path=out / "trace.csv")
         if env is not None:
-            write_rows({"t": env[:, 0], "amplitude": env[:, 1]},
+            write_rows([{"t": env[:, 0], "amplitude": env[:, 1]}],
                        csv_path=out / "envelope.csv")
         write_trace_svg(trace, out / "trace.svg", env=env)
         write_json(summary, out / "summary.json")
@@ -163,23 +164,39 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_project(args)
     spec = cfg.build_sweep_spec()
-    columns = sweep(cfg.build_inputs(), spec)
-    n_points = len(columns["feasible"])
-    n_feasible = int(columns["feasible"].sum())
-    print(json_text({"points": n_points, "feasible": n_feasible}))
-    out = _out_dir(args)
-    if out is not None:
-        write_rows(columns, csv_path=out / "sweep.csv", json_path=out / "sweep.json")
+    points = feasible = 0
+
+    def counted(blocks):
+        nonlocal points, feasible
+        for block in blocks:
+            points += len(block["feasible"])
+            feasible += int(block["feasible"].sum())
+            yield block
+
+    blocks = counted(sweep(cfg.build_inputs(), spec))
+    if args.out is None:
+        for _ in blocks:
+            pass
+    else:
+        out = Path(args.out)
+        created = [path for path in (out, *out.parents) if not path.exists()]
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            write_rows(blocks, csv_path=out / "sweep.csv", json_path=out / "sweep.json")
+        except BaseException:
+            if created:  # a failed sweep leaves no directory it made behind
+                shutil.rmtree(created[-1])
+            raise
         axes = [
             {"path": a.path, "min": a.minimum, "max": a.maximum,
              "steps": a.steps, "scale": a.scale}
             for a in spec.axes
         ]
         write_json(
-            _manifest(cfg, "sweep", axes=axes, points=n_points,
-                      feasible=n_feasible),
+            _manifest(cfg, "sweep", axes=axes, points=points, feasible=feasible),
             out / "manifest.json",
         )
+    print(json_text({"points": points, "feasible": feasible}))
     return 0
 
 

@@ -196,10 +196,12 @@ SCHEMA = {
 
 
 def default_config() -> dict:
-    """The full default config as a plain dict."""
+    """The full default config as a plain dict of its own: each mutable
+    default (a list or dict, such as explore.axes) is a fresh copy."""
     out = {"description": ""}
     for block, entries in SCHEMA.items():
-        out[block] = {name: copy.deepcopy(spec[0]) for name, spec in entries.items()}
+        out[block] = {name: copy.deepcopy(default) if isinstance(default, (list, dict))
+                      else default for name, (default, _, _) in entries.items()}
     return out
 
 

@@ -9,12 +9,14 @@ amplifier sizing and grades it against four feasibility constraints:
   rules       release-etch manufacturability rules hold
 
 The pipeline is written once, in _chain(). evaluate() runs it on Python
-floats for one design; sweep() runs it once on numpy columns holding the
-whole grid, with the same bits in every output. sweep() keeps infeasible
-points flagged rather than dropped. optimize() grades a coarse grid in the
-same column pass and refines the best cell with a derivative-free simplex
-search, point by point, that rejects constraint violations; the result is
-never worse than the best grid point.
+floats for one design; sweep() runs it on numpy columns, one pass per block
+of SWEEP_BLOCK grid points, with the same bits in every output, and yields
+the blocks one at a time, so its memory is set by the block, not the grid.
+sweep() keeps infeasible points flagged rather than dropped. optimize()
+grades its coarse grid as one block of the same column pass and refines
+the best cell with a derivative-free simplex search, point by point, that
+rejects constraint violations; the result is never worse than the best
+grid point.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -504,9 +507,11 @@ def _column_pass(inputs: DesignInputs, axes, axis_columns):
     return point, failed
 
 
-def _axis_columns(grids: list[np.ndarray]) -> list[np.ndarray]:
-    """One column per axis over the grid, in itertools.product order."""
-    return [c.ravel() for c in np.meshgrid(*grids, indexing="ij")]
+def _block_columns(grids: list[np.ndarray], start: int, stop: int) -> list[np.ndarray]:
+    """One column per axis over grid points start..stop-1, in
+    itertools.product order, taken from the points' own grid indices."""
+    index = np.unravel_index(np.arange(start, stop), [len(g) for g in grids])
+    return [grid[i] for grid, i in zip(grids, index)]
 
 
 def _grid_params(axes, axis_columns):
@@ -516,38 +521,52 @@ def _grid_params(axes, axis_columns):
         yield dict(zip(paths, combo))
 
 
-def sweep(inputs: DesignInputs, spec: SweepSpec) -> dict[str, np.ndarray]:
-    """Evaluate the full Cartesian grid in one pass over columns.
+SWEEP_BLOCK = 4096  # grid points per column pass and per block sweep() yields
 
-    Returns one column per COLUMNS name, each holding every grid point in
-    row-major axis order (the order of itertools.product over the axes),
-    with the bits evaluate() gives for that point. Columns that do not vary
-    over the grid are zero-stride views of one value. Infeasible points are
-    flagged, not dropped.
 
-    Every check of set_parameter() and evaluate() runs on every point. If
-    any point fails one, the sweep raises what set_parameter() and
-    evaluate() raise for the first such point in grid order; choose axis
-    bounds inside the valid region. A grid whose arithmetic faults anywhere
-    (a zero divisor, an overflow) is evaluated point by point instead,
-    with the same result.
+def sweep(inputs: DesignInputs, spec: SweepSpec) -> Iterator[dict[str, np.ndarray]]:
+    """Evaluate the full Cartesian grid as a stream of blocks.
+
+    Checks grid_cap at once, then returns an iterator over blocks of up to
+    SWEEP_BLOCK consecutive grid points in row-major axis order (the order
+    of itertools.product over the axes). Each block maps every COLUMNS name
+    to a column holding the bits evaluate() gives each of its points;
+    columns that do not vary over the block are zero-stride views of one
+    value. Infeasible points are flagged, not dropped. Memory is set by
+    the block, not by the grid.
+
+    Each block is one column pass, and every check of set_parameter() and
+    evaluate() runs on each of its points. If a point fails one, iterating
+    raises what set_parameter() and evaluate() raise for the first such
+    point in grid order, after the blocks before it; choose axis bounds
+    inside the valid region. A block whose arithmetic faults anywhere (a
+    zero divisor, an overflow) is evaluated point by point instead, with
+    the same result; the other blocks keep their column pass.
     """
     n = _check_cap([axis.steps for axis in spec.axes], spec.grid_cap)
-    axis_columns = _axis_columns([axis.values() for axis in spec.axes])
+    grids = [axis.values() for axis in spec.axes]
+    return (_sweep_block(inputs, spec.axes, grids, start, min(start + SWEEP_BLOCK, n))
+            for start in range(0, n, SWEEP_BLOCK))
+
+
+def _sweep_block(inputs: DesignInputs, axes, grids, start: int, stop: int
+                 ) -> dict[str, np.ndarray]:
+    """sweep()'s block of grid points start..stop-1."""
+    axis_columns = _block_columns(grids, start, stop)
     try:
-        point, failed = _column_pass(inputs, spec.axes, axis_columns)
+        point, failed = _column_pass(inputs, axes, axis_columns)
     except (ArithmeticError, ValueError):  # the pass vouches for no point
         points = (evaluate(set_parameter(inputs, params))
-                  for params in _grid_params(spec.axes, axis_columns))
+                  for params in _grid_params(axes, axis_columns))
         columns = zip(*([get(p) for _, get in COLUMNS] for p in points))
         return {name: np.array(values) for (name, _), values in zip(COLUMNS, columns)}
     if failed.any():
-        i = int(failed.argmax())  # the first point that failed a check
+        i = int(failed.argmax())  # the block's first point that failed a check
         evaluate(set_parameter(inputs, {axis.path: float(column[i])
-                                        for axis, column in zip(spec.axes, axis_columns)}))
+                                        for axis, column in zip(axes, axis_columns)}))
         raise RuntimeError(
-            f"sweep failed grid point {i} on a check that evaluate() passes")
-    return {name: np.broadcast_to(get(point), (n,)) for name, get in COLUMNS}
+            f"sweep failed grid point {start + i} on a check that evaluate() passes")
+    return {name: np.broadcast_to(get(point), (stop - start,)) for name, get in COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -687,7 +706,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
                 if axis.minimum < axis.maximum else 1).values()
         for axis in axes
     ]
-    _check_cap([len(g) for g in grids], spec.grid_cap)
+    n = _check_cap([len(g) for g in grids], spec.grid_cap)
 
     log: list[dict] = []
     last_error: BeamoscError | None = None
@@ -741,8 +760,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
 
     # The coarse grid in one column pass, whose grades seed `known`; points
     # the pass does not vouch for are graded by try_point, in grid order.
-    axis_columns = _axis_columns(grids)
-    n = len(axis_columns[0])
+    axis_columns = _block_columns(grids, 0, n)  # one block
     try:
         point, failed = _column_pass(inputs, axes, axis_columns)
         with float_errors():

@@ -1,6 +1,7 @@
 """Deterministic file output: CSV/JSON row tables, JSON documents, SVG plots.
 
-One row writer formats every table, alone (write_rows) or as a RowTable
+One row writer formats every table, alone (write_rows, which streams a
+table given as blocks of columns, such as sweep()'s) or as a RowTable
 inside a JSON document (write_json, optimize.json's log). Identical inputs
 produce byte-identical files: floats are written with repr() (shortest
 round-trip form), row order is the natural iteration order, and nothing
@@ -15,6 +16,7 @@ import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,11 @@ _PAD_L, _PAD_R, _PAD_T, _PAD_B = 64, 16, 28, 40
 _MAX_POLYLINE = 4000  # plotted samples cap; traces are strided down to this
 
 
-ROW_BLOCK = 4096  # rows formatted and written at a time by write_rows()
+ROW_BLOCK = 1024  # rows formatted at a time by write_rows()
+# Rows joined into one write(), tens of kB of text. A whole ROW_BLOCK in one
+# string is megabytes, which malloc maps afresh and returns to the system on
+# every block of a stream: a page fault per 4 kB written.
+_WRITE_ROWS = 32
 
 _CSV_BOOL = {True: "True", False: "False"}
 _JSON_BOOL = {True: "true", False: "false"}
@@ -82,16 +88,39 @@ def _object_texts(values: list) -> tuple[list, list]:
     return texts[0], texts[1]
 
 
-def _texts(column) -> tuple[list, list]:
-    """CSV and JSON text of every cell of one column block, each distinct
-    value formatted once. The lists are one object where the texts agree."""
+_NOTHING_KNOWN = (np.empty(0, dtype=np.int64), None)
+
+
+def _float_texts(column: np.ndarray, known: tuple) -> tuple[list, tuple]:
+    """Text of every cell of a float column chunk, each distinct bit pattern
+    formatted once or taken from `known`, the sorted bits and the texts of
+    the column's previous chunk: grid columns repeat values within a chunk
+    and from one chunk to the next. Returns the texts and the chunk's own
+    (bits, texts)."""
+    bits = column.astype(np.float64, copy=False).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    known_bits, known_texts = known
+    at = np.searchsorted(known_bits, distinct)
+    hit = at < len(known_bits)
+    hit[hit] = known_bits[at[hit]] == distinct[hit]
+    if hit.any():
+        texts = np.empty(len(distinct), dtype=object)
+        texts[hit] = known_texts[at[hit]]
+        new = ~hit
+        texts[new] = list(map(float.__repr__, distinct[new].view(np.float64).tolist()))
+    else:
+        texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
+                         dtype=object)
+    return texts[index].tolist(), (distinct, texts)
+
+
+def _texts(column, known: dict, key) -> tuple[list, list]:
+    """CSV and JSON text of every cell of one column chunk, each distinct
+    value formatted once. The lists are one object where the texts agree.
+    known[key] carries a float column's texts on to its next chunk."""
     kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
     if kind == "f":
-        # Grid columns repeat values: format each distinct bit pattern once.
-        bits = column.astype(np.float64, copy=False).view(np.int64)
-        distinct, index = np.unique(bits, return_inverse=True)
-        text = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
-                        dtype=object)[index].tolist()
+        text, known[key] = _float_texts(column, known.get(key, _NOTHING_KNOWN))
         return text, text
     values = column.tolist() if isinstance(column, np.ndarray) else column
     if kind in "iu":
@@ -141,12 +170,38 @@ def _checked(columns: dict) -> tuple[dict, list]:
     return row, [column for _, column in leaves]
 
 
-def _write_table(row: dict, leaves: list, csv_fh, json_fh, indent: str = "") -> None:
-    """Stream the rows of a table that _checked() gives as `row`, `leaves`:
-    CSV rows after the header line, and a JSON list whose lines after the
-    first start at `indent`, with no newline after its closing bracket."""
+def _write_table(blocks, csv_fh, json_fh, indent: str = "") -> None:
+    """Stream the rows of a table given as blocks, each the `row`, `leaves`
+    that _checked() gives, as they arrive: a CSV header line and the rows,
+    and a JSON list whose lines after the first start at `indent`, with no
+    newline after its closing bracket."""
+    names = None
+    known: dict = {}  # _texts() memo of each leaf, by its index
+    if json_fh is not None:
+        json_fh.write("[\n")
+    for i, (row, leaves) in enumerate(blocks):
+        if i == 0:
+            names = list(row)
+            if csv_fh is not None:
+                if any(isinstance(v, dict) for v in row.values()):
+                    raise ValueError("a CSV table takes no column group")
+                csv_fh.write(",".join(map(_csv_cell, names)) + "\n")
+        elif list(row) != names:
+            raise ValueError("every block must hold the columns of the first")
+        _write_block(row, leaves, csv_fh, json_fh, indent, known, first=i == 0)
+    if names is None:
+        raise ValueError("no block to write")
+    if json_fh is not None:
+        json_fh.write(f"\n{indent}]")
+
+
+def _write_block(row: dict, leaves: list, csv_fh, json_fh, indent: str, known: dict,
+                 first: bool) -> None:
+    """The rows of one block of _write_table(). Each block has its own
+    literal row text: a column may repeat one value in one block and vary
+    in the next."""
     n = len(leaves[0])
-    varying = [column for column in leaves if not _constant(column)]
+    varying = [(i, column) for i, column in enumerate(leaves) if not _constant(column)]
     json_pieces = (f"{indent}  " + json.dumps(row, indent=2).replace("\n", f"\n{indent}  ")
                    ).split(json.dumps(_MARK))
     csv_pieces = ",".join(v if v == _MARK else _csv_cell(v) for v in row.values()).split(_MARK)
@@ -157,56 +212,70 @@ def _write_table(row: dict, leaves: list, csv_fh, json_fh, indent: str = "") -> 
     if lone and csv_pieces == ["\n"]:
         csv_pieces = ['""\n']
 
-    def rows(pieces, cells, count):
-        """The text of `count` rows: literal pieces around the cell texts."""
+    def write(fh, sep, pieces, cells, count):
+        """Write `count` rows, literal pieces around the cell texts, `sep`
+        between rows, _WRITE_ROWS rows per write()."""
         parts = [itertools.repeat(pieces[0], count)]
         for texts, piece in zip(cells, pieces[1:]):
             parts += [texts, itertools.repeat(piece, count)]
-        return map("".join, zip(*parts))
+        lines = map("".join, zip(*parts))
+        for done in range(0, count, _WRITE_ROWS):
+            fh.write((sep if done else "") + sep.join(itertools.islice(lines, _WRITE_ROWS)))
 
-    if json_fh is not None:
-        json_fh.write("[\n")
     for start in range(0, n, ROW_BLOCK):
         count = min(ROW_BLOCK, n - start)
-        blocks = [_texts(column[start:start + count]) for column in varying]
+        chunk = [_texts(column[start:start + count], known, i) for i, column in varying]
         if csv_fh is not None:
-            cells = [texts for texts, _ in blocks]
+            cells = [texts for texts, _ in chunk]
             if lone and cells:
                 cells = [[c or '""' for c in cells[0]]]
-            csv_fh.write("".join(rows(csv_pieces, cells, count)))
+            write(csv_fh, "", csv_pieces, cells, count)
         if json_fh is not None:
-            json_fh.write((",\n" if start else "")
-                          + ",\n".join(rows(json_pieces, [texts for _, texts in blocks],
-                                             count)))
-    if json_fh is not None:
-        json_fh.write(f"\n{indent}]")
+            if start or not first:
+                json_fh.write(",\n")
+            write(json_fh, ",\n", json_pieces, [texts for _, texts in chunk], count)
 
 
-def write_rows(columns: dict, csv_path=None, json_path=None) -> None:
-    """Write equal-length columns as CSV rows and/or a JSON list of objects.
+def write_rows(blocks, csv_path=None, json_path=None) -> None:
+    """Write a table, given as a sequence of column blocks, as CSV rows
+    and/or a JSON list of objects.
 
-    `columns` maps each header to a sequence, a 1-D numpy array or a dict
-    of columns, a group that nests in each JSON row (not in CSV). The bytes
-    are those of csv.DictWriter (minimal quoting, "\n" line ends, None as
-    an empty cell, after a header line) and of json.dump(rows, indent=2)
-    plus a final newline. Each value is formatted once per ROW_BLOCK rows,
-    the CSV and JSON files share the text of numbers, and a column that
-    repeats one value is formatted once, into the literal text of the row.
-    Non-finite floats are refused before anything is written.
+    Each block maps each header, the same headers in every block, to a
+    sequence, a 1-D numpy array or a dict of columns, a group that nests in
+    each JSON row (not in CSV); a block's columns share one non-zero
+    length. Blocks are written as they arrive, so an iterator of blocks
+    writes a table that is never whole in memory. The bytes are those of
+    csv.DictWriter over the rows of every block in order (minimal quoting,
+    "\n" line ends, None as an empty cell, after a header line) and of
+    json.dump(rows, indent=2) plus a final newline. Each value is formatted
+    once per ROW_BLOCK rows, the CSV and JSON files share the text of
+    numbers, and a column that repeats one value over a block is formatted
+    once, into the literal text of the block's rows.
+
+    Each file is written to `<path>.tmp` beside it and moved into place by
+    os.replace() once every block is written. On any error the temporary
+    files are removed and the target paths left as they were: a block that
+    holds a non-finite float, refused when it arrives, writes nothing.
     """
-    row, leaves = _checked(columns)
-    if csv_path is not None and any(isinstance(v, dict) for v in row.values()):
-        raise ValueError("a CSV table takes no column group")
-    with contextlib.ExitStack() as stack:
-        csv_fh = json_fh = None
-        if csv_path is not None:
-            csv_fh = stack.enter_context(open(csv_path, "w", encoding="utf-8", newline=""))
-            csv_fh.write(",".join(map(_csv_cell, columns)) + "\n")
-        if json_path is not None:
-            json_fh = stack.enter_context(open(json_path, "w", encoding="utf-8"))
-        _write_table(row, leaves, csv_fh, json_fh)
-        if json_fh is not None:
-            json_fh.write("\n")
+    paths = [path for path in (csv_path, json_path) if path is not None]
+    temps = [f"{os.fspath(path)}.tmp" for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            csv_fh = json_fh = None
+            if csv_path is not None:
+                csv_fh = stack.enter_context(open(temps[0], "w", encoding="utf-8", newline=""))
+            if json_path is not None:
+                json_fh = stack.enter_context(open(temps[-1], "w", encoding="utf-8"))
+            _write_table(map(_checked, blocks), csv_fh, json_fh)
+            if json_fh is not None:
+                json_fh.write("\n")
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
 
 
 def json_text(obj, default=None) -> str:
@@ -236,9 +305,9 @@ def write_json(obj, path) -> None:
     checked = list(map(_checked, tables))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(pieces[0])
-        for (row, leaves), before, after in zip(checked, pieces, pieces[1:]):
+        for table, before, after in zip(checked, pieces, pieces[1:]):
             line = before.rpartition("\n")[2]
-            _write_table(row, leaves, None, fh, line[:len(line) - len(line.lstrip(" "))])
+            _write_table([table], None, fh, line[:len(line) - len(line.lstrip(" "))])
             fh.write(after)
         fh.write("\n")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -30,6 +31,12 @@ def design_points():
         cfg = ProjectConfig.from_raw(load_builtin_design(n))
         points[n] = evaluate(cfg.build_inputs())
     return points
+
+
+def join_blocks(blocks) -> dict:
+    """sweep()'s blocks joined: each column over the whole grid."""
+    blocks = list(blocks)
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
 
 
 def run_startup(point, gm=None, sim=None, x_max=float("inf")):

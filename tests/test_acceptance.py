@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import run_startup
+from conftest import join_blocks, run_startup
 from beamosc.explore import SweepAxis, SweepSpec, flatten, optimize, sweep
 from beamosc.pierce import (
     PierceConfig,
@@ -184,10 +184,10 @@ def test_criterion_09_design_exploration(reference, design_points):
             design_points[1].inputs,
             transducer=replace(design_points[1].inputs.transducer,
                                electrode_length=45e-6))
-        grid = sweep(base, SweepSpec(axes=(
+        grid = join_blocks(sweep(base, SweepSpec(axes=(
             SweepAxis("beam.length", 60e-6, 100e-6, 2),
             SweepAxis("beam.in_plane_width", 1e-6, 2e-6, 2),
-        )))
+        ))))
         f0, feasible = grid["derived.f0"], grid["feasible"]
         assert f0[0] == pytest.approx(
             reference["2"]["values"]["f0_hz"], rel=0.002)

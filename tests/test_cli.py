@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,11 +10,15 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import beamosc
 import beamosc.cli
+from beamosc import explore, traceio
 from beamosc.cli import _point_payload, build_parser, main
 from beamosc.explore import optimize
 from beamosc.simulate import envelope
@@ -706,3 +712,75 @@ def test_sweep_with_an_invalid_point_writes_nothing(capsys, tmp_path):
     assert stdout == ""
     assert err.startswith("error: transduction: electrode_length 4.5e-05 m exceeds")
     assert not out.exists()
+
+
+def test_sweep_failing_in_its_last_block_writes_nothing(capsys, tmp_path):
+    # The electrode passes the 100 um beam only at the outer axis's last
+    # step, whose points are the last block: the blocks before it are
+    # written before the first invalid point is met.
+    axes = [{"path": "transducer.electrode_length", "min": 50e-6, "max": 110e-6, "steps": 2},
+            {"path": "beam.q_factor", "min": 1000.0, "max": 8000.0,
+             "steps": explore.SWEEP_BLOCK}]
+    argv = ["sweep", "--design", "1", "--set", "explore.axes=" + json.dumps(axes)]
+    out = tmp_path / "new" / "grid"
+    rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (rc, stdout) == (1, "")
+    assert err == run_cli(capsys, "analyze", "--design", "1", *set_args(
+        ["transducer.electrode_length=11e-5", "beam.q_factor=1000.0"]))[2]
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "sweep.csv").write_bytes(b"an earlier sweep\n")
+    rc, stdout, _ = run_cli(capsys, *argv, "--out", str(kept))
+    assert (rc, stdout) == (1, "")
+    assert [p.name for p in kept.iterdir()] == ["sweep.csv"]
+    assert (kept / "sweep.csv").read_bytes() == b"an earlier sweep\n"
+
+
+# Axes of the block-size property around design 1 with a 45 um electrode:
+# valid ranges, a vibration budget whose column pass faults above some
+# step (the float path runs on to an infinite violation, so those blocks
+# go point by point), and an electrode that may pass the beam length.
+BLOCK_AXES = {
+    "beam.length": (60e-6, 140e-6),
+    "beam.in_plane_width": (1e-6, 3e-6),
+    "transducer.bias_voltage": (3.0, 12.0),
+    "explore.vibration_amplitude": (0.0, 1e308),
+    "transducer.electrode_length": (30e-6, 150e-6),
+}
+
+
+@st.composite
+def block_axes(draw):
+    axes = []
+    for path in draw(st.lists(st.sampled_from(sorted(BLOCK_AXES)), min_size=1, max_size=3,
+                              unique=True)):
+        lo, hi = BLOCK_AXES[path]
+        a = draw(st.floats(lo, hi))
+        axes.append({"path": path, "min": a, "max": draw(st.floats(a, hi)),
+                     "steps": draw(st.integers(1, 5))})
+    return axes
+
+
+def run_sweep(tmp_path_factory, axes, sweep_block, row_block):
+    """Exit code, stdout, stderr and output files of one `sweep --out`
+    with the given block sizes."""
+    out = tmp_path_factory.mktemp("blocks") / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(explore, "SWEEP_BLOCK", sweep_block), \
+            mock.patch.object(traceio, "ROW_BLOCK", row_block), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(["sweep", "--design", "1", "--set", "transducer.electrode_length=45e-6",
+                   "--set", "explore.axes=" + json.dumps(axes), "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    return rc, stdout.getvalue(), stderr.getvalue(), files
+
+
+@settings(max_examples=60)
+@given(axes=block_axes(), sweep_block=st.integers(1, 7), row_block=st.integers(1, 7))
+def test_sweep_bytes_do_not_depend_on_the_block_sizes(tmp_path_factory, axes, sweep_block,
+                                                      row_block):
+    n = math.prod(axis["steps"] for axis in axes)
+    got = run_sweep(tmp_path_factory, axes, sweep_block, row_block)
+    event(f"exit {got[0]}")
+    assert got == run_sweep(tmp_path_factory, axes, n, n)

@@ -41,6 +41,7 @@ from beamosc.explore import (
     sweep,
 )
 from beamosc.traceio import RowTable, write_json, write_rows
+from conftest import join_blocks
 
 # Sampled range of every sweepable path around bundled design 1.
 PATH_RANGES = {
@@ -142,10 +143,10 @@ def test_columns_equal_the_scalar_path_bitwise(design_points, data, grid_axes):
     event("a point fails" if error is not None else "every point evaluates")
     if error is not None:
         with pytest.raises(type(error)) as raised:
-            sweep(inputs, spec)
+            join_blocks(sweep(inputs, spec))
         assert str(raised.value) == str(error)
         return
-    columns = sweep(inputs, spec)
+    columns = join_blocks(sweep(inputs, spec))
     assert list(columns) == [name for name, _ in COLUMNS]
     for name, column in columns.items():
         values = column.tolist()
@@ -195,7 +196,7 @@ def test_an_invalid_point_raises_what_the_scalar_path_raises(
     _, error = scalar_path(inputs, spec)
     assert error is not None
     with pytest.raises(type(error)) as raised:
-        sweep(inputs, spec)
+        join_blocks(sweep(inputs, spec))
     assert str(raised.value) == str(error)
 
 
@@ -332,7 +333,7 @@ class TestInvalidPoints:
             SweepAxis("beam.length", 40e-6, 100e-6, 4),
         ))
         with pytest.raises(StageError) as raised:
-            sweep(self.base(design_points), spec)
+            join_blocks(sweep(self.base(design_points), spec))
         _, error = scalar_path(self.base(design_points), spec)
         assert raised.value.stage == error.stage == "transduction"
         assert str(raised.value) == str(error)
@@ -349,7 +350,7 @@ class TestInvalidPoints:
         length = SweepAxis("beam.length", 1.5e-6, 100e-6, 2)
         width = SweepAxis("beam.in_plane_width", 1e-6, 1e-6, 1)
         for axes in ((length, width), (width, length)):
-            columns = sweep(inputs, SweepSpec(axes=axes))
+            columns = join_blocks(sweep(inputs, SweepSpec(axes=axes)))
             for name, column in columns.items():
                 got = column.tolist()
                 assert all(same(got[i], row[name]) for i, row in enumerate(want)), name
@@ -363,7 +364,7 @@ class TestInvalidPoints:
         spec = SweepSpec(axes=(SweepAxis("transducer.bias_voltage", 0.0, 9.0, 3),))
         _, error = scalar_path(self.base(design_points), spec)
         with pytest.raises(StageError) as raised:
-            sweep(self.base(design_points), spec)
+            join_blocks(sweep(self.base(design_points), spec))
         assert str(raised.value) == str(error)
         assert raised.value.stage == "transduction"
 
@@ -372,7 +373,7 @@ class TestInvalidPoints:
         spec = SweepSpec(axes=(SweepAxis("transducer.bias_voltage", 5.0, 30.0, 6),))
         _, error = scalar_path(inputs, spec)
         with pytest.raises(StageError) as raised:
-            sweep(inputs, spec)
+            join_blocks(sweep(inputs, spec))
         assert str(raised.value) == str(error)
         assert raised.value.stage == "transduction"
 
@@ -448,26 +449,42 @@ def reference_bytes(columns: dict) -> tuple[str, str]:
     return buf.getvalue(), json.dumps(rows, indent=2) + "\n"
 
 
+def blocks_of(columns: dict, cuts: list[int]) -> list[dict]:
+    """write_rows() blocks: `columns` cut before each row index in `cuts`."""
+    n = len(next(c for c in columns.values() if not isinstance(c, dict)))
+    bounds = sorted({0, n} | {cut for cut in cuts if 0 < cut < n})
+
+    def part(cols, a, b):
+        return {k: part(c, a, b) if isinstance(c, dict) else c[a:b] for k, c in cols.items()}
+    return [part(columns, a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+cut_lists = st.lists(st.integers(1, 8), max_size=3)
+
+
 @settings(max_examples=150)
-@given(columns=tables())
+@given(columns=tables(), cuts=cut_lists)
 # A str, bool or None among the values sends floats down the object path,
 # which formats each distinct (type, value) once: 0.0 and -0.0 must keep
 # their own text, and True, 1 and 1.0 theirs.
-@example(columns={"z": [0.0, -0.0, None, -0.0, 1.0, True, 1, False, 0]})
-def test_rows_writer_matches_dictwriter_and_json(tmp_path_factory, columns):
+@example(columns={"z": [0.0, -0.0, None, -0.0, 1.0, True, 1, False, 0]}, cuts=[])
+@example(columns={"z": [0.0, -0.0, None, -0.0, 1.0, True, 1, False, 0]}, cuts=[2, 5])
+def test_rows_writer_matches_dictwriter_and_json(tmp_path_factory, columns, cuts):
     out = tmp_path_factory.mktemp("rows")
-    write_rows(columns, csv_path=out / "t.csv", json_path=out / "t.json")
+    write_rows(blocks_of(columns, cuts), csv_path=out / "t.csv", json_path=out / "t.json")
     want_csv, want_json = reference_bytes(columns)
     assert (out / "t.csv").read_bytes() == want_csv.encode()
     assert (out / "t.json").read_bytes() == want_json.encode()
 
 
 @settings(max_examples=60)
-@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
-def test_rows_writer_on_numpy_columns(tmp_path_factory, n, seed):
+@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), cuts=cut_lists)
+def test_rows_writer_on_numpy_columns(tmp_path_factory, n, seed, cuts):
     rng = np.random.default_rng(seed)
     columns = {
         "x": rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n),
+        # Repeats within and across blocks; 0.0 and -0.0 keep their own text.
+        "repeats": rng.choice([0.0, -0.0, 0.1, 5e-324], n),
         "flag": rng.integers(0, 2, n).astype(bool),
         "count": rng.integers(0, 3, n),
         "kind": np.broadcast_to("one,two", (n,)),
@@ -475,20 +492,20 @@ def test_rows_writer_on_numpy_columns(tmp_path_factory, n, seed):
         "same": np.broadcast_to(0.1, (n,)),
     }
     out = tmp_path_factory.mktemp("np")
-    write_rows(columns, csv_path=out / "t.csv", json_path=out / "t.json")
+    write_rows(blocks_of(columns, cuts), csv_path=out / "t.csv", json_path=out / "t.json")
     want_csv, want_json = reference_bytes({k: v.tolist() for k, v in columns.items()})
     assert (out / "t.csv").read_text() == want_csv
     assert (out / "t.json").read_text() == want_json
 
 
 @settings(max_examples=150)
-@given(case=documents())
-def test_json_writer_matches_json_dumps(tmp_path_factory, case):
+@given(case=documents(), cuts=cut_lists)
+def test_json_writer_matches_json_dumps(tmp_path_factory, case, cuts):
     doc, ref, columns = case
     out = tmp_path_factory.mktemp("doc")
     write_json(doc, out / "d.json")
     assert (out / "d.json").read_bytes() == (json.dumps(ref, indent=2) + "\n").encode()
-    write_rows(columns, json_path=out / "t.json")
+    write_rows(blocks_of(columns, cuts), json_path=out / "t.json")
     want = json.dumps(row_objects(columns), indent=2) + "\n"
     assert (out / "t.json").read_bytes() == want.encode()
 
@@ -525,8 +542,16 @@ def test_json_writer_mark_shows_only_where_a_table_is(tmp_path):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rows_writer_refuses_non_finite_values(tmp_path, bad):
     with pytest.raises(ValidationError, match="non-finite"):
-        write_rows({"a": [1.0, bad]}, csv_path=tmp_path / "t.csv")
+        write_rows([{"a": [1.0, bad]}], csv_path=tmp_path / "t.csv")
     with pytest.raises(ValidationError, match="non-finite"):
-        write_rows({"a": np.array([1.0, bad])}, json_path=tmp_path / "t.json")
+        write_rows([{"a": np.array([1.0, bad])}], json_path=tmp_path / "t.json")
     assert not (tmp_path / "t.csv").exists()
     assert not (tmp_path / "t.json").exists()
+    # A bad later block, after a good one was written: the files in place
+    # keep their bytes, and no temporary file is left.
+    (tmp_path / "t.csv").write_text("old\n")
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_rows(iter([{"a": [1.0]}, {"a": [bad]}]), csv_path=tmp_path / "t.csv",
+                   json_path=tmp_path / "t.json")
+    assert (tmp_path / "t.csv").read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]

@@ -31,6 +31,17 @@ class TestValidation:
         assert resolved["pierce"]["gm"] == "auto"
         assert resolved["sim"]["displacement_guard"] is True
 
+    def test_a_config_shares_no_mutable_default(self):
+        # Only mutable defaults are copied: editing one config's data in
+        # place, every block and the axes list, leaves the next config's.
+        want = default_config()
+        data = ProjectConfig.from_raw({}).data
+        data["explore"]["axes"].append({"path": "beam.length"})
+        for block in SCHEMA:
+            data[block].clear()
+        assert default_config() == want
+        assert ProjectConfig.from_raw({}).data["explore"]["axes"] == []
+
     def test_defaults_build_and_evaluate(self):
         cfg = ProjectConfig.from_raw({})
         point = evaluate(cfg.build_inputs())

@@ -17,6 +17,7 @@ from beamosc.explore import (
     set_parameter,
     sweep,
 )
+from conftest import join_blocks
 
 
 def with_transducer(inputs, **fields):
@@ -210,7 +211,7 @@ class TestSweep:
             SweepAxis("beam.length", 60e-6, 100e-6, 2),
             SweepAxis("beam.in_plane_width", 1e-6, 2e-6, 2),
         ))
-        grid = sweep(self.base(design_points), spec)
+        grid = join_blocks(sweep(self.base(design_points), spec))
         assert len(grid["feasible"]) == 4
         lengths = grid["beam.length"].tolist()
         widths = grid["beam.in_plane_width"].tolist()
@@ -222,6 +223,26 @@ class TestSweep:
         assert not grid["constraint.bias_ok"][0]
         assert grid["derived.f0"][3] == pytest.approx(75.9e3, rel=2e-3)
         assert grid["feasible"][3]
+
+    def test_a_fault_stays_in_its_block(self, design_points, monkeypatch):
+        # A vibration budget of 1e308 overflows the deflection violation in
+        # the column pass (the float path runs on to inf): only the last
+        # block, the points with that budget, goes point by point.
+        monkeypatch.setattr(explore, "SWEEP_BLOCK", 5)
+        calls = []
+
+        def counted(inputs):
+            calls.append(inputs)
+            return evaluate(inputs)
+
+        monkeypatch.setattr(explore, "evaluate", counted)
+        spec = SweepSpec(axes=(
+            SweepAxis("explore.vibration_amplitude", 0.0, 1e308, 2),
+            SweepAxis("beam.q_factor", 1000.0, 8000.0, 5),
+        ))
+        grid = join_blocks(sweep(self.base(design_points), spec))
+        assert [p.vibration_amplitude for p in calls] == [1e308] * 5
+        assert grid["feasible"].tolist() == [True] * 5 + [False] * 5
 
     def test_grid_cap_enforced(self, design_points):
         spec = SweepSpec(
