@@ -145,6 +145,7 @@ def simulate_startup(
     rx, lx, cx = circuit.r_x, circuit.l_x, circuit.c_x
     c0, c1, c2 = amplifier.c0, amplifier.c1, amplifier.c2
     gm, vlim = amplifier.gm, sim.v_limit
+    gm_vlim = gm * vlim  # gm * vlim * tanh(...) multiplies left to right: same bits
     g_fb = 1.0 / sim.r_feedback
     g_out = 1.0 / sim.r_output
     c10 = c1 + c0
@@ -157,7 +158,8 @@ def simulate_startup(
     def rhs(i_l: float, q: float, v1: float, v2: float):
         vd = v1 - v2
         di = (vd - rx * i_l - q / cx) / lx
-        i_amp = gm * vlim * tanh(v1 / vlim) if gm != 0.0 else 0.0
+        # Not gm_vlim * tanh(...) at gm == 0: 0.0 * tanh(-x) is -0.0.
+        i_amp = gm_vlim * tanh(v1 / vlim) if gm != 0.0 else 0.0
         i_fb = g_fb * vd
         i1 = -i_l - i_fb
         i2 = i_l + i_fb - i_amp - g_out * v2
@@ -165,14 +167,13 @@ def simulate_startup(
         dv2 = (c0 * i1 + c10 * i2) / det
         return di, i_l, dv1, dv2
 
-    times = np.empty(n_steps + 1)
     v1s = np.empty(n_steps + 1)
     v2s = np.empty(n_steps + 1)
     qs = np.empty(n_steps + 1)
     ils = np.empty(n_steps + 1)
 
     i_l, q, v1, v2 = 0.0, eta * sim.initial_displacement, kick, 0.0
-    times[0], v1s[0], v2s[0], qs[0], ils[0] = 0.0, v1, v2, q, i_l
+    v1s[0], v2s[0], qs[0], ils[0] = v1, v2, q, i_l
     q_max = eta * x_max  # displacement guard expressed in charge
     pulled_in = False
     end = n_steps
@@ -191,7 +192,6 @@ def simulate_startup(
                 f"integrator state became non-finite at step {step} "
                 f"(t = {step * dt:.3e} s); reduce dt", step=step
             )
-        times[step] = step * dt
         v1s[step], v2s[step], qs[step], ils[step] = v1, v2, q, i_l
         if abs(q) >= q_max:
             pulled_in = True
@@ -200,7 +200,7 @@ def simulate_startup(
 
     sl = slice(0, end + 1)
     return Trace(
-        time=times[sl],
+        time=np.arange(end + 1) * dt,  # the bits of step * dt at each step
         v_in=v1s[sl],
         v_out=v2s[sl],
         x=qs[sl] / eta,

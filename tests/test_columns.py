@@ -6,7 +6,8 @@ and a grid with an invalid point must raise what the scalar path raises
 for the first such point. optimize() grades its coarse grid in the same
 pass and must return, bit for bit, what grading it point by point gives.
 write_rows() must give the bytes of csv.DictWriter and json.dump(indent=2),
-and write_json() those of json.dumps(indent=2) with a row table inside.
+and write_json() those of json.dumps(indent=2) with a row table inside,
+whether one process formats every row or a forked child formats half.
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ import io
 import itertools
 import json
 import math
+import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from beamosc import _num
+from beamosc import _num, traceio
 from beamosc.errors import BeamoscError, StageError, ValidationError
 from beamosc.explore import (
     COLUMNS,
@@ -555,3 +558,87 @@ def test_rows_writer_refuses_non_finite_values(tmp_path, bad):
                    json_path=tmp_path / "t.json")
     assert (tmp_path / "t.csv").read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+# ------------------------------------------------- rows in two processes
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork() is POSIX only")
+
+
+@needs_fork
+@settings(max_examples=150)
+@given(case=documents(), cuts=cut_lists, row_block=st.integers(1, 7),
+       split_rows=st.integers(1, 7))
+def test_split_blocks_have_the_serial_bytes(tmp_path_factory, case, cuts, row_block,
+                                            split_rows):
+    doc, _, columns = case
+    has_group = any(isinstance(c, dict) for c in columns.values())
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    files = {}
+    with mock.patch.object(traceio, "ROW_BLOCK", row_block), \
+            mock.patch.object(traceio, "SPLIT_ROWS", split_rows), \
+            mock.patch("os.fork", counted_fork):
+        for cpus in (1, 2):
+            out = tmp_path_factory.mktemp("split")
+            with mock.patch("os.sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+                write_rows(blocks_of(columns, cuts), json_path=out / "t.json",
+                           csv_path=None if has_group else out / "t.csv")
+                write_json(doc, out / "d.json")
+            files[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+            if cpus == 1:
+                assert forks == []
+    event(f"{len(forks)} blocks split")
+    assert files[2] == files[1]
+
+
+@needs_fork
+@pytest.mark.parametrize("fails_in", ["child", "parent"])
+def test_a_failed_half_writes_nothing_and_leaves_no_process(tmp_path, monkeypatch, capfd,
+                                                             fails_in):
+    parent = os.getpid()
+    float_texts = traceio._float_texts
+
+    def texts(column, known):
+        if (os.getpid() != parent) == (fails_in == "child"):
+            raise RuntimeError(f"formatting failed in the {fails_in}")
+        return float_texts(column, known)
+
+    monkeypatch.setattr(traceio, "_float_texts", texts)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    (tmp_path / "t.csv").write_text("old\n")
+    n = traceio.SPLIT_ROWS
+    with pytest.raises(OSError if fails_in == "child" else RuntimeError):
+        write_rows([{"t": np.arange(n) / 7.0}], csv_path=tmp_path / "t.csv",
+                   json_path=tmp_path / "t.json")
+    assert (tmp_path / "t.csv").read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("host", ["one usable CPU", "no os.fork", "no os.sched_getaffinity"])
+def test_a_serial_host_writes_a_long_block_without_forking(tmp_path, monkeypatch, host):
+    def fork():
+        raise AssertionError("os.fork() called")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if host == "one usable CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif host == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    n = traceio.SPLIT_ROWS
+    columns = {"t": np.arange(n) * 1e-7, "v": np.sin(np.arange(n)), "step": np.arange(n)}
+    write_rows([columns], csv_path=tmp_path / "t.csv", json_path=tmp_path / "t.json")
+    want_csv, want_json = reference_bytes({k: v.tolist() for k, v in columns.items()})
+    assert (tmp_path / "t.csv").read_text() == want_csv
+    assert (tmp_path / "t.json").read_text() == want_json
