@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .errors import (
     BeamoscError,
     ConfigError,
-    ConvergenceError,
     GridCapError,
     InsufficientDataError,
     PullInError,
@@ -83,7 +82,7 @@ from .config import ProjectConfig, load_builtin_design, load_config
 from .report import ComparisonReport, build_comparison, load_reference
 
 __all__ = [
-    "BeamoscError", "ConfigError", "ConvergenceError", "GridCapError",
+    "BeamoscError", "ConfigError", "GridCapError",
     "InsufficientDataError", "PullInError", "SimulationError", "StageError",
     "ValidationError", "MemsRuleSet", "RuleViolation", "check_mems_rules", "Anchor",
     "BeamGeometry", "LumpedBeamModel", "area_moment", "lumped_mass",

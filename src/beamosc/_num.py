@@ -4,9 +4,11 @@ The evaluation chain is written once. It runs on one design point as
 Python floats (no numpy call overhead) or on a whole sweep grid as float64
 columns, and both give the same bits. Python and numpy agree on + - * /
 and sqrt, but numpy's `**` rounds differently from Python's float power
-for small integer exponents, so power() raises each column element with
-Python's own `**`. fmax/select keep Python's comparison order, so NaN
-inputs pass or fail a check the same way in both forms.
+for small integer exponents, np.arcsin from math.asin on about 8% of
+[0, 1), and numpy's vectorized sin need not match math.sin either, so
+power(), asin() and sin() take each column element through Python's own
+arithmetic. fmax/select keep Python's comparison order, so
+NaN inputs pass or fail a check the same way in both forms.
 
 The float path comes first and costs one Python call: where a column
 reaches it, its truth value is ambiguous and numpy raises ValueError.
@@ -40,8 +42,19 @@ def sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def logical_not(x):
-    return np.logical_not(x) if isinstance(x, np.ndarray) else not x
+def asin(x):
+    return _each(math.asin, x)
+
+
+def sin(x):
+    return _each(math.sin, x)
+
+
+def _each(f, x):
+    """f(x) for a float; for a column, f on each element, with its bits."""
+    if not isinstance(x, np.ndarray):
+        return f(x)
+    return np.array([f(v) for v in x.tolist()])
 
 
 def select(condition, if_true, if_false):

@@ -110,15 +110,26 @@ def _axes(path, v):
         earlier = [axis["path"] for axis in out]
         if axis_path in earlier:
             raise ConfigError(f"{p}.path: duplicates {path}[{earlier.index(axis_path)}]")
-        out.append({
+        axis = {
             "path": axis_path,
             "min": _number(f"{p}.min", item["min"]),
             "max": _number(f"{p}.max", item["max"]),
             "steps": _integer(f"{p}.steps", item["steps"], minimum=1),
             "scale": _string(f"{p}.scale", item.get("scale", "linear"),
                              choices={"linear", "log"}),
-        })
+        }
+        # The rules across fields (min <= max, log axes > 0) are SweepAxis's;
+        # checking them here refuses a bad axis in every command.
+        try:
+            _sweep_axis(axis)
+        except ValidationError as err:
+            raise ConfigError(f"{p}: {err}") from err
+        out.append(axis)
     return out
+
+
+def _sweep_axis(axis: dict) -> SweepAxis:
+    return SweepAxis(axis["path"], axis["min"], axis["max"], axis["steps"], axis["scale"])
 
 
 def _constraints(path, v):
@@ -339,15 +350,9 @@ class ProjectConfig:
             raise ConfigError(
                 "explore.axes: at least one axis is required for sweep/optimize"
             )
-        axes = []
-        for i, a in enumerate(exp["axes"]):
-            try:
-                axes.append(SweepAxis(a["path"], a["min"], a["max"], a["steps"], a["scale"]))
-            except ValidationError as err:
-                raise ConfigError(f"explore.axes[{i}]: {err}") from err
         constraints = exp["constraints"]
         return SweepSpec(
-            axes=tuple(axes),
+            axes=tuple(map(_sweep_axis, exp["axes"])),
             objective=exp["objective"],
             grid_cap=exp["grid_cap"],
             constraints=None if constraints is None else tuple(constraints),

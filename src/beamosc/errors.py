@@ -19,10 +19,6 @@ class PullInError(BeamoscError):
     """Electrostatic force exceeds the spring restoring force: the gap collapses."""
 
 
-class ConvergenceError(BeamoscError):
-    """An iterative solver failed to reach its tolerance within its budget."""
-
-
 class InsufficientDataError(BeamoscError):
     """A trace or envelope is too short for the requested measurement."""
 

@@ -110,17 +110,21 @@ class DesignInputs:
 
     def __post_init__(self, check=RAISE):
         check(self.q_factor <= 0, "q_factor must be > 0")
-        check((self.c1 <= 0) | (self.c2 <= 0) | (self.c0 <= 0),
+        c1, c2, c0 = self.c1, self.c2, self.c0
+        check((c1 != c1) | (c2 != c2) | (c0 != c0) | (c1 <= 0) | (c2 <= 0) | (c0 <= 0),
               "c1, c2 and c0 must all be > 0")
-        if self.gm is not None:
-            check(self.gm < 0, "gm must be >= 0 (or None for automatic sizing)")
-        check(self.target_margin <= 0, "target_margin must be > 0")
+        gm = self.gm
+        if gm is not None:
+            check((gm != gm) | (gm < 0), "gm must be >= 0 (or None for automatic sizing)")
+        margin = self.target_margin
+        check((margin != margin) | (margin <= 0), "target_margin must be > 0")
         alpha = self.alpha_pull_in
         check((alpha != alpha) | (alpha <= 0) | (alpha > 1), "alpha_pull_in must be in (0, 1]")
-        if self.vibration_amplitude is not None:
-            check(self.vibration_amplitude < 0, "vibration_amplitude must be >= 0")
-        if self.x_amplitude is not None:
-            check(self.x_amplitude < 0, "x_amplitude must be >= 0")
+        vib, x_amp = self.vibration_amplitude, self.x_amplitude
+        if vib is not None:
+            check((vib != vib) | (vib < 0), "vibration_amplitude must be >= 0")
+        if x_amp is not None:
+            check((x_amp != x_amp) | (x_amp < 0), "x_amplitude must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,8 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     """
     check.stage = "process"
     beam, youngs_modulus, density = inputs.beam, inputs.youngs_modulus, inputs.density
-    check((youngs_modulus <= 0) | (density <= 0), "laminate properties must all be > 0")
+    check((youngs_modulus != youngs_modulus) | (density != density)
+          | (youngs_modulus <= 0) | (density <= 0), "laminate properties must all be > 0")
 
     check.stage = "mechanics"
     model = LumpedBeamModel.from_geometry(
@@ -195,7 +200,7 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     area = tr.electrode_length * beam.W
     eta = coupling_coefficient(tr, area)
     v_pi = pull_in_voltage(model.k, tr.gap, area, check)
-    x_static = static_deflection(model.k, tr, area, eta, v_pi, inputs.deflection_mode, check)
+    x_static = static_deflection(model.k, tr, eta, v_pi, inputs.deflection_mode, check)
     x_limit = displacement_limit(tr)
     circuit = extract_circuit(model.k, model.m, model.q, eta, check)
     i_x = None

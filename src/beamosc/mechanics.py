@@ -19,10 +19,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._num import logical_not, power, select, sqrt
-from .errors import RAISE, ConvergenceError, PullInError, ValidationError, build
+from ._num import asin, power, select, sin, sqrt
+from .errors import RAISE, PullInError, ValidationError, build
 from .transduction import EPS0, Transducer
 
 
@@ -39,10 +37,6 @@ MODAL_MASS_FRACTION = {Anchor.CANTILEVER: 0.2427, Anchor.CLAMPED_CLAMPED: 0.3965
 
 MASS_MODELS = ("full", "modal")
 DEFLECTION_MODES = ("linearized", "nonlinear")
-
-_FP_TOL = 1e-15       # nonlinear deflection fixed-point tolerance, m
-_FP_MAX_ITER = 1000
-_FP_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,8 @@ class BeamGeometry:
                     f"anchor must be one of {valid}, got {self.anchor!r}"
                 ) from None
         L, H, W = self.L, self.H, self.W
-        check((L <= 0) | (H <= 0) | (W <= 0), "beam dimensions must all be > 0")
+        check((L != L) | (H != H) | (W != W) | (L <= 0) | (H <= 0) | (W <= 0),
+              "beam dimensions must all be > 0")
         check(L <= H, "beam length must exceed its in-plane width")
 
 
@@ -157,24 +152,20 @@ def pull_in_voltage(k: float, gap: float, electrode_area: float, check=RAISE) ->
     return sqrt(8.0 * k * power(gap, 3) / (27.0 * EPS0 * electrode_area))
 
 
-_CROSSED = "deflection iterate crossed the stable-branch limit g/3"
-_NOT_CONVERGED = (f"static deflection fixed point did not reach {_FP_TOL} m "
-                  f"within {_FP_MAX_ITER} iterations")
-
-
-def static_deflection(k: float, transducer: Transducer, electrode_area: float,
-                      eta: float, v_pull_in: float, mode: str = "linearized",
-                      check=RAISE) -> float:
+def static_deflection(k: float, transducer: Transducer, eta: float, v_pull_in: float,
+                      mode: str = "linearized", check=RAISE) -> float:
     """DC gap closure under bias, m.
 
     `eta` and `v_pull_in` are the coupling coefficient and pull-in voltage
-    of this electrode, as coupling_coefficient() and pull_in_voltage() give
-    them for `electrode_area`.
+    of the electrode, as coupling_coefficient() and pull_in_voltage() give
+    them.
 
     "linearized" evaluates the force at the rest gap, x = eta*V_P/(2k).
-    "nonlinear" solves x = eps*A*V^2 / (2k*(g-x)^2) by a damped fixed point
-    (damping 0.5, tolerance 1e-15 m, at most 1000 iterations) and requires
-    the bias to sit strictly below pull-in. An unbiased gap does not move.
+    "nonlinear" takes the stable root of the force balance
+    x*(g - x)^2 = eps*A*V^2/(2k), a cubic whose root below g/3 is
+    x = (4g/3) * sin^2(asin(V/V_pi)/3) (Nathanson et al., IEEE Trans.
+    Electron Devices 14(3), 1967), and requires the bias to sit strictly
+    below pull-in. An unbiased gap does not move.
     """
     check(k <= 0, "k must be > 0")
     if mode not in DEFLECTION_MODES:
@@ -187,63 +178,8 @@ def static_deflection(k: float, transducer: Transducer, electrode_area: float,
     pulled_in = biased & (t.bias_voltage >= v_pull_in)
     check(pulled_in, "bias {} V >= pull-in voltage {:.6g} V", t.bias_voltage, v_pull_in,
           error=PullInError)
-    force_num = EPS0 * electrode_area * power(t.bias_voltage, 2) / (2.0 * k)
-    if isinstance(force_num, np.ndarray) or isinstance(t.gap, np.ndarray):
-        solve = _fixed_point_columns
-    else:
-        solve = _fixed_point
-    active = biased & (k > 0) & logical_not(pulled_in)
-    return select(biased, solve(force_num, t.gap, active, check), 0.0)
-
-
-def _deflection_step(x, force_num, gap):
-    """One damped iterate of x = force_num / (g - x)^2."""
-    return x + _FP_DAMPING * (force_num / power(gap - x, 2) - x)
-
-
-def _fixed_point(force_num: float, gap: float, active: bool, check) -> float:
-    if not active:
-        return 0.0
-    x = 0.0
-    for _ in range(_FP_MAX_ITER):
-        x_next = _deflection_step(x, force_num, gap)
-        if x_next >= gap / 3.0:
-            # Past the stable-branch boundary: treat as collapse.
-            check(True, _CROSSED, error=PullInError)
-            return math.nan
-        if abs(x_next - x) < _FP_TOL:
-            return x_next
-        x = x_next
-    check(True, _NOT_CONVERGED, error=ConvergenceError)
-    return math.nan
-
-
-def _fixed_point_columns(force_num, gap, active, check):
-    """_fixed_point() on every active element, each through the same
-    iterates: elements leave the loop as they converge or fail."""
-    force_num, gap, active = np.broadcast_arrays(force_num, gap, active)
-    result = np.zeros(force_num.shape)
-    crossed = np.zeros(force_num.shape, dtype=bool)
-    stuck = np.zeros(force_num.shape, dtype=bool)
-    idx = np.flatnonzero(active)
-    x = np.zeros(idx.size)
-    f, g = force_num[idx], gap[idx]
-    for _ in range(_FP_MAX_ITER):
-        if not idx.size:
-            break
-        x_next = _deflection_step(x, f, g)
-        cross = x_next >= g / 3.0
-        done = abs(x_next - x) < _FP_TOL
-        # A NaN iterate stays NaN: it can only run out of iterations.
-        lost = np.isnan(x_next) & ~cross
-        crossed[idx[cross]] = True
-        stuck[idx[lost]] = True
-        converged = done & ~cross
-        result[idx[converged]] = x_next[converged]
-        keep = ~(cross | done | lost)
-        idx, x, f, g = idx[keep], x_next[keep], f[keep], g[keep]
-    stuck[idx] = True
-    check(crossed, _CROSSED, error=PullInError)
-    check(stuck, _NOT_CONVERGED, error=ConvergenceError)
-    return result
-
+    # asin needs V/V_pi <= 1: a pulled-in column element, already failed
+    # above, takes the root at V_pi instead of a math domain error.
+    ratio = select(pulled_in, 1.0, t.bias_voltage / v_pull_in)
+    s = sin(asin(ratio) / 3.0)
+    return 4.0 * t.gap / 3.0 * (s * s)

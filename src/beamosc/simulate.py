@@ -56,6 +56,11 @@ class SimConfig:
     r_output: float = 1e9
 
     def __post_init__(self):
+        for name in ("dt", "duration", "initial_kick", "initial_displacement", "v_limit",
+                     "r_feedback", "r_output"):
+            value = getattr(self, name)
+            if value is not None and not -math.inf < value < math.inf:
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.dt is not None and self.dt <= 0:
             raise ValidationError("dt must be > 0")
         if self.duration is not None and self.duration <= 0:

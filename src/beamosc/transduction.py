@@ -55,9 +55,10 @@ class Transducer:
     port: str = PORT_ONE
 
     def __post_init__(self, check=RAISE):
-        check(self.gap <= 0, "transducer gap must be > 0")
-        check(self.electrode_length <= 0, "electrode_length must be > 0")
-        check(self.bias_voltage < 0, "bias_voltage must be >= 0")
+        gap, length, bias = self.gap, self.electrode_length, self.bias_voltage
+        check((gap != gap) | (gap <= 0), "transducer gap must be > 0")
+        check((length != length) | (length <= 0), "electrode_length must be > 0")
+        check((bias != bias) | (bias < 0), "bias_voltage must be >= 0")
         if self.port not in VALID_PORTS:  # never a column
             raise ValidationError(
                 f"port must be one of {sorted(VALID_PORTS)}, got {self.port!r}")

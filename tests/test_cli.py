@@ -311,6 +311,25 @@ class TestSweepCommand:
         assert err.startswith("error: explore.axes[0]: axis minimum must not exceed maximum")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "optimize",
+                                         "check-rules"])
+    @pytest.mark.parametrize("axis, message", [
+        ('{"path":"beam.length","min":2e-4,"max":1e-4,"steps":3}',
+         "axis minimum must not exceed maximum"),
+        ('{"path":"beam.length","min":0,"max":1e-4,"steps":3,"scale":"log"}',
+         "log axes need minimum > 0"),
+    ], ids=["reversed", "log_from_zero"])
+    def test_every_command_refuses_a_bad_axis(self, capsys, tmp_path, command, axis,
+                                              message):
+        # Each command loads explore.axes, though only sweep and optimize use it.
+        out = tmp_path / "run"
+        out_args = [] if command == "check-rules" else ["--out", str(out)]
+        rc, stdout, err = run_cli(capsys, command, "--design", "1", *out_args,
+                                  "--set", f"explore.axes=[{axis}]")
+        assert (rc, stdout) == (1, "")
+        assert err == f"error: explore.axes[0]: {message}\n"
+        assert not out.exists()
+
     def test_axis_paths_are_config_keys(self, capsys):
         axes = '[{"path":"%s","min":1e-7,"max":2e-7,"steps":2}]'
         rc, payload, _ = run_json(capsys, "sweep", "--design", "1", "--set",

@@ -172,6 +172,15 @@ def test_power_has_the_bits_of_python_pow(values, seed, n):
     assert [v.hex() for v in column.tolist()] == [_num.power(v, n).hex() for v in values]
 
 
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50), st.integers(0, 2**32 - 1))
+def test_asin_and_sin_have_the_bits_of_math(values, seed):
+    # np.arcsin differs from math.asin on about 8% of uniform values.
+    values = values + np.random.default_rng(seed).uniform(-1.0, 1.0, 200).tolist()
+    column = np.array(values)
+    assert [v.hex() for v in _num.asin(column).tolist()] == [math.asin(v).hex() for v in values]
+    assert [v.hex() for v in _num.sin(column).tolist()] == [math.sin(v).hex() for v in values]
+
+
 @given(st.lists(st.tuples(anything, anything, anything), min_size=1, max_size=20))
 def test_max_select_keep_python_order_with_nan(rows):
     a, b, c = (np.array(col) for col in zip(*rows))

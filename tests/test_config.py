@@ -221,9 +221,9 @@ class TestBuilders:
         {"path": "beam.length", "min": 0.0, "max": 1e-4, "steps": 3, "scale": "log"},
     ], ids=["min_above_max", "log_from_zero"])
     def test_bad_axis_is_named(self, axis):
-        cfg = ProjectConfig.from_raw({"explore": {"axes": [axis]}})
+        # Refused when the config loads, so before any command runs.
         with pytest.raises(ConfigError, match=r"^explore\.axes\[0\]: "):
-            cfg.build_sweep_spec()
+            ProjectConfig.from_raw({"explore": {"axes": [axis]}})
 
     def test_from_raw_applies_overrides(self):
         cfg = ProjectConfig.from_raw({}, overrides=["beam.q_factor=9000"])

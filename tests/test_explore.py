@@ -3,12 +3,14 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from beamosc import explore, mechanics, transduction
 from beamosc.errors import GridCapError, StageError, ValidationError
 from beamosc.explore import (
     CONSTRAINT_NAMES,
     OBJECTIVES,
+    PARAMETER_PATHS,
     SweepAxis,
     SweepSpec,
     evaluate,
@@ -154,6 +156,15 @@ class TestStageErrors:
             replace(design_points[1].inputs, gm=-1.0)
         with pytest.raises(ValidationError):
             replace(design_points[1].inputs, alpha_pull_in=1.5)
+
+    @given(n=st.sampled_from([1, 2, 3]), path=st.sampled_from(sorted(PARAMETER_PATHS)),
+           nan=st.sampled_from([math.nan, -math.nan]))
+    def test_nan_is_refused_on_every_path(self, design_points, n, path, nan):
+        # Refused by a check, never graded as an infeasible point of NaNs.
+        with pytest.raises((ValidationError, StageError)) as raised:
+            evaluate(set_parameter(design_points[n].inputs, {path: nan}))
+        cause = getattr(raised.value, "cause", raised.value)
+        assert isinstance(cause, ValidationError)
 
 
 class TestParameterPaths:

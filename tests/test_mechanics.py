@@ -43,7 +43,7 @@ def electrode_area(tr, W=4.8e-6):
 def deflection(k, tr, mode="linearized"):
     """static_deflection() with the coupling and pull-in of the same electrode."""
     area = electrode_area(tr)
-    return static_deflection(k, tr, area, coupling_coefficient(tr, area),
+    return static_deflection(k, tr, coupling_coefficient(tr, area),
                              pull_in_voltage(k, tr.gap, area), mode)
 
 
@@ -190,6 +190,24 @@ class TestStaticDeflection:
             2 * k * (tr.gap - x) ** 2
         )
         assert x == pytest.approx(force, rel=1e-9)
+
+    @given(n=st.sampled_from(sorted(BEAMS)), anchor=st.sampled_from(list(Anchor)),
+           ratio=st.floats(min_value=1e-100, max_value=0.999999))
+    def test_nonlinear_is_the_stable_root_up_to_pull_in(self, n, anchor, ratio):
+        # Below V/V_pi ~ 1e-145 the force eps*A*V^2/(2k) is a subnormal
+        # float, with no relative precision left to compare.
+        beam = BeamGeometry(anchor=anchor, L=BEAMS[n].L, H=BEAMS[n].H, W=BEAMS[n].W)
+        k = spring_constant(beam, E)
+        tr0 = reference_transducer(n)
+        v_pi = pull_in_voltage(k, tr0.gap, electrode_area(tr0))
+        tr = reference_transducer(n, bias=ratio * v_pi)
+        x = deflection(k, tr, mode="nonlinear")
+        g = tr.gap
+        assert 0.0 <= x < g / 3
+        force = EPS0 * electrode_area(tr) * tr.bias_voltage ** 2 / (2 * k)
+        assert x * (g - x) ** 2 == pytest.approx(force, rel=1e-12)
+        # At least the linearized value, to the rounding of the two forms.
+        assert x >= deflection(k, tr) * (1 - 1e-12)
 
     @pytest.mark.parametrize("factor", [1.0, 1.2])
     def test_bias_at_or_past_pull_in_raises(self, factor):

@@ -70,6 +70,16 @@ class TestIntegrationBasics:
         with pytest.raises(ValidationError, match="noise_seed must be >= 0"):
             SimConfig(noise_seed=-1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["dt", "duration", "initial_kick",
+                                      "initial_displacement", "v_limit",
+                                      "r_feedback", "r_output"])
+    def test_non_finite_settings_rejected(self, name, value):
+        # Refused at construction, not met later as a stray ValueError,
+        # OverflowError or "reduce dt" SimulationError from the integrator.
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            SimConfig(**{name: value})
+
     def test_trace_grid_is_uniform(self, startup_trace):
         steps = np.diff(startup_trace.time)
         assert np.max(np.abs(steps - startup_trace.dt)) <= 1e-9 * startup_trace.dt
