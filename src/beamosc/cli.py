@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ProjectConfig, load_builtin_design, load_config
+from .config import BUILTIN_DESIGNS, ProjectConfig, load_builtin_design, load_config
 from .errors import BeamoscError, ConfigError
 from .explore import evaluate, flatten, optimize, sweep
 from .process import check_mems_rules
@@ -38,7 +38,7 @@ from .traceio import RowTable, json_text, write_json, write_rows, write_trace_sv
 # after every --set, so the flag wins, and manifest.json records them.
 _OPTIONS = {
     "--config": {"help": "JSON config file"},
-    "--design": {"type": int, "choices": (1, 2, 3),
+    "--design": {"type": int, "choices": BUILTIN_DESIGNS,
                  "help": "start from a bundled reference design"},
     "--set": {"dest": "overrides", "action": "append", "metavar": "KEY.PATH=VALUE",
               "help": "override one config key (repeatable)"},
@@ -128,12 +128,10 @@ def cmd_table1(args) -> int:
     print(report.render_text())
     out = _out_dir(args)
     if out is not None:
-        rows = report.to_rows()
-        columns = {key: [row[key] for row in rows] for key in rows[0]}
         if args.format == "json":
-            write_rows([columns], json_path=out / "table1.json")
+            write_rows([report.columns], json_path=out / "table1.json")
         else:
-            write_rows([columns], csv_path=out / "table1.csv")
+            write_rows([report.columns], csv_path=out / "table1.csv")
     return 0 if report.all_pass else 2
 
 
@@ -187,13 +185,9 @@ def cmd_sweep(args) -> int:
             if created:  # a failed sweep leaves no directory it made behind
                 shutil.rmtree(created[-1])
             raise
-        axes = [
-            {"path": a.path, "min": a.minimum, "max": a.maximum,
-             "steps": a.steps, "scale": a.scale}
-            for a in spec.axes
-        ]
         write_json(
-            _manifest(cfg, "sweep", axes=axes, points=points, feasible=feasible),
+            _manifest(cfg, "sweep", axes=cfg.data["explore"]["axes"], points=points,
+                      feasible=feasible),
             out / "manifest.json",
         )
     print(json_text({"points": points, "feasible": feasible}))

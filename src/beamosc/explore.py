@@ -109,7 +109,8 @@ class DesignInputs:
     density: float = DEFAULT_DENSITY
 
     def __post_init__(self, check=RAISE):
-        check(self.q_factor <= 0, "q_factor must be > 0")
+        q = self.q_factor
+        check((q != q) | (q <= 0), "q_factor must be > 0")
         c1, c2, c0 = self.c1, self.c2, self.c0
         check((c1 != c1) | (c2 != c2) | (c0 != c0) | (c1 <= 0) | (c2 <= 0) | (c0 <= 0),
               "c1, c2 and c0 must all be > 0")

@@ -81,7 +81,8 @@ def area_moment(geometry: BeamGeometry) -> float:
 
 def spring_constant(geometry: BeamGeometry, youngs_modulus: float, check=RAISE) -> float:
     """Point-load stiffness at the drive point, N/m."""
-    check(youngs_modulus <= 0, "youngs_modulus must be > 0")
+    check((youngs_modulus != youngs_modulus) | (youngs_modulus <= 0),
+          "youngs_modulus must be > 0")
     coeff = STIFFNESS_COEFF[geometry.anchor]
     return coeff * youngs_modulus * area_moment(geometry) / power(geometry.L, 3)
 
@@ -94,7 +95,7 @@ def lumped_mass(geometry: BeamGeometry, density: float, mass_model: str = "full"
     bundled reference designs); "modal" scales it by the fundamental-mode
     participation fraction.
     """
-    check(density <= 0, "density must be > 0")
+    check((density != density) | (density <= 0), "density must be > 0")
     if mass_model not in MASS_MODELS:
         raise ValidationError(f"mass_model must be one of {MASS_MODELS}")
     m = density * geometry.L * geometry.H * geometry.W
@@ -105,7 +106,7 @@ def lumped_mass(geometry: BeamGeometry, density: float, mass_model: str = "full"
 
 def resonant_frequency(k: float, m: float, check=RAISE) -> float:
     """Natural frequency sqrt(k/m)/(2*pi), Hz."""
-    check((k <= 0) | (m <= 0), "k and m must be > 0")
+    check((k != k) | (m != m) | (k <= 0) | (m <= 0), "k and m must be > 0")
     return _natural_frequency(k, m)
 
 
@@ -123,12 +124,13 @@ class LumpedBeamModel:
     q: float
 
     def __post_init__(self, check=RAISE):
-        check((self.k <= 0) | (self.m <= 0) | (self.f0 <= 0),
+        k, m, f0, q = self.k, self.m, self.f0, self.q
+        check((k != k) | (m != m) | (f0 != f0) | (k <= 0) | (m <= 0) | (f0 <= 0),
               "k, m and f0 must all be > 0")
-        check((self.q != self.q) | (self.q <= 0), "q must be > 0")
-        expected = _natural_frequency(self.k, self.m)  # k, m > 0 checked above
-        check(abs(self.f0 / expected - 1.0) > 1e-12,
-              "f0 = {!r} inconsistent with sqrt(k/m)/2pi = {!r}", self.f0, expected)
+        check((q != q) | (q <= 0), "q must be > 0")
+        expected = _natural_frequency(k, m)  # k, m > 0 checked above
+        check(abs(f0 / expected - 1.0) > 1e-12,
+              "f0 = {!r} inconsistent with sqrt(k/m)/2pi = {!r}", f0, expected)
 
     @classmethod
     def from_geometry(
@@ -147,9 +149,10 @@ class LumpedBeamModel:
 
 def pull_in_voltage(k: float, gap: float, electrode_area: float, check=RAISE) -> float:
     """Bias at which the air gap collapses: sqrt(8*k*g^3 / (27*eps0*A)), V."""
-    check((k <= 0) | (gap <= 0) | (electrode_area <= 0),
+    area = electrode_area
+    check((k != k) | (gap != gap) | (area != area) | (k <= 0) | (gap <= 0) | (area <= 0),
           "k, gap and electrode_area must be > 0")
-    return sqrt(8.0 * k * power(gap, 3) / (27.0 * EPS0 * electrode_area))
+    return sqrt(8.0 * k * power(gap, 3) / (27.0 * EPS0 * area))
 
 
 def static_deflection(k: float, transducer: Transducer, eta: float, v_pull_in: float,
@@ -167,7 +170,7 @@ def static_deflection(k: float, transducer: Transducer, eta: float, v_pull_in: f
     Electron Devices 14(3), 1967), and requires the bias to sit strictly
     below pull-in. An unbiased gap does not move.
     """
-    check(k <= 0, "k must be > 0")
+    check((k != k) | (k <= 0), "k must be > 0")
     if mode not in DEFLECTION_MODES:
         raise ValidationError(f"mode must be one of {DEFLECTION_MODES}")
     t = transducer

@@ -42,10 +42,17 @@ class PierceConfig:
     f0: float
 
     def __post_init__(self, check=RAISE):
-        check((self.c1 <= 0) | (self.c2 <= 0) | (self.c0 <= 0),
+        c1, c2, c0, gm, f0 = self.c1, self.c2, self.c0, self.gm, self.f0
+        check((c1 != c1) | (c2 != c2) | (c0 != c0) | (c1 <= 0) | (c2 <= 0) | (c0 <= 0),
               "c1, c2 and c0 must all be > 0")
-        check(self.gm < 0, "gm must be >= 0")
-        check(self.f0 <= 0, "f0 must be > 0")
+        check((gm != gm) | (gm < 0), "gm must be >= 0")
+        check((f0 != f0) | (f0 <= 0), "f0 must be > 0")
+
+
+def _bad_caps(c1, c2, c0, f0):
+    """Whether any of c1, c2, c0 or f0 is NaN or not > 0."""
+    return ((c1 != c1) | (c2 != c2) | (c0 != c0) | (f0 != f0)
+            | (c1 <= 0) | (c2 <= 0) | (c0 <= 0) | (f0 <= 0))
 
 
 def _sum_products(c1: float, c2: float, c0: float) -> float:
@@ -84,8 +91,7 @@ class PierceOptimum(NamedTuple):
 def max_negative_resistance(c1: float, c2: float, c0: float, f0: float,
                             check=RAISE) -> PierceOptimum:
     """Best achievable |Re(Z_C)| and the transconductance that reaches it."""
-    check((c1 <= 0) | (c2 <= 0) | (c0 <= 0) | (f0 <= 0),
-          "c1, c2, c0 and f0 must all be > 0")
+    check(_bad_caps(c1, c2, c0, f0), "c1, c2, c0 and f0 must all be > 0")
     w = 2.0 * math.pi * f0
     s = _sum_products(c1, c2, c0)
     return PierceOptimum(
@@ -103,14 +109,14 @@ def _gm_roots(c1, c2, c0, f0, target_resistance, check=RAISE):
     low == high, at g_m_opt. Where the target exceeds Re_max it is not
     reachable and the roots are meaningless.
     """
-    check((c1 <= 0) | (c2 <= 0) | (c0 <= 0) | (f0 <= 0),
-          "c1, c2, c0 and f0 must all be > 0")
-    check(target_resistance <= 0, "target_resistance must be > 0")
+    check(_bad_caps(c1, c2, c0, f0), "c1, c2, c0 and f0 must all be > 0")
+    target = target_resistance
+    check((target != target) | (target <= 0), "target_resistance must be > 0")
     w = 2.0 * math.pi * f0
     s = _sum_products(c1, c2, c0)
-    a = target_resistance * c0 * c0
+    a = target * c0 * c0
     b = -c1 * c2
-    c = target_resistance * power(w * s, 2)
+    c = target * power(w * s, 2)
     disc = b * b - 4.0 * a * c
     # Relative discriminant guards the target == Re_max boundary against
     # rounding: treat |disc| below 1e-12*b^2 as a double root.
@@ -145,8 +151,10 @@ class StartupReport:
 def startup_check(neg_resistance: float, motional_resistance: float,
                   check=RAISE) -> StartupReport:
     """Compare achievable |Re(Z_C)| against the motional resistance."""
-    check(neg_resistance < 0, "neg_resistance must be >= 0")
-    check(motional_resistance <= 0, "motional_resistance must be > 0")
+    check((neg_resistance != neg_resistance) | (neg_resistance < 0),
+          "neg_resistance must be >= 0")
+    check((motional_resistance != motional_resistance) | (motional_resistance <= 0),
+          "motional_resistance must be > 0")
     margin = neg_resistance / motional_resistance
     return build(
         StartupReport, check,

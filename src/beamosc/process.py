@@ -32,7 +32,7 @@ def metal_stack_heights(include_dielectric: bool = True,
     keeps METAL_FRACTION of that when the dielectric is excluded.
     """
     pitch = THICKNESS_PER_PAIR if thickness_per_pair is None else thickness_per_pair
-    if pitch <= 0:
+    if not pitch > 0:  # NaN too
         raise ValidationError("thickness_per_pair must be > 0")
     fraction = 1.0 if include_dielectric else METAL_FRACTION
     return tuple(i * pitch * fraction for i in range(1, MAX_METAL_INDEX + 1))
@@ -57,7 +57,7 @@ class MemsRuleSet:
     metal_thickness_grid: tuple[float, ...] = DEFAULT_METAL_GRID
 
     def __post_init__(self):
-        if self.min_lateral_gap <= 0 or self.max_release_width <= 0:
+        if not (self.min_lateral_gap > 0 and self.max_release_width > 0):  # NaN too
             raise ValidationError("rule limits must be > 0")
         if not self.metal_thickness_grid:
             raise ValidationError("metal_thickness_grid must not be empty")

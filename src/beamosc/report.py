@@ -40,67 +40,34 @@ def load_reference() -> dict:
 
 
 @dataclass(frozen=True)
-class CellComparison:
-    """One quantity of one design: reference vs computed."""
-
-    design: int
-    quantity: str
-    label: str
-    unit: str
-    scale: float
-    reference: float
-    computed: float
-    rel_error: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    """All cells for all designs."""
+    """All cells for all designs, as the columns table1 prints and writes."""
 
-    cells: tuple[CellComparison, ...]
+    columns: dict[str, list]  # name -> one value per cell, in table1.csv's order
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.cells)
-
-    @property
-    def failures(self) -> list[CellComparison]:
-        return [c for c in self.cells if not c.passed]
+        return all(self.columns["passed"])
 
     def render_text(self) -> str:
         lines = [
             f"{'design':>6} {'quantity':>12} {'reference':>12} {'computed':>12} "
             f"{'rel_err':>9} {'tol':>7} {'status':>6}"
         ]
-        for c in self.cells:
+        display = {key: (label, unit, scale) for key, label, unit, scale, _ in QUANTITIES}
+        for design, key, ref, computed, rel, tol, passed in zip(*self.columns.values()):
+            label, unit, scale = display[key]
             lines.append(
-                f"{c.design:>6} {c.label + ' ' + c.unit:>12} "
-                f"{c.reference * c.scale:>12.4g} {c.computed * c.scale:>12.4g} "
-                f"{c.rel_error:>+9.2%} {c.tolerance:>7.1%} "
-                f"{'pass' if c.passed else 'FAIL':>6}"
+                f"{design:>6} {label + ' ' + unit:>12} "
+                f"{ref * scale:>12.4g} {computed * scale:>12.4g} "
+                f"{rel:>+9.2%} {tol:>7.1%} {'pass' if passed else 'FAIL':>6}"
             )
-        n_fail = len(self.failures)
+        n_fail = self.columns["passed"].count(False)
         lines.append(
-            f"{len(self.cells)} cells, "
+            f"{len(self.columns['passed'])} cells, "
             + ("all pass" if n_fail == 0 else f"{n_fail} FAILED")
         )
         return "\n".join(lines)
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "design": c.design,
-                "quantity": c.quantity,
-                "reference": c.reference,
-                "computed": c.computed,
-                "rel_error": c.rel_error,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-            }
-            for c in self.cells
-        ]
 
 
 def build_comparison(overrides: list[str] | None = None) -> ComparisonReport:
@@ -111,7 +78,8 @@ def build_comparison(overrides: list[str] | None = None) -> ComparisonReport:
     frequency cells fail, which is the intended use).
     """
     reference = load_reference()
-    cells = []
+    columns = {name: [] for name in ("design", "quantity", "reference", "computed",
+                                     "rel_error", "tolerance", "passed")}
     for n in BUILTIN_DESIGNS:
         cfg = ProjectConfig.from_raw(load_builtin_design(n), overrides or [])
         if cfg.data["transducer"]["x_amplitude"] is None:
@@ -119,23 +87,11 @@ def build_comparison(overrides: list[str] | None = None) -> ComparisonReport:
                               "amplitude, so it must be a number, got null")
         row = flatten(evaluate(cfg.build_inputs()))
         entry = reference["designs"][str(n)]
-        for key, label, unit, scale, column in QUANTITIES:
+        for key, _, _, _, column in QUANTITIES:
             ref_value = entry["values"][key]
             tol = entry["tolerances"][key]
-            computed = row[column]
-            rel = (computed - ref_value) / ref_value
-            cells.append(
-                CellComparison(
-                    design=n,
-                    quantity=key,
-                    label=label,
-                    unit=unit,
-                    scale=scale,
-                    reference=ref_value,
-                    computed=computed,
-                    rel_error=rel,
-                    tolerance=tol,
-                    passed=abs(rel) <= tol,
-                )
-            )
-    return ComparisonReport(cells=tuple(cells))
+            rel = (row[column] - ref_value) / ref_value
+            for name, value in zip(columns, (n, key, ref_value, row[column], rel, tol,
+                                             abs(rel) <= tol)):
+                columns[name].append(value)
+    return ComparisonReport(columns=columns)

@@ -122,7 +122,7 @@ def simulate_startup(
     guard (pass math.inf to disable). The run halts at the first sample with
     |x| >= x_max and the returned trace has pulled_in set.
     """
-    if eta <= 0:
+    if not eta > 0:  # NaN too
         raise ValidationError("eta must be > 0")
     if not x_max > 0:
         raise ValidationError("x_max must be > 0")

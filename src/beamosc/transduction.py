@@ -102,8 +102,9 @@ class EquivalentCircuit:
 
     def __post_init__(self, check=RAISE):
         r_x, l_x, c_x, f0, q = self.r_x, self.l_x, self.c_x, self.f0, self.q
-        check((l_x <= 0) | (c_x <= 0) | (f0 <= 0), "l_x, c_x and f0 must all be > 0")
-        check(r_x < 0, "r_x must be >= 0")
+        check((l_x != l_x) | (c_x != c_x) | (f0 != f0) | (l_x <= 0) | (c_x <= 0) | (f0 <= 0),
+              "l_x, c_x and f0 must all be > 0")
+        check((r_x != r_x) | (r_x < 0), "r_x must be >= 0")
         check((q != q) | (q <= 0), "q must be > 0")
         w0 = 2.0 * math.pi * f0
         res = w0 * sqrt(l_x * c_x)
@@ -122,7 +123,8 @@ def extract_circuit(k: float, m: float, q: float, eta: float,
 
     q may be math.inf for a lossless branch (r_x = 0).
     """
-    check((k <= 0) | (m <= 0) | (eta <= 0), "k, m and eta must all be > 0")
+    check((k != k) | (m != m) | (eta != eta) | (k <= 0) | (m <= 0) | (eta <= 0),
+          "k, m and eta must all be > 0")
     check((q != q) | (q <= 0), "q must be > 0")
     w0 = sqrt(k / m)
     f0 = w0 / (2.0 * math.pi)
@@ -134,6 +136,6 @@ def extract_circuit(k: float, m: float, q: float, eta: float,
 
 def motional_current(eta: float, f0: float, x_amplitude: float, check=RAISE) -> float:
     """Peak motional current eta * w0 * x for vibration amplitude x, A."""
-    check((eta <= 0) | (f0 <= 0), "eta and f0 must be > 0")
-    check(x_amplitude < 0, "x_amplitude must be >= 0")
+    check((eta != eta) | (f0 != f0) | (eta <= 0) | (f0 <= 0), "eta and f0 must be > 0")
+    check((x_amplitude != x_amplitude) | (x_amplitude < 0), "x_amplitude must be >= 0")
     return eta * 2.0 * math.pi * f0 * x_amplitude

@@ -110,6 +110,28 @@ class TestTable1:
         assert len(rows) == 27
         assert all(row["passed"] for row in rows)
 
+    @pytest.mark.parametrize("argv, code, digests", [
+        ([], 0, ("e0360f46c21e87b6df066c5050a9bbb2741f034fc84e527ae90ba8d9e9ceb528",
+                 "66cd801f18b8af42f8e0d6800c6d08e8bc70cb24fc629cf27946b4461c351d29",
+                 "4aa362f02335e84b29db1da31e2fc79501e12f1589b2b403addbffe3582730ce")),
+        (["--rho", "5000"], 2,
+         ("f766b0c1c5a6d45e8707310e19fd96a7d02374aac18829e669e812a97dd38d91",
+          "ded184009a116efc66c816b534b76a178991853c9c08d8b5d03e42743acdd68c",
+          "3841e21a107c5cd1b09feb1958c7e5a833a0b3b5f946a2bb2b26a96e97be8350")),
+    ], ids=["passing", "rho_5000"])
+    def test_bytes_are_pinned(self, capsys, tmp_path, argv, code, digests):
+        # The text table on stdout, table1.csv and table1.json, for a run
+        # where all 27 cells pass and one where 18 fail.
+        found = []
+        for fmt in ("csv", "json"):
+            rc, text, _ = run_cli(capsys, "table1", *argv, "--format", fmt,
+                                  "--out", str(tmp_path / fmt))
+            assert rc == code
+            found.append(hashlib.sha256(text.encode()).hexdigest())
+            found.append(hashlib.sha256((tmp_path / fmt / f"table1.{fmt}").read_bytes())
+                         .hexdigest())
+        assert found == [digests[0], digests[1], digests[0], digests[2]]
+
     def test_null_x_amplitude_is_named(self, capsys, tmp_path):
         out = tmp_path / "t"
         rc, stdout, err = run_cli(capsys, "table1", "--set", "transducer.x_amplitude=null",

@@ -1,11 +1,13 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from beamosc import explore, mechanics, transduction
+from beamosc import explore, mechanics, pierce, transduction
 from beamosc.errors import GridCapError, StageError, ValidationError
 from beamosc.explore import (
     CONSTRAINT_NAMES,
@@ -19,6 +21,8 @@ from beamosc.explore import (
     set_parameter,
     sweep,
 )
+from beamosc.process import MemsRuleSet, metal_stack_heights
+from beamosc.simulate import SimConfig, simulate_startup
 from conftest import join_blocks
 
 
@@ -165,6 +169,58 @@ class TestStageErrors:
             evaluate(set_parameter(design_points[n].inputs, {path: nan}))
         cause = getattr(raised.value, "cause", raised.value)
         assert isinstance(cause, ValidationError)
+
+    @settings(max_examples=200)
+    @given(data=st.data(), nan=st.sampled_from([math.nan, -math.nan, np.float64("nan")]))
+    def test_nan_is_refused_where_it_enters(self, design_points, data, nan):
+        # Each library function and validated type refuses a NaN in any
+        # numeric argument with ValidationError, where the value enters.
+        # The draws span 162 cases, fewer than max_examples, so Hypothesis,
+        # which repeats no draw, tries every one.
+        point = design_points[1]
+        inputs, model, circuit, amp = point.inputs, point.model, point.circuit, point.amplifier
+        beam, tr = inputs.beam, inputs.transducer
+        caps = {"c1": amp.c1, "c2": amp.c2, "c0": amp.c0, "f0": amp.f0}
+        short = SimConfig(duration=60.0 / circuit.f0)
+        cases = {  # name: (call, valid keyword arguments)
+            "spring_constant": (partial(mechanics.spring_constant, beam),
+                                {"youngs_modulus": inputs.youngs_modulus}),
+            "lumped_mass": (partial(mechanics.lumped_mass, beam), {"density": inputs.density}),
+            "resonant_frequency": (mechanics.resonant_frequency, {"k": model.k, "m": model.m}),
+            "pull_in_voltage": (mechanics.pull_in_voltage,
+                                {"k": model.k, "gap": tr.gap,
+                                 "electrode_area": tr.electrode_length * beam.W}),
+            "static_deflection": (partial(mechanics.static_deflection, transducer=tr,
+                                          eta=point.eta, v_pull_in=point.v_pull_in),
+                                  {"k": model.k}),
+            "extract_circuit": (transduction.extract_circuit,
+                                {"k": model.k, "m": model.m, "q": model.q, "eta": point.eta}),
+            "motional_current": (transduction.motional_current,
+                                 {"eta": point.eta, "f0": circuit.f0, "x_amplitude": 1e-8}),
+            "max_negative_resistance": (pierce.max_negative_resistance, caps),
+            "startup_check": (pierce.startup_check,
+                              {"neg_resistance": point.re_zc,
+                               "motional_resistance": circuit.r_x}),
+            "_gm_roots": (pierce._gm_roots, {**caps, "target_resistance": 3 * circuit.r_x}),
+            "simulate_startup": (partial(simulate_startup, circuit, amp, short),
+                                 {"eta": point.eta, "x_max": 1e-6}),
+            "LumpedBeamModel": (mechanics.LumpedBeamModel, vars(model)),
+            "EquivalentCircuit": (transduction.EquivalentCircuit, vars(circuit)),
+            "PierceConfig": (pierce.PierceConfig, vars(amp)),
+            "MemsRuleSet": (partial(MemsRuleSet, metal_thickness_grid=(1e-6,)),
+                            {"min_lateral_gap": 1e-6, "max_release_width": 8e-6}),
+            "metal_stack_heights": (metal_stack_heights, {"thickness_per_pair": 1e-6}),
+            "DesignInputs": (partial(replace, inputs),
+                             {"q_factor": inputs.q_factor, "c1": inputs.c1, "c2": inputs.c2,
+                              "c0": inputs.c0, "gm": 1e-5, "target_margin": 3.0,
+                              "alpha_pull_in": 0.97, "vibration_amplitude": 1e-8,
+                              "x_amplitude": 1e-8}),
+        }
+        call, valid = cases[data.draw(st.sampled_from(sorted(cases)))]
+        name = data.draw(st.sampled_from(sorted(valid)))
+        call(**valid)
+        with pytest.raises(ValidationError):
+            call(**{**valid, name: nan})
 
 
 class TestParameterPaths:
