@@ -104,7 +104,9 @@ def _manifest(cfg: ProjectConfig, command: str, **extra) -> dict:
 def _point_payload(point) -> dict:
     payload = flatten(point)
     payload["constraints"] = [dataclasses.asdict(c) for c in point.constraints]
-    payload["rule_violations"] = [dataclasses.asdict(v) for v in point.rule_violations]
+    inputs = point.inputs
+    violations = check_mems_rules(inputs.beam, inputs.transducer, inputs.rules)
+    payload["rule_violations"] = [dataclasses.asdict(v) for v in violations]
     return payload
 
 

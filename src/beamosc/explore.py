@@ -15,15 +15,14 @@ the blocks one at a time, so its memory is set by the block, not the grid.
 sweep() keeps infeasible points flagged rather than dropped. optimize()
 grades its coarse grid as one block of the same column pass and refines
 the best cell with a derivative-free simplex search, point by point, that
-rejects constraint violations; the result is never worse than the best
-grid point.
+rejects constraint violations; every request is graded where it is made,
+and the result is never worse than the best grid point.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -58,7 +57,6 @@ from .process import (
     DEFAULT_DENSITY,
     DEFAULT_YOUNGS_MODULUS,
     MemsRuleSet,
-    RuleViolation,
     rule_checks,
 )
 from .transduction import (
@@ -164,7 +162,6 @@ class DesignPoint:
     amplifier: PierceConfig
     re_zc: float
     startup: StartupReport
-    rule_violations: tuple[RuleViolation, ...]
     rule_violation_count: int
     constraints: tuple[ConstraintCheck, ...]
     feasible: bool
@@ -270,10 +267,6 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
         amplifier=amplifier,
         re_zc=re_zc,
         startup=startup,
-        # A sweep lists no violations: they differ by point. It reads the count.
-        rule_violations=tuple(RuleViolation(rule, measured, limit)
-                              for rule, broken, measured, limit in rules
-                              if not isinstance(broken, np.ndarray) and broken),
         rule_violation_count=n_broken,
         constraints=constraints,
         feasible=bias_ok & deflection_ok & startup_ok & rules_ok,
@@ -417,7 +410,7 @@ class SweepAxis:
     def __post_init__(self):
         if self.path not in PARAMETER_PATHS:
             raise ValidationError(f"unknown parameter path {self.path!r}")
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
+        if type(self.steps) is not int or self.steps < 1:  # bool is no step count
             raise ValidationError("steps must be an integer >= 1")
         if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
             raise ValidationError("axis bounds must be finite")
@@ -695,11 +688,10 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     The coarse grid runs as one column pass, with the result, log and
     errors of evaluating it point by point: a point that fails a check is
     evaluated alone, and so is every point of a grid whose arithmetic
-    faults anywhere. Each distinct params is graded once per run: a point
-    met again, as the simplex often revisits one, is logged again from the
-    first grade. The winner is evaluated once more at the end for the
-    DesignPoint the result carries; that evaluation is not logged, and
-    evaluations == len(log) counts requests.
+    faults anywhere. Every request is graded where it is made, a point the
+    simplex revisits included, and logged once: evaluations == len(log)
+    counts requests. The winner is evaluated once more at the end for the
+    DesignPoint the result carries; that evaluation is not logged.
     """
     sense, extract = OBJECTIVES[spec.objective]
     sign = -1.0 if sense == "max" else 1.0
@@ -744,28 +736,17 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             best = (signed, dict(params))
         return signed
 
-    # The record() arguments of each params graded so far, by their float
-    # bits (0.0 and -0.0 differ): a point met again is logged, not re-graded.
-    known: dict[bytes, tuple] = {}
-    pack = struct.Struct(f"{len(axes)}d").pack
-
-    def bits(params: dict) -> bytes:
-        return pack(*params.values())
-
-    def try_point(phase: str, params: dict, key: bytes) -> float:
+    def try_point(phase: str, params: dict) -> float:
         nonlocal last_error
-        if key not in known:
-            try:
-                point = evaluate(set_parameter(inputs, params))
-            except BeamoscError as err:
-                last_error = err
-                known[key] = (None, False, None)
-            else:
-                known[key] = grade(point)
-        return record(phase, params, *known[key])
+        try:
+            point = evaluate(set_parameter(inputs, params))
+        except BeamoscError as err:
+            last_error = err
+            return record(phase, params, None, False, None)
+        return record(phase, params, *grade(point))
 
-    # The coarse grid in one column pass, whose grades seed `known`; points
-    # the pass does not vouch for are graded by try_point, in grid order.
+    # The coarse grid in one column pass; points the pass does not vouch
+    # for are graded by try_point, in grid order.
     axis_columns = _block_columns(grids, 0, n)  # one block
     try:
         point, failed = _column_pass(inputs, axes, axis_columns)
@@ -776,11 +757,11 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     except (ArithmeticError, ValueError):  # the pass vouches for no point
         failed = np.ones(n, dtype=bool)
     for i, (params, alone) in enumerate(zip(_grid_params(axes, axis_columns), failed.tolist())):
-        key = bits(params)
-        if not alone:
+        if alone:
+            try_point("grid", params)
+        else:
             value, ok, *violations = graded[i]
-            known[key] = (value, ok, tuple(violations))
-        try_point("grid", params, key)
+            record("grid", params, value, ok, tuple(violations))
 
     if best is None:
         if not infeasible_violations:
@@ -799,7 +780,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             log=tuple(log),
         )
 
-    _refine(axes, grids, best[1], lambda params: try_point("refine", params, bits(params)))
+    _refine(axes, grids, best[1], lambda params: try_point("refine", params))
 
     signed, params = best
     return OptimizeResult(

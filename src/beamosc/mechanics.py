@@ -159,9 +159,9 @@ def static_deflection(k: float, transducer: Transducer, eta: float, v_pull_in: f
                       mode: str = "linearized", check=RAISE) -> float:
     """DC gap closure under bias, m.
 
-    `eta` and `v_pull_in` are the coupling coefficient and pull-in voltage
-    of the electrode, as coupling_coefficient() and pull_in_voltage() give
-    them.
+    `eta` >= 0 and `v_pull_in` > 0 are the coupling coefficient and pull-in
+    voltage of the electrode, as coupling_coefficient() and
+    pull_in_voltage() give them.
 
     "linearized" evaluates the force at the rest gap, x = eta*V_P/(2k).
     "nonlinear" takes the stable root of the force balance
@@ -171,6 +171,8 @@ def static_deflection(k: float, transducer: Transducer, eta: float, v_pull_in: f
     below pull-in. An unbiased gap does not move.
     """
     check((k != k) | (k <= 0), "k must be > 0")
+    check((eta != eta) | (eta < 0), "eta must be >= 0")
+    check((v_pull_in != v_pull_in) | (v_pull_in <= 0), "v_pull_in must be > 0")
     if mode not in DEFLECTION_MODES:
         raise ValidationError(f"mode must be one of {DEFLECTION_MODES}")
     t = transducer

@@ -135,11 +135,13 @@ def simulate_startup(
         )
     if duration < 50.0 / f0:
         raise ValidationError("duration must cover at least 50 cycles")
-    n_steps = int(round(duration / dt))
-    if n_steps > _MAX_STEPS:
+    steps = duration / dt  # inf past the float range: compared before int()
+    if steps > _MAX_STEPS + 0.5:  # round(steps) > _MAX_STEPS
         raise ValidationError(
-            f"run of {n_steps} steps exceeds the {_MAX_STEPS} step budget"
+            f"duration {duration:.6g} s at dt {dt:.6g} s is {steps:.6g} steps, "
+            f"over the {_MAX_STEPS} step budget"
         )
+    n_steps = int(round(steps))
 
     kick = sim.initial_kick
     if sim.noise_seed is not None:

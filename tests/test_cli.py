@@ -209,6 +209,18 @@ class TestSimulate:
         assert err.startswith(f"error: {key}: must be >= 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["sim.duration=1e308", "sim.dt=5e-324", "sim.dt=1e-12"])
+    def test_step_budget_refusal_names_duration_and_dt(self, capsys, setting):
+        # duration / dt past the float range is inf steps, refused like any
+        # run over the budget, not converted to an int.
+        rc, stdout, err = run_cli(capsys, "simulate", "--design", "1", "--set", setting)
+        assert rc == 1
+        assert stdout == ""
+        [line] = err.splitlines()
+        assert line.startswith("error:") and "step budget" in line
+        assert "duration" in line and "dt" in line
+        assert "Traceback" not in err
+
     def test_manifest_config_reproduces_the_run(self, capsys, tmp_path):
         # Value flags go into the recorded config (after every --set, so
         # --seed wins over sim.noise_seed), and that config replays the run.

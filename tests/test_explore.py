@@ -21,7 +21,7 @@ from beamosc.explore import (
     set_parameter,
     sweep,
 )
-from beamosc.process import MemsRuleSet, metal_stack_heights
+from beamosc.process import MemsRuleSet, check_mems_rules, metal_stack_heights
 from beamosc.simulate import SimConfig, simulate_startup
 from conftest import join_blocks
 
@@ -126,8 +126,9 @@ class TestConstraints:
     def test_narrow_gap_violates_rules(self, design_points):
         inputs = with_transducer(design_points[1].inputs, gap=1.0e-6)
         point = evaluate(inputs)
-        assert len(point.rule_violations) == 1
-        assert point.rule_violations[0].rule == "lateral_gap"
+        violations = check_mems_rules(inputs.beam, inputs.transducer, inputs.rules)
+        assert [v.rule for v in violations] == ["lateral_gap"]
+        assert point.rule_violation_count == 1
         assert not point.constraint("rules").ok
         assert not point.feasible
 
@@ -175,7 +176,7 @@ class TestStageErrors:
     def test_nan_is_refused_where_it_enters(self, design_points, data, nan):
         # Each library function and validated type refuses a NaN in any
         # numeric argument with ValidationError, where the value enters.
-        # The draws span 162 cases, fewer than max_examples, so Hypothesis,
+        # The draws span 168 cases, fewer than max_examples, so Hypothesis,
         # which repeats no draw, tries every one.
         point = design_points[1]
         inputs, model, circuit, amp = point.inputs, point.model, point.circuit, point.amplifier
@@ -190,9 +191,9 @@ class TestStageErrors:
             "pull_in_voltage": (mechanics.pull_in_voltage,
                                 {"k": model.k, "gap": tr.gap,
                                  "electrode_area": tr.electrode_length * beam.W}),
-            "static_deflection": (partial(mechanics.static_deflection, transducer=tr,
-                                          eta=point.eta, v_pull_in=point.v_pull_in),
-                                  {"k": model.k}),
+            "static_deflection": (partial(mechanics.static_deflection, transducer=tr),
+                                  {"k": model.k, "eta": point.eta,
+                                   "v_pull_in": point.v_pull_in}),
             "extract_circuit": (transduction.extract_circuit,
                                 {"k": model.k, "m": model.m, "q": model.q, "eta": point.eta}),
             "motional_current": (transduction.motional_current,
@@ -451,7 +452,7 @@ class TestOptimize:
                         if entry["feasible"] and entry["phase"] == "grid")
         assert result.objective_value >= grid_best
 
-    def test_each_distinct_params_is_graded_once(self, design_points, monkeypatch):
+    def test_a_repeated_request_logs_the_grade_of_its_first(self, design_points, monkeypatch):
         calls = []
         monkeypatch.setattr(explore, "evaluate", lambda inputs: calls.append(1) or evaluate(inputs))
         spec = SweepSpec(axes=(SweepAxis("transducer.bias_voltage", 6.0, 9.4, 5),
@@ -468,8 +469,15 @@ class TestOptimize:
         # of its own and of the grid.
         assert all(e["objective"] is not None for e in result.log if e["phase"] == "grid")
         assert len(set(refine)) < len(refine) and grid & set(refine)
-        assert len(calls) == len(set(refine) - grid) + 1  # + the winner's DesignPoint
+        assert len(calls) == len(refine) + 1  # + the winner's DesignPoint
         assert result.evaluations == len(result.log) == len(grid) + len(refine)
+        # A revisit, of a simplex point or of a grid point the column pass
+        # graded, logs its first grade bit for bit.
+        first = {}
+        for entry in result.log:
+            grade = first.setdefault(bits(entry), (entry["objective"], entry["feasible"]))
+            assert float.hex(entry["objective"]) == float.hex(grade[0])
+            assert entry["feasible"] is grade[1]
 
     def test_a_fixed_axis_is_one_grid_step_and_no_simplex_dimension(self, design_points):
         inputs = design_points[1].inputs

@@ -222,6 +222,17 @@ class TestStaticDeflection:
         with pytest.raises(ValidationError):
             deflection(0.6048, reference_transducer(1), mode="exact")
 
+    @pytest.mark.parametrize("eta, v_pull_in, mode", [
+        (math.nan, 9.0, "linearized"),
+        (1e-7, math.nan, "nonlinear"),
+        (-1e-7, 9.0, "linearized"),
+    ])
+    def test_coupling_and_pull_in_outside_their_ranges_rejected(self, eta, v_pull_in, mode):
+        # eta >= 0 and v_pull_in > 0, as coupling_coefficient() and
+        # pull_in_voltage() give them; NaN is neither.
+        with pytest.raises(ValidationError):
+            static_deflection(1.0, Transducer(2e-6, 45e-6, 5.0), eta, v_pull_in, mode)
+
 
 class TestGeometryValidation:
     def test_length_must_exceed_width(self):
