@@ -4,7 +4,7 @@ Modules, in pipeline order:
 
   process       metal-stack heights and manufacturability rules
   mechanics     lumped spring/mass/frequency model of the beam
-  transduction  gap transducer coupling and the series RLC equivalent
+  transduction  gap transducer: coupling, pull-in, deflection, RLC equivalent
   pierce        sustaining amplifier small-signal impedance
   simulate      time-domain startup simulation and measurements
   explore       design evaluation, sweeps, optimization
@@ -28,15 +28,12 @@ from .errors import (
 )
 from .process import MemsRuleSet, RuleViolation, check_mems_rules
 from .mechanics import (
-    Anchor,
     BeamGeometry,
     LumpedBeamModel,
     area_moment,
     lumped_mass,
-    pull_in_voltage,
     resonant_frequency,
     spring_constant,
-    static_deflection,
 )
 from .transduction import (
     EPS0,
@@ -47,6 +44,8 @@ from .transduction import (
     electrode_capacitance,
     extract_circuit,
     motional_current,
+    pull_in_voltage,
+    static_deflection,
 )
 from .pierce import (
     PierceConfig,
@@ -84,12 +83,12 @@ from .report import ComparisonReport, build_comparison, load_reference
 __all__ = [
     "BeamoscError", "ConfigError", "GridCapError",
     "InsufficientDataError", "PullInError", "SimulationError", "StageError",
-    "ValidationError", "MemsRuleSet", "RuleViolation", "check_mems_rules", "Anchor",
+    "ValidationError", "MemsRuleSet", "RuleViolation", "check_mems_rules",
     "BeamGeometry", "LumpedBeamModel", "area_moment", "lumped_mass",
-    "pull_in_voltage", "resonant_frequency", "spring_constant",
-    "static_deflection", "EPS0", "EquivalentCircuit", "Transducer",
-    "coupling_coefficient", "displacement_limit", "electrode_capacitance",
-    "extract_circuit", "motional_current", "PierceConfig", "PierceOptimum",
+    "resonant_frequency", "spring_constant", "EPS0", "EquivalentCircuit",
+    "Transducer", "coupling_coefficient", "displacement_limit",
+    "electrode_capacitance", "extract_circuit", "motional_current",
+    "pull_in_voltage", "static_deflection", "PierceConfig", "PierceOptimum",
     "StartupReport", "complex_impedance", "max_negative_resistance",
     "negative_resistance", "startup_check", "SimConfig", "Trace", "envelope",
     "measure_frequency", "simulate_startup", "summarize", "ConstraintCheck",

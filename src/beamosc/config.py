@@ -24,10 +24,10 @@ from .explore import (
     SweepAxis,
     SweepSpec,
 )
-from .mechanics import Anchor, BeamGeometry, DEFLECTION_MODES, MASS_MODELS
+from .mechanics import BeamGeometry, MASS_MODELS, STIFFNESS_COEFF
 from .process import MemsRuleSet, metal_stack_heights
 from .simulate import SimConfig
-from .transduction import Transducer, VALID_PORTS
+from .transduction import DEFLECTION_MODES, Transducer, VALID_PORTS
 
 BUILTIN_DESIGNS = (1, 2, 3)
 
@@ -152,7 +152,7 @@ SCHEMA = {
         "thickness_per_pair": (None, _nullable(_number), {"exclusive_minimum": 0}),
     },
     "beam": {
-        "anchor": ("cantilever", _string, {"choices": {a.value for a in Anchor}}),
+        "anchor": ("cantilever", _string, {"choices": set(STIFFNESS_COEFF)}),
         "length": (100e-6, _number, {"exclusive_minimum": 0}),
         "in_plane_width": (2e-6, _number, {"exclusive_minimum": 0}),
         "thickness": (None, _nullable(_number), {"exclusive_minimum": 0}),

@@ -39,12 +39,7 @@ from .errors import (
     checks,
     rebuild,
 )
-from .mechanics import (
-    BeamGeometry,
-    LumpedBeamModel,
-    pull_in_voltage,
-    static_deflection,
-)
+from .mechanics import BeamGeometry, LumpedBeamModel
 from .pierce import (
     PierceConfig,
     StartupReport,
@@ -67,6 +62,8 @@ from .transduction import (
     electrode_capacitance,
     extract_circuit,
     motional_current,
+    pull_in_voltage,
+    static_deflection,
 )
 
 _SLACK = 1e-9  # relative slack on constraint boundaries
@@ -301,7 +298,7 @@ def evaluate(inputs: DesignInputs) -> DesignPoint:
 # Output columns of analyze/optimize payloads and of sweep.csv/sweep.json,
 # in order: name and how to read it from a DesignPoint.
 COLUMNS = tuple((name, operator.attrgetter(path)) for name, path in (
-    ("beam.anchor", "inputs.beam.anchor.value"),
+    ("beam.anchor", "inputs.beam.anchor"),
     ("beam.length", "inputs.beam.L"),
     ("beam.in_plane_width", "inputs.beam.H"),
     ("beam.thickness", "inputs.beam.W"),

@@ -5,6 +5,7 @@ bending dimension and the stack thickness W as the out-of-plane depth:
 
     I = W * H^3 / 12
     k = c * E * I / L^3      c = 3 (cantilever tip) or 192 (clamped-clamped middle)
+    f0 = sqrt(k / m) / (2 pi)
 
 The default mass model lumps the full beam mass rho*L*H*W at the drive point.
 That choice, together with the stiffness above, reproduces the bundled
@@ -15,54 +16,40 @@ is available as an alternative and raises the predicted frequency by
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from ._num import asin, power, select, sin, sqrt
-from .errors import RAISE, PullInError, ValidationError, build
-from .transduction import EPS0, Transducer
-
-
-class Anchor(str, enum.Enum):
-    CANTILEVER = "cantilever"
-    CLAMPED_CLAMPED = "clamped_clamped"
-
+from ._num import power, sqrt
+from .errors import RAISE, ValidationError, build
 
 # Tip (cantilever) and midpoint (clamped-clamped) point-load stiffness factors.
-STIFFNESS_COEFF = {Anchor.CANTILEVER: 3.0, Anchor.CLAMPED_CLAMPED: 192.0}
+STIFFNESS_COEFF = {"cantilever": 3.0, "clamped_clamped": 192.0}
 
 # Effective fraction of the beam mass participating in the fundamental mode.
-MODAL_MASS_FRACTION = {Anchor.CANTILEVER: 0.2427, Anchor.CLAMPED_CLAMPED: 0.3965}
+MODAL_MASS_FRACTION = {"cantilever": 0.2427, "clamped_clamped": 0.3965}
 
 MASS_MODELS = ("full", "modal")
-DEFLECTION_MODES = ("linearized", "nonlinear")
 
 
 @dataclass(frozen=True)
 class BeamGeometry:
     """Prismatic beam released over a cavity.
 
-    L  length between anchors, m
-    H  in-plane width (the bending direction), m
-    W  stack thickness (out-of-plane depth), m
+    anchor  "cantilever" or "clamped_clamped", a key of STIFFNESS_COEFF
+    L       length between anchors, m
+    H       in-plane width (the bending direction), m
+    W       stack thickness (out-of-plane depth), m
     """
 
-    anchor: Anchor
+    anchor: str
     L: float
     H: float
     W: float
 
     def __post_init__(self, check=RAISE):
-        # Accept plain strings for the anchor to keep config plumbing simple.
-        if not isinstance(self.anchor, Anchor):
-            try:
-                object.__setattr__(self, "anchor", Anchor(self.anchor))
-            except ValueError:
-                valid = [a.value for a in Anchor]
-                raise ValidationError(
-                    f"anchor must be one of {valid}, got {self.anchor!r}"
-                ) from None
+        anchors = sorted(STIFFNESS_COEFF)  # a list: an unhashable anchor is refused too
+        if self.anchor not in anchors:  # never a column
+            raise ValidationError(f"anchor must be one of {anchors}, got {self.anchor!r}")
         L, H, W = self.L, self.H, self.W
         check((L != L) | (H != H) | (W != W) | (L <= 0) | (H <= 0) | (W <= 0),
               "beam dimensions must all be > 0")
@@ -146,45 +133,3 @@ class LumpedBeamModel:
         m = lumped_mass(geometry, density, mass_model, check)
         return build(cls, check, k=k, m=m, f0=resonant_frequency(k, m, check), q=q)
 
-
-def pull_in_voltage(k: float, gap: float, electrode_area: float, check=RAISE) -> float:
-    """Bias at which the air gap collapses: sqrt(8*k*g^3 / (27*eps0*A)), V."""
-    area = electrode_area
-    check((k != k) | (gap != gap) | (area != area) | (k <= 0) | (gap <= 0) | (area <= 0),
-          "k, gap and electrode_area must be > 0")
-    return sqrt(8.0 * k * power(gap, 3) / (27.0 * EPS0 * area))
-
-
-def static_deflection(k: float, transducer: Transducer, eta: float, v_pull_in: float,
-                      mode: str = "linearized", check=RAISE) -> float:
-    """DC gap closure under bias, m.
-
-    `eta` >= 0 and `v_pull_in` > 0 are the coupling coefficient and pull-in
-    voltage of the electrode, as coupling_coefficient() and
-    pull_in_voltage() give them.
-
-    "linearized" evaluates the force at the rest gap, x = eta*V_P/(2k).
-    "nonlinear" takes the stable root of the force balance
-    x*(g - x)^2 = eps*A*V^2/(2k), a cubic whose root below g/3 is
-    x = (4g/3) * sin^2(asin(V/V_pi)/3) (Nathanson et al., IEEE Trans.
-    Electron Devices 14(3), 1967), and requires the bias to sit strictly
-    below pull-in. An unbiased gap does not move.
-    """
-    check((k != k) | (k <= 0), "k must be > 0")
-    check((eta != eta) | (eta < 0), "eta must be >= 0")
-    check((v_pull_in != v_pull_in) | (v_pull_in <= 0), "v_pull_in must be > 0")
-    if mode not in DEFLECTION_MODES:
-        raise ValidationError(f"mode must be one of {DEFLECTION_MODES}")
-    t = transducer
-    biased = t.bias_voltage != 0.0
-    if mode == "linearized":
-        return select(biased, eta * t.bias_voltage / (2.0 * k), 0.0)
-
-    pulled_in = biased & (t.bias_voltage >= v_pull_in)
-    check(pulled_in, "bias {} V >= pull-in voltage {:.6g} V", t.bias_voltage, v_pull_in,
-          error=PullInError)
-    # asin needs V/V_pi <= 1: a pulled-in column element, already failed
-    # above, takes the root at V_pi instead of a math domain error.
-    ratio = select(pulled_in, 1.0, t.bias_voltage / v_pull_in)
-    s = sin(asin(ratio) / 3.0)
-    return 4.0 * t.gap / 3.0 * (s * s)

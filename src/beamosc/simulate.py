@@ -195,9 +195,11 @@ def simulate_startup(
         v1 += sixth * (a3 + 2.0 * (b3 + c3_) + d3)
         v2 += sixth * (a4 + 2.0 * (b4 + c4_) + d4)
         if not math.isfinite(i_l + q + v1 + v2):
+            hint = "reduce dt" if step > 1 else (
+                "check initial_kick, initial_displacement, r_feedback and r_output, or reduce dt")
             raise SimulationError(
                 f"integrator state became non-finite at step {step} "
-                f"(t = {step * dt:.3e} s); reduce dt", step=step
+                f"(t = {step * dt:.3e} s); {hint}", step=step
             )
         v1s[step], v2s[step], qs[step], ils[step] = v1, v2, q, i_l
         if abs(q) >= q_max:

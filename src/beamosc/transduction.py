@@ -13,6 +13,9 @@ Seen from the electrode, the vibrating beam behaves as a series RLC branch:
     R_x = k / (w0 * Q * eta^2)    L_x = m / eta^2    C_x = eta^2 / k
 
 so that w0 = 1/sqrt(L_x C_x) and R_x * Q = sqrt(L_x / C_x) hold exactly.
+
+The bias also pulls the beam in: the gap collapses at the pull-in voltage
+V_pi = sqrt(8 k g^3 / (27 eps A)), and below it the beam rests at a static deflection.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._num import select, sqrt
-from .errors import RAISE, ValidationError, build
+from ._num import asin, power, select, sin, sqrt
+from .errors import RAISE, PullInError, ValidationError, build
 
 EPS0 = 8.854e-12  # vacuum permittivity, F/m
 
@@ -32,6 +35,8 @@ VALID_PORTS = frozenset({PORT_ONE, PORT_TWO})
 # Usable peak displacement as a fraction of the rest gap. The one-port limit
 # is set by bias network dynamics, the two-port limit by feedthrough linearity.
 DISPLACEMENT_FRACTION = {PORT_ONE: 0.33, PORT_TWO: 0.11}
+
+DEFLECTION_MODES = ("linearized", "nonlinear")
 
 _IDENTITY_RTOL = 1e-9  # resonance/Q identity slack for EquivalentCircuit
 
@@ -83,6 +88,51 @@ def coupling_coefficient(transducer: Transducer, area: float) -> float:
 def displacement_limit(transducer: Transducer) -> float:
     """Largest usable vibration amplitude for the port configuration, m."""
     return DISPLACEMENT_FRACTION[transducer.port] * transducer.gap
+
+
+def pull_in_voltage(k: float, gap: float, electrode_area: float, check=RAISE) -> float:
+    """Bias at which the air gap collapses: sqrt(8*k*g^3 / (27*eps0*A)), V."""
+    area = electrode_area
+    check((k != k) | (gap != gap) | (area != area) | (k <= 0) | (gap <= 0) | (area <= 0),
+          "k, gap and electrode_area must be > 0")
+    v_pi = sqrt(8.0 * k * power(gap, 3) / (27.0 * EPS0 * area))
+    check(v_pi == 0.0, "pull-in voltage underflows to 0 V at gap {!r} m, k {!r} N/m", gap, k)
+    return v_pi
+
+
+def static_deflection(k: float, transducer: Transducer, eta: float, v_pull_in: float,
+                      mode: str = "linearized", check=RAISE) -> float:
+    """DC gap closure under bias, m.
+
+    `eta` >= 0 and `v_pull_in` > 0 are the coupling coefficient and pull-in
+    voltage of the electrode, as coupling_coefficient() and
+    pull_in_voltage() give them.
+
+    "linearized" evaluates the force at the rest gap, x = eta*V_P/(2k).
+    "nonlinear" takes the stable root of the force balance
+    x*(g - x)^2 = eps*A*V^2/(2k), a cubic whose root below g/3 is
+    x = (4g/3) * sin^2(asin(V/V_pi)/3) (Nathanson et al., IEEE Trans.
+    Electron Devices 14(3), 1967), and requires the bias to sit strictly
+    below pull-in. An unbiased gap does not move.
+    """
+    check((k != k) | (k <= 0), "k must be > 0")
+    check((eta != eta) | (eta < 0), "eta must be >= 0")
+    check((v_pull_in != v_pull_in) | (v_pull_in <= 0), "v_pull_in must be > 0")
+    if mode not in DEFLECTION_MODES:
+        raise ValidationError(f"mode must be one of {DEFLECTION_MODES}")
+    t = transducer
+    biased = t.bias_voltage != 0.0
+    if mode == "linearized":
+        return select(biased, eta * t.bias_voltage / (2.0 * k), 0.0)
+
+    pulled_in = biased & (t.bias_voltage >= v_pull_in)
+    check(pulled_in, "bias {} V >= pull-in voltage {:.6g} V", t.bias_voltage, v_pull_in,
+          error=PullInError)
+    # asin needs V/V_pi <= 1: a pulled-in column element, already failed
+    # above, takes the root at V_pi instead of a math domain error.
+    ratio = select(pulled_in, 1.0, t.bias_voltage / v_pull_in)
+    s = sin(asin(ratio) / 3.0)
+    return 4.0 * t.gap / 3.0 * (s * s)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import beamosc
 import beamosc.cli
 from beamosc import explore, traceio
 from beamosc.cli import _point_payload, build_parser, main
+from beamosc.config import SCHEMA
 from beamosc.explore import optimize
 from beamosc.simulate import envelope
 
@@ -67,6 +68,16 @@ class TestAnalyze:
         assert manifest["command"] == "analyze"
         assert len(manifest["config_sha256"]) == 64
         assert manifest["config"]["beam"]["q_factor"] == 4000.0
+
+    def test_gap_underflow_is_named(self, capsys):
+        # gap**3 underflows to 0: the refusal names the gap, not a derived value.
+        rc, out, err = run_cli(capsys, "analyze", "--design", "1",
+                               "--set", "transducer.gap=1e-110")
+        assert rc == 1
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error:") and "gap" in line
+        assert "Traceback" not in err
 
     def test_config_and_design_are_exclusive(self, capsys, tmp_path):
         cfg = tmp_path / "p.json"
@@ -220,6 +231,31 @@ class TestSimulate:
         assert line.startswith("error:") and "step budget" in line
         assert "duration" in line and "dt" in line
         assert "Traceback" not in err
+
+    def test_every_sim_key_is_refused_by_name_or_runs(self, capsys, monkeypatch):
+        # Each sim.* key at the float extremes, zeros, signs, a bool and null,
+        # over the shortest run design 1 allows (50 cycles). A run is refused
+        # with one error line naming the key, or prints finite JSON. The step
+        # budget is cut to 20,000 so that no value starts a long run.
+        monkeypatch.setattr(beamosc.simulate, "_MAX_STEPS", 20_000)
+
+        def finite_only(text):
+            raise ValueError(f"{text} in the summary")
+
+        wrong = []
+        for key in sorted(SCHEMA["sim"]):
+            for value in ("1e308", "-1e308", "5e-324", "-5e-324", "0", "-0.0", "-1", "1",
+                          "1e-300", "true", "null"):
+                rc, out, err = run_cli(capsys, "simulate", "--design", "1",
+                                       "--set", "sim.duration=6.6e-4",
+                                       "--set", f"sim.{key}={value}")
+                lines = err.splitlines()
+                named = len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+                if rc == 0:
+                    json.loads(out, parse_constant=finite_only)
+                elif rc not in (1, 2) or (rc == 1 and not named):
+                    wrong.append(f"sim.{key}={value}: exit {rc}: {err}")
+        assert wrong == []
 
     def test_manifest_config_reproduces_the_run(self, capsys, tmp_path):
         # Value flags go into the recorded config (after every --set, so

@@ -68,13 +68,13 @@ class TestEvaluate:
                                                     mode):
         calls = {"coupling_coefficient": 0, "pull_in_voltage": 0}
         originals = {"coupling_coefficient": transduction.coupling_coefficient,
-                     "pull_in_voltage": mechanics.pull_in_voltage}
+                     "pull_in_voltage": transduction.pull_in_voltage}
         for name, original in originals.items():
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
             # Both namespaces the pipeline could look the function up in.
-            for module in (explore, mechanics):
+            for module in (explore, transduction):
                 monkeypatch.setattr(module, name, counted, raising=False)
         evaluate(replace(design_points[1].inputs, deflection_mode=mode))
         assert calls == {"coupling_coefficient": 1, "pull_in_voltage": 1}
@@ -154,6 +154,19 @@ class TestStageErrors:
             evaluate(inputs)
         assert err.value.stage == "transduction"
 
+    def test_gap_underflow_names_the_gap(self, design_points):
+        # gap**3 underflows to 0 V of pull-in: a sweep refuses the point with
+        # the error evaluate() gives it.
+        inputs = design_points[1].inputs
+        with pytest.raises(StageError) as direct:
+            evaluate(with_transducer(inputs, gap=1e-110))
+        assert direct.value.stage == "transduction" and "gap" in str(direct.value)
+        spec = SweepSpec(axes=(SweepAxis("transducer.gap", 1e-110, 1.2e-6, 4, "log"),),
+                         objective="min_Rx")
+        with pytest.raises(StageError) as swept:
+            list(sweep(inputs, spec))
+        assert str(swept.value) == str(direct.value)
+
     def test_bad_inputs_rejected_up_front(self, design_points):
         with pytest.raises(ValidationError):
             replace(design_points[1].inputs, q_factor=0.0)
@@ -188,10 +201,10 @@ class TestStageErrors:
                                 {"youngs_modulus": inputs.youngs_modulus}),
             "lumped_mass": (partial(mechanics.lumped_mass, beam), {"density": inputs.density}),
             "resonant_frequency": (mechanics.resonant_frequency, {"k": model.k, "m": model.m}),
-            "pull_in_voltage": (mechanics.pull_in_voltage,
+            "pull_in_voltage": (transduction.pull_in_voltage,
                                 {"k": model.k, "gap": tr.gap,
                                  "electrode_area": tr.electrode_length * beam.W}),
-            "static_deflection": (partial(mechanics.static_deflection, transducer=tr),
+            "static_deflection": (partial(transduction.static_deflection, transducer=tr),
                                   {"k": model.k, "eta": point.eta,
                                    "v_pull_in": point.v_pull_in}),
             "extract_circuit": (transduction.extract_circuit,

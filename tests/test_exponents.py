@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamosc.explore import PARAMETER_PATHS, evaluate, flatten, set_parameter
-from beamosc.mechanics import MASS_MODELS, Anchor
+from beamosc.mechanics import MASS_MODELS
 
 OUTPUTS = ("derived.spring_constant", "derived.f0", "derived.v_pull_in", "derived.eta",
            "derived.r_x", "derived.l_x", "derived.c_x")
@@ -35,7 +35,8 @@ EXPONENTS = {
 
 
 @settings(max_examples=150)
-@given(design=st.sampled_from([1, 2, 3]), anchor=st.sampled_from(list(Anchor)),
+@given(design=st.sampled_from([1, 2, 3]),
+       anchor=st.sampled_from(["cantilever", "clamped_clamped"]),
        mass_model=st.sampled_from(MASS_MODELS), path=st.sampled_from(sorted(EXPONENTS)),
        lam=st.floats(0.5, 2.0))
 def test_each_output_scales_by_its_exponent(design_points, design, anchor, mass_model,

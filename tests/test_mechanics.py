@@ -5,19 +5,22 @@ from hypothesis import given, strategies as st
 
 from beamosc.errors import PullInError, ValidationError
 from beamosc.mechanics import (
-    Anchor,
     BeamGeometry,
     LumpedBeamModel,
     MODAL_MASS_FRACTION,
     area_moment,
     lumped_mass,
-    pull_in_voltage,
     resonant_frequency,
     spring_constant,
-    static_deflection,
 )
 from beamosc.process import DEFAULT_DENSITY, DEFAULT_YOUNGS_MODULUS
-from beamosc.transduction import EPS0, Transducer, coupling_coefficient
+from beamosc.transduction import (
+    EPS0,
+    Transducer,
+    coupling_coefficient,
+    pull_in_voltage,
+    static_deflection,
+)
 
 E = DEFAULT_YOUNGS_MODULUS
 RHO = DEFAULT_DENSITY
@@ -68,7 +71,7 @@ class TestStiffnessAndMass:
     def test_modal_mass_fractions(self):
         full = lumped_mass(BEAMS[1], RHO)
         modal = lumped_mass(BEAMS[1], RHO, mass_model="modal")
-        assert modal / full == pytest.approx(MODAL_MASS_FRACTION[Anchor.CANTILEVER])
+        assert modal / full == pytest.approx(MODAL_MASS_FRACTION["cantilever"])
         full3 = lumped_mass(BEAMS[3], RHO)
         modal3 = lumped_mass(BEAMS[3], RHO, mass_model="modal")
         assert modal3 / full3 == pytest.approx(0.3965)
@@ -191,7 +194,8 @@ class TestStaticDeflection:
         )
         assert x == pytest.approx(force, rel=1e-9)
 
-    @given(n=st.sampled_from(sorted(BEAMS)), anchor=st.sampled_from(list(Anchor)),
+    @given(n=st.sampled_from(sorted(BEAMS)),
+           anchor=st.sampled_from(["cantilever", "clamped_clamped"]),
            ratio=st.floats(min_value=1e-100, max_value=0.999999))
     def test_nonlinear_is_the_stable_root_up_to_pull_in(self, n, anchor, ratio):
         # Below V/V_pi ~ 1e-145 the force eps*A*V^2/(2k) is a subnormal
@@ -248,5 +252,6 @@ class TestGeometryValidation:
             BeamGeometry(anchor="simply_supported", L=100e-6, H=2e-6, W=4.8e-6)
 
     def test_string_anchor_coerced(self):
+        # The anchor is a plain name: the geometry keeps the string it was given.
         g = BeamGeometry(anchor="clamped_clamped", L=100e-6, H=2e-6, W=4.8e-6)
-        assert g.anchor is Anchor.CLAMPED_CLAMPED
+        assert type(g.anchor) is str and g.anchor == "clamped_clamped"

@@ -14,6 +14,7 @@ from beamosc.transduction import (
     electrode_capacitance,
     extract_circuit,
     motional_current,
+    pull_in_voltage,
 )
 from test_mechanics import BEAMS, E, electrode_area, reference_transducer
 
@@ -73,6 +74,13 @@ class TestDisplacementLimit:
         with pytest.raises(ValidationError):
             Transducer(gap=1.2e-6, electrode_length=75e-6, bias_voltage=9.5,
                        port="three_port")
+
+
+class TestPullIn:
+    def test_underflow_names_the_gap(self):
+        # 8*k*gap**3 underflows to 0: no pull-in voltage of 0 V comes back.
+        with pytest.raises(ValidationError, match="gap 1e-110 m, k 0.6 N/m"):
+            pull_in_voltage(0.6, 1e-110, 3.6e-10)
 
 
 class TestEquivalentCircuit:
