@@ -9,14 +9,14 @@ amplifier sizing and grades it against four feasibility constraints:
   rules       release-etch manufacturability rules hold
 
 The pipeline is written once, in _chain(). evaluate() runs it on Python
-floats for one design; sweep() runs it on numpy columns, one pass per block
-of SWEEP_BLOCK grid points, with the same bits in every output, and yields
-the blocks one at a time, so its memory is set by the block, not the grid.
-sweep() keeps infeasible points flagged rather than dropped. optimize()
-grades its coarse grid as one block of the same column pass and refines
-the best cell with a derivative-free simplex search, point by point, that
-rejects constraint violations; every request is graded where it is made,
-and the result is never worse than the best grid point.
+floats for one design; _grid_blocks() runs it on numpy columns, one pass
+per block of SWEEP_BLOCK grid points, with the same bits in every output,
+so its memory is set by the block, not the grid. sweep() yields the blocks,
+infeasible points flagged rather than dropped. optimize() grades its coarse
+grid through the same blocks and refines the best cell with a
+derivative-free simplex search, point by point, that rejects constraint
+violations; every request is graded where it is made, and the result is
+never worse than the best grid point.
 """
 
 from __future__ import annotations
@@ -471,43 +471,13 @@ class SweepSpec:
         return CONSTRAINT_NAMES if self.constraints is None else self.constraints
 
 
-def _check_cap(sizes: list[int], cap: int) -> int:
+def _check_cap(sizes: list[int], cap: int) -> None:
     total = math.prod(sizes)
     if total > cap:
         raise GridCapError(
             f"grid of {total} points exceeds the cap of {cap}; "
             "shrink the axes or raise grid_cap"
         )
-    return total
-
-
-def _column_pass(inputs: DesignInputs, axes, axis_columns):
-    """set_parameter() + _chain() once over grid columns, with the float
-    path's arithmetic: numpy raises at each fault (_num.float_errors()).
-
-    Returns the point, whose fields hold columns or values shared by every
-    grid point, and the mask of points that failed a check; the pass
-    vouches for every other point, which holds the bits evaluate() gives
-    it. Any fault, in a column or in a part the axes do not vary, raises
-    ArithmeticError or ValueError, and then the pass vouches for no point.
-    """
-    checks = _Masks()
-    checks.stage = "inputs"
-    with float_errors():
-        candidate = set_parameter(
-            inputs, {a.path: column for a, column in zip(axes, axis_columns)}, checks)
-        point = _chain(candidate, checks)
-    failed = np.zeros(len(axis_columns[0]), dtype=bool)
-    for mask in checks.failed.values():
-        failed |= mask
-    return point, failed
-
-
-def _block_columns(grids: list[np.ndarray], start: int, stop: int) -> list[np.ndarray]:
-    """One column per axis over grid points start..stop-1, in
-    itertools.product order, taken from the points' own grid indices."""
-    index = np.unravel_index(np.arange(start, stop), [len(g) for g in grids])
-    return [grid[i] for grid, i in zip(grids, index)]
 
 
 def _grid_params(axes, axis_columns):
@@ -518,6 +488,39 @@ def _grid_params(axes, axis_columns):
 
 
 SWEEP_BLOCK = 4096  # grid points per column pass and per block sweep() yields
+
+
+def _grid_blocks(inputs: DesignInputs, axes, grids: list[np.ndarray], read):
+    """Walk the grid in blocks of SWEEP_BLOCK points, in itertools.product
+    order, with one column pass each: set_parameter() + _chain() on the
+    block's axis columns, with the float path's arithmetic (numpy raises at
+    each fault, _num.float_errors()).
+
+    Yields the axis columns, read(point) of the pass with each value
+    broadcast to a column, and the mask of points the pass vouches for:
+    they passed every check and hold the bits evaluate() gives them. A
+    fault anywhere in the pass or in read raises ArithmeticError or
+    ValueError; then the block reads None and no point is vouched for.
+    """
+    sizes = [len(grid) for grid in grids]
+    n = math.prod(sizes)
+    for start in range(0, n, SWEEP_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + SWEEP_BLOCK, n)), sizes)
+        axis_columns = [grid[i] for grid, i in zip(grids, index)]
+        size = len(index[0])
+        checks = _Masks()
+        checks.stage = "inputs"
+        failed = np.zeros(size, dtype=bool)
+        try:
+            with float_errors():
+                candidate = set_parameter(
+                    inputs, {a.path: column for a, column in zip(axes, axis_columns)}, checks)
+                values = [np.broadcast_to(v, (size,)) for v in read(_chain(candidate, checks))]
+            for mask in checks.failed.values():
+                failed |= mask
+        except (ArithmeticError, ValueError):  # the pass vouches for no point
+            values, failed[:] = None, True
+        yield axis_columns, values, ~failed
 
 
 def sweep(inputs: DesignInputs, spec: SweepSpec) -> Iterator[dict[str, np.ndarray]]:
@@ -531,38 +534,33 @@ def sweep(inputs: DesignInputs, spec: SweepSpec) -> Iterator[dict[str, np.ndarra
     value. Infeasible points are flagged, not dropped. Memory is set by
     the block, not by the grid.
 
-    Each block is one column pass, and every check of set_parameter() and
-    evaluate() runs on each of its points. If a point fails one, iterating
-    raises what set_parameter() and evaluate() raise for the first such
+    Each block is one column pass of _grid_blocks(), and every check of
+    set_parameter() and evaluate() runs on each of its points. A block
+    with a point that fails one, or whose arithmetic faults anywhere (a
+    zero divisor, an overflow), is evaluated point by point: iterating
+    raises what set_parameter() and evaluate() raise for the first failing
     point in grid order, after the blocks before it; choose axis bounds
-    inside the valid region. A block whose arithmetic faults anywhere (a
-    zero divisor, an overflow) is evaluated point by point instead, with
-    the same result; the other blocks keep their column pass.
+    inside the valid region. A block that only faults gives the same bits.
     """
-    n = _check_cap([axis.steps for axis in spec.axes], spec.grid_cap)
+    _check_cap([axis.steps for axis in spec.axes], spec.grid_cap)
     grids = [axis.values() for axis in spec.axes]
-    return (_sweep_block(inputs, spec.axes, grids, start, min(start + SWEEP_BLOCK, n))
-            for start in range(0, n, SWEEP_BLOCK))
+    return _sweep_blocks(inputs, spec.axes, grids)
 
 
-def _sweep_block(inputs: DesignInputs, axes, grids, start: int, stop: int
-                 ) -> dict[str, np.ndarray]:
-    """sweep()'s block of grid points start..stop-1."""
-    axis_columns = _block_columns(grids, start, stop)
-    try:
-        point, failed = _column_pass(inputs, axes, axis_columns)
-    except (ArithmeticError, ValueError):  # the pass vouches for no point
-        points = (evaluate(set_parameter(inputs, params))
-                  for params in _grid_params(axes, axis_columns))
-        columns = zip(*([get(p) for _, get in COLUMNS] for p in points))
-        return {name: np.array(values) for (name, _), values in zip(COLUMNS, columns)}
-    if failed.any():
-        i = int(failed.argmax())  # the block's first point that failed a check
-        evaluate(set_parameter(inputs, {axis.path: float(column[i])
-                                        for axis, column in zip(axes, axis_columns)}))
-        raise RuntimeError(
-            f"sweep failed grid point {start + i} on a check that evaluate() passes")
-    return {name: np.broadcast_to(get(point), (stop - start,)) for name, get in COLUMNS}
+def _sweep_blocks(inputs: DesignInputs, axes, grids) -> Iterator[dict[str, np.ndarray]]:
+    def read(point: DesignPoint) -> list:
+        return [get(point) for _, get in COLUMNS]
+
+    for block, (axis_columns, values, vouched) in enumerate(
+            _grid_blocks(inputs, axes, grids, read)):
+        if not vouched.all():
+            points = [evaluate(set_parameter(inputs, params))
+                      for params in _grid_params(axes, axis_columns)]
+            if values is not None:
+                i = block * SWEEP_BLOCK + int(vouched.argmin())
+                raise RuntimeError(f"sweep failed grid point {i} on a check that evaluate() passes")
+            values = [np.array(column) for column in zip(*map(read, points))]
+        yield {name: column for (name, _), column in zip(COLUMNS, values)}
 
 
 @dataclass(frozen=True)
@@ -682,11 +680,11 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     If no grid point is feasible the result reports the constraint that was
     closest to blocking everywhere (most_violated).
 
-    The coarse grid runs as one column pass, with the result, log and
-    errors of evaluating it point by point: a point that fails a check is
-    evaluated alone, and so is every point of a grid whose arithmetic
-    faults anywhere. Every request is graded where it is made, a point the
-    simplex revisits included, and logged once: evaluations == len(log)
+    The coarse grid runs as the column passes of _grid_blocks(), with the
+    result, log and errors of evaluating it point by point: a point that
+    fails a check is evaluated alone, and so is every point of a block
+    whose arithmetic faults anywhere. Every request is graded where it is
+    made, a point the simplex revisits included, and logged once: evaluations == len(log)
     counts requests. The winner is evaluated once more at the end for the
     DesignPoint the result carries; that evaluation is not logged.
     """
@@ -701,7 +699,7 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
                 if axis.minimum < axis.maximum else 1).values()
         for axis in axes
     ]
-    n = _check_cap([len(g) for g in grids], spec.grid_cap)
+    _check_cap([len(g) for g in grids], spec.grid_cap)
 
     log: list[dict] = []
     last_error: BeamoscError | None = None
@@ -710,22 +708,22 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     infeasible_violations: list[tuple[float, ...]] = []
     best: tuple[float, dict] | None = None  # (signed objective, params)
 
-    def grade(point: DesignPoint):
-        """(objective, feasible, enabled violations) of a point or of columns."""
+    def grade(point: DesignPoint) -> tuple:
+        """(objective, feasible, *enabled violations) of a point or of columns."""
         constraints = [point.constraint(name) for name in names]
         feasible = True
         for constraint in constraints:
             feasible = feasible & constraint.ok
-        return extract(point), feasible, tuple(c.violation for c in constraints)
+        return extract(point), feasible, *(c.violation for c in constraints)
 
     def record(phase: str, params: dict, value: float | None, feasible: bool,
-               violations: tuple[float, ...] | None) -> float:
+               *violations: float) -> float:
         nonlocal best
         # Each request's params is a fresh dict; `best` keeps its own copy.
         log.append({"phase": phase, "params": params, "objective": value,
                     "feasible": feasible})
         if not feasible:
-            if violations is not None:
+            if violations:  # none for a point that failed to evaluate
                 infeasible_violations.append(violations)
             return math.inf
         signed = sign * value
@@ -739,26 +737,19 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             point = evaluate(set_parameter(inputs, params))
         except BeamoscError as err:
             last_error = err
-            return record(phase, params, None, False, None)
+            return record(phase, params, None, False)
         return record(phase, params, *grade(point))
 
-    # The coarse grid in one column pass; points the pass does not vouch
-    # for are graded by try_point, in grid order.
-    axis_columns = _block_columns(grids, 0, n)  # one block
-    try:
-        point, failed = _column_pass(inputs, axes, axis_columns)
-        with float_errors():
-            objective, feasible, violations = grade(point)
-        graded = list(zip(*(np.broadcast_to(column, (n,)).tolist()
-                            for column in (objective, feasible, *violations))))
-    except (ArithmeticError, ValueError):  # the pass vouches for no point
-        failed = np.ones(n, dtype=bool)
-    for i, (params, alone) in enumerate(zip(_grid_params(axes, axis_columns), failed.tolist())):
-        if alone:
-            try_point("grid", params)
-        else:
-            value, ok, *violations = graded[i]
-            record("grid", params, value, ok, tuple(violations))
+    # The coarse grid in column passes; points a pass does not vouch for
+    # are graded by try_point, in grid order.
+    for axis_columns, values, vouched in _grid_blocks(inputs, axes, grids, grade):
+        graded = [] if values is None else list(zip(*(column.tolist() for column in values)))
+        for i, (params, ok) in enumerate(zip(_grid_params(axes, axis_columns),
+                                              vouched.tolist())):
+            if ok:
+                record("grid", params, *graded[i])
+            else:
+                try_point("grid", params)
 
     if best is None:
         if not infeasible_violations:

@@ -61,6 +61,8 @@ class MemsRuleSet:
             raise ValidationError("rule limits must be > 0")
         if not self.metal_thickness_grid:
             raise ValidationError("metal_thickness_grid must not be empty")
+        if not all(height > 0 for height in self.metal_thickness_grid):  # NaN too
+            raise ValidationError("metal_thickness_grid heights must all be > 0")
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,12 @@ class SimConfig:
             raise ValidationError("dt must be > 0")
         if self.duration is not None and self.duration <= 0:
             raise ValidationError("duration must be > 0")
-        if self.noise_seed is not None and self.noise_seed < 0:
-            raise ValidationError("noise_seed must be >= 0")
+        seed = self.noise_seed
+        if seed is not None:
+            if type(seed) is bool or not isinstance(seed, (int, np.integer)):  # as in config
+                raise ValidationError(f"noise_seed must be an integer, got {seed!r}")
+            if seed < 0:
+                raise ValidationError("noise_seed must be >= 0")
         if self.initial_kick < 0:
             raise ValidationError("initial_kick must be >= 0")
         if self.v_limit <= 0:

@@ -64,9 +64,9 @@ class Transducer:
         check((gap != gap) | (gap <= 0), "transducer gap must be > 0")
         check((length != length) | (length <= 0), "electrode_length must be > 0")
         check((bias != bias) | (bias < 0), "bias_voltage must be >= 0")
-        if self.port not in VALID_PORTS:  # never a column
-            raise ValidationError(
-                f"port must be one of {sorted(VALID_PORTS)}, got {self.port!r}")
+        ports = sorted(VALID_PORTS)  # a list: an unhashable port is refused too
+        if self.port not in ports:  # never a column
+            raise ValidationError(f"port must be one of {ports}, got {self.port!r}")
 
 
 # The functions below take floats, or numpy columns from the sweep kernel;

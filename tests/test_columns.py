@@ -26,7 +26,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from beamosc import _num, traceio
+from beamosc import _num, explore, traceio
 from beamosc.errors import BeamoscError, StageError, ValidationError
 from beamosc.explore import (
     COLUMNS,
@@ -331,6 +331,37 @@ def test_optimize_equals_the_per_point_grid(design_points, data, case):
         got.objective_value is want.objective_value is None)
     if want.best is not None:
         assert_same(flatten(got.best), flatten(want.best), "best")
+
+
+def optimize_outcome(inputs, spec):
+    """optimize()'s result, or the type, text and stage of what it raises."""
+    try:
+        return optimize(inputs, spec)
+    except BeamoscError as err:
+        return type(err), str(err), getattr(err, "stage", None)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), case=optimize_specs(), block=st.integers(1, 7))
+def test_optimize_does_not_depend_on_the_block_size(design_points, data, case, block):
+    # Grids of up to 8^3 coarsened to 5^3 points: blocks of 1-7 points cut
+    # them anywhere, a faulting or failing block among them.
+    kind, spec = case
+    inputs = data.draw(base_inputs(design_points))
+    want = optimize_outcome(inputs, spec)
+    with mock.patch.object(explore, "SWEEP_BLOCK", block):
+        got = optimize_outcome(inputs, spec)
+    if not isinstance(want, OptimizeResult):
+        event(f"{kind}: raises")
+        assert got == want
+        return
+    event(f"{kind}: {'feasible' if want.feasible else 'infeasible'}")
+    assert got.evaluations == want.evaluations
+    assert_same(list(got.log), list(want.log), "log")
+    assert got.feasible is want.feasible
+    assert got.most_violated == want.most_violated
+    assert_same(got.best_params, want.best_params, "best_params")
+    assert same(got.objective_value, want.objective_value)
 
 
 class TestInvalidPoints:

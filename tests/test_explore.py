@@ -189,7 +189,7 @@ class TestStageErrors:
     def test_nan_is_refused_where_it_enters(self, design_points, data, nan):
         # Each library function and validated type refuses a NaN in any
         # numeric argument with ValidationError, where the value enters.
-        # The draws span 168 cases, fewer than max_examples, so Hypothesis,
+        # The draws span 171 cases, fewer than max_examples, so Hypothesis,
         # which repeats no draw, tries every one.
         point = design_points[1]
         inputs, model, circuit, amp = point.inputs, point.model, point.circuit, point.amplifier
@@ -223,6 +223,10 @@ class TestStageErrors:
             "PierceConfig": (pierce.PierceConfig, vars(amp)),
             "MemsRuleSet": (partial(MemsRuleSet, metal_thickness_grid=(1e-6,)),
                             {"min_lateral_gap": 1e-6, "max_release_width": 8e-6}),
+            "MemsRuleSet.metal_thickness_grid": (
+                lambda height: MemsRuleSet(require_metal_cover=True,
+                                           metal_thickness_grid=(4.8e-6, height)),
+                {"height": 2.4e-6}),
             "metal_stack_heights": (metal_stack_heights, {"thickness_per_pair": 1e-6}),
             "DesignInputs": (partial(replace, inputs),
                              {"q_factor": inputs.q_factor, "c1": inputs.c1, "c2": inputs.c2,
@@ -464,6 +468,47 @@ class TestOptimize:
         grid_best = max(entry["objective"] for entry in result.log
                         if entry["feasible"] and entry["phase"] == "grid")
         assert result.objective_value >= grid_best
+
+    @pytest.mark.parametrize("axis, alone", [
+        # TestSweep's grid: the vibration budget of 1e308 overflows the
+        # column pass in the last block only.
+        (SweepAxis("explore.vibration_amplitude", 0.0, 1e308, 2), 1e308),
+        # eta = 0 divides by zero in the first block only.
+        (SweepAxis("transducer.bias_voltage", 0.0, 9.0, 2), 0.0),
+    ])
+    def test_a_fault_stays_in_its_block(self, design_points, monkeypatch, axis, alone):
+        # Only the points of the block that faults are graded by evaluate().
+        monkeypatch.setattr(explore, "SWEEP_BLOCK", 5)
+        monkeypatch.setattr(explore, "_refine", lambda *args: None)
+        calls = []
+        monkeypatch.setattr(explore, "evaluate",
+                            lambda inputs: calls.append(inputs) or evaluate(inputs))
+        inputs = with_transducer(design_points[1].inputs, electrode_length=45e-6)
+        q_axis = SweepAxis("beam.q_factor", 1000.0, 8000.0, 5)
+        result = optimize(inputs, SweepSpec(axes=(axis, q_axis)))
+        assert result.feasible
+        # The last call evaluates the winner for the result.
+        assert calls[:-1] == [set_parameter(inputs, {axis.path: alone, q_axis.path: q})
+                              for q in q_axis.values().tolist()]
+
+    def test_no_column_pass_sees_more_than_a_block(self, design_points, monkeypatch):
+        monkeypatch.setattr(explore, "SWEEP_BLOCK", 7)
+        passes = []  # the length of each column pass's axis columns
+
+        def recorded(inputs, params, *args):
+            columns = [len(v) for v in params.values() if isinstance(v, np.ndarray)]
+            if columns:
+                passes.append(max(columns))
+            return set_parameter(inputs, params, *args)
+
+        monkeypatch.setattr(explore, "set_parameter", recorded)
+        spec = SweepSpec(axes=(
+            SweepAxis("transducer.bias_voltage", 2.0, 9.5, 5),
+            SweepAxis("beam.q_factor", 1000.0, 8000.0, 5),
+            SweepAxis("pierce.c1", 1e-12, 3e-12, 5),
+        ))
+        optimize(design_points[1].inputs, spec)
+        assert passes == [7] * 17 + [6]  # 125 coarse points
 
     def test_a_repeated_request_logs_the_grade_of_its_first(self, design_points, monkeypatch):
         calls = []

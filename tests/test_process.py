@@ -114,6 +114,12 @@ class TestRules:
         ok = check_mems_rules(beam(W=2.4e-6), transducer(), rules)
         assert ok == []
 
+    @pytest.mark.parametrize("height", [0.0, -4.8e-6])
+    def test_metal_heights_must_be_positive(self, height):
+        # NaN is test_explore's test_nan_is_refused_where_it_enters.
+        with pytest.raises(ValidationError, match="metal_thickness_grid"):
+            MemsRuleSet(require_metal_cover=True, metal_thickness_grid=(height,))
+
     def test_gap_at_limit_is_legal(self):
         assert check_mems_rules(beam(), transducer(gap=1.2e-6)) == []
 

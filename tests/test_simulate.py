@@ -70,6 +70,13 @@ class TestIntegrationBasics:
         with pytest.raises(ValidationError, match="noise_seed must be >= 0"):
             SimConfig(noise_seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        # numpy refuses a float seed only when the run starts, and would
+        # run True as seed 1.
+        with pytest.raises(ValidationError, match="noise_seed must be an integer"):
+            SimConfig(noise_seed=seed)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["dt", "duration", "initial_kick",
                                       "initial_displacement", "v_limit",

@@ -75,6 +75,11 @@ class TestDisplacementLimit:
             Transducer(gap=1.2e-6, electrode_length=75e-6, bias_voltage=9.5,
                        port="three_port")
 
+    def test_unhashable_port_names_the_choices(self):
+        with pytest.raises(ValidationError, match="port must be one of"):
+            Transducer(gap=1e-6, electrode_length=1e-5, bias_voltage=1.0,
+                       port=["one_port"])
+
 
 class TestPullIn:
     def test_underflow_names_the_gap(self):
