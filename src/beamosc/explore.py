@@ -703,9 +703,10 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
 
     log: list[dict] = []
     last_error: BeamoscError | None = None
-    # Enabled constraint violations of each infeasible candidate, in order;
-    # read only when no grid point is feasible, so no refinement ran.
-    infeasible_violations: list[tuple[float, ...]] = []
+    # (sum, enabled constraint violations) of the first infeasible candidate
+    # with the least sum; read only when no grid point is feasible, so no
+    # refinement ran.
+    closest: tuple[float, tuple[float, ...]] | None = None
     best: tuple[float, dict] | None = None  # (signed objective, params)
 
     def grade(point: DesignPoint) -> tuple:
@@ -718,13 +719,14 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
 
     def record(phase: str, params: dict, value: float | None, feasible: bool,
                *violations: float) -> float:
-        nonlocal best
+        nonlocal best, closest
         # Each request's params is a fresh dict; `best` keeps its own copy.
         log.append({"phase": phase, "params": params, "objective": value,
                     "feasible": feasible})
         if not feasible:
-            if violations:  # none for a point that failed to evaluate
-                infeasible_violations.append(violations)
+            # No violations for a point that failed to evaluate.
+            if violations and (closest is None or sum(violations) < closest[0]):
+                closest = (sum(violations), violations)
             return math.inf
         signed = sign * value
         if best is None or signed < best[0]:
@@ -752,11 +754,10 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
                 try_point("grid", params)
 
     if best is None:
-        if not infeasible_violations:
+        if closest is None:
             assert last_error is not None
             raise last_error
-        closest = min(infeasible_violations, key=sum)
-        worst = max(range(len(names)), key=closest.__getitem__)
+        worst = max(range(len(names)), key=closest[1].__getitem__)
         return OptimizeResult(
             objective=spec.objective,
             feasible=False,

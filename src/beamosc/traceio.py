@@ -6,7 +6,8 @@ inside a JSON document (write_json, optimize.json's log). Identical inputs
 produce byte-identical files: floats are written with repr() (shortest
 round-trip form), row order is the natural iteration order, and nothing
 timestamps the output. Formatting a float costs far more than writing it,
-so where a second CPU is usable a block of SPLIT_ROWS rows or more, such
+so a value repeated within a chunk is formatted once (see _float_texts),
+and where a second CPU is usable a block of SPLIT_ROWS rows or more, such
 as a startup trace, has its second half formatted by a forked child
 process (see _write_split); the bytes are those of the serial path.
 """
@@ -97,47 +98,29 @@ def _object_texts(values: list) -> tuple[list, list]:
     return texts[0], texts[1]
 
 
-_NOTHING_KNOWN = (np.empty(0, dtype=np.int64), None)
-_REPEATS_NOTHING = None  # _float_texts() memo of a column that repeats no value
-
-
-def _float_texts(column: np.ndarray, known: tuple | None) -> tuple[list, tuple | None]:
-    """Text of every cell of a float column chunk, each distinct bit pattern
-    formatted once or taken from `known`, the sorted bits and the texts of
-    the column's previous chunk: grid columns repeat values within a chunk
-    and from one chunk to the next. Returns the texts and the chunk's own
-    (bits, texts), or _REPEATS_NOTHING for a chunk that repeated no value,
-    neither within itself nor from `known`: such a column, a trace's, is
-    formatted cell by cell from then on, with no memo to keep."""
+def _float_texts(column: np.ndarray, repeats: bool) -> tuple[list, bool]:
+    """Text of every cell of a float column chunk, and whether to look for
+    repeats in the column's next chunk. While `repeats` holds, each distinct
+    bit pattern of the chunk is formatted once: grid columns repeat values
+    within a chunk. A chunk that repeats no value turns the flag off, and
+    such a column, a trace's, is formatted cell by cell from then on."""
     values = column.astype(np.float64, copy=False)
-    if known is _REPEATS_NOTHING:
-        return list(map(float.__repr__, values.tolist())), _REPEATS_NOTHING
-    bits = values.view(np.int64)
-    distinct, index = np.unique(bits, return_inverse=True)
-    known_bits, known_texts = known
-    at = np.searchsorted(known_bits, distinct)
-    hit = at < len(known_bits)
-    hit[hit] = known_bits[at[hit]] == distinct[hit]
-    if hit.any():
-        texts = np.empty(len(distinct), dtype=object)
-        texts[hit] = known_texts[at[hit]]
-        new = ~hit
-        texts[new] = list(map(float.__repr__, distinct[new].view(np.float64).tolist()))
-    elif len(distinct) == len(bits):
-        return list(map(float.__repr__, values.tolist())), _REPEATS_NOTHING
-    else:
-        texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
-                         dtype=object)
-    return texts[index].tolist(), (distinct, texts)
+    if repeats:
+        distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+        if len(distinct) < len(values):
+            texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
+                             dtype=object)
+            return texts[index].tolist(), True
+    return list(map(float.__repr__, values.tolist())), False
 
 
 def _texts(column, known: dict, key) -> tuple[list, list]:
     """CSV and JSON text of every cell of one column chunk, each distinct
     value formatted once. The lists are one object where the texts agree.
-    known[key] carries a float column's texts on to its next chunk."""
+    known[key] carries a float column's repeats flag on to its next chunk."""
     kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
     if kind == "f":
-        text, known[key] = _float_texts(column, known.get(key, _NOTHING_KNOWN))
+        text, known[key] = _float_texts(column, known.get(key, True))
         return text, text
     values = column.tolist() if isinstance(column, np.ndarray) else column
     if kind in "iu":
@@ -193,7 +176,7 @@ def _write_table(blocks, csv_fh, json_fh, indent: str = "") -> None:
     and a JSON list whose lines after the first start at `indent`, with no
     newline after its closing bracket."""
     names = None
-    known: dict = {}  # _texts() memo of each leaf, by its index
+    known: dict = {}  # _texts() repeats flag of each leaf, by its index
     if json_fh is not None:
         json_fh.write("[\n")
     for i, (row, leaves) in enumerate(blocks):
@@ -365,12 +348,27 @@ def write_rows(blocks, csv_path=None, json_path=None) -> None:
         os.replace(temp, path)
 
 
+def _floats(obj, path: str = ""):
+    """(path, value) of each float in obj's dicts, lists and tuples, in json.dumps() order."""
+    if isinstance(obj, float):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _floats(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _floats(value, f"{path}[{i}]")
+
+
 def json_text(obj, default=None) -> str:
-    """obj as indented JSON (json.dumps() `default`); non-finite floats are refused."""
+    """obj as indented JSON (json.dumps() `default`); non-finite floats are
+    refused, naming where the first one sits."""
     try:
         return json.dumps(obj, indent=2, allow_nan=False, default=default)
     except ValueError as err:
-        raise ValidationError(f"refusing to write non-finite JSON: {err}") from None
+        found = next(((at, v) for at, v in _floats(obj) if not math.isfinite(v)), None)
+        where = f"{found[0] or 'the value'} is {float(found[1])!r}" if found else err
+        raise ValidationError(f"refusing to write non-finite JSON: {where}") from None
 
 
 def write_json(obj, path) -> None:

@@ -79,6 +79,14 @@ class TestAnalyze:
         assert line.startswith("error:") and "gap" in line
         assert "Traceback" not in err
 
+    def test_non_finite_json_refusal_names_the_value(self, capsys):
+        # The deflection violation, vibration budget over x_limit, overflows.
+        rc, out, err = run_cli(capsys, "analyze", "--design", "1",
+                               "--set", "explore.vibration_amplitude=1e308")
+        assert (rc, out) == (1, "")
+        assert err == ("error: refusing to write non-finite JSON: "
+                       "constraints[1].violation is inf\n")
+
     def test_config_and_design_are_exclusive(self, capsys, tmp_path):
         cfg = tmp_path / "p.json"
         cfg.write_text("{}")
@@ -359,6 +367,32 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["points"] == 4
         assert manifest["axes"][0]["path"] == "beam.length"
+
+    @pytest.mark.parametrize("steps, digests", [
+        ((2, 2, None),
+         ("42456dabdca2ffb253dd3db410dba7f29278b20e63281e681a87f3fc63fb7a9c",
+          "821a3bfb2e9c43743946dc8e057e4c8e1d5beaaae3c8505f470cb9a7c3930fc3")),
+        ((20, 15, 15),
+         ("b14ca328bfeca0cc71d89c20f18ec4472d03b01834f1a8004eab17f1ab05a422",
+          "994ccf201f37f10f74bf948028307431581987ec64a30726f22bd2463d3ee8a0")),
+    ], ids=["readme", "multi_block"])
+    def test_bytes_are_pinned(self, capsys, tmp_path, steps, digests):
+        # The README sweep, and 4,500 points over a bias axis too: two
+        # SWEEP_BLOCKs and five row chunks.
+        length, width, bias = steps
+        axes = [{"path": "beam.length", "min": 60e-6, "max": 100e-6, "steps": length},
+                {"path": "beam.in_plane_width", "min": 1e-6, "max": 2e-6, "steps": width}]
+        if bias:
+            axes.append({"path": "transducer.bias_voltage", "min": 6.0, "max": 9.4,
+                         "steps": bias})
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "grid"
+        rc, _, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                           "--set", "explore.axes=" + json.dumps(axes), "--out", str(out))
+        assert rc == 0
+        found = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                      for name in ("sweep.csv", "sweep.json"))
+        assert found == digests
 
     def test_grid_cap_is_an_error(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, grid_cap=3)

@@ -521,13 +521,19 @@ def test_rows_writer_matches_dictwriter_and_json(tmp_path_factory, columns, cuts
 
 
 @settings(max_examples=60)
-@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), cuts=cut_lists)
-def test_rows_writer_on_numpy_columns(tmp_path_factory, n, seed, cuts):
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), cuts=cut_lists,
+       row_block=st.integers(1, 7))
+def test_rows_writer_on_numpy_columns(tmp_path_factory, n, seed, cuts, row_block):
     rng = np.random.default_rng(seed)
+    rows = np.arange(n)
     columns = {
         "x": rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n),
         # Repeats within and across blocks; 0.0 and -0.0 keep their own text.
         "repeats": rng.choice([0.0, -0.0, 0.1, 5e-324], n),
+        # Repeats nothing in its first chunk, then one value over and over.
+        "late": np.where(rows < row_block, rows * 0.1, -0.0),
+        # Distinct within a chunk, the same values in every chunk.
+        "cycle": rows % row_block * 0.1,
         "flag": rng.integers(0, 2, n).astype(bool),
         "count": rng.integers(0, 3, n),
         "kind": np.broadcast_to("one,two", (n,)),
@@ -535,7 +541,8 @@ def test_rows_writer_on_numpy_columns(tmp_path_factory, n, seed, cuts):
         "same": np.broadcast_to(0.1, (n,)),
     }
     out = tmp_path_factory.mktemp("np")
-    write_rows(blocks_of(columns, cuts), csv_path=out / "t.csv", json_path=out / "t.json")
+    with mock.patch.object(traceio, "ROW_BLOCK", row_block):
+        write_rows(blocks_of(columns, cuts), csv_path=out / "t.csv", json_path=out / "t.json")
     want_csv, want_json = reference_bytes({k: v.tolist() for k, v in columns.items()})
     assert (out / "t.csv").read_text() == want_csv
     assert (out / "t.json").read_text() == want_json
