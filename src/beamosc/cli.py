@@ -16,6 +16,7 @@ violations), 1 error (usage, bad config, invalid geometry, integrator failure).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -84,6 +85,24 @@ def _out_dir(args) -> Path | None:
     return path
 
 
+@contextlib.contextmanager
+def _new_out_dir(args):
+    """_out_dir(args) for a command that fills it as it runs: if the
+    command fails, the directories it made are removed again."""
+    if args.out is None:
+        yield None
+        return
+    path = Path(args.out)
+    created = [p for p in (path, *path.parents) if not p.exists()]
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield path
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1])
+        raise
+
+
 def _config_digest(cfg: ProjectConfig) -> str:
     canonical = json.dumps(cfg.data, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -141,23 +160,25 @@ def cmd_simulate(args) -> int:
     cfg = _load_project(args)
     point = evaluate(cfg.build_inputs())
     x_max = cfg.x_max(point.x_limit)
-    trace = simulate_startup(point.circuit, point.amplifier, cfg.build_sim(), point.eta,
-                             x_max=x_max)
-    summary, env = summarize(trace)
-    summary["expected_f0_hz"] = point.circuit.f0
-    summary["gm"] = point.amplifier.gm
-    summary["x_max_m"] = x_max if x_max != float("inf") else None
-    print(json_text(summary))
-    out = _out_dir(args)
-    if out is not None:
-        write_rows([{"t": trace.time, "v_in": trace.v_in, "v_out": trace.v_out,
-                     "x": trace.x}], csv_path=out / "trace.csv")
-        if env is not None:
-            write_rows([{"t": env[:, 0], "amplitude": env[:, 1]}],
-                       csv_path=out / "envelope.csv")
-        write_trace_svg(trace, out / "trace.svg", env=env)
-        write_json(summary, out / "summary.json")
-        write_json(_manifest(cfg, "simulate", summary=summary), out / "manifest.json")
+    sim = cfg.build_sim()
+    with _new_out_dir(args) as out:
+        # trace.csv is written while the loop integrates (see write_rows).
+        consume = None if out is None else functools.partial(
+            write_rows, csv_path=out / "trace.csv")
+        trace = simulate_startup(point.circuit, point.amplifier, sim, point.eta,
+                                 x_max=x_max, consume=consume)
+        summary, env = summarize(trace)
+        summary["expected_f0_hz"] = point.circuit.f0
+        summary["gm"] = point.amplifier.gm
+        summary["x_max_m"] = x_max if x_max != float("inf") else None
+        print(json_text(summary))
+        if out is not None:
+            if env is not None:
+                write_rows([{"t": env[:, 0], "amplitude": env[:, 1]}],
+                           csv_path=out / "envelope.csv")
+            write_trace_svg(trace, out / "trace.svg", env=env)
+            write_json(summary, out / "summary.json")
+            write_json(_manifest(cfg, "simulate", summary=summary), out / "manifest.json")
     return 0
 
 
@@ -174,24 +195,17 @@ def cmd_sweep(args) -> int:
             yield block
 
     blocks = counted(sweep(cfg.build_inputs(), spec))
-    if args.out is None:
-        for _ in blocks:
-            pass
-    else:
-        out = Path(args.out)
-        created = [path for path in (out, *out.parents) if not path.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        try:
+    with _new_out_dir(args) as out:
+        if out is None:
+            for _ in blocks:
+                pass
+        else:
             write_rows(blocks, csv_path=out / "sweep.csv", json_path=out / "sweep.json")
-        except BaseException:
-            if created:  # a failed sweep leaves no directory it made behind
-                shutil.rmtree(created[-1])
-            raise
-        write_json(
-            _manifest(cfg, "sweep", axes=cfg.data["explore"]["axes"], points=points,
-                      feasible=feasible),
-            out / "manifest.json",
-        )
+            write_json(
+                _manifest(cfg, "sweep", axes=cfg.data["explore"]["axes"], points=points,
+                          feasible=feasible),
+                out / "manifest.json",
+            )
     print(json_text({"points": points, "feasible": feasible}))
     return 0
 

@@ -197,6 +197,14 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     v_pi = pull_in_voltage(model.k, tr.gap, area, check)
     x_static = static_deflection(model.k, tr, eta, v_pi, inputs.deflection_mode, check)
     x_limit = displacement_limit(tr)
+    allowance = inputs.vibration_amplitude
+    if allowance is not None:
+        # The deflection violation, (x_static + allowance) / x_limit - 1, must
+        # be finite; a flagged column point gets 0, so the pass does not fault.
+        overflows = (x_static + allowance) / 2.0**1023 >= x_limit
+        check(overflows, "vibration_amplitude {:.6g} m overflows the deflection constraint "
+              "against x_limit {:.6g} m", allowance, x_limit)
+        allowance = select(overflows, 0.0, allowance)
     circuit = extract_circuit(model.k, model.m, model.q, eta, check)
     i_x = None
     if inputs.x_amplitude is not None:
@@ -218,10 +226,8 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     rules = rule_checks(tr.gap, beam.H, beam.W, inputs.rules)
 
     bias_limit = inputs.alpha_pull_in * v_pi
-    if inputs.vibration_amplitude is None:
+    if allowance is None:
         allowance = fmax(0.0, x_limit - x_static)
-    else:
-        allowance = inputs.vibration_amplitude
     deflection = x_static + allowance
     # The first largest relative miss among the broken rules, 0 if none is.
     n_broken, rules_violation = 0, 0.0

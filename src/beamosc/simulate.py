@@ -12,7 +12,9 @@ Integration is classical fixed-step RK4. Startup noise is modeled in the
 initial condition only: with a noise_seed the input-node kick is scaled by a
 random factor in [0, 2], otherwise the nominal kick is applied and the run
 is fully deterministic. Mechanical displacement is recovered as x = q / eta
-and the run halts early if |x| reaches x_max (gap collapse).
+and the run halts early if |x| reaches x_max (gap collapse). The loop hands
+its rows out in blocks as it goes, so a caller can write them out while it
+integrates (see simulate_startup's `consume`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .pierce import PierceConfig
 from .transduction import EquivalentCircuit
 
 _MAX_STEPS = 20_000_000  # refusal threshold: keeps desk-scale runs desk-scale
+# Rows per block that simulate_startup() hands its consumer: traceio.SPLIT_ROWS,
+# so the row writer can give each block to a forked child to format.
+TRACE_BLOCK = 8192
 
 ENVELOPE_SIGNALS = ("v_out", "v_in", "x")
 
@@ -119,12 +124,19 @@ def simulate_startup(
     sim: SimConfig,
     eta: float,
     x_max: float = math.inf,
+    consume=None,
 ) -> Trace:
     """Integrate the closed loop from a small kick and return the Trace.
 
     `eta` converts branch charge to displacement; `x_max` is the gap-collapse
     guard (pass math.inf to disable). The run halts at the first sample with
     |x| >= x_max and the returned trace has pulled_in set.
+
+    consume(blocks), if given, receives the run's rows while they are
+    integrated: an iterator over blocks of up to TRACE_BLOCK rows, each a
+    dict of columns t, v_in, v_out and x with the bits of the Trace's
+    time, v_in, v_out and x. It must exhaust the iterator, which runs the
+    integration; an error of the integrator is raised from it.
     """
     if not eta > 0:  # NaN too
         raise ValidationError("eta must be > 0")
@@ -163,8 +175,6 @@ def simulate_startup(
     c20 = c2 + c0
     det = c1 * c2 + c2 * c0 + c0 * c1
     tanh = math.tanh
-    half = dt / 2.0
-    sixth = dt / 6.0
 
     def rhs(i_l: float, q: float, v1: float, v2: float):
         vd = v1 - v2
@@ -178,49 +188,73 @@ def simulate_startup(
         dv2 = (c0 * i1 + c10 * i2) / det
         return di, i_l, dv1, dv2
 
-    v1s = np.empty(n_steps + 1)
-    v2s = np.empty(n_steps + 1)
-    qs = np.empty(n_steps + 1)
-    ils = np.empty(n_steps + 1)
+    # t (the bits of step * dt), v_in, v_out, q, x and i_l at every step:
+    # the blocks and the Trace are views of these columns.
+    columns = [np.arange(n_steps + 1) * dt, *(np.empty(n_steps + 1) for _ in range(5))]
+    outcome = []
 
-    i_l, q, v1, v2 = 0.0, eta * sim.initial_displacement, kick, 0.0
+    def blocks():
+        outcome.append((yield from _integrate(
+            rhs, (0.0, eta * sim.initial_displacement, kick, 0.0), columns, dt,
+            eta * x_max, eta)))
+
+    if consume is None:
+        for _ in blocks():
+            pass
+    else:
+        consume(blocks())
+    if not outcome:
+        raise ValueError("consume() returned before the integration ended")
+    end, pulled_in = outcome[0]
+    t, v_in, v_out, _, x, i_l = (column[:end + 1] for column in columns)
+    return Trace(time=t, v_in=v_in, v_out=v_out, x=x, branch_current=i_l,
+                 pulled_in=pulled_in, v_limit=vlim)
+
+
+def _integrate(rhs, state: tuple, columns: list, dt: float, q_max: float, eta: float):
+    """RK4 from `state` (i_l, q, v1, v2), row 0, to the last row of
+    `columns` (t, v_in, v_out, q, x and i_l, filled as it goes), or to the
+    first row with |q| >= q_max. Yields the rows in blocks of TRACE_BLOCK
+    as simulate_startup() describes; returns the last row's index and
+    whether the guard halted the run."""
+    t, v1s, v2s, qs, xs, ils = columns
+    i_l, q, v1, v2 = state
     v1s[0], v2s[0], qs[0], ils[0] = v1, v2, q, i_l
-    q_max = eta * x_max  # displacement guard expressed in charge
+    half = dt / 2.0
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+    end = len(qs) - 1
     pulled_in = False
-    end = n_steps
-
-    for step in range(1, n_steps + 1):
-        a1, a2, a3, a4 = rhs(i_l, q, v1, v2)
-        b1, b2, b3, b4 = rhs(i_l + half * a1, q + half * a2, v1 + half * a3, v2 + half * a4)
-        c1_, c2_, c3_, c4_ = rhs(i_l + half * b1, q + half * b2, v1 + half * b3, v2 + half * b4)
-        d1, d2, d3, d4 = rhs(i_l + dt * c1_, q + dt * c2_, v1 + dt * c3_, v2 + dt * c4_)
-        i_l += sixth * (a1 + 2.0 * (b1 + c1_) + d1)
-        q += sixth * (a2 + 2.0 * (b2 + c2_) + d2)
-        v1 += sixth * (a3 + 2.0 * (b3 + c3_) + d3)
-        v2 += sixth * (a4 + 2.0 * (b4 + c4_) + d4)
-        if not math.isfinite(i_l + q + v1 + v2):
-            hint = "reduce dt" if step > 1 else (
-                "check initial_kick, initial_displacement, r_feedback and r_output, or reduce dt")
-            raise SimulationError(
-                f"integrator state became non-finite at step {step} "
-                f"(t = {step * dt:.3e} s); {hint}", step=step
-            )
-        v1s[step], v2s[step], qs[step], ils[step] = v1, v2, q, i_l
-        if abs(q) >= q_max:
-            pulled_in = True
-            end = step
-            break
-
-    sl = slice(0, end + 1)
-    return Trace(
-        time=np.arange(end + 1) * dt,  # the bits of step * dt at each step
-        v_in=v1s[sl],
-        v_out=v2s[sl],
-        x=qs[sl] / eta,
-        branch_current=ils[sl],
-        pulled_in=pulled_in,
-        v_limit=vlim,
-    )
+    start = 0  # first row of the next block
+    while start <= end:
+        stop = min(start + TRACE_BLOCK, end + 1)
+        for step in range(max(start, 1), stop):  # row 0 is the initial state
+            a1, a2, a3, a4 = rhs(i_l, q, v1, v2)
+            b1, b2, b3, b4 = rhs(i_l + half * a1, q + half * a2, v1 + half * a3, v2 + half * a4)
+            c1_, c2_, c3_, c4_ = rhs(i_l + half * b1, q + half * b2, v1 + half * b3,
+                                     v2 + half * b4)
+            d1, d2, d3, d4 = rhs(i_l + dt * c1_, q + dt * c2_, v1 + dt * c3_, v2 + dt * c4_)
+            i_l += sixth * (a1 + 2.0 * (b1 + c1_) + d1)
+            q += sixth * (a2 + 2.0 * (b2 + c2_) + d2)
+            v1 += sixth * (a3 + 2.0 * (b3 + c3_) + d3)
+            v2 += sixth * (a4 + 2.0 * (b4 + c4_) + d4)
+            if not isfinite(i_l + q + v1 + v2):
+                hint = "reduce dt" if step > 1 else (
+                    "check initial_kick, initial_displacement, r_feedback and r_output, "
+                    "or reduce dt")
+                raise SimulationError(
+                    f"integrator state became non-finite at step {step} "
+                    f"(t = {step * dt:.3e} s); {hint}", step=step
+                )
+            v1s[step], v2s[step], qs[step], ils[step] = v1, v2, q, i_l
+            if abs(q) >= q_max:
+                pulled_in, end, stop = True, step, step + 1
+                break
+        np.divide(qs[start:stop], eta, out=xs[start:stop])
+        yield {"t": t[start:stop], "v_in": v1s[start:stop], "v_out": v2s[start:stop],
+               "x": xs[start:stop]}
+        start = stop
+    return end, pulled_in
 
 
 def _signal(trace: Trace, name: str) -> np.ndarray:

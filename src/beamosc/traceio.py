@@ -7,9 +7,10 @@ produce byte-identical files: floats are written with repr() (shortest
 round-trip form), row order is the natural iteration order, and nothing
 timestamps the output. Formatting a float costs far more than writing it,
 so a value repeated within a chunk is formatted once (see _float_texts),
-and where a second CPU is usable a block of SPLIT_ROWS rows or more, such
-as a startup trace, has its second half formatted by a forked child
-process (see _write_split); the bytes are those of the serial path.
+and where a second CPU is usable, blocks of SPLIT_ROWS rows or more, such
+as those of a startup trace, are formatted by forked children while the
+caller makes the next blocks (see _Pipeline); the bytes are those of the
+serial path.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ ROW_BLOCK = 1024  # rows formatted at a time by write_rows()
 # string is megabytes, which malloc maps afresh and returns to the system on
 # every block of a stream: a page fault per 4 kB written.
 _WRITE_ROWS = 32
-# A block this long is split between the process and one forked child
-# (_write_split). Sweep blocks (explore.SWEEP_BLOCK rows) and optimize.json
-# logs stay below it: for them a fork costs more memory than it saves time.
+# From the first block this long on, a table's rows are formatted by forked
+# children (_Pipeline). Sweep blocks (explore.SWEEP_BLOCK rows) and
+# optimize.json logs stay below it: for them a fork costs more memory than
+# it saves time.
 SPLIT_ROWS = 8 * ROW_BLOCK
 
 _CSV_BOOL = {True: "True", False: "False"}
@@ -179,34 +181,36 @@ def _write_table(blocks, csv_fh, json_fh, indent: str = "") -> None:
     known: dict = {}  # _texts() repeats flag of each leaf, by its index
     if json_fh is not None:
         json_fh.write("[\n")
-    for i, (row, leaves) in enumerate(blocks):
-        if i == 0:
-            names = list(row)
-            if csv_fh is not None:
-                if any(isinstance(v, dict) for v in row.values()):
-                    raise ValueError("a CSV table takes no column group")
-                csv_fh.write(",".join(map(_csv_cell, names)) + "\n")
-        elif list(row) != names:
-            raise ValueError("every block must hold the columns of the first")
-        _write_block(row, leaves, csv_fh, json_fh, indent, known, first=i == 0)
-    if names is None:
-        raise ValueError("no block to write")
+    with _Pipeline((csv_fh, json_fh)) as pipeline:
+        for i, (row, leaves) in enumerate(blocks):
+            if i == 0:
+                names = list(row)
+                if csv_fh is not None:
+                    if any(isinstance(v, dict) for v in row.values()):
+                        raise ValueError("a CSV table takes no column group")
+                    csv_fh.write(",".join(map(_csv_cell, names)) + "\n")
+            elif list(row) != names:
+                raise ValueError("every block must hold the columns of the first")
+            pipeline.add(_block_rows(row, leaves, csv_fh is not None, indent, known,
+                                     first=i == 0), len(leaves[0]))
+        if names is None:
+            raise ValueError("no block to write")
+        pipeline.finish()
     if json_fh is not None:
         json_fh.write(f"\n{indent}]")
 
 
-def _write_block(row: dict, leaves: list, csv_fh, json_fh, indent: str, known: dict,
-                 first: bool) -> None:
-    """The rows of one block of _write_table(). Each block has its own
+def _block_rows(row: dict, leaves: list, csv: bool, indent: str, known: dict, first: bool):
+    """rows(begin, end, csv_fh, json_fh), which writes rows begin..end of
+    one block of _write_table() to the files given. Each block has its own
     literal row text: a column may repeat one value in one block and vary
     in the next."""
-    n = len(leaves[0])
     varying = [(i, column) for i, column in enumerate(leaves) if not _constant(column)]
     json_pieces = (f"{indent}  " + json.dumps(row, indent=2).replace("\n", f"\n{indent}  ")
                    ).split(json.dumps(_MARK))
     csv_pieces = ",".join(v if v == _MARK else _csv_cell(v) for v in row.values()).split(_MARK)
     csv_pieces[-1] += "\n"
-    if len(json_pieces) != len(varying) + 1 or csv_fh and len(csv_pieces) != len(varying) + 1:
+    if len(json_pieces) != len(varying) + 1 or csv and len(csv_pieces) != len(varying) + 1:
         raise ValueError("a column name or value holds the row writer's mark")
     lone = len(row) == 1  # csv quotes the empty cell of a one-column row
     if lone and csv_pieces == ["\n"]:
@@ -237,68 +241,154 @@ def _write_block(row: dict, leaves: list, csv_fh, json_fh, indent: str, known: d
                     json_fh.write(",\n")
                 write(json_fh, ",\n", json_pieces, [texts for _, texts in chunk], count)
 
-    mid = _split_point(n)
-    if mid:
-        _write_split(rows, mid, n, csv_fh, json_fh)
-    else:
-        rows(0, n, csv_fh, json_fh)
+    return rows
 
 
-def _split_point(n: int) -> int:
-    """Where _write_split() splits a block of n rows: the ROW_BLOCK boundary
-    at or below its middle. 0, for a block written by this process alone,
-    below SPLIT_ROWS rows, without os.fork() or os.sched_getaffinity(), or
-    with one usable CPU."""
-    if n < SPLIT_ROWS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 0
-    if len(os.sched_getaffinity(0)) < 2:
-        return 0
-    return n // 2 // ROW_BLOCK * ROW_BLOCK
+def _parallel() -> bool:
+    """Whether a forked child can format rows beside this process: os.fork()
+    and os.sched_getaffinity() exist and two or more CPUs are usable."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _write_split(rows, mid: int, n: int, csv_fh, json_fh) -> None:
-    """rows(0, n, csv_fh, json_fh), with rows mid..n formatted by a forked
-    child into unnamed temporary files while this process formats 0..mid;
-    the child's text is then copied in after this process's.
+@dataclass
+class _Child:
+    """A process formatting rows into its own temporary files, `parts`
+    (None where its table writes no such file); status is its wait status
+    once reaped. The rows this process formats last, after a child's, wait
+    in a _Child too, with pid 0 and status 0."""
 
-    The child runs rows() and nothing else, and leaves through os._exit(),
-    so it flushes none of this process's buffers and runs none of its
-    callers' cleanup. If this process raises first, the child is killed
-    and reaped before the error propagates; a child that fails raises
-    OSError. No process outlives the call."""
-    fhs = (csv_fh, json_fh)
-    with contextlib.ExitStack() as stack:
-        parts = [None if fh is None else stack.enter_context(
-                     tempfile.TemporaryFile("w+", encoding=fh.encoding, newline=""))
-                 for fh in fhs]
+    pid: int
+    parts: list
+    status: int | None = None
+
+    def reaped(self, options: int = 0) -> bool:
+        """Whether the child has ended; os.WNOHANG as `options` does not wait."""
+        if self.status is None:
+            pid, status = os.waitpid(self.pid, options)
+            if pid == 0:
+                return False
+            self.status = status
+        return True
+
+
+class _Pipeline:
+    """The rows of one table's blocks, written to `fhs` (its CSV and JSON
+    files, either None) in block order.
+
+    Blocks are formatted by this process as they arrive until one of
+    SPLIT_ROWS rows or more arrives where _parallel() holds. From then on
+    every block is queued, and whenever a block arrives while no child is
+    at work, one forked child is given all that was queued before it. Each
+    child formats into unnamed temporary files while the caller goes on
+    making blocks. finish() splits what is still queued at the ROW_BLOCK
+    boundary at or below its middle row: this process formats the first
+    part, one last child the rest. Every child's text is copied in, in
+    block order.
+
+    A child runs rows() and nothing else, and leaves through os._exit(), so
+    it flushes none of this process's buffers and runs none of its callers'
+    cleanup. A child that fails raises OSError. On any error every child
+    still running is killed and reaped before the error propagates: no
+    process outlives the table."""
+
+    def __init__(self, fhs: tuple):
+        self.fhs = fhs
+        self.queue: list = []  # (rows, begin, end) that no process formats yet
+        self.children: list[_Child] = []  # text not copied in yet, in row order
+        self.temps = contextlib.ExitStack()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        with self.temps:
+            running = [child for child in self.children if child.status is None]
+            if kind is not None and running:
+                import signal  # here only: its import alone adds 0.1 MB to every command's RSS
+
+                for child in running:
+                    os.kill(child.pid, signal.SIGKILL)
+                    os.waitpid(child.pid, 0)
+
+    def add(self, rows, n: int) -> None:
+        """One block of n rows, written by rows() (see _block_rows())."""
+        if not self.queue and (n < SPLIT_ROWS or not _parallel()):
+            rows(0, n, *self.fhs)
+            return
+        if self.queue and (not self.children or self.children[-1].reaped(os.WNOHANG)):
+            self._copy_children()
+            self.children.append(self._fork(self.queue))
+            self.queue = []
+        self.queue.append((rows, 0, n))
+
+    def finish(self) -> None:
+        """Format what is queued and copy every child's text in."""
+        if not self.queue:
+            return
+        mine, theirs = _halves(self.queue)
+        if not mine:  # too short to split: this process formats it all
+            mine, theirs = theirs, []
+        files = self.fhs
+        if self.children:  # this process's rows go after a child's text
+            self.children.append(_Child(0, self._temps(), status=0))
+            files = self.children[-1].parts
+        if theirs:
+            self.children.append(self._fork(theirs))
+        for rows, begin, end in mine:
+            rows(begin, end, *files)
+        self._copy_children()
+
+    def _temps(self) -> list:
+        return [None if fh is None else self.temps.enter_context(
+                    tempfile.TemporaryFile("w+", encoding=fh.encoding, newline=""))
+                for fh in self.fhs]
+
+    def _fork(self, items: list) -> _Child:
+        """A child that runs rows(begin, end) of each item into its files."""
+        parts = self._temps()
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                rows(mid, n, *parts)
+                for rows, begin, end in items:
+                    rows(begin, end, *parts)
                 for part in parts:
                     if part is not None:
                         part.flush()
                 code = 0
             finally:
                 os._exit(code)
-        try:
-            rows(0, mid, *fhs)
-            status = os.waitpid(pid, 0)[1]
-        except BaseException:
-            import signal  # here only: its import alone adds 0.1 MB to every command's RSS
+        return _Child(pid, parts)
 
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if os.waitstatus_to_exitcode(status) != 0:
-            raise OSError(f"the child process writing rows {mid} to {n} failed "
-                          f"(wait status {status})")
-        for fh, part in zip(fhs, parts):
-            if fh is not None:
-                fh.flush()
-                part.seek(0)
-                shutil.copyfileobj(part.buffer, fh.buffer, 1 << 16)  # bytes, 64 kB at a time
+    def _copy_children(self) -> None:
+        """Wait for each child in turn and copy its text in."""
+        for child in self.children:
+            child.reaped()
+            if os.waitstatus_to_exitcode(child.status) != 0:
+                raise OSError(f"a forked child formatting rows failed (wait status "
+                              f"{child.status})")
+            for fh, part in zip(self.fhs, child.parts):
+                if fh is not None:
+                    fh.flush()
+                    part.flush()
+                    part.seek(0)
+                    shutil.copyfileobj(part.buffer, fh.buffer, 1 << 16)  # 64 kB at a time
+                    part.close()
+        self.children = []
+
+
+def _halves(items: list) -> tuple[list, list]:
+    """items, (rows, begin, end) in row order, cut at the ROW_BLOCK boundary
+    of its block at or below the middle row: the rows before the cut, which
+    may be none, and the rows from it on."""
+    half = sum(end - begin for _, begin, end in items) // 2
+    for j, (rows, begin, end) in enumerate(items):
+        if half < end - begin:
+            break
+        half -= end - begin
+    cut = begin + half // ROW_BLOCK * ROW_BLOCK
+    return items[:j] + [(rows, begin, cut)] * (cut > begin), [(rows, cut, end)] + items[j + 1:]
 
 
 def write_rows(blocks, csv_path=None, json_path=None) -> None:
@@ -317,10 +407,14 @@ def write_rows(blocks, csv_path=None, json_path=None) -> None:
     numbers, and a column that repeats one value over a block is formatted
     once, into the literal text of the block's rows.
 
-    On Linux with two or more usable CPUs, a block of SPLIT_ROWS rows or
-    more is formatted in two processes: a forked child formats its second
-    half into temporary files, copied in after this process's first half.
-    The bytes are the same as where one process formats every row.
+    On Linux with two or more usable CPUs, from the first block of
+    SPLIT_ROWS rows or more on, blocks are formatted by forked children,
+    one at a time, into temporary files while `blocks` makes the next ones
+    (simulate_startup() integrating, say); what is left when the last
+    block arrives is split between this process and one last child. Their
+    text is copied in in block order, so the bytes are the same as where
+    one process formats every row. A table of one such block is formatted
+    half by this process and half by a child.
 
     Each file is written to `<path>.tmp` beside it and moved into place by
     os.replace() once every block is written. On any error the temporary

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,20 @@ def join_blocks(blocks) -> dict:
     """sweep()'s blocks joined: each column over the whole grid."""
     blocks = list(blocks)
     return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+
+
+def tanh_nan_from(step: int):
+    """A math.tanh for simulate_startup() that returns NaN from the first
+    right-hand side of RK4 step `step` on (four per step), so the state
+    turns non-finite at that step."""
+    calls = itertools.count()
+    first = 4 * (step - 1)
+    tanh = math.tanh
+
+    def fake(x):
+        return math.nan if next(calls) >= first else tanh(x)
+
+    return fake
 
 
 def run_startup(point, gm=None, sim=None, x_max=float("inf")):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import tanh_nan_from
 import beamosc
 import beamosc.cli
 from beamosc import explore, traceio
@@ -80,12 +81,12 @@ class TestAnalyze:
         assert "Traceback" not in err
 
     def test_non_finite_json_refusal_names_the_value(self, capsys):
-        # The deflection violation, vibration budget over x_limit, overflows.
+        # The bias violation, bias over a subnormal alpha * v_pull_in, overflows.
         rc, out, err = run_cli(capsys, "analyze", "--design", "1",
-                               "--set", "explore.vibration_amplitude=1e308")
+                               "--set", "explore.alpha_pull_in=1e-320")
         assert (rc, out) == (1, "")
         assert err == ("error: refusing to write non-finite JSON: "
-                       "constraints[1].violation is inf\n")
+                       "constraints[0].violation is inf\n")
 
     def test_config_and_design_are_exclusive(self, capsys, tmp_path):
         cfg = tmp_path / "p.json"
@@ -314,6 +315,93 @@ class TestSimulate:
         assert payload["status"] == "stabilized"
         assert payload["frequency_hz"] == pytest.approx(
             payload["expected_f0_hz"], rel=1e-2)
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="os.fork() and os.waitid() are POSIX only")
+class TestSimulateFailsMidStream:
+    # trace.csv is written while the loop runs: with two usable CPUs and
+    # 1,024-row blocks, forked children format blocks of a 50-cycle run
+    # while it integrates. A failure leaves no file, no directory the
+    # command made and no process behind.
+    @pytest.fixture(autouse=True)
+    def streamed(self, monkeypatch):
+        """The pid of each child forked. The parent waits for each child to
+        end, leaving it to be reaped, so every block after the first finds
+        the last child done and goes to a new one."""
+        forks = []
+        fork = os.fork
+
+        def fork_and_wait():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_and_wait)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(beamosc.simulate, "TRACE_BLOCK", 1024)
+        monkeypatch.setattr(traceio, "SPLIT_ROWS", 1024)
+        return forks
+
+    ARGV = ("simulate", "--design", "1", "--seed", "7", "--set", "sim.duration=6.6e-4")
+
+    @staticmethod
+    def assert_nothing_left(tmp_path):
+        assert not (tmp_path / "new").exists()
+        assert [p.name for p in (tmp_path / "kept").iterdir()] == ["trace.csv"]
+        assert (tmp_path / "kept" / "trace.csv").read_bytes() == b"an earlier trace\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_integration_leaves_nothing(self, capsys, tmp_path, streamed):
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "trace.csv").write_bytes(b"an earlier trace\n")
+        for out in (tmp_path / "new" / "run", tmp_path / "kept"):
+            streamed.clear()
+            with mock.patch("math.tanh", tanh_nan_from(12_000)):
+                rc, stdout, err = run_cli(capsys, *self.ARGV, "--out", str(out))
+            assert (rc, stdout) == (1, "")
+            [line] = err.splitlines()
+            assert line.startswith("error: integrator state became non-finite at step 12000")
+            assert len(streamed) == 10  # blocks 1-10 of the 11 before step 12,000
+        self.assert_nothing_left(tmp_path)
+
+    def test_a_failed_child_leaves_nothing(self, capsys, tmp_path, monkeypatch, streamed):
+        parent = os.getpid()
+        float_texts = traceio._float_texts
+
+        def texts(column, known):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed in a child")
+            return float_texts(column, known)
+
+        monkeypatch.setattr(traceio, "_float_texts", texts)
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "trace.csv").write_bytes(b"an earlier trace\n")
+        for out in (tmp_path / "new" / "run", tmp_path / "kept"):
+            with pytest.raises(OSError, match="forked child"):
+                main([*self.ARGV, "--out", str(out)])
+            assert capsys.readouterr() == ("", "")
+        assert streamed
+        self.assert_nothing_left(tmp_path)
+
+    def test_blocks_formatted_by_children_have_the_serial_bytes(self, capsys, tmp_path,
+                                                                monkeypatch, streamed):
+        # A guarded run that pulls in at step 11,113, partway through a
+        # block: its last 874 rows are split at row 256 between the process
+        # and one last child.
+        monkeypatch.setattr(traceio, "ROW_BLOCK", 256)
+        argv = ("simulate", "--design", "1", "--seed", "7", "--x-max", "6e-11",
+                "--set", "sim.duration=6.6e-4")
+        rc, summary, _ = run_json(capsys, *argv, "--out", str(tmp_path / "all-cpus"))
+        assert (rc, summary["status"], summary["steps"]) == (0, "pulled_in", 11_113)
+        assert len(streamed) == 11  # blocks 1-10, then the last child's part of 11
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rc, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "one-cpu"))
+        assert rc == 0
+        assert ((tmp_path / "all-cpus" / "trace.csv").read_bytes()
+                == (tmp_path / "one-cpu" / "trace.csv").read_bytes())
 
 
 class TestReadmeOptimize:
@@ -617,6 +705,40 @@ class TestArithmeticErrors:
                               "objective": None, "feasible": False}
 
 
+def test_an_overflowing_vibration_budget_is_refused_alike(capsys, tmp_path):
+    # The deflection violation, (x_static + vibration_amplitude) / x_limit,
+    # overflows at a 1e308 m budget: analyze, sweep and optimize all refuse
+    # that point with one error line naming vibration_amplitude.
+    def axis(path, lo, hi, steps):
+        return ["--set", "explore.axes=" + json.dumps(
+            [{"path": path, "min": lo, "max": hi, "steps": steps}])]
+
+    budget = ["--set", "explore.vibration_amplitude=1e308"]
+    one_point = axis("transducer.bias_voltage", 6.0, 6.0, 1)
+    errors = set()
+    for command, extra in (("analyze", []), ("sweep", one_point), ("optimize", one_point)):
+        out = tmp_path / command
+        rc, stdout, err = run_cli(capsys, command, "--design", "1", *budget, *extra,
+                                  "--out", str(out))
+        assert (rc, stdout) == (1, "")
+        assert not out.exists()
+        errors.add(err)
+    [err] = errors
+    assert re.fullmatch(r"error: transduction: vibration_amplitude 1e\+308 m overflows"
+                        r" the deflection constraint against x_limit \S+ m\n", err)
+    # Over a grid axis, sweep stops at that point and optimize logs it as failed.
+    grid = axis("explore.vibration_amplitude", 0.0, 1e308, 2)
+    rc, stdout, sweep_err = run_cli(capsys, "sweep", "--design", "1", *grid,
+                                    "--out", str(tmp_path / "grid"))
+    assert (rc, stdout, sweep_err) == (1, "", err)
+    rc, _, _ = run_json(capsys, "optimize", "--design", "1", *grid,
+                        "--out", str(tmp_path / "best"))
+    assert rc == 0
+    log = json.loads((tmp_path / "best" / "optimize.json").read_text())["log"]
+    assert log[1] == {"phase": "grid", "params": {"explore.vibration_amplitude": 1e308},
+                      "objective": None, "feasible": False}
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["table1", "--config", "x.json"],
@@ -861,9 +983,9 @@ def test_sweep_failing_in_its_last_block_writes_nothing(capsys, tmp_path):
 
 
 # Axes of the block-size property around design 1 with a 45 um electrode:
-# valid ranges, a vibration budget whose column pass faults above some
-# step (the float path runs on to an infinite violation, so those blocks
-# go point by point), and an electrode that may pass the beam length.
+# valid ranges, a vibration budget whose deflection violation would
+# overflow above some step (a failed check), and an electrode that may
+# pass the beam length.
 BLOCK_AXES = {
     "beam.length": (60e-6, 140e-6),
     "beam.in_plane_width": (1e-6, 3e-6),

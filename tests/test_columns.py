@@ -68,9 +68,9 @@ PATH_RANGES = {
 }
 
 
-# Wider ranges whose arithmetic faults somewhere: evaluate() raises an
-# overflow (gm) or a zero division (c1), or the float path runs on to an
-# infinite constraint violation where a column overflows (vibration).
+# Wider ranges that fail somewhere: evaluate() raises an overflow (gm) or a
+# zero division (c1), or refuses a vibration budget whose deflection
+# violation would overflow.
 FAULT_RANGES = {
     "pierce.gm": (1e-6, 1e300),
     "pierce.c1": (1e-320, 5e-12),
@@ -80,6 +80,19 @@ FAULT_RANGES = {
 
 def test_every_sweepable_path_is_sampled():
     assert set(PATH_RANGES) == set(PARAMETER_PATHS)
+
+
+def test_an_overflowing_vibration_budget_is_a_failed_check_not_a_fault(design_points):
+    # The column pass flags the point whose deflection violation would
+    # overflow, which evaluate() refuses by name, and vouches for the other.
+    inputs = design_points[1].inputs
+    axis = SweepAxis("explore.vibration_amplitude", 0.0, 1e308, 2)
+    [(_, values, vouched)] = explore._grid_blocks(inputs, (axis,), [axis.values()],
+                                                  lambda point: [point.x_static])
+    assert values is not None
+    assert vouched.tolist() == [True, False]
+    with pytest.raises(StageError, match="^transduction: vibration_amplitude 1e\\+308 m"):
+        evaluate(replace(inputs, vibration_amplitude=1e308))
 
 
 @st.composite

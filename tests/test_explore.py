@@ -310,9 +310,9 @@ class TestSweep:
         assert grid["feasible"][3]
 
     def test_a_fault_stays_in_its_block(self, design_points, monkeypatch):
-        # A vibration budget of 1e308 overflows the deflection violation in
-        # the column pass (the float path runs on to inf): only the last
-        # block, the points with that budget, goes point by point.
+        # A subnormal alpha_pull_in overflows the bias violation in the
+        # column pass (the float path runs on to inf): only the first
+        # block, the points with that alpha, goes point by point.
         monkeypatch.setattr(explore, "SWEEP_BLOCK", 5)
         calls = []
 
@@ -322,12 +322,12 @@ class TestSweep:
 
         monkeypatch.setattr(explore, "evaluate", counted)
         spec = SweepSpec(axes=(
-            SweepAxis("explore.vibration_amplitude", 0.0, 1e308, 2),
+            SweepAxis("explore.alpha_pull_in", 1e-320, 0.97, 2),
             SweepAxis("beam.q_factor", 1000.0, 8000.0, 5),
         ))
         grid = join_blocks(sweep(self.base(design_points), spec))
-        assert [p.vibration_amplitude for p in calls] == [1e308] * 5
-        assert grid["feasible"].tolist() == [True] * 5 + [False] * 5
+        assert [p.alpha_pull_in for p in calls] == [1e-320] * 5
+        assert grid["feasible"].tolist() == [False] * 5 + [True] * 5
 
     def test_grid_cap_enforced(self, design_points):
         spec = SweepSpec(
@@ -470,8 +470,8 @@ class TestOptimize:
         assert result.objective_value >= grid_best
 
     @pytest.mark.parametrize("axis, alone", [
-        # TestSweep's grid: the vibration budget of 1e308 overflows the
-        # column pass in the last block only.
+        # A vibration budget of 1e308, whose deflection violation would
+        # overflow, fails a check in the last block only.
         (SweepAxis("explore.vibration_amplitude", 0.0, 1e308, 2), 1e308),
         # eta = 0 divides by zero in the first block only.
         (SweepAxis("transducer.bias_voltage", 0.0, 9.0, 2), 0.0),

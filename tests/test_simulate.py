@@ -1,10 +1,14 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from conftest import run_startup
+from conftest import run_startup, tanh_nan_from
+from beamosc import simulate
 from beamosc.errors import (
     InsufficientDataError,
     SimulationError,
@@ -287,3 +291,77 @@ class TestMeasurements:
         summary, _ = summarize(trace)
         assert summary["status"] == "decayed"
         assert summary["frequency_hz"] is None
+
+
+# ------------------------------------------------- rows handed out in blocks
+
+def divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def blocked_run(point, sim, x_max, block):
+    """simulate_startup() at TRACE_BLOCK = block: its Trace, or the
+    SimulationError it raised, and the blocks its consumer received."""
+    got = []
+    with mock.patch.object(simulate, "TRACE_BLOCK", block):
+        try:
+            trace = simulate_startup(point.circuit, point.amplifier, sim, point.eta,
+                                     x_max=x_max, consume=got.extend)
+        except SimulationError as err:
+            return err, got
+    return trace, got
+
+
+@settings(max_examples=30)
+@given(design=st.sampled_from([1, 2, 3]), guard=st.booleans(), data=st.data())
+def test_blocks_are_the_whole_trace_bit_for_bit(design_points, design, guard, data):
+    # 50 cycles, the shortest run allowed. With the guard on, x_max is a
+    # share of the unguarded run's largest |x|, so the run pulls in at some
+    # step `end`; block sizes that divide end or end + 1 put that step on
+    # the first or the last row of a block.
+    point = design_points[design]
+    sim = SimConfig(noise_seed=7, duration=50.0 / point.circuit.f0)
+    x_max = math.inf
+    if guard:
+        reach = float(np.abs(simulate_startup(point.circuit, point.amplifier, sim,
+                                              point.eta).x).max())
+        x_max = data.draw(st.floats(0.05, 1.0)) * reach
+    want = simulate_startup(point.circuit, point.amplifier, sim, point.eta, x_max=x_max)
+    end = len(want.time) - 1
+    block = data.draw(st.integers(1, 7) | st.sampled_from(divisors(end) + divisors(end + 1)))
+    if guard and block > 1:
+        event({0: "pull-in on a block's first row", block - 1: "pull-in on a block's last row"}
+              .get(end % block, "pull-in inside a block"))
+    trace, blocks = blocked_run(point, sim, x_max, block)
+    assert [len(b["t"]) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]["t"]) <= block
+    assert list(blocks[0]) == ["t", "v_in", "v_out", "x"]
+    for name, column in (("t", want.time), ("v_in", want.v_in), ("v_out", want.v_out),
+                         ("x", want.x)):
+        assert np.array_equal(bits(np.concatenate([b[name] for b in blocks])), bits(column))
+    assert trace.pulled_in == want.pulled_in == guard
+    for name in ("time", "v_in", "v_out", "x", "branch_current"):
+        assert np.array_equal(bits(getattr(trace, name)), bits(getattr(want, name)))
+
+
+@settings(max_examples=20)
+@given(design=st.sampled_from([1, 2, 3]), data=st.data())
+def test_a_non_finite_state_fails_the_same_in_blocks(design_points, design, data):
+    point = design_points[design]
+    sim = SimConfig(noise_seed=7, duration=50.0 / point.circuit.f0)
+    n_steps = int(round(sim.duration * 250.0 * point.circuit.f0))
+    step = data.draw(st.integers(1, n_steps))
+    block = data.draw(st.integers(1, 7) | st.sampled_from(divisors(step) + divisors(step + 1)))
+    with mock.patch("math.tanh", tanh_nan_from(step)), pytest.raises(SimulationError) as want:
+        simulate_startup(point.circuit, point.amplifier, sim, point.eta)
+    with mock.patch("math.tanh", tanh_nan_from(step)):
+        err, blocks = blocked_run(point, sim, math.inf, block)
+    assert want.value.step == step
+    assert isinstance(err, SimulationError)
+    assert (str(err), err.step) == (str(want.value), step)
+    # Every row before the block that holds the failing step was handed out.
+    assert sum(len(b["t"]) for b in blocks) == step // block * block
