@@ -63,6 +63,7 @@ from .simulate import (
     measure_frequency,
     simulate_startup,
     summarize,
+    summarize_startup,
 )
 from .explore import (
     ConstraintCheck,
@@ -91,7 +92,8 @@ __all__ = [
     "pull_in_voltage", "static_deflection", "PierceConfig", "PierceOptimum",
     "StartupReport", "complex_impedance", "max_negative_resistance",
     "negative_resistance", "startup_check", "SimConfig", "Trace", "envelope",
-    "measure_frequency", "simulate_startup", "summarize", "ConstraintCheck",
+    "measure_frequency", "simulate_startup", "summarize", "summarize_startup",
+    "ConstraintCheck",
     "DesignInputs", "DesignPoint", "OptimizeResult", "SweepAxis", "SweepSpec",
     "evaluate", "flatten", "optimize", "set_parameter", "sweep", "ProjectConfig",
     "load_builtin_design", "load_config", "ComparisonReport", "build_comparison",

@@ -30,7 +30,7 @@ from .config import BUILTIN_DESIGNS, ProjectConfig, load_builtin_design, load_co
 from .errors import BeamoscError, ConfigError
 from .explore import evaluate, flatten, optimize, sweep
 from .process import check_mems_rules
-from .simulate import simulate_startup, summarize
+from .simulate import summarize_startup
 from .traceio import RowTable, json_text, write_json, write_rows, write_trace_svg
 
 
@@ -77,24 +77,22 @@ def _load_project(args) -> ProjectConfig:
     return ProjectConfig.from_raw(raw, _overrides(args))
 
 
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 @contextlib.contextmanager
-def _new_out_dir(args):
-    """_out_dir(args) for a command that fills it as it runs: if the
-    command fails, the directories it made are removed again."""
+def _out_dir(args):
+    """The --out directory (None without --out), made with its parents.
+    Each command enters it before it prints anything, so a path that
+    cannot be a directory is refused with nothing on stdout; if the
+    command then fails, the directories it made are removed again."""
     if args.out is None:
         yield None
         return
     path = Path(args.out)
     created = [p for p in (path, *path.parents) if not p.exists()]
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {args.out}: not a directory that can be made "
+                          f"({err.strerror})") from None
     try:
         yield path
     except BaseException:
@@ -134,11 +132,11 @@ def cmd_analyze(args) -> int:
     point = evaluate(cfg.build_inputs())
     payload = _point_payload(point)
     payload["description"] = cfg.data["description"]
-    print(json_text(payload))
-    out = _out_dir(args)
-    if out is not None:
-        write_json(payload, out / "analyze.json")
-        write_json(_manifest(cfg, "analyze"), out / "manifest.json")
+    with _out_dir(args) as out:
+        print(json_text(payload))
+        if out is not None:
+            write_json(payload, out / "analyze.json")
+            write_json(_manifest(cfg, "analyze"), out / "manifest.json")
     return 0 if point.feasible else 2
 
 
@@ -146,13 +144,13 @@ def cmd_table1(args) -> int:
     from .report import build_comparison
 
     report = build_comparison(_overrides(args))
-    print(report.render_text())
-    out = _out_dir(args)
-    if out is not None:
-        if args.format == "json":
-            write_rows([report.columns], json_path=out / "table1.json")
-        else:
-            write_rows([report.columns], csv_path=out / "table1.csv")
+    with _out_dir(args) as out:
+        print(report.render_text())
+        if out is not None:
+            if args.format == "json":
+                write_rows([report.columns], json_path=out / "table1.json")
+            else:
+                write_rows([report.columns], csv_path=out / "table1.csv")
     return 0 if report.all_pass else 2
 
 
@@ -161,13 +159,14 @@ def cmd_simulate(args) -> int:
     point = evaluate(cfg.build_inputs())
     x_max = cfg.x_max(point.x_limit)
     sim = cfg.build_sim()
-    with _new_out_dir(args) as out:
-        # trace.csv is written while the loop integrates (see write_rows).
+    with _out_dir(args) as out:
+        # trace.csv is written while the loop integrates (see write_rows),
+        # and the summary read from the same blocks: no column of the whole
+        # run is held.
         consume = None if out is None else functools.partial(
             write_rows, csv_path=out / "trace.csv")
-        trace = simulate_startup(point.circuit, point.amplifier, sim, point.eta,
-                                 x_max=x_max, consume=consume)
-        summary, env = summarize(trace)
+        summary, env, plot = summarize_startup(point.circuit, point.amplifier, sim,
+                                               point.eta, x_max=x_max, consume=consume)
         summary["expected_f0_hz"] = point.circuit.f0
         summary["gm"] = point.amplifier.gm
         summary["x_max_m"] = x_max if x_max != float("inf") else None
@@ -176,7 +175,7 @@ def cmd_simulate(args) -> int:
             if env is not None:
                 write_rows([{"t": env[:, 0], "amplitude": env[:, 1]}],
                            csv_path=out / "envelope.csv")
-            write_trace_svg(trace, out / "trace.svg", env=env)
+            write_trace_svg(plot, out / "trace.svg", env=env)
             write_json(summary, out / "summary.json")
             write_json(_manifest(cfg, "simulate", summary=summary), out / "manifest.json")
     return 0
@@ -195,7 +194,7 @@ def cmd_sweep(args) -> int:
             yield block
 
     blocks = counted(sweep(cfg.build_inputs(), spec))
-    with _new_out_dir(args) as out:
+    with _out_dir(args) as out:
         if out is None:
             for _ in blocks:
                 pass
@@ -222,18 +221,18 @@ def cmd_optimize(args) -> int:
         "evaluations": result.evaluations,
         "most_violated": result.most_violated,
     }
-    print(json_text(summary))
-    out = _out_dir(args)
-    if out is not None:
-        payload = dict(summary)
-        log = {key: [entry[key] for entry in result.log] for key in result.log[0]}
-        log["params"] = {path: [params[path] for params in log["params"]]
-                         for path in log["params"][0]}  # a group of columns
-        payload["log"] = RowTable(log)
-        if result.best is not None:
-            payload["best_point"] = _point_payload(result.best)
-        write_json(payload, out / "optimize.json")
-        write_json(_manifest(cfg, "optimize", summary=summary), out / "manifest.json")
+    with _out_dir(args) as out:
+        print(json_text(summary))
+        if out is not None:
+            payload = dict(summary)
+            log = {key: [entry[key] for entry in result.log] for key in result.log[0]}
+            log["params"] = {path: [params[path] for params in log["params"]]
+                             for path in log["params"][0]}  # a group of columns
+            payload["log"] = RowTable(log)
+            if result.best is not None:
+                payload["best_point"] = _point_payload(result.best)
+            write_json(payload, out / "optimize.json")
+            write_json(_manifest(cfg, "optimize", summary=summary), out / "manifest.json")
     return 0 if result.feasible else 2
 
 

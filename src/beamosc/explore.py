@@ -197,10 +197,16 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     v_pi = pull_in_voltage(model.k, tr.gap, area, check)
     x_static = static_deflection(model.k, tr, eta, v_pi, inputs.deflection_mode, check)
     x_limit = displacement_limit(tr)
+    # The bias violation, bias_voltage / bias_limit - 1, must be finite, as
+    # must the deflection violation below; a flagged column point gets a
+    # harmless value instead, so the pass does not fault.
+    bias_limit = inputs.alpha_pull_in * v_pi
+    overflows = tr.bias_voltage / 2.0**1023 >= bias_limit
+    check(overflows, "alpha_pull_in {:.6g} overflows the bias constraint against "
+          "V_pi {:.6g} V", inputs.alpha_pull_in, v_pi)
+    bias_limit = select(overflows, 1.0, bias_limit)
     allowance = inputs.vibration_amplitude
     if allowance is not None:
-        # The deflection violation, (x_static + allowance) / x_limit - 1, must
-        # be finite; a flagged column point gets 0, so the pass does not fault.
         overflows = (x_static + allowance) / 2.0**1023 >= x_limit
         check(overflows, "vibration_amplitude {:.6g} m overflows the deflection constraint "
               "against x_limit {:.6g} m", allowance, x_limit)
@@ -225,7 +231,6 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     check.stage = "rules"
     rules = rule_checks(tr.gap, beam.H, beam.W, inputs.rules)
 
-    bias_limit = inputs.alpha_pull_in * v_pi
     if allowance is None:
         allowance = fmax(0.0, x_limit - x_static)
     deflection = x_static + allowance

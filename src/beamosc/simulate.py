@@ -12,15 +12,19 @@ Integration is classical fixed-step RK4. Startup noise is modeled in the
 initial condition only: with a noise_seed the input-node kick is scaled by a
 random factor in [0, 2], otherwise the nominal kick is applied and the run
 is fully deterministic. Mechanical displacement is recovered as x = q / eta
-and the run halts early if |x| reaches x_max (gap collapse). The loop hands
-its rows out in blocks as it goes, so a caller can write them out while it
-integrates (see simulate_startup's `consume`).
-"""
+and the run halts early if |x| reaches x_max (gap collapse).
 
+The loop hands its rows out in fresh blocks as it goes, so a caller can
+write them out while it integrates (see simulate_startup's `consume`).
+simulate_startup() joins the blocks into a Trace; summarize_startup()
+feeds them to the same summary that summarize() reads a Trace with, so a
+run of any length is summarized in memory set by the block.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,10 @@ _MAX_STEPS = 20_000_000  # refusal threshold: keeps desk-scale runs desk-scale
 # Rows per block that simulate_startup() hands its consumer: traceio.SPLIT_ROWS,
 # so the row writer can give each block to a forked child to format.
 TRACE_BLOCK = 8192
+# A plot of a run samples every plot_stride()-th row: 4,000 to 7,999 points
+# of a long run.
+PLOT_POINTS = 4000
+_CYCLES = 20  # measure_frequency() averages over the last this many cycles
 
 ENVELOPE_SIGNALS = ("v_out", "v_in", "x")
 
@@ -118,6 +126,18 @@ class Trace:
         return float(self.time[1] - self.time[0])
 
 
+class Plot(NamedTuple):
+    """The v_out samples that trace.svg plots, and their times."""
+
+    time: np.ndarray
+    v_out: np.ndarray
+
+
+def plot_stride(rows: int) -> int:
+    """The stride at which a plot of a run of `rows` rows samples it."""
+    return max(1, rows // PLOT_POINTS)
+
+
 def simulate_startup(
     circuit: EquivalentCircuit,
     amplifier: PierceConfig,
@@ -136,8 +156,48 @@ def simulate_startup(
     integrated: an iterator over blocks of up to TRACE_BLOCK rows, each a
     dict of columns t, v_in, v_out and x with the bits of the Trace's
     time, v_in, v_out and x. It must exhaust the iterator, which runs the
-    integration; an error of the integrator is raised from it.
+    integration; an error of the integrator is raised from it. Each block
+    is freshly allocated, so a consumer may keep it. The Trace is joined
+    from the blocks once the run ends; summarize_startup() runs the same
+    loop and keeps no column of the whole run.
     """
+    _, blocks = _startup(circuit, amplifier, sim, eta, x_max)
+    kept = []
+    pulled_in = _run(blocks, consume,
+                     lambda columns, current: kept.append([*columns.values(), current]))
+    t, v_in, v_out, x, i_l = (np.concatenate(column) for column in zip(*kept))
+    return Trace(time=t, v_in=v_in, v_out=v_out, x=x, branch_current=i_l,
+                 pulled_in=pulled_in, v_limit=sim.v_limit)
+
+
+def summarize_startup(
+    circuit: EquivalentCircuit,
+    amplifier: PierceConfig,
+    sim: SimConfig,
+    eta: float,
+    x_max: float = math.inf,
+    consume=None,
+) -> tuple[dict, np.ndarray | None, Plot]:
+    """The run of simulate_startup(), summarized while it is integrated:
+    what summarize() returns for its Trace, and the Plot of v_out that
+    write_trace_svg() draws of it, bit for bit. `consume` is as for
+    simulate_startup().
+
+    Memory is set by the block, not by the run, except for what the
+    summary itself keeps: one envelope row per cycle and, with the guard
+    on (finite x_max), v_out at every row, 8 bytes a step, since a halt
+    leaves the run's length unknown until it ends.
+    """
+    rows, blocks = _startup(circuit, amplifier, sim, eta, x_max)
+    summary = _Summary(rows if x_max == math.inf else None)
+    pulled_in = _run(blocks, consume,
+                     lambda columns, _: summary.add(columns["t"], columns["v_out"]))
+    return (*summary.result(pulled_in, sim.v_limit), summary.plot())
+
+
+def _startup(circuit, amplifier, sim, eta, x_max) -> tuple[int, Iterator]:
+    """Check a run's settings; return its length in rows, should no guard
+    halt it, and the generator that integrates it (see _integrate())."""
     if not eta > 0:  # NaN too
         raise ValidationError("eta must be > 0")
     if not x_max > 0:
@@ -188,47 +248,27 @@ def simulate_startup(
         dv2 = (c0 * i1 + c10 * i2) / det
         return di, i_l, dv1, dv2
 
-    # t (the bits of step * dt), v_in, v_out, q, x and i_l at every step:
-    # the blocks and the Trace are views of these columns.
-    columns = [np.arange(n_steps + 1) * dt, *(np.empty(n_steps + 1) for _ in range(5))]
-    outcome = []
-
-    def blocks():
-        outcome.append((yield from _integrate(
-            rhs, (0.0, eta * sim.initial_displacement, kick, 0.0), columns, dt,
-            eta * x_max, eta)))
-
-    if consume is None:
-        for _ in blocks():
-            pass
-    else:
-        consume(blocks())
-    if not outcome:
-        raise ValueError("consume() returned before the integration ended")
-    end, pulled_in = outcome[0]
-    t, v_in, v_out, _, x, i_l = (column[:end + 1] for column in columns)
-    return Trace(time=t, v_in=v_in, v_out=v_out, x=x, branch_current=i_l,
-                 pulled_in=pulled_in, v_limit=vlim)
+    state = (0.0, eta * sim.initial_displacement, kick, 0.0)
+    return n_steps + 1, _integrate(rhs, state, n_steps, dt, eta * x_max, eta)
 
 
-def _integrate(rhs, state: tuple, columns: list, dt: float, q_max: float, eta: float):
-    """RK4 from `state` (i_l, q, v1, v2), row 0, to the last row of
-    `columns` (t, v_in, v_out, q, x and i_l, filled as it goes), or to the
-    first row with |q| >= q_max. Yields the rows in blocks of TRACE_BLOCK
-    as simulate_startup() describes; returns the last row's index and
-    whether the guard halted the run."""
-    t, v1s, v2s, qs, xs, ils = columns
+def _integrate(rhs, state: tuple, n_steps: int, dt: float, q_max: float, eta: float):
+    """RK4 from `state` (i_l, q, v1, v2), row 0, to row n_steps, or to the
+    first row with |q| >= q_max. Yields each block of TRACE_BLOCK rows as
+    it is made, in fresh arrays: its columns as simulate_startup()
+    describes them (t is step * dt), its branch current, and whether the
+    guard halted the run at its last row."""
     i_l, q, v1, v2 = state
-    v1s[0], v2s[0], qs[0], ils[0] = v1, v2, q, i_l
     half = dt / 2.0
     sixth = dt / 6.0
     isfinite = math.isfinite
-    end = len(qs) - 1
-    pulled_in = False
-    start = 0  # first row of the next block
-    while start <= end:
-        stop = min(start + TRACE_BLOCK, end + 1)
-        for step in range(max(start, 1), stop):  # row 0 is the initial state
+    for start in range(0, n_steps + 1, TRACE_BLOCK):
+        size = min(TRACE_BLOCK, n_steps + 1 - start)
+        v1s, v2s, qs, ils = (np.empty(size) for _ in range(4))
+        if not start:  # row 0 is the initial state
+            v1s[0], v2s[0], qs[0], ils[0] = v1, v2, q, i_l
+        halted = False
+        for row in range(0 if start else 1, size):
             a1, a2, a3, a4 = rhs(i_l, q, v1, v2)
             b1, b2, b3, b4 = rhs(i_l + half * a1, q + half * a2, v1 + half * a3, v2 + half * a4)
             c1_, c2_, c3_, c4_ = rhs(i_l + half * b1, q + half * b2, v1 + half * b3,
@@ -239,6 +279,7 @@ def _integrate(rhs, state: tuple, columns: list, dt: float, q_max: float, eta: f
             v1 += sixth * (a3 + 2.0 * (b3 + c3_) + d3)
             v2 += sixth * (a4 + 2.0 * (b4 + c4_) + d4)
             if not isfinite(i_l + q + v1 + v2):
+                step = start + row
                 hint = "reduce dt" if step > 1 else (
                     "check initial_kick, initial_displacement, r_feedback and r_output, "
                     "or reduce dt")
@@ -246,26 +287,205 @@ def _integrate(rhs, state: tuple, columns: list, dt: float, q_max: float, eta: f
                     f"integrator state became non-finite at step {step} "
                     f"(t = {step * dt:.3e} s); {hint}", step=step
                 )
-            v1s[step], v2s[step], qs[step], ils[step] = v1, v2, q, i_l
+            v1s[row], v2s[row], qs[row], ils[row] = v1, v2, q, i_l
             if abs(q) >= q_max:
-                pulled_in, end, stop = True, step, step + 1
+                halted, size = True, row + 1
                 break
-        np.divide(qs[start:stop], eta, out=xs[start:stop])
-        yield {"t": t[start:stop], "v_in": v1s[start:stop], "v_out": v2s[start:stop],
-               "x": xs[start:stop]}
-        start = stop
-    return end, pulled_in
+        yield ({"t": np.arange(start, start + size) * dt, "v_in": v1s[:size],
+                "v_out": v2s[:size], "x": qs[:size] / eta}, ils[:size], halted)
+        if halted:
+            return
+
+
+def _run(blocks, consume, keep) -> bool:
+    """Run the integration `blocks` (see _integrate()): keep(columns,
+    branch_current) sees each block, and consume() the blocks of columns
+    as simulate_startup() describes. Returns whether the guard halted it."""
+    ended = []
+
+    def columns():
+        halted = False
+        for block, current, halted in blocks:
+            keep(block, current)
+            yield block
+        ended.append(halted)
+
+    if consume is None:
+        for _ in columns():
+            pass
+    else:
+        consume(columns())
+    if not ended:
+        raise ValueError("consume() returned before the integration ended")
+    return ended[0]
+
+
+class _Summary:
+    """What summarize() reports of a run, gathered from its t and v_out
+    columns fed in row order, one block at a time (add()).
+
+    Across blocks it carries the open cycle's first largest |v_out| and its
+    time, the last row (whether a cycle starts there is known only from the
+    row after it), the last 21 upward crossings with the sample after each,
+    the envelope rows of the closed cycles, the largest |v_out| of the run
+    and of its last tenth, and v_out at every `keep`-th row for the plot.
+
+    `rows`, the run's length if it is known before the run, sets the two
+    values that depend on it: the plot stride, and the tail that the
+    summary reads where it has no envelope. Where it is None (a guard may
+    halt the run), v_out is kept at every row and both are read from that
+    once the run ends.
+    """
+
+    def __init__(self, rows: int | None):
+        self.keep = plot_stride(rows) if rows else 1
+        self.tail_from = rows - _tail(rows) if rows else None
+        self.n = 0  # rows fed
+        self.dt = None
+        self.last = None  # (t, v_out, |v_out|) of the last row fed
+        self.open = None  # (t, |v_out|) of the open cycle's first largest sample
+        self.count = 0  # upward crossings
+        self.crossings = np.empty((0, 3))  # (t, v, v after) of the last 21 of them
+        self.cycles = []  # each block's envelope rows, (t, |v_out|) of each cycle it closed
+        self.peak = self.tail = 0.0  # largest |v_out| of the run, and from row tail_from on
+        self.kept = []  # v_out at rows 0, keep, 2 * keep, ...
+
+    @classmethod
+    def of(cls, trace: Trace, v: np.ndarray) -> _Summary:
+        """A whole Trace fed as one block, `v` its v_out or another signal."""
+        summary = cls(len(trace.time))
+        summary.add(trace.time, v)
+        return summary
+
+    def add(self, t: np.ndarray, v: np.ndarray) -> None:
+        """Feed the run's next rows: their t and v_out."""
+        n0, self.n = self.n, self.n + len(v)
+        a = np.abs(v)
+        self.peak = max(self.peak, float(a.max()))
+        if self.tail_from is not None and self.n > self.tail_from:
+            self.tail = max(self.tail, float(a[max(self.tail_from - n0, 0):].max()))
+        self.kept.append(v[-n0 % self.keep::self.keep].copy())
+        if self.last is not None:
+            t, v, a = (np.concatenate(([last], new)) for last, new in zip(self.last, (t, v, a)))
+        self.last = t[-1], v[-1], a[-1]
+        if self.dt is None and len(t) > 1:  # t[0] is row 0 here
+            self.dt = float(t[1] - t[0])
+        neg = np.signbit(v)
+        up = np.nonzero(neg[:-1] & ~neg[1:])[0]  # v[j] < 0 <= v[j + 1]
+        self.count += len(up)
+        self.crossings = np.concatenate(
+            (self.crossings, np.column_stack((t[up], v[up], v[up + 1]))))[-_CYCLES - 1:]
+        # A cycle runs from one crossing's row to the row before the next;
+        # the last row waits for the next block.
+        cuts = [*up.tolist(), len(v) - 1]
+        if self.open is not None and cuts[0]:
+            j = int(np.argmax(a[:cuts[0]]))
+            if a[j] > self.open[1]:  # the first largest wins a tie, as argmax does
+                self.open = t[j], a[j]
+        closed = []
+        for begin, end in zip(cuts, cuts[1:]):
+            if self.open is not None:
+                closed.append(self.open)
+            j = begin + int(np.argmax(a[begin:end]))
+            self.open = t[j], a[j]
+        if closed:
+            self.cycles.append(np.array(closed))
+
+    def envelope(self) -> np.ndarray:
+        """envelope()'s rows: one per cycle between two upward crossings."""
+        if self.count < 4:
+            raise InsufficientDataError(
+                f"envelope needs >= 3 full cycles, found {max(self.count - 1, 0)}"
+            )
+        return np.concatenate(self.cycles)
+
+    def frequency(self) -> float:
+        """measure_frequency()'s value."""
+        if self.count < _CYCLES + 1:
+            raise InsufficientDataError(
+                f"frequency over {_CYCLES} cycles needs {_CYCLES + 1} crossings, "
+                f"found {self.count}"
+            )
+        # v[j] < 0 <= v[j+1], so the denominator is strictly positive.
+        (t0, v0, after0), (t1, v1, after1) = self.crossings[0], self.crossings[-1]
+        t_first = t0 + self.dt * v0 / (v0 - after0)
+        t_last = t1 + self.dt * v1 / (v1 - after1)
+        return _CYCLES / (t_last - t_first)
+
+    def result(self, pulled_in: bool, v_limit: float | None) -> tuple[dict, np.ndarray | None]:
+        """summarize()'s dict and envelope."""
+        try:
+            env = self.envelope()
+        except InsufficientDataError:
+            env = None
+
+        if env is not None:
+            amps = env[:, 1]
+            peak = float(amps.max())
+            tail = amps[-min(10, len(amps)):]
+            final = float(tail.mean())
+        else:
+            peak = self.peak
+            final = self.tail if self.tail_from is not None else float(
+                np.abs(np.concatenate(self.kept)[-_tail(self.n):]).max())
+
+        if pulled_in:
+            status = "pulled_in"
+        elif peak == 0.0 or final < 0.2 * peak or env is None:
+            status = "decayed"
+        else:
+            half = len(env) // 2
+            t_half, a_half = env[half:, 0], env[half:, 1]
+            slope = _fit_slope(t_half, np.log(a_half))
+            swing = slope * (t_half[-1] - t_half[0])
+            if swing < -0.05:
+                status = "decayed"
+            elif swing > 0.05:
+                status = "growing"
+            else:
+                status = "stabilized"
+
+        frequency = None
+        if status != "decayed":
+            try:
+                frequency = self.frequency()
+            except InsufficientDataError:
+                frequency = None
+
+        try:
+            growth = None if env is None else _fit_growth(env, v_limit)
+        except InsufficientDataError:
+            growth = None
+
+        return {
+            "status": status,
+            "pulled_in": pulled_in,
+            "frequency_hz": frequency,
+            "growth_rate_per_s": growth,
+            "final_amplitude_v": final,
+            "peak_amplitude_v": peak,
+            "duration_s": float(self.last[0]),
+            "steps": self.n - 1,
+        }, env
+
+    def plot(self) -> Plot:
+        """v_out at every plot_stride()-th row of the run, and their
+        times, step * dt as _integrate() makes them."""
+        stride = plot_stride(self.n)
+        return Plot(np.arange(0, self.n, stride) * self.dt,
+                    np.concatenate(self.kept)[::stride // self.keep])
+
+
+def _tail(rows: int) -> int:
+    """The rows at the end of a run whose largest |v_out| is its final
+    amplitude where it has no envelope."""
+    return max(2, rows // 10)
 
 
 def _signal(trace: Trace, name: str) -> np.ndarray:
     if name not in ENVELOPE_SIGNALS:
         raise ValidationError(f"signal must be one of {ENVELOPE_SIGNALS}")
     return {"v_out": trace.v_out, "v_in": trace.v_in, "x": trace.x}[name]
-
-
-def _upward_crossings(v: np.ndarray) -> np.ndarray:
-    neg = np.signbit(v)
-    return np.nonzero(neg[:-1] & ~neg[1:])[0]
 
 
 def envelope(trace: Trace, signal: str = "v_out") -> np.ndarray:
@@ -275,20 +495,7 @@ def envelope(trace: Trace, signal: str = "v_out") -> np.ndarray:
     (t_peak, |peak|) taken at the largest-magnitude sample of that cycle.
     Requires at least 3 complete cycles.
     """
-    v = _signal(trace, signal)
-    up = _upward_crossings(v)
-    if len(up) < 4:
-        raise InsufficientDataError(
-            f"envelope needs >= 3 full cycles, found {max(len(up) - 1, 0)}"
-        )
-    rows = np.empty((len(up) - 1, 2))
-    absv = np.abs(v)
-    for k in range(len(up) - 1):
-        a, b = up[k], up[k + 1]
-        j = a + int(np.argmax(absv[a:b]))
-        rows[k, 0] = trace.time[j]
-        rows[k, 1] = absv[j]
-    return rows
+    return _Summary.of(trace, _signal(trace, signal)).envelope()
 
 
 def measure_frequency(trace: Trace) -> float:
@@ -296,19 +503,7 @@ def measure_frequency(trace: Trace) -> float:
 
     Crossing times are refined by linear interpolation between samples.
     """
-    cycles, v = 20, trace.v_out
-    up = _upward_crossings(v)
-    if len(up) < cycles + 1:
-        raise InsufficientDataError(
-            f"frequency over {cycles} cycles needs {cycles + 1} crossings, "
-            f"found {len(up)}"
-        )
-    dt = trace.dt
-    idx = up[-(cycles + 1):]
-    # v[j] < 0 <= v[j+1], so the denominator is strictly positive.
-    t_first = trace.time[idx[0]] + dt * v[idx[0]] / (v[idx[0]] - v[idx[0] + 1])
-    t_last = trace.time[idx[-1]] + dt * v[idx[-1]] / (v[idx[-1]] - v[idx[-1] + 1])
-    return cycles / (t_last - t_first)
+    return _Summary.of(trace, trace.v_out).frequency()
 
 
 def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
@@ -351,57 +546,8 @@ def summarize(trace: Trace) -> tuple[dict, np.ndarray | None]:
     peak; growing means it gained more than 5%; anything else stabilized.
     frequency_hz is null for decayed runs; growth_rate_per_s is null where
     the envelope does not grow through its small-signal window.
+    Without an envelope, final_amplitude_v is the largest |v_out| of the
+    last tenth of the run. The Trace is read as one block of the summary
+    that summarize_startup() feeds block by block.
     """
-    try:
-        env = envelope(trace)
-    except InsufficientDataError:
-        env = None
-
-    if env is not None:
-        amps = env[:, 1]
-        peak = float(amps.max())
-        tail = amps[-min(10, len(amps)):]
-        final = float(tail.mean())
-    else:
-        n_tail = max(2, len(trace.v_out) // 10)
-        peak = float(np.abs(trace.v_out).max())
-        final = float(np.abs(trace.v_out[-n_tail:]).max())
-
-    if trace.pulled_in:
-        status = "pulled_in"
-    elif peak == 0.0 or final < 0.2 * peak or env is None:
-        status = "decayed"
-    else:
-        half = len(env) // 2
-        t_half, a_half = env[half:, 0], env[half:, 1]
-        slope = _fit_slope(t_half, np.log(a_half))
-        swing = slope * (t_half[-1] - t_half[0])
-        if swing < -0.05:
-            status = "decayed"
-        elif swing > 0.05:
-            status = "growing"
-        else:
-            status = "stabilized"
-
-    frequency = None
-    if status != "decayed":
-        try:
-            frequency = measure_frequency(trace)
-        except InsufficientDataError:
-            frequency = None
-
-    try:
-        growth = None if env is None else _fit_growth(env, trace.v_limit)
-    except InsufficientDataError:
-        growth = None
-
-    return {
-        "status": status,
-        "pulled_in": trace.pulled_in,
-        "frequency_hz": frequency,
-        "growth_rate_per_s": growth,
-        "final_amplitude_v": final,
-        "peak_amplitude_v": peak,
-        "duration_s": float(trace.time[-1]),
-        "steps": int(len(trace.time) - 1),
-    }, env
+    return _Summary.of(trace, trace.v_out).result(trace.pulled_in, trace.v_limit)

@@ -10,7 +10,10 @@ so a value repeated within a chunk is formatted once (see _float_texts),
 and where a second CPU is usable, blocks of SPLIT_ROWS rows or more, such
 as those of a startup trace, are formatted by forked children while the
 caller makes the next blocks (see _Pipeline); the bytes are those of the
-serial path.
+serial path. The blocks that wait for a child are capped, so a table
+streamed block by block is written in memory set by the block, not by the
+table. The SVG plot takes a Trace or the Plot samples that
+summarize_startup() keeps of a run, with the same bytes.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .simulate import Trace
+from .simulate import Plot, Trace, plot_stride
 
 _SVG_W, _SVG_H = 900, 360
 _PAD_L, _PAD_R, _PAD_T, _PAD_B = 64, 16, 28, 40
-_MAX_POLYLINE = 4000  # plotted samples cap; traces are strided down to this
 
 
 ROW_BLOCK = 1024  # rows formatted at a time by write_rows()
@@ -46,6 +48,11 @@ _WRITE_ROWS = 32
 # optimize.json logs stay below it: for them a fork costs more memory than
 # it saves time.
 SPLIT_ROWS = 8 * ROW_BLOCK
+# Rows that wait for a forked child, at most (2 MB of trace columns): a child
+# formats about as fast as simulate_startup() integrates, so a long stream's
+# queue would grow with it. Past the cap this process formats the oldest
+# queued rows itself (see _Pipeline.add).
+_BACKLOG_ROWS = 8 * SPLIT_ROWS
 
 _CSV_BOOL = {True: "True", False: "False"}
 _JSON_BOOL = {True: "true", False: "false"}
@@ -255,8 +262,8 @@ def _parallel() -> bool:
 class _Child:
     """A process formatting rows into its own temporary files, `parts`
     (None where its table writes no such file); status is its wait status
-    once reaped. The rows this process formats last, after a child's, wait
-    in a _Child too, with pid 0 and status 0."""
+    once reaped. Rows this process formats after a child's wait in a
+    _Child too, with pid 0 and status 0."""
 
     pid: int
     parts: list
@@ -281,10 +288,13 @@ class _Pipeline:
     every block is queued, and whenever a block arrives while no child is
     at work, one forked child is given all that was queued before it. Each
     child formats into unnamed temporary files while the caller goes on
-    making blocks. finish() splits what is still queued at the ROW_BLOCK
-    boundary at or below its middle row: this process formats the first
-    part, one last child the rest. Every child's text is copied in, in
-    block order.
+    making blocks. Where more than _BACKLOG_ROWS rows wait while a child
+    works, this process formats the first queued blocks itself, in row
+    order, into temporary files of its own, so the queue does not grow
+    with the table and the next child still finds work. finish()
+    splits what is still queued at the ROW_BLOCK boundary at or below its
+    middle row: this process formats the first part, one last child the
+    rest. Every child's text is copied in, in block order.
 
     A child runs rows() and nothing else, and leaves through os._exit(), so
     it flushes none of this process's buffers and runs none of its callers'
@@ -313,31 +323,39 @@ class _Pipeline:
 
     def add(self, rows, n: int) -> None:
         """One block of n rows, written by rows() (see _block_rows())."""
-        if not self.queue and (n < SPLIT_ROWS or not _parallel()):
+        if not self.queue and not self.children and (n < SPLIT_ROWS or not _parallel()):
             rows(0, n, *self.fhs)
             return
-        if self.queue and (not self.children or self.children[-1].reaped(os.WNOHANG)):
+        if self.queue and all(child.reaped(os.WNOHANG) for child in self.children):
             self._copy_children()
             self.children.append(self._fork(self.queue))
             self.queue = []
         self.queue.append((rows, 0, n))
+        while self.children and sum(end - begin for _, begin, end in self.queue) > _BACKLOG_ROWS:
+            rows, begin, end = self.queue.pop(0)
+            rows(begin, end, *self._here())
 
     def finish(self) -> None:
         """Format what is queued and copy every child's text in."""
-        if not self.queue:
-            return
-        mine, theirs = _halves(self.queue)
-        if not mine:  # too short to split: this process formats it all
-            mine, theirs = theirs, []
-        files = self.fhs
-        if self.children:  # this process's rows go after a child's text
-            self.children.append(_Child(0, self._temps(), status=0))
-            files = self.children[-1].parts
-        if theirs:
-            self.children.append(self._fork(theirs))
-        for rows, begin, end in mine:
-            rows(begin, end, *files)
+        if self.queue:
+            mine, theirs = _halves(self.queue)
+            if not mine:  # too short to split: this process formats it all
+                mine, theirs = theirs, []
+            files = self._here()
+            if theirs:
+                self.children.append(self._fork(theirs))
+            for rows, begin, end in mine:
+                rows(begin, end, *files)
         self._copy_children()
+
+    def _here(self) -> tuple:
+        """The files this process formats its next rows into: the table's
+        own, or after a child's text the temporary files of a pid-0 _Child."""
+        if not self.children:
+            return self.fhs
+        if self.children[-1].pid:
+            self.children.append(_Child(0, self._temps(), status=0))
+        return self.children[-1].parts
 
     def _temps(self) -> list:
         return [None if fh is None else self.temps.enter_context(
@@ -414,7 +432,10 @@ def write_rows(blocks, csv_path=None, json_path=None) -> None:
     block arrives is split between this process and one last child. Their
     text is copied in in block order, so the bytes are the same as where
     one process formats every row. A table of one such block is formatted
-    half by this process and half by a child.
+    half by this process and half by a child. At most _BACKLOG_ROWS rows,
+    eight such blocks, wait for a child: past that this process formats
+    the oldest itself, without waiting, so a long stream is written in
+    memory set by the block.
 
     Each file is written to `<path>.tmp` beside it and moved into place by
     os.replace() once every block is written. On any error the temporary
@@ -495,9 +516,12 @@ def _polyline(xs: np.ndarray, ys: np.ndarray) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
 
-def write_trace_svg(trace: Trace, path, env: np.ndarray | None = None) -> None:
-    """Self-contained SVG plot of v_out against time, with optional envelope."""
-    stride = max(1, len(trace.time) // _MAX_POLYLINE)
+def write_trace_svg(trace: Trace | Plot, path, env: np.ndarray | None = None) -> None:
+    """Self-contained SVG plot of v_out against time, with optional envelope.
+
+    A Trace is plotted at every plot_stride()-th row; summarize_startup()'s
+    Plot holds those rows already, and gives the same bytes."""
+    stride = plot_stride(len(trace.time))
     t = trace.time[::stride]
     v = trace.v_out[::stride]
     t0, t1 = float(t[0]), float(t[-1])

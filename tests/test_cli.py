@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 from conftest import tanh_nan_from
 import beamosc
 import beamosc.cli
-from beamosc import explore, traceio
+from beamosc import explore, simulate, traceio
 from beamosc.cli import _point_payload, build_parser, main
 from beamosc.config import SCHEMA
 from beamosc.explore import optimize
-from beamosc.simulate import envelope
 
 
 def run_cli(capsys, *argv):
@@ -81,12 +80,13 @@ class TestAnalyze:
         assert "Traceback" not in err
 
     def test_non_finite_json_refusal_names_the_value(self, capsys):
-        # The bias violation, bias over a subnormal alpha * v_pull_in, overflows.
+        # The rules violation, the width's miss over a subnormal
+        # max_release_width, overflows.
         rc, out, err = run_cli(capsys, "analyze", "--design", "1",
-                               "--set", "explore.alpha_pull_in=1e-320")
+                               "--set", "rules.max_release_width=1e-320")
         assert (rc, out) == (1, "")
         assert err == ("error: refusing to write non-finite JSON: "
-                       "constraints[0].violation is inf\n")
+                       "constraints[3].violation is inf\n")
 
     def test_config_and_design_are_exclusive(self, capsys, tmp_path):
         cfg = tmp_path / "p.json"
@@ -197,24 +197,24 @@ class TestSimulate:
         }
 
     def test_out_computes_the_envelope_once(self, capsys, tmp_path, monkeypatch):
-        calls = []
+        # Every envelope, envelope()'s too, is made by the summary that
+        # simulate feeds block by block; the run builds no Trace.
+        calls, traces = [], []
+        make = simulate._Summary.envelope
 
-        def counted(*args, **kwargs):
+        def counted(summary):
             calls.append(1)
-            return envelope(*args, **kwargs)
+            return make(summary)
 
-        # Every module that holds envelope, whatever name it imported it by.
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("beamosc"):
-                for name, value in list(vars(module).items()):
-                    if value is envelope:
-                        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(simulate._Summary, "envelope", counted)
+        monkeypatch.setattr(simulate.Trace, "__post_init__", traces.append)
         rc, _, _ = run_json(
             capsys, "simulate", "--design", "1", "--seed", "7",
             "--set", "sim.duration=1.5e-3", "--out", str(tmp_path))
         assert rc == 0
         assert (tmp_path / "envelope.csv").exists()
         assert len(calls) == 1
+        assert traces == []
 
     @pytest.mark.parametrize("argv, key", [
         (["--seed", "-1"], "sim.noise_seed"),
@@ -705,14 +705,16 @@ class TestArithmeticErrors:
                               "objective": None, "feasible": False}
 
 
+def axis(path, lo, hi, steps):
+    """The --set of a one-axis grid."""
+    return ["--set", "explore.axes=" + json.dumps(
+        [{"path": path, "min": lo, "max": hi, "steps": steps}])]
+
+
 def test_an_overflowing_vibration_budget_is_refused_alike(capsys, tmp_path):
     # The deflection violation, (x_static + vibration_amplitude) / x_limit,
     # overflows at a 1e308 m budget: analyze, sweep and optimize all refuse
     # that point with one error line naming vibration_amplitude.
-    def axis(path, lo, hi, steps):
-        return ["--set", "explore.axes=" + json.dumps(
-            [{"path": path, "min": lo, "max": hi, "steps": steps}])]
-
     budget = ["--set", "explore.vibration_amplitude=1e308"]
     one_point = axis("transducer.bias_voltage", 6.0, 6.0, 1)
     errors = set()
@@ -737,6 +739,55 @@ def test_an_overflowing_vibration_budget_is_refused_alike(capsys, tmp_path):
     log = json.loads((tmp_path / "best" / "optimize.json").read_text())["log"]
     assert log[1] == {"phase": "grid", "params": {"explore.vibration_amplitude": 1e308},
                       "objective": None, "feasible": False}
+
+
+def test_an_overflowing_alpha_pull_in_is_refused_alike(capsys, tmp_path):
+    # The bias violation, bias_voltage / (alpha_pull_in * V_pi), overflows
+    # at a subnormal alpha_pull_in: analyze, sweep and optimize all refuse
+    # that point with one error line naming alpha_pull_in.
+    alpha = ["--set", "explore.alpha_pull_in=1e-320"]
+    one_point = axis("transducer.bias_voltage", 6.0, 6.0, 1)
+    errors = set()
+    for command, extra in (("analyze", []), ("sweep", one_point), ("optimize", one_point)):
+        out = tmp_path / command
+        rc, stdout, err = run_cli(capsys, command, "--design", "1", *alpha, *extra,
+                                  "--out", str(out))
+        assert (rc, stdout) == (1, "")
+        assert not out.exists()
+        errors.add(err)
+    [err] = errors
+    assert re.fullmatch(r"error: transduction: alpha_pull_in \S+ overflows the bias"
+                        r" constraint against V_pi \S+ V\n", err)
+    # Over a grid axis, sweep stops at that point and optimize logs it as failed.
+    grid = axis("explore.alpha_pull_in", 1e-320, 0.97, 2)
+    rc, stdout, sweep_err = run_cli(capsys, "sweep", "--design", "1", *grid,
+                                    "--out", str(tmp_path / "grid"))
+    assert (rc, stdout, sweep_err) == (1, "", err)
+    rc, _, _ = run_json(capsys, "optimize", "--design", "1", *grid,
+                        "--out", str(tmp_path / "best"))
+    assert rc == 0
+    log = json.loads((tmp_path / "best" / "optimize.json").read_text())["log"]
+    assert log[0] == {"phase": "grid", "params": {"explore.alpha_pull_in": 1e-320},
+                      "objective": None, "feasible": False}
+
+
+def test_an_out_that_cannot_be_a_directory_is_refused_first(capsys, tmp_path):
+    # A file, or a path under one: every command that takes --out refuses
+    # it with one error line naming --out, before it prints anything.
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"an earlier file\n")
+    one_point = axis("transducer.bias_voltage", 6.0, 6.0, 1)
+    for argv in (["analyze", "--design", "1"], ["table1"],
+                 ["simulate", "--design", "1", "--set", "sim.duration=1e-3"],
+                 ["sweep", "--design", "1", *one_point],
+                 ["optimize", "--design", "1", *one_point]):
+        for out in (kept, kept / "run"):
+            rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert (rc, stdout) == (1, ""), argv
+            [line] = err.splitlines()
+            assert line.startswith(f"error: --out {out}: "), line
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert kept.read_bytes() == b"an earlier file\n"
 
 
 class TestUsage:

@@ -658,6 +658,50 @@ def test_split_blocks_have_the_serial_bytes(tmp_path_factory, case, cuts, row_bl
 
 
 @needs_fork
+@settings(max_examples=60)
+@given(n=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=12),
+       row_block=st.integers(1, 7), split_rows=st.integers(1, 4), backlog=st.integers(0, 12))
+def test_a_capped_backlog_has_the_serial_bytes(tmp_path_factory, n, cuts, row_block,
+                                               split_rows, backlog):
+    # A child is never seen done while blocks arrive, so they queue up;
+    # past `backlog` rows this process formats the oldest itself. With a
+    # child at work no more than `backlog` rows stay queued, and the bytes
+    # are those of one process formatting every row.
+    columns = {"t": np.arange(n) * 1e-7, "v": np.sin(np.arange(n)), "step": np.arange(n)}
+    reaped, add, here = traceio._Child.reaped, traceio._Pipeline.add, traceio._Pipeline._here
+    calls = {"here": 0, "capped": 0}
+
+    def busy(child, options=0):
+        return child.status is not None or not options and reaped(child)
+
+    def counted_here(pipeline):
+        calls["here"] += 1
+        return here(pipeline)
+
+    def checked_add(pipeline, rows, count):
+        before = calls["here"]
+        add(pipeline, rows, count)
+        calls["capped"] += calls["here"] > before
+        queued = sum(end - begin for _, begin, end in pipeline.queue)
+        assert not pipeline.children or queued <= backlog
+
+    with mock.patch.object(traceio, "ROW_BLOCK", row_block), \
+            mock.patch.object(traceio, "SPLIT_ROWS", split_rows), \
+            mock.patch.object(traceio, "_BACKLOG_ROWS", backlog), \
+            mock.patch.object(traceio._Child, "reaped", busy), \
+            mock.patch.object(traceio._Pipeline, "add", checked_add), \
+            mock.patch.object(traceio._Pipeline, "_here", counted_here):
+        out = tmp_path_factory.mktemp("capped")
+        with mock.patch("os.sched_getaffinity", lambda pid: {0, 1}, create=True):
+            write_rows(blocks_of(columns, cuts), csv_path=out / "t.csv",
+                       json_path=out / "t.json")
+    event("rows formatted past the cap" if calls["capped"] else "the cap not reached")
+    want_csv, want_json = reference_bytes({k: v.tolist() for k, v in columns.items()})
+    assert (out / "t.csv").read_text() == want_csv
+    assert (out / "t.json").read_text() == want_json
+
+
+@needs_fork
 @pytest.mark.parametrize("fails_in", ["child", "parent"])
 def test_a_failed_half_writes_nothing_and_leaves_no_process(tmp_path, monkeypatch, capfd,
                                                              fails_in):

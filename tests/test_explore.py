@@ -310,9 +310,10 @@ class TestSweep:
         assert grid["feasible"][3]
 
     def test_a_fault_stays_in_its_block(self, design_points, monkeypatch):
-        # A subnormal alpha_pull_in overflows the bias violation in the
-        # column pass (the float path runs on to inf): only the first
-        # block, the points with that alpha, goes point by point.
+        # A subnormal target_margin overflows margin / target_margin in the
+        # column pass (the float path runs on to inf, and a zero startup
+        # violation): only the first block, the points with that target,
+        # goes point by point.
         monkeypatch.setattr(explore, "SWEEP_BLOCK", 5)
         calls = []
 
@@ -322,12 +323,12 @@ class TestSweep:
 
         monkeypatch.setattr(explore, "evaluate", counted)
         spec = SweepSpec(axes=(
-            SweepAxis("explore.alpha_pull_in", 1e-320, 0.97, 2),
+            SweepAxis("pierce.target_margin", 1e-320, 3.0, 2),
             SweepAxis("beam.q_factor", 1000.0, 8000.0, 5),
         ))
         grid = join_blocks(sweep(self.base(design_points), spec))
-        assert [p.alpha_pull_in for p in calls] == [1e-320] * 5
-        assert grid["feasible"].tolist() == [False] * 5 + [True] * 5
+        assert [p.target_margin for p in calls] == [1e-320] * 5
+        assert grid["feasible"].tolist() == [True] * 10
 
     def test_grid_cap_enforced(self, design_points):
         spec = SweepSpec(

@@ -22,7 +22,9 @@ from beamosc.simulate import (
     measure_frequency,
     simulate_startup,
     summarize,
+    summarize_startup,
 )
+from beamosc.traceio import write_trace_svg
 from beamosc.transduction import extract_circuit
 
 
@@ -365,3 +367,95 @@ def test_a_non_finite_state_fails_the_same_in_blocks(design_points, design, data
     assert (str(err), err.step) == (str(want.value), step)
     # Every row before the block that holds the failing step was handed out.
     assert sum(len(b["t"]) for b in blocks) == step // block * block
+
+
+# ------------------------------------------- the summary fed block by block
+
+def same_bits(a, b) -> bool:
+    """Whether two values, floats compared by their bits, are the same."""
+    if isinstance(a, float) or isinstance(b, float):
+        return type(a) in (float, np.float64) and type(b) in (float, np.float64) \
+            and bits(a) == bits(b)
+    return a == b
+
+
+@settings(max_examples=40)
+@given(design=st.sampled_from([1, 2, 3]), guard=st.booleans(), dead=st.booleans(),
+       displacement=st.sampled_from([0.0, 1e-11, 1e-9]), data=st.data())
+def test_the_streamed_summary_equals_the_trace_one_bit_for_bit(
+        design_points, tmp_path_factory, design, guard, dead, displacement, data):
+    # 50 cycles, the shortest run allowed. From the seed-7 kick alone, most
+    # of them stay below 4 upward crossings and take the no-envelope branch;
+    # an initial displacement rings the resonator from row 0. A dead loop
+    # has gm = 0. With the guard on, x_max is a share of the unguarded
+    # run's largest |x|. Block sizes that divide a row r or r + 1 put r on
+    # a block's first or last row: r is an upward crossing, the row after
+    # it, a cycle's peak or the last row, the pull-in where the guard halts.
+    point = design_points[design]
+    amplifier = replace(point.amplifier, gm=0.0) if dead else point.amplifier
+    sim = SimConfig(noise_seed=7, duration=50.0 / point.circuit.f0,
+                    initial_displacement=displacement)
+    x_max = math.inf
+    if guard:
+        reach = float(np.abs(simulate_startup(point.circuit, amplifier, sim,
+                                              point.eta).x).max())
+        x_max = data.draw(st.floats(0.001, 1.0)) * reach
+    trace = simulate_startup(point.circuit, amplifier, sim, point.eta, x_max=x_max)
+    want, want_env = summarize(trace)
+    v = trace.v_out
+    neg = np.signbit(v)
+    up = np.nonzero(neg[:-1] & ~neg[1:])[0]
+    peaks = [a + int(np.argmax(np.abs(v[a:b]))) for a, b in zip(up, up[1:])]
+    kind, row = data.draw(st.sampled_from(
+        [("crossing", r) for r in up] + [("after a crossing", r + 1) for r in up]
+        + [("peak", r) for r in peaks] + [("last row", len(v) - 1)]))
+    block = data.draw(st.integers(1, 7) | st.sampled_from(divisors(row) + divisors(row + 1))
+                      if row else st.integers(1, 7))
+    event(f"{kind} on a block's {'first' if row % block == 0 else 'last'} row"
+          if row % block in (0, block - 1) else f"{kind} inside a block")
+    event("no envelope" if want_env is None else "an envelope")
+    with mock.patch.object(simulate, "TRACE_BLOCK", block):
+        got, env, plot = summarize_startup(point.circuit, amplifier, sim, point.eta,
+                                           x_max=x_max)
+    assert list(got) == list(want)
+    assert all(same_bits(got[key], want[key]) for key in want), (got, want)
+    assert (env is None) == (want_env is None)
+    if env is not None:
+        assert env.shape == want_env.shape
+        assert np.array_equal(bits(env), bits(want_env))
+    stride = simulate.plot_stride(len(trace.time))
+    assert np.array_equal(bits(plot.time), bits(trace.time[::stride]))
+    assert np.array_equal(bits(plot.v_out), bits(trace.v_out[::stride]))
+    out = tmp_path_factory.mktemp("svg")
+    write_trace_svg(trace, out / "trace.svg", env=want_env)
+    write_trace_svg(plot, out / "plot.svg", env=env)
+    assert (out / "plot.svg").read_text() == (out / "trace.svg").read_text()
+
+
+def test_a_dead_loop_has_no_envelope(design_points):
+    # The no-envelope branch of the property above, with and without guard.
+    point = design_points[1]
+    amplifier = replace(point.amplifier, gm=0.0)
+    sim = SimConfig(noise_seed=7, duration=50.0 / point.circuit.f0)
+    for x_max in (math.inf, 1.0):
+        summary, env, _ = summarize_startup(point.circuit, amplifier, sim, point.eta,
+                                            x_max=x_max)
+        assert env is None
+        assert summary["status"] == "decayed"
+        assert 0 < summary["final_amplitude_v"] <= summary["peak_amplitude_v"]
+
+
+def test_a_tie_across_blocks_goes_to_the_first_sample():
+    # Each cycle peaks twice at |v| = 2; blocks of every size cut the runs
+    # between the two peaks in every way. The envelope takes the first
+    # peak, as one argmax over the whole cycle does.
+    v = np.array([-1.0, 0.5, 2.0, 1.0, -2.0, -0.5] * 6 + [-1.0])
+    t = np.arange(len(v)) * 1e-3
+    zeros = np.zeros_like(v)
+    want = envelope(Trace(time=t, v_in=zeros, v_out=v, x=zeros, branch_current=zeros))
+    assert np.array_equal(want, np.column_stack((t[2:-6:6], np.full(5, 2.0))))
+    for block in range(1, len(v) + 1):
+        summary = simulate._Summary(len(v))
+        for start in range(0, len(v), block):
+            summary.add(t[start:start + block], v[start:start + block])
+        assert np.array_equal(bits(summary.envelope()), bits(want)), block
