@@ -6,7 +6,7 @@ Subcommands:
   table1       compare all bundled reference designs against their table
   simulate     run the time-domain startup simulation, write trace files
   sweep        map a Cartesian parameter grid to CSV/JSON
-  optimize     coarse grid + simplex refinement of a config's objective
+  optimize     coarse grid + log-space LP polish of a config's objective
   check-rules  run only the manufacturability rules
 
 Exit codes: 0 success/feasible, 2 infeasible (or failed comparison, or rule
@@ -224,7 +224,7 @@ def cmd_optimize(args) -> int:
     with _out_dir(args) as out:
         print(json_text(summary))
         if out is not None:
-            payload = dict(summary)
+            payload = dict(summary, binding=list(result.binding))
             log = {key: [entry[key] for entry in result.log] for key in result.log[0]}
             log["params"] = {path: [params[path] for params in log["params"]]
                              for path in log["params"][0]}  # a group of columns

@@ -13,14 +13,19 @@ floats for one design; _grid_blocks() runs it on numpy columns, one pass
 per block of SWEEP_BLOCK grid points, with the same bits in every output,
 so its memory is set by the block, not the grid. sweep() yields the blocks,
 infeasible points flagged rather than dropped. optimize() grades its coarse
-grid through the same blocks and refines the best cell with a
-derivative-free simplex search, point by point, that rejects constraint
-violations; every request is graded where it is made, and the result is
+grid through the same blocks, then polishes the best grid point by
+sequential linear programming in log coordinates, where the objectives and
+the bias, deflection and startup ratios, power laws of the axes, are
+affine: each step grades finite differences, then a line toward the linear
+program's optimum, in column passes too. An axis whose minimum is <= 0 has
+no log coordinate and keeps the grid point's value. Constraint violations
+are rejected; every request is graded where it is made, and the result is
 never worse than the best grid point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterator
@@ -67,6 +72,9 @@ from .transduction import (
 )
 
 _SLACK = 1e-9  # relative slack on constraint boundaries
+# The MemsRuleSet field that sets each rule's limit.
+_RULE_LIMITS = {"lateral_gap": "min_lateral_gap", "release_width": "max_release_width",
+                "metal_cover": "metal_thickness_grid"}
 
 
 @dataclass(frozen=True)
@@ -235,9 +243,14 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
         allowance = fmax(0.0, x_limit - x_static)
     deflection = x_static + allowance
     # The first largest relative miss among the broken rules, 0 if none is.
+    # A broken rule's miss must be finite, as the bias and deflection
+    # violations must; an unbroken one's is not read.
     n_broken, rules_violation = 0, 0.0
-    for _, broken, measured, limit in rules:
-        miss = abs(measured - limit) / limit
+    for rule, broken, measured, limit in rules:
+        overflows = abs(measured - limit) / 2.0**1023 >= limit
+        check(broken & overflows, "rules.{} {:.6g} m overflows the rules constraint "
+              "against {} {:.6g} m", _RULE_LIMITS[rule], limit, rule, measured)
+        miss = abs(measured - limit) / select(overflows, 1.0, limit)
         rules_violation = select(broken & ((n_broken == 0) | (miss > rules_violation)),
                                  miss, rules_violation)
         n_broken = n_broken + broken
@@ -498,40 +511,46 @@ def _grid_params(axes, axis_columns):
         yield dict(zip(paths, combo))
 
 
-SWEEP_BLOCK = 4096  # grid points per column pass and per block sweep() yields
+SWEEP_BLOCK = 4096  # points per column pass and per block sweep() yields
+
+
+def _column_pass(inputs: DesignInputs, params: dict, read):
+    """One column pass: set_parameter() + _chain() on the {path: column}
+    `params`, with the float path's arithmetic (numpy raises at each fault,
+    _num.float_errors()).
+
+    Returns read(point) of the pass, each value broadcast to a column, and
+    the mask of points the pass vouches for: they passed every check and
+    hold the bits evaluate() gives them. A fault anywhere in the pass or in
+    read raises ArithmeticError or ValueError; then the values are None and
+    no point is vouched for.
+    """
+    size = len(next(iter(params.values())))
+    checks = _Masks()
+    checks.stage = "inputs"
+    failed = np.zeros(size, dtype=bool)
+    try:
+        with float_errors():
+            candidate = set_parameter(inputs, params, checks)
+            values = [np.broadcast_to(v, (size,)) for v in read(_chain(candidate, checks))]
+        for mask in checks.failed.values():
+            failed |= mask
+    except (ArithmeticError, ValueError):  # the pass vouches for no point
+        values, failed[:] = None, True
+    return values, ~failed
 
 
 def _grid_blocks(inputs: DesignInputs, axes, grids: list[np.ndarray], read):
     """Walk the grid in blocks of SWEEP_BLOCK points, in itertools.product
-    order, with one column pass each: set_parameter() + _chain() on the
-    block's axis columns, with the float path's arithmetic (numpy raises at
-    each fault, _num.float_errors()).
-
-    Yields the axis columns, read(point) of the pass with each value
-    broadcast to a column, and the mask of points the pass vouches for:
-    they passed every check and hold the bits evaluate() gives them. A
-    fault anywhere in the pass or in read raises ArithmeticError or
-    ValueError; then the block reads None and no point is vouched for.
-    """
+    order, with one _column_pass() each; yields the block's axis columns
+    and what the pass returns."""
     sizes = [len(grid) for grid in grids]
     n = math.prod(sizes)
     for start in range(0, n, SWEEP_BLOCK):
         index = np.unravel_index(np.arange(start, min(start + SWEEP_BLOCK, n)), sizes)
         axis_columns = [grid[i] for grid, i in zip(grids, index)]
-        size = len(index[0])
-        checks = _Masks()
-        checks.stage = "inputs"
-        failed = np.zeros(size, dtype=bool)
-        try:
-            with float_errors():
-                candidate = set_parameter(
-                    inputs, {a.path: column for a, column in zip(axes, axis_columns)}, checks)
-                values = [np.broadcast_to(v, (size,)) for v in read(_chain(candidate, checks))]
-            for mask in checks.failed.values():
-                failed |= mask
-        except (ArithmeticError, ValueError):  # the pass vouches for no point
-            values, failed[:] = None, True
-        yield axis_columns, values, ~failed
+        yield (axis_columns, *_column_pass(
+            inputs, {a.path: column for a, column in zip(axes, axis_columns)}, read))
 
 
 def sweep(inputs: DesignInputs, spec: SweepSpec) -> Iterator[dict[str, np.ndarray]]:
@@ -576,7 +595,12 @@ def _sweep_blocks(inputs: DesignInputs, axes, grids) -> Iterator[dict[str, np.nd
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Outcome of optimize(): the winning point or an infeasibility report."""
+    """Outcome of optimize(): the winning point or an infeasibility report.
+
+    binding lists what holds the optimum, from the polish's last linear
+    program: each active constraint and axis bound, with its shadow price
+    d ln(objective) / d ln(limit). It is empty when nothing was polished.
+    """
 
     objective: str
     feasible: bool
@@ -586,125 +610,251 @@ class OptimizeResult:
     evaluations: int
     most_violated: str | None
     log: tuple[dict, ...]
+    binding: tuple[dict, ...] = ()
 
 
-_COARSE_LIMIT = 5     # max grid steps per axis in the coarse pass
-_NM_ITER_PER_DIM = 60
-_NM_TOL = 1e-4        # normalized simplex spread at convergence
+_COARSE_LIMIT = 5    # max grid steps per axis in the coarse pass
+_POLISH_STEP = 1e-3  # log-coordinate step of the polish's differences
+_POLISH_ITER = 20    # linear programs per polish, at most
+_LINE = tuple(0.5 ** k for k in range(8))  # line-search steps 1, 1/2, ..., 1/128
+_DESCENT = 1e-10     # least predicted fall of ln(objective) worth a line search
+_TOL = 1e-12         # slack on the linear program's signs and bounds
+
+# The smooth constraints the polish linearizes: name -> (ratio(point), sense).
+# sense * ln(ratio) <= 0 where the constraint holds. Under automatic gm the
+# startup margin reaches the target wherever the ceiling Re_max/R_x does.
+_SMOOTH = {
+    "bias": (lambda p: p.constraint("bias").measured / p.constraint("bias").limit, 1.0),
+    "deflection": (lambda p: (p.x_static if p.inputs.vibration_amplitude is None
+                              else p.constraint("deflection").measured) / p.x_limit, 1.0),
+    "startup": (lambda p: (p.re_max / p.circuit.r_x if p.inputs.gm is None
+                           else p.startup.margin) / p.inputs.target_margin, -1.0),
+}
 
 
-def _refine(axes, grids: list[np.ndarray], start: dict, grade) -> None:
-    """Nelder-Mead from the grid point `start` in the normalized box of the
-    free axes, those with minimum < maximum.
+def _reader(spec: SweepSpec):
+    """read(point) for optimize(): (objective, feasible, each enabled
+    constraint's violation, each enabled smooth constraint's ratio), of a
+    DesignPoint or of a column pass."""
+    _, extract = OBJECTIVES[spec.objective]
+    names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
+    ratios = [_SMOOTH[name][0] for name in names if name in _SMOOTH]
 
-    grade(params) evaluates one candidate and returns its signed objective,
-    math.inf when it is rejected; the caller keeps the best. A fixed axis,
-    whose grid is its one value, keeps that value in every params, in axis
-    order; with no free axis there is nothing to refine. The first simplex
-    steps half the finest grid cell away from `start`; points outside the
-    box score math.inf without being graded.
+    def read(point: DesignPoint) -> tuple:
+        constraints = [point.constraint(name) for name in names]
+        feasible = True
+        for constraint in constraints:
+            feasible = feasible & constraint.ok
+        return (extract(point), feasible, *(c.violation for c in constraints),
+                *(ratio(point) for ratio in ratios))
+    return read
 
-    Points are tuples of Python floats, a simplex being too small for numpy
-    to pay; each operation is numpy's, in numpy's order, so the points have
-    the bits numpy arrays would give them.
+
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """x with matrix @ x == rhs, by Gaussian elimination with partial
+    pivoting; None for a singular matrix. The systems are at most 3 x 3."""
+    n = len(rhs)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if not abs(rows[pivot][col]) > 1e-14:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    x = [0.0] * n
+    for r in reversed(range(n)):
+        x[r] = (rows[r][n] - sum(rows[r][c] * x[c] for c in range(r + 1, n))) / rows[r][r]
+    return x
+
+
+def _lp(g: list[float], rows: list[tuple], lower: list[float], upper: list[float]):
+    """Minimize g.d over lower <= d <= upper and a.d <= b for each (a, b)
+    in rows, where lower <= 0 <= upper and b >= 0, so d = 0 is feasible.
+
+    An optimal vertex has as many active constraints as variables: some
+    rows, and a bound on each other variable. The active sets are tried
+    smallest first; for each choice of active rows and of as many basic
+    variables, the rows' multipliers zero the basic variables' reduced
+    costs, the sign of each other reduced cost picks its bound (0 for a
+    zero cost), and the rows fix the basic variables. The first choice that
+    is feasible with multipliers >= 0 meets the optimality conditions.
+
+    Returns (d, the reduced costs, {row: multiplier} of the active rows),
+    or None where rounding leaves no choice that passes.
     """
-    free = [axis for axis in axes if axis.minimum < axis.maximum]
-    if not free:
-        return
-    template = {axis.path: float(axis.minimum) for axis in axes}  # in axis order
-    # Normalized box coordinates: u in [0,1] per free axis, geometric for log axes.
-    box = [(axis.path, float(axis.minimum), float(axis.maximum), axis.scale == "log")
-           for axis in free]
+    n = len(g)
+    for size in range(min(len(rows), n) + 1):
+        for active in itertools.combinations(range(len(rows)), size):
+            for basic in itertools.combinations(range(n), size):
+                prices = _solve([[rows[j][0][i] for j in active] for i in basic],
+                                [-g[i] for i in basic])
+                if prices is None or any(price < -_TOL for price in prices):
+                    continue
+                reduced = [0.0 if i in basic else
+                           g[i] + sum(price * rows[j][0][i] for price, j in zip(prices, active))
+                           for i in range(n)]
+                d = [lower[i] if cost > 0.0 else upper[i] if cost < 0.0 else 0.0
+                     for i, cost in enumerate(reduced)]
+                values = _solve([[rows[j][0][i] for i in basic] for j in active],
+                                [rows[j][1] - sum(map(operator.mul, rows[j][0], d))
+                                 for j in active])
+                if values is None:
+                    continue
+                for i, value in zip(basic, values):
+                    d[i] = value
+                if all(lower[i] - _TOL <= d[i] <= upper[i] + _TOL for i in basic) and all(
+                        sum(x * y for x, y in zip(a, d)) <= b + _TOL for a, b in rows):
+                    for i in basic:
+                        d[i] = min(max(d[i], lower[i]), upper[i])
+                    return d, reduced, dict(zip(active, prices))
+    return None
 
-    def to_params(u: tuple) -> dict:
-        vals = template.copy()
-        for (path, lo, hi, log), x in zip(box, u):
-            vals[path] = lo * (hi / lo) ** x if log else lo + x * (hi - lo)
-        return vals
 
-    def objective_u(u: tuple) -> float:
-        for x in u:
-            if x < 0.0 or x > 1.0:
-                return math.inf
-        return grade(to_params(u))
+def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, ...]:
+    """Sequential linear programming in log coordinates from the feasible
+    grid point `start`, whose read() tuple (see _reader) is `reading`.
 
-    def converged() -> bool:
-        for u in simplex[1:]:
-            for x, b in zip(u, simplex[0]):
-                if not abs(x - b) < _NM_TOL:
-                    return False
-        return True
+    The objective and the bias, deflection and startup ratios are power
+    laws of the axes, so in y = ln(value) they are affine and the polish is
+    a linear program over the box of the free axes: those with
+    0 < minimum < maximum. An axis whose minimum is <= 0 has no log
+    coordinate, and it keeps the incumbent's value, as a fixed axis does.
+    The rules constraint is left to the line search.
 
-    def halfway(a: tuple, b: tuple) -> tuple:
-        return tuple(x + 0.5 * (y - x) for x, y in zip(a, b))
+    Each step, from the incumbent y0, grades the 2K points y0 +- h e_i,
+    clipped into the box, for the log-derivatives of the signed objective
+    and of each enabled smooth constraint; solves the linear program in the
+    box with those constraints (see _lp); and grades y0 + t d for the steps
+    t in _LINE. The incumbent is the best point graded, the first of equal
+    ones, as optimize() keeps it. The polish stops when a step improves on
+    nothing, which it does when the program finds no descent.
 
-    dim = len(free)
-    step = 0.5 / max(len(g) - 1 for g in grids) if max(len(g) for g in grids) > 1 else 0.25
-    u0 = tuple(math.log(start[path] / lo) / math.log(hi / lo) if log
-               else (start[path] - lo) / (hi - lo) for path, lo, hi, log in box)
-    simplex = [u0]
-    for i in range(dim):
-        x = u0[i] + step if u0[i] + step <= 1.0 else u0[i] - step
-        simplex.append(u0[:i] + (x,) + u0[i + 1:])
-    fvals = [objective_u(u) for u in simplex]
+    grade(points) grades a list of params dicts, all axes in axis order,
+    and returns each point's read() tuple, or None for a point that fails
+    to evaluate. A coordinate at a bound takes the axis's own minimum or
+    maximum; one that does not move keeps its value.
 
-    for _ in range(_NM_ITER_PER_DIM * dim):
-        order = sorted(range(dim + 1), key=fvals.__getitem__)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        if converged():
+    Returns the last program's binding (see OptimizeResult).
+    """
+    sign = -1.0 if OBJECTIVES[spec.objective][0] == "max" else 1.0
+    names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
+    smooth = [name for name in names if name in _SMOOTH]
+    senses = [_SMOOTH[name][1] for name in smooth]
+    skip = 2 + len(names)  # the ratios' place in a read() tuple
+    free = [(axis.path, float(axis.minimum), float(axis.maximum),
+             math.log(axis.minimum), math.log(axis.maximum))
+            for axis in spec.axes if 0.0 < axis.minimum < axis.maximum]
+    free = [box for box in free if box[3] < box[4]]
+
+    def signed(r) -> float:
+        return sign * r[0] if r is not None and r[1] else math.inf
+
+    def terms(r) -> list[float] | None:
+        """sign * ln(objective), then each slack; None where one has no log."""
+        if r is None or not all(0.0 < v < math.inf for v in (r[0], *r[skip:])):
+            return None
+        return [sign * math.log(r[0])] + [s * math.log(v) for s, v in zip(senses, r[skip:])]
+
+    def moved(x: dict, changes: dict) -> dict:
+        """x with each free axis k in `changes` at log coordinate changes[k]."""
+        point = dict(x)
+        for k, y in changes.items():
+            path, low, high, ylow, yhigh = free[k]
+            point[path] = (low if y <= ylow else high if y >= yhigh
+                           else min(max(math.exp(y), low), high))
+        return point
+
+    def scan(points: list[dict]) -> list:
+        nonlocal best
+        readings = grade(points)
+        for point, r in zip(points, readings):
+            if signed(r) < best[0]:
+                best = (signed(r), point, r)
+        return readings
+
+    best = (signed(reading), start, reading)
+    binding: tuple[dict, ...] = ()
+    for _ in range(_POLISH_ITER if free else 0):
+        incumbent = best
+        _, x, at_x = incumbent
+        here = terms(at_x)
+        if here is None:
             break
-        total = (0.0,) * dim  # np.mean(axis=0): sum from 0.0 in vertex order
-        for u in simplex[:-1]:
-            total = tuple(map(operator.add, total, u))
-        centroid = tuple(t / dim for t in total)
-        worst_u, worst_f = simplex[-1], fvals[-1]
-        refl = tuple(c + (c - w) for c, w in zip(centroid, worst_u))
-        f_refl = objective_u(refl)
-        if f_refl < fvals[0]:
-            expd = tuple(c + 2.0 * (c - w) for c, w in zip(centroid, worst_u))
-            f_expd = objective_u(expd)
-            if f_expd < f_refl:
-                simplex[-1], fvals[-1] = expd, f_expd
-            else:
-                simplex[-1], fvals[-1] = refl, f_refl
-        elif f_refl < fvals[-2]:
-            simplex[-1], fvals[-1] = refl, f_refl
-        else:
-            contr = halfway(centroid, refl if f_refl < worst_f else worst_u)
-            f_contr = objective_u(contr)
-            if f_contr < min(f_refl, worst_f):
-                simplex[-1], fvals[-1] = contr, f_contr
-            else:
-                for i in range(1, dim + 1):
-                    simplex[i] = halfway(simplex[0], simplex[i])
-                    fvals[i] = objective_u(simplex[i])
+        y0 = [math.log(x[box[0]]) for box in free]
+        points = []
+        for k, (_, _, _, ylow, yhigh) in enumerate(free):
+            points += [moved(x, {k: min(y0[k] + _POLISH_STEP, yhigh)}),
+                       moved(x, {k: max(y0[k] - _POLISH_STEP, ylow)})]
+        readings = scan(points)
+        # One column of derivatives per axis. An axis stays put where one of
+        # its two points has no terms (it fails to evaluate, say), or where
+        # they are one value (subnormal values an ulp apart).
+        axes, columns = [], []
+        for k, (path, *_) in enumerate(free):
+            a, b = map(terms, readings[2 * k:2 * k + 2])
+            span = math.log(points[2 * k][path]) - math.log(points[2 * k + 1][path])
+            if a is not None and b is not None and span:
+                axes.append(k)
+                columns.append([(u - v) / span for u, v in zip(a, b)])
+        solution = None
+        if axes:
+            rows = [([column[1 + j] for column in columns], max(0.0, -here[1 + j]))
+                    for j in range(len(smooth))]
+            lower = [free[k][3] - y0[k] for k in axes]
+            upper = [free[k][4] - y0[k] for k in axes]
+            solution = _lp([column[0] for column in columns], rows, lower, upper)
+        binding = ()
+        if solution is not None:
+            d, reduced, prices = solution
+            binding = tuple(
+                [{"name": smooth[j], "bound": "limit",
+                  "shadow_price": -sign * senses[j] * price + 0.0}
+                 for j, price in prices.items()]
+                + [{"name": free[k][0], "bound": "min" if cost > 0.0 else "max",
+                    "shadow_price": sign * cost}
+                   for k, cost, low, high in zip(axes, reduced, lower, upper)
+                   if (cost > 0.0 and low == 0.0) or (cost < 0.0 and high == 0.0)])
+            if sum(map(operator.mul, [c[0] for c in columns], d)) < -_DESCENT:
+                # At t = 1 a coordinate the program put on a bound takes it.
+                snap = {k: free[k][3] if step == low else free[k][4] if step == high else None
+                        for k, step, low, high in zip(axes, d, lower, upper)}
+                scan([moved(x, {k: y0[k] + t * d[i] if t < 1.0 or snap[k] is None else snap[k]
+                                for i, k in enumerate(axes) if d[i] != 0.0})
+                      for t in _LINE])
+        if best is incumbent:
+            break
+    return binding
 
 
 def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
-    """Coarse grid pass plus simplex refinement of the best feasible cell.
+    """Coarse grid pass plus a log-space polish of the best feasible point.
 
     Candidates violating any enabled constraint (or failing to evaluate at
-    all) are rejected rather than penalized smoothly. The refined result is
-    never worse than the best feasible grid point. Fully deterministic.
+    all) are rejected rather than penalized smoothly. The polished result
+    is never worse than the best feasible grid point. Fully deterministic.
 
     If no grid point is feasible the result reports the constraint that was
     closest to blocking everywhere (most_violated).
 
-    The coarse grid runs as the column passes of _grid_blocks(), with the
-    result, log and errors of evaluating it point by point: a point that
-    fails a check is evaluated alone, and so is every point of a block
-    whose arithmetic faults anywhere. Every request is graded where it is
-    made, a point the simplex revisits included, and logged once: evaluations == len(log)
-    counts requests. The winner is evaluated once more at the end for the
-    DesignPoint the result carries; that evaluation is not logged.
+    The coarse grid runs as the column passes of _grid_blocks(), and the
+    polish (see _polish) grades its points in column passes of at most
+    SWEEP_BLOCK points too, with the result, log and errors of evaluating
+    them point by point: a point that fails a check is evaluated alone, and
+    so is every point of a pass whose arithmetic faults anywhere. Every
+    request is graded where it is made, a point the polish revisits
+    included, and logged once: evaluations == len(log) counts requests. The
+    winner is evaluated once more at the end for the DesignPoint the result
+    carries; that evaluation is not logged.
     """
-    sense, extract = OBJECTIVES[spec.objective]
+    sense, _ = OBJECTIVES[spec.objective]
     sign = -1.0 if sense == "max" else 1.0
     names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
+    read = _reader(spec)
 
     axes = spec.axes
-    # A fixed axis (minimum == maximum) is one coarse step; _refine() skips it.
+    # A fixed axis (minimum == maximum) is one coarse step; _polish() skips it.
     grids = [
         replace(axis, steps=min(axis.steps, _COARSE_LIMIT)
                 if axis.minimum < axis.maximum else 1).values()
@@ -716,53 +866,53 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     last_error: BeamoscError | None = None
     # (sum, enabled constraint violations) of the first infeasible candidate
     # with the least sum; read only when no grid point is feasible, so no
-    # refinement ran.
+    # polish ran.
     closest: tuple[float, tuple[float, ...]] | None = None
-    best: tuple[float, dict] | None = None  # (signed objective, params)
+    best: tuple[float, dict, tuple] | None = None  # (signed objective, params, reading)
 
-    def grade(point: DesignPoint) -> tuple:
-        """(objective, feasible, *enabled violations) of a point or of columns."""
-        constraints = [point.constraint(name) for name in names]
-        feasible = True
-        for constraint in constraints:
-            feasible = feasible & constraint.ok
-        return extract(point), feasible, *(c.violation for c in constraints)
-
-    def record(phase: str, params: dict, value: float | None, feasible: bool,
-               *violations: float) -> float:
+    def record(phase: str, params: dict, reading: tuple | None) -> tuple | None:
+        """Log one request: reading is its read() tuple, None if it failed."""
         nonlocal best, closest
+        value, feasible, *rest = reading or (None, False)
         # Each request's params is a fresh dict; `best` keeps its own copy.
         log.append({"phase": phase, "params": params, "objective": value,
                     "feasible": feasible})
         if not feasible:
             # No violations for a point that failed to evaluate.
+            violations = tuple(rest[:len(names)])
             if violations and (closest is None or sum(violations) < closest[0]):
                 closest = (sum(violations), violations)
-            return math.inf
-        signed = sign * value
-        if best is None or signed < best[0]:
-            best = (signed, dict(params))
-        return signed
+        elif best is None or sign * value < best[0]:
+            best = (sign * value, dict(params), reading)
+        return reading
 
-    def try_point(phase: str, params: dict) -> float:
+    def try_point(phase: str, params: dict) -> tuple | None:
         nonlocal last_error
         try:
             point = evaluate(set_parameter(inputs, params))
         except BeamoscError as err:
             last_error = err
-            return record(phase, params, None, False)
-        return record(phase, params, *grade(point))
+            return record(phase, params, None)
+        return record(phase, params, read(point))
 
-    # The coarse grid in column passes; points a pass does not vouch for
-    # are graded by try_point, in grid order.
-    for axis_columns, values, vouched in _grid_blocks(inputs, axes, grids, grade):
-        graded = [] if values is None else list(zip(*(column.tolist() for column in values)))
-        for i, (params, ok) in enumerate(zip(_grid_params(axes, axis_columns),
-                                              vouched.tolist())):
-            if ok:
-                record("grid", params, *graded[i])
-            else:
-                try_point("grid", params)
+    def take(phase: str, points, values, vouched) -> list:
+        """Record a column pass's points in order: the pass's row where it
+        vouches for the point, else try_point()."""
+        rows = [] if values is None else list(zip(*(column.tolist() for column in values)))
+        return [record(phase, params, rows[i]) if ok else try_point(phase, params)
+                for i, (params, ok) in enumerate(zip(points, vouched.tolist()))]
+
+    def grade(points: list[dict]) -> list:
+        """The polish's points, in column passes of up to SWEEP_BLOCK."""
+        readings = []
+        for start in range(0, len(points), SWEEP_BLOCK):
+            block = points[start:start + SWEEP_BLOCK]
+            columns = {path: np.array([params[path] for params in block]) for path in block[0]}
+            readings += take("refine", block, *_column_pass(inputs, columns, read))
+        return readings
+
+    for axis_columns, values, vouched in _grid_blocks(inputs, axes, grids, read):
+        take("grid", _grid_params(axes, axis_columns), values, vouched)
 
     if best is None:
         if closest is None:
@@ -780,9 +930,9 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             log=tuple(log),
         )
 
-    _refine(axes, grids, best[1], lambda params: try_point("refine", params))
+    binding = _polish(spec, best[1], best[2], grade)
 
-    signed, params = best
+    signed, params, _ = best
     return OptimizeResult(
         objective=spec.objective,
         feasible=True,
@@ -792,4 +942,5 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
         evaluations=len(log),
         most_violated=None,
         log=tuple(log),
+        binding=binding,
     )

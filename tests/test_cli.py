@@ -22,7 +22,9 @@ import beamosc.cli
 from beamosc import explore, simulate, traceio
 from beamosc.cli import _point_payload, build_parser, main
 from beamosc.config import SCHEMA
+from beamosc.errors import ValidationError
 from beamosc.explore import optimize
+from beamosc.traceio import json_text
 
 
 def run_cli(capsys, *argv):
@@ -79,14 +81,15 @@ class TestAnalyze:
         assert line.startswith("error:") and "gap" in line
         assert "Traceback" not in err
 
-    def test_non_finite_json_refusal_names_the_value(self, capsys):
-        # The rules violation, the width's miss over a subnormal
-        # max_release_width, overflows.
-        rc, out, err = run_cli(capsys, "analyze", "--design", "1",
-                               "--set", "rules.max_release_width=1e-320")
-        assert (rc, out) == (1, "")
-        assert err == ("error: refusing to write non-finite JSON: "
-                       "constraints[3].violation is inf\n")
+    def test_non_finite_json_refusal_names_the_value(self):
+        # No input of analyze is known to compute a non-finite value, so the
+        # refusal is checked on a payload that holds one.
+        payload = {"feasible": False, "constraints": [{"violation": 0.0}] * 3
+                   + [{"name": "rules", "violation": math.inf}]}
+        with pytest.raises(ValidationError) as raised:
+            json_text(payload)
+        assert str(raised.value) == ("refusing to write non-finite JSON: "
+                                     "constraints[3].violation is inf")
 
     def test_config_and_design_are_exclusive(self, capsys, tmp_path):
         cfg = tmp_path / "p.json"
@@ -406,9 +409,10 @@ class TestSimulateFailsMidStream:
 
 class TestReadmeOptimize:
     def test_optimize_json_bytes_are_pinned(self, capsys, tmp_path):
-        # The README `optimize` example. The pinned bytes equal the earlier
-        # pin, e7dcde7b...1f4, with laminate.top_metal_index and
-        # laminate.thickness deleted from best_point.
+        # The README `optimize` example. The pinned bytes are the earlier
+        # pin's, 423ab7a1...0e9, with the simplex's 13 refine entries
+        # replaced by the polish's two differences at the 9.5 V bound, and
+        # `binding` added: the bias axis's maximum, at a shadow price of -2.
         rc, _, _ = run_json(
             capsys, "optimize", "--design", "1",
             "--set", "explore.objective=min_Rx",
@@ -417,7 +421,7 @@ class TestReadmeOptimize:
             "--out", str(tmp_path))
         assert rc == 0
         digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
-        assert digest == "423ab7a180ead5b2657ba32b2f9c3ffe118bb02351abd75c34423cb9376ea0e9"
+        assert digest == "04363f0ccf99b74808c946a7b2db340933f1b214176b5ca6527071810f47d10f"
 
 
 class TestSweepCommand:
@@ -622,6 +626,7 @@ class TestOptimizeCommand:
             "objective_value": result.objective_value,
             "evaluations": result.evaluations,
             "most_violated": result.most_violated,
+            "binding": list(result.binding),
             "log": list(result.log),
         }
         if result.best is not None:
@@ -769,6 +774,29 @@ def test_an_overflowing_alpha_pull_in_is_refused_alike(capsys, tmp_path):
     log = json.loads((tmp_path / "best" / "optimize.json").read_text())["log"]
     assert log[0] == {"phase": "grid", "params": {"explore.alpha_pull_in": 1e-320},
                       "objective": None, "feasible": False}
+
+
+def test_an_overflowing_rules_limit_is_refused_alike(capsys, tmp_path):
+    # The rules violation, the release width's miss over a subnormal
+    # max_release_width, overflows: analyze, sweep and optimize all refuse
+    # that point with one error line naming rules.max_release_width.
+    limit = ["--set", "rules.max_release_width=1e-320"]
+    one_point = axis("transducer.bias_voltage", 6.0, 6.0, 1)
+    errors = set()
+    for command, extra in (("analyze", []), ("sweep", one_point), ("optimize", one_point)):
+        out = tmp_path / command
+        rc, stdout, err = run_cli(capsys, command, "--design", "1", *limit, *extra,
+                                  "--out", str(out))
+        assert (rc, stdout) == (1, "")
+        assert not out.exists()
+        errors.add(err)
+    [err] = errors
+    assert re.fullmatch(r"error: rules: rules.max_release_width \S+ m overflows the rules"
+                        r" constraint against release_width 2e-06 m\n", err)
+    # An unbroken rule's miss is not read: a subnormal minimum gap passes.
+    rc, payload, _ = run_json(capsys, "analyze", "--design", "1",
+                              "--set", "rules.min_lateral_gap=1e-320")
+    assert rc == 0 and payload["constraints"][3]["violation"] == 0.0
 
 
 def test_an_out_that_cannot_be_a_directory_is_refused_first(capsys, tmp_path):

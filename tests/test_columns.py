@@ -36,7 +36,6 @@ from beamosc.explore import (
     OptimizeResult,
     SweepAxis,
     SweepSpec,
-    _refine,
     evaluate,
     flatten,
     optimize,
@@ -226,12 +225,14 @@ def test_an_invalid_point_raises_what_the_scalar_path_raises(
 
 
 def per_point_optimize(inputs, spec):
-    """optimize() with its coarse grid graded point by point: set_parameter
-    + evaluate for each itertools.product combination, then the same
-    refinement. A fixed axis (minimum == maximum) is one grid step."""
+    """optimize() with every point graded on its own: set_parameter +
+    evaluate for each itertools.product combination, then the same polish
+    with a grader that evaluates one point at a time. A fixed axis
+    (minimum == maximum) is one grid step."""
     sense, extract = OBJECTIVES[spec.objective]
     sign = -1.0 if sense == "max" else 1.0
     enabled = spec.enabled_constraints
+    read = explore._reader(spec)
     grids = [replace(axis, steps=min(axis.steps, 5) if axis.minimum < axis.maximum else 1)
              .values() for axis in spec.axes]
     log, infeasible = [], []
@@ -245,17 +246,18 @@ def per_point_optimize(inputs, spec):
             last_error = err
             log.append({"phase": phase, "params": dict(params),
                         "objective": None, "feasible": False})
-            return math.inf
+            return None
         value = extract(point)
         feasible = all(point.constraint(n).ok for n in enabled)
+        reading = read(point)
+        assert same(reading[0], value) and reading[1] is feasible
         log.append({"phase": phase, "params": dict(params),
                     "objective": value, "feasible": feasible})
         if not feasible:
             infeasible.append(point)
-            return math.inf
-        if best is None or sign * value < best[0]:
-            best = (sign * value, dict(params), point)
-        return sign * value
+        elif best is None or sign * value < best[0]:
+            best = (sign * value, dict(params), point, reading)
+        return reading
 
     for combo in itertools.product(*grids):
         try_point("grid", {axis.path: float(v) for axis, v in zip(spec.axes, combo)})
@@ -268,10 +270,11 @@ def per_point_optimize(inputs, spec):
                     key=lambda c: c.violation)
         return OptimizeResult(spec.objective, False, None, None, None,
                               len(log), worst.name, tuple(log))
-    _refine(spec.axes, grids, best[1], lambda params: try_point("refine", params))
-    signed, params, point = best
+    binding = explore._polish(spec, best[1], best[3],
+                              lambda points: [try_point("refine", p) for p in points])
+    signed, params, point, _ = best
     return OptimizeResult(spec.objective, True, point, params, sign * signed,
-                          len(log), None, tuple(log))
+                          len(log), None, tuple(log), binding)
 
 
 def assert_same(a, b, where="result"):
@@ -342,6 +345,7 @@ def test_optimize_equals_the_per_point_grid(design_points, data, case):
     assert_same(got.best_params, want.best_params, "best_params")
     assert same(got.objective_value, want.objective_value) or (
         got.objective_value is want.objective_value is None)
+    assert_same(got.binding, want.binding, "binding")
     if want.best is not None:
         assert_same(flatten(got.best), flatten(want.best), "best")
 

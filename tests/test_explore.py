@@ -446,7 +446,9 @@ class TestOptimize:
             assert entry["feasible"] is False
         assert result.log[2]["objective"] is not None
         assert result.feasible
-        assert result.evaluations == len(result.log) == 18
+        # 5 grid points, then the polish's two differences at the 100 um
+        # bound, where the longest beam has the least R_x.
+        assert result.evaluations == len(result.log) == 7
 
     def test_a_grid_where_every_point_fails_raises_the_last_error(self, design_points):
         spec = SweepSpec(
@@ -480,7 +482,7 @@ class TestOptimize:
     def test_a_fault_stays_in_its_block(self, design_points, monkeypatch, axis, alone):
         # Only the points of the block that faults are graded by evaluate().
         monkeypatch.setattr(explore, "SWEEP_BLOCK", 5)
-        monkeypatch.setattr(explore, "_refine", lambda *args: None)
+        monkeypatch.setattr(explore, "_polish", lambda *args: ())
         calls = []
         monkeypatch.setattr(explore, "evaluate",
                             lambda inputs: calls.append(inputs) or evaluate(inputs))
@@ -509,7 +511,8 @@ class TestOptimize:
             SweepAxis("pierce.c1", 1e-12, 3e-12, 5),
         ))
         optimize(design_points[1].inputs, spec)
-        assert passes == [7] * 17 + [6]  # 125 coarse points
+        assert passes[:18] == [7] * 17 + [6]  # 125 coarse points
+        assert len(passes) > 18 and max(passes) <= 7  # then the polish's passes
 
     def test_a_repeated_request_logs_the_grade_of_its_first(self, design_points, monkeypatch):
         calls = []
@@ -524,14 +527,14 @@ class TestOptimize:
             return tuple(map(float.hex, entry["params"].values()))
         grid = {bits(e) for e in result.log if e["phase"] == "grid"}
         refine = [bits(e) for e in result.log if e["phase"] == "refine"]
-        # The column pass grades the whole grid; the simplex revisits points
-        # of its own and of the grid.
+        # The column passes grade the whole grid and every polish point; a
+        # difference clipped at a bound of the box revisits the grid point.
         assert all(e["objective"] is not None for e in result.log if e["phase"] == "grid")
-        assert len(set(refine)) < len(refine) and grid & set(refine)
-        assert len(calls) == len(refine) + 1  # + the winner's DesignPoint
+        assert grid & set(refine)
+        assert len(calls) == 1  # the winner's DesignPoint
         assert result.evaluations == len(result.log) == len(grid) + len(refine)
-        # A revisit, of a simplex point or of a grid point the column pass
-        # graded, logs its first grade bit for bit.
+        # A revisit, of a polish point or of a grid point, logs its first
+        # grade bit for bit.
         first = {}
         for entry in result.log:
             grade = first.setdefault(bits(entry), (entry["objective"], entry["feasible"]))
