@@ -31,7 +31,7 @@ from .errors import BeamoscError, ConfigError
 from .explore import evaluate, flatten, optimize, sweep
 from .process import check_mems_rules
 from .simulate import summarize_startup
-from .traceio import RowTable, json_text, write_json, write_rows, write_trace_svg
+from .traceio import json_text, write_json, write_rows, write_trace_svg
 
 
 # Every option once: flag -> add_argument keywords. The value flags at the
@@ -224,11 +224,7 @@ def cmd_optimize(args) -> int:
     with _out_dir(args) as out:
         print(json_text(summary))
         if out is not None:
-            payload = dict(summary, binding=list(result.binding))
-            log = {key: [entry[key] for entry in result.log] for key in result.log[0]}
-            log["params"] = {path: [params[path] for params in log["params"]]
-                             for path in log["params"][0]}  # a group of columns
-            payload["log"] = RowTable(log)
+            payload = dict(summary, binding=list(result.binding), log=result.log)
             if result.best is not None:
                 payload["best_point"] = _point_payload(result.best)
             write_json(payload, out / "optimize.json")

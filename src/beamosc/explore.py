@@ -20,7 +20,8 @@ affine: each step grades finite differences, then a line toward the linear
 program's optimum, in column passes too. An axis whose minimum is <= 0 has
 no log coordinate and keeps the grid point's value. Constraint violations
 are rejected; every request is graded where it is made, and the result is
-never worse than the best grid point.
+never worse than the best grid point. Its log is a RowTable of column
+blocks, one per coarse pass and one of the polish's requests.
 """
 
 from __future__ import annotations
@@ -443,9 +444,9 @@ class SweepAxis:
             raise ValidationError("log axes need minimum > 0")
 
     def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.minimum, self.maximum, self.steps)
-        return np.linspace(self.minimum, self.maximum, self.steps)
+        # np.geomspace can round an inner value past an end a few ulps away.
+        space = np.geomspace if self.scale == "log" else np.linspace
+        return np.clip(space(self.minimum, self.maximum, self.steps), self.minimum, self.maximum)
 
 
 OBJECTIVES = {
@@ -504,11 +505,35 @@ def _check_cap(sizes: list[int], cap: int) -> None:
         )
 
 
-def _grid_params(axes, axis_columns):
-    """Each grid point's {path: value}, in grid order."""
-    paths = [axis.path for axis in axes]
-    for combo in zip(*(c.tolist() for c in axis_columns)):
-        yield dict(zip(paths, combo))
+def _row(columns: dict, i: int) -> dict:
+    """Row i of {name: column}, groups of columns nested, in Python values."""
+    return {name: _row(column, i) if isinstance(column, dict)
+            else column.item(i) if isinstance(column, np.ndarray) else column[i]
+            for name, column in columns.items()}
+
+
+def _length(columns: dict) -> int:
+    column = next(iter(columns.values()))
+    return _length(column) if isinstance(column, dict) else len(column)
+
+
+@dataclass(frozen=True)
+class RowTable:
+    """A table as blocks of columns, each as write_rows() takes them: len()
+    counts its rows, iterating gives each as a dict of Python values, and
+    traceio.write_json() writes it, block by block, as the list of them."""
+
+    blocks: tuple
+
+    def __len__(self) -> int:
+        return sum(map(_length, self.blocks))
+
+    def __iter__(self) -> Iterator[dict]:
+        for block in self.blocks:
+            yield from (_row(block, i) for i in range(_length(block)))
+
+    def __eq__(self, other) -> bool:  # row by row: == on numpy columns gives no bool
+        return isinstance(other, RowTable) and list(self) == list(other)
 
 
 SWEEP_BLOCK = 4096  # points per column pass and per block sweep() yields
@@ -525,7 +550,7 @@ def _column_pass(inputs: DesignInputs, params: dict, read):
     read raises ArithmeticError or ValueError; then the values are None and
     no point is vouched for.
     """
-    size = len(next(iter(params.values())))
+    size = _length(params)
     checks = _Masks()
     checks.stage = "inputs"
     failed = np.zeros(size, dtype=bool)
@@ -542,15 +567,14 @@ def _column_pass(inputs: DesignInputs, params: dict, read):
 
 def _grid_blocks(inputs: DesignInputs, axes, grids: list[np.ndarray], read):
     """Walk the grid in blocks of SWEEP_BLOCK points, in itertools.product
-    order, with one _column_pass() each; yields the block's axis columns
-    and what the pass returns."""
+    order, with one _column_pass() each; yields the block's {path: axis
+    column} and what the pass returns."""
     sizes = [len(grid) for grid in grids]
     n = math.prod(sizes)
     for start in range(0, n, SWEEP_BLOCK):
         index = np.unravel_index(np.arange(start, min(start + SWEEP_BLOCK, n)), sizes)
-        axis_columns = [grid[i] for grid, i in zip(grids, index)]
-        yield (axis_columns, *_column_pass(
-            inputs, {a.path: column for a, column in zip(axes, axis_columns)}, read))
+        params = {axis.path: grid[i] for axis, grid, i in zip(axes, grids, index)}
+        yield (params, *_column_pass(inputs, params, read))
 
 
 def sweep(inputs: DesignInputs, spec: SweepSpec) -> Iterator[dict[str, np.ndarray]]:
@@ -581,11 +605,10 @@ def _sweep_blocks(inputs: DesignInputs, axes, grids) -> Iterator[dict[str, np.nd
     def read(point: DesignPoint) -> list:
         return [get(point) for _, get in COLUMNS]
 
-    for block, (axis_columns, values, vouched) in enumerate(
-            _grid_blocks(inputs, axes, grids, read)):
+    for block, (params, values, vouched) in enumerate(_grid_blocks(inputs, axes, grids, read)):
         if not vouched.all():
-            points = [evaluate(set_parameter(inputs, params))
-                      for params in _grid_params(axes, axis_columns)]
+            points = [evaluate(set_parameter(inputs, _row(params, i)))
+                      for i in range(len(vouched))]
             if values is not None:
                 i = block * SWEEP_BLOCK + int(vouched.argmin())
                 raise RuntimeError(f"sweep failed grid point {i} on a check that evaluate() passes")
@@ -596,6 +619,10 @@ def _sweep_blocks(inputs: DesignInputs, axes, grids) -> Iterator[dict[str, np.nd
 @dataclass(frozen=True)
 class OptimizeResult:
     """Outcome of optimize(): the winning point or an infeasibility report.
+
+    log holds the requests in order as blocks of columns, {"phase", "params":
+    {path: column}, "objective" (None where evaluate() failed), "feasible"}:
+    one per coarse column pass, then one "refine" block of the polish's.
 
     binding lists what holds the optimum, from the polish's last linear
     program: each active constraint and axis bound, with its shadow price
@@ -609,7 +636,7 @@ class OptimizeResult:
     objective_value: float | None
     evaluations: int
     most_violated: str | None
-    log: tuple[dict, ...]
+    log: RowTable
     binding: tuple[dict, ...] = ()
 
 
@@ -841,28 +868,26 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     The coarse grid runs as the column passes of _grid_blocks(), and the
     polish (see _polish) grades its points in column passes of at most
     SWEEP_BLOCK points too, with the result, log and errors of evaluating
-    them point by point: a point that fails a check is evaluated alone, and
-    so is every point of a pass whose arithmetic faults anywhere. Every
-    request is graded where it is made, a point the polish revisits
-    included, and logged once: evaluations == len(log) counts requests. The
-    winner is evaluated once more at the end for the DesignPoint the result
-    carries; that evaluation is not logged.
+    them point by point: a point a pass does not vouch for is evaluated
+    alone. Every request is graded where it is made, a point the polish
+    revisits included, and logged once: evaluations == len(log). The winner
+    is evaluated once more for the DesignPoint the result carries; that
+    evaluation is not logged.
     """
-    sense, _ = OBJECTIVES[spec.objective]
-    sign = -1.0 if sense == "max" else 1.0
+    sign = -1.0 if OBJECTIVES[spec.objective][0] == "max" else 1.0
     names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
     read = _reader(spec)
 
-    axes = spec.axes
     # A fixed axis (minimum == maximum) is one coarse step; _polish() skips it.
     grids = [
         replace(axis, steps=min(axis.steps, _COARSE_LIMIT)
                 if axis.minimum < axis.maximum else 1).values()
-        for axis in axes
+        for axis in spec.axes
     ]
     _check_cap([len(g) for g in grids], spec.grid_cap)
 
-    log: list[dict] = []
+    blocks: list[dict] = []  # the log: a block per grid pass, then the polish's requests
+    refined: list[tuple[dict, tuple | None]] = []  # the polish's (point, reading)
     last_error: BeamoscError | None = None
     # (sum, enabled constraint violations) of the first infeasible candidate
     # with the least sum; read only when no grid point is feasible, so no
@@ -870,77 +895,61 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     closest: tuple[float, tuple[float, ...]] | None = None
     best: tuple[float, dict, tuple] | None = None  # (signed objective, params, reading)
 
-    def record(phase: str, params: dict, reading: tuple | None) -> tuple | None:
-        """Log one request: reading is its read() tuple, None if it failed."""
-        nonlocal best, closest
-        value, feasible, *rest = reading or (None, False)
-        # Each request's params is a fresh dict; `best` keeps its own copy.
-        log.append({"phase": phase, "params": params, "objective": value,
-                    "feasible": feasible})
-        if not feasible:
-            # No violations for a point that failed to evaluate.
-            violations = tuple(rest[:len(names)])
-            if violations and (closest is None or sum(violations) < closest[0]):
-                closest = (sum(violations), violations)
-        elif best is None or sign * value < best[0]:
-            best = (sign * value, dict(params), reading)
-        return reading
+    def graded(params: dict, values, vouched) -> list:
+        """Each point's read() tuple from one column pass over `params`: the
+        pass's where it vouches for the point, else evaluate()'s, None where
+        that fails. Takes the incumbent and `closest` in request order."""
+        nonlocal best, closest, last_error
+        rows = [None] * len(vouched) if values is None else list(
+            zip(*(column.tolist() for column in values)))
+        for i in np.flatnonzero(~vouched).tolist():
+            try:
+                rows[i] = read(evaluate(set_parameter(inputs, _row(params, i))))
+            except BeamoscError as err:
+                last_error, rows[i] = err, None
+        for i, reading in enumerate(rows):
+            value, feasible, *rest = reading or (None, False)
+            if not feasible:
+                violations = tuple(rest[:len(names)])  # none for a point that failed
+                if violations and (closest is None or sum(violations) < closest[0]):
+                    closest = (sum(violations), violations)
+            elif best is None or sign * value < best[0]:
+                best = (sign * value, _row(params, i), reading)
+        return rows
 
-    def try_point(phase: str, params: dict) -> tuple | None:
-        nonlocal last_error
-        try:
-            point = evaluate(set_parameter(inputs, params))
-        except BeamoscError as err:
-            last_error = err
-            return record(phase, params, None)
-        return record(phase, params, read(point))
-
-    def take(phase: str, points, values, vouched) -> list:
-        """Record a column pass's points in order: the pass's row where it
-        vouches for the point, else try_point()."""
-        rows = [] if values is None else list(zip(*(column.tolist() for column in values)))
-        return [record(phase, params, rows[i]) if ok else try_point(phase, params)
-                for i, (params, ok) in enumerate(zip(points, vouched.tolist()))]
+    def logged(phase: str, params: dict, rows: list) -> None:
+        blocks.append({"phase": np.broadcast_to(phase, (len(rows),)), "params": params,
+                       "objective": [None if r is None else r[0] for r in rows],
+                       "feasible": [r is not None and r[1] for r in rows]})
 
     def grade(points: list[dict]) -> list:
         """The polish's points, in column passes of up to SWEEP_BLOCK."""
         readings = []
         for start in range(0, len(points), SWEEP_BLOCK):
-            block = points[start:start + SWEEP_BLOCK]
-            columns = {path: np.array([params[path] for params in block]) for path in block[0]}
-            readings += take("refine", block, *_column_pass(inputs, columns, read))
+            params = {path: np.array([p[path] for p in points[start:start + SWEEP_BLOCK]])
+                      for path in points[0]}
+            readings += graded(params, *_column_pass(inputs, params, read))
+        refined.extend(zip(points, readings))
         return readings
 
-    for axis_columns, values, vouched in _grid_blocks(inputs, axes, grids, read):
-        take("grid", _grid_params(axes, axis_columns), values, vouched)
+    for params, values, vouched in _grid_blocks(inputs, spec.axes, grids, read):
+        logged("grid", params, graded(params, values, vouched))
+    binding = () if best is None else _polish(spec, best[1], best[2], grade)
+    if refined:
+        points, rows = zip(*refined)
+        logged("refine", {path: [p[path] for p in points] for path in points[0]}, rows)
+    log = RowTable(tuple(blocks))
 
     if best is None:
         if closest is None:
             assert last_error is not None
             raise last_error
         worst = max(range(len(names)), key=closest[1].__getitem__)
-        return OptimizeResult(
-            objective=spec.objective,
-            feasible=False,
-            best=None,
-            best_params=None,
-            objective_value=None,
-            evaluations=len(log),
-            most_violated=names[worst],
-            log=tuple(log),
-        )
-
-    binding = _polish(spec, best[1], best[2], grade)
-
+        return OptimizeResult(objective=spec.objective, feasible=False, best=None,
+                              best_params=None, objective_value=None, evaluations=len(log),
+                              most_violated=names[worst], log=log)
     signed, params, _ = best
-    return OptimizeResult(
-        objective=spec.objective,
-        feasible=True,
-        best=evaluate(set_parameter(inputs, params)),
-        best_params=params,
-        objective_value=sign * signed,
-        evaluations=len(log),
-        most_violated=None,
-        log=tuple(log),
-        binding=binding,
-    )
+    return OptimizeResult(objective=spec.objective, feasible=True,
+                          best=evaluate(set_parameter(inputs, params)), best_params=params,
+                          objective_value=sign * signed, evaluations=len(log),
+                          most_violated=None, log=log, binding=binding)

@@ -1,19 +1,19 @@
 """Deterministic file output: CSV/JSON row tables, JSON documents, SVG plots.
 
 One row writer formats every table, alone (write_rows, which streams a
-table given as blocks of columns, such as sweep()'s) or as a RowTable
-inside a JSON document (write_json, optimize.json's log). Identical inputs
-produce byte-identical files: floats are written with repr() (shortest
-round-trip form), row order is the natural iteration order, and nothing
-timestamps the output. Formatting a float costs far more than writing it,
-so a value repeated within a chunk is formatted once (see _float_texts),
-and where a second CPU is usable, blocks of SPLIT_ROWS rows or more, such
-as those of a startup trace, are formatted by forked children while the
-caller makes the next blocks (see _Pipeline); the bytes are those of the
-serial path. The blocks that wait for a child are capped, so a table
-streamed block by block is written in memory set by the block, not by the
-table. The SVG plot takes a Trace or the Plot samples that
-summarize_startup() keeps of a run, with the same bytes.
+table given as blocks of columns, such as sweep()'s) or as an
+explore.RowTable of such blocks inside a JSON document (write_json,
+optimize.json's log). Identical inputs produce byte-identical files:
+floats are written with repr() (shortest round-trip form), row order is
+the natural iteration order, and nothing timestamps the output. Formatting
+a float costs far more than writing it, so a value repeated within a chunk
+is formatted once (see _float_texts), and where a second CPU is usable,
+blocks of SPLIT_ROWS rows or more, such as those of a startup trace, are
+formatted by forked children while the caller makes the next blocks (see
+_Pipeline); the bytes are those of the serial path. The blocks that wait
+for a child are capped, so a table streamed block by block is written in
+memory set by the block, not by the table. The SVG plot takes a Trace or
+summarize_startup()'s Plot samples of a run, with the same bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .explore import RowTable
 from .simulate import Plot, Trace, plot_stride
 
 _SVG_W, _SVG_H = 900, 360
@@ -44,9 +45,9 @@ ROW_BLOCK = 1024  # rows formatted at a time by write_rows()
 # every block of a stream: a page fault per 4 kB written.
 _WRITE_ROWS = 32
 # From the first block this long on, a table's rows are formatted by forked
-# children (_Pipeline). Sweep blocks (explore.SWEEP_BLOCK rows) and
-# optimize.json logs stay below it: for them a fork costs more memory than
-# it saves time.
+# children (_Pipeline). Sweep blocks and the blocks of optimize.json's log
+# (explore.SWEEP_BLOCK rows at most) stay below it: for them a fork costs
+# more memory than it saves time.
 SPLIT_ROWS = 8 * ROW_BLOCK
 # Rows that wait for a forked child, at most (2 MB of trace columns): a child
 # formats about as fast as simulate_startup() integrates, so a long stream's
@@ -57,13 +58,6 @@ _BACKLOG_ROWS = 8 * SPLIT_ROWS
 _CSV_BOOL = {True: "True", False: "False"}
 _JSON_BOOL = {True: "true", False: "false"}
 _MARK = "\0"  # stands for a varying cell, or a RowTable, in text that json.dumps() writes
-
-
-@dataclass(frozen=True)
-class RowTable:
-    """write_rows() columns that write_json() writes as a list of row objects."""
-
-    columns: dict
 
 
 def _csv_string(text: str) -> str:
@@ -488,26 +482,26 @@ def json_text(obj, default=None) -> str:
 
 def write_json(obj, path) -> None:
     """json_text(obj) and a newline; the row writer writes each RowTable in
-    obj as json_text() would write its rows. Non-finite values are refused
-    before the file is opened."""
+    obj, block by block, as json_text() would write the list of its rows.
+    Non-finite values are refused before the file is opened."""
     tables = []
 
     def table(value):
         if not isinstance(value, RowTable):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        tables.append(value.columns)
+        tables.append(value.blocks)
         return _MARK
 
     text = json_text(obj, default=table)
     pieces = text.split(json.dumps(_MARK)) if tables else [text]
     if len(pieces) != len(tables) + 1:
         raise ValueError("a string in the document holds the row writer's mark")
-    checked = list(map(_checked, tables))
+    checked = [list(map(_checked, blocks)) for blocks in tables]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(pieces[0])
-        for table, before, after in zip(checked, pieces, pieces[1:]):
+        for blocks, before, after in zip(checked, pieces, pieces[1:]):
             line = before.rpartition("\n")[2]
-            _write_table([table], None, fh, line[:len(line) - len(line.lstrip(" "))])
+            _write_table(blocks, None, fh, line[:len(line) - len(line.lstrip(" "))])
             fh.write(after)
         fh.write("\n")
 

@@ -619,6 +619,11 @@ class TestOptimizeCommand:
                                                             tmp_path, axes, objective, shows):
         result, written = self.run_with_result(capsys, monkeypatch, tmp_path, axes, objective)
         assert shows(result)
+        assert written == self.expected_bytes(result)
+
+    @staticmethod
+    def expected_bytes(result) -> bytes:
+        """optimize.json as json.dumps() writes the result, the log as entries."""
         payload = {
             "objective": result.objective,
             "feasible": result.feasible,
@@ -631,7 +636,31 @@ class TestOptimizeCommand:
         }
         if result.best is not None:
             payload["best_point"] = _point_payload(result.best)
-        assert written == (json.dumps(payload, indent=2) + "\n").encode()
+        return (json.dumps(payload, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_a_log_of_many_blocks_is_written_as_one_list(self, capsys, monkeypatch, tmp_path,
+                                                          block):
+        # 125 grid points in column passes of 1-7 points, so the log holds
+        # one block per pass and then the polish's refine block. The rows go
+        # out block by block, none of them in a forked child.
+        axes = [{"path": "transducer.bias_voltage", "min": 6.0, "max": 9.5, "steps": 5},
+                {"path": "beam.length", "min": 90e-6, "max": 110e-6, "steps": 5},
+                {"path": "pierce.c1", "min": 1e-12, "max": 3e-12, "steps": 5}]
+        _, want = self.run_with_result(capsys, monkeypatch, tmp_path / "one", axes,
+                                       "startup_margin")
+
+        def fork():
+            raise AssertionError("os.fork() called")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(explore, "SWEEP_BLOCK", block)
+        result, written = self.run_with_result(capsys, monkeypatch, tmp_path / "many", axes,
+                                               "startup_margin")
+        phases = [b["phase"][0] for b in result.log.blocks]
+        assert phases == ["grid"] * math.ceil(125 / block) + ["refine"]
+        assert len(result.log) == result.evaluations > 125
+        assert written == want == self.expected_bytes(result)
 
     def test_best_params_and_the_log_share_no_dict(self, capsys, monkeypatch, tmp_path):
         axes = [{"path": "transducer.bias_voltage", "min": 6.0, "max": 9.5, "steps": 4},
@@ -644,8 +673,9 @@ class TestOptimizeCommand:
             for path in result.best_params:
                 result.best_params[path] = -1.0
             assert [entry["params"] for entry in result.log] == want_log
-            for entry in result.log:
-                entry["params"]["beam.length"] = -2.0
+            for block in result.log.blocks:  # the log holds columns, not entries
+                column = block["params"]["beam.length"]
+                column[:] = [-2.0] * len(column)
             assert result.best_params == dict.fromkeys(want_best, -1.0)
 
         _, written = self.run_with_result(capsys, monkeypatch, tmp_path / "b", axes,

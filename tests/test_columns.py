@@ -414,7 +414,7 @@ class TestInvalidPoints:
             for name, column in columns.items():
                 got = column.tolist()
                 assert all(same(got[i], row[name]) for i, row in enumerate(want)), name
-            log = optimize(inputs, SweepSpec(axes=axes)).log
+            log = list(optimize(inputs, SweepSpec(axes=axes)).log)
             assert [entry["objective"] for entry in log[:2]] == [
                 row["derived.re_zc_max"] / row["derived.r_x"] for row in want]
 
@@ -484,7 +484,7 @@ def documents(draw):
     inside a JSON document, in a list or under a key among other values,
     and the same document holding the table's row objects instead."""
     columns = draw(tables(group=True))
-    doc, ref = RowTable(columns), row_objects(columns)
+    doc, ref = RowTable([columns]), row_objects(columns)
     for _ in range(draw(st.integers(1, 2))):
         siblings = list(draw(st.dictionaries(names, cells, max_size=3)).items())
         at = draw(st.integers(0, len(siblings)))
@@ -602,7 +602,7 @@ def test_json_writer_mark_shows_only_where_a_table_is(tmp_path):
     write_json(doc, tmp_path / "plain.json")
     assert (tmp_path / "plain.json").read_text() == json.dumps(doc, indent=2) + "\n"
     with pytest.raises(ValueError, match="mark"):
-        write_json({"text": "\0", "rows": RowTable({"a": [1]})}, tmp_path / "t.json")
+        write_json({"text": "\0", "rows": RowTable([{"a": [1]}])}, tmp_path / "t.json")
     assert not (tmp_path / "t.json").exists()
 
 

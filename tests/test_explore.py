@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beamosc import explore, mechanics, pierce, transduction
 from beamosc.errors import GridCapError, StageError, ValidationError
@@ -271,6 +271,28 @@ class TestSweepAxis:
         axis = SweepAxis("beam.length", 60e-6, 100e-6, 1)
         assert list(axis.values()) == [60e-6]
 
+    @settings(max_examples=200)
+    @given(scale=st.sampled_from(["linear", "log"]), low=st.floats(1e-12, 1e6),
+           negative=st.booleans(), ulps=st.integers(0, 8), ratio=st.floats(1.0, 1e3),
+           steps=st.integers(1, 9))
+    # np.geomspace puts the middle value 7 ulps above this axis's maximum.
+    @example(scale="log", low=1.539351012830692e-06, negative=False, ulps=1, ratio=1.0,
+             steps=3)
+    def test_values_stay_inside_the_axis(self, scale, low, negative, ulps, ratio, steps):
+        # Ends a few ulps apart (ratio 1) or wide apart; a value the grid
+        # function puts inside the axis keeps its bits.
+        if negative and scale == "linear":
+            low = -low
+        high = low + abs(low) * (ratio - 1.0)
+        for _ in range(ulps):
+            high = math.nextafter(high, math.inf)
+        values = SweepAxis("transducer.gap", low, high, steps, scale).values()
+        raw = (np.geomspace if scale == "log" else np.linspace)(low, high, steps)
+        assert ((low <= values) & (values <= high)).all(), (values.tolist(), low, high)
+        inside = (low <= raw) & (raw <= high)
+        assert values[inside].tobytes() == raw[inside].tobytes()
+        assert values[0] == low and (steps == 1 or values[-1] == high)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             SweepAxis("beam.lenght", 1.0, 2.0, 2)
@@ -430,6 +452,7 @@ class TestOptimize:
         )
         a = optimize(design_points[1].inputs, spec)
         b = optimize(design_points[1].inputs, spec)
+        assert a == b
         assert a.best_params == b.best_params
         assert a.objective_value == b.objective_value
         assert a.evaluations == b.evaluations
@@ -441,10 +464,11 @@ class TestOptimize:
             objective="min_Rx",
         )
         result = optimize(design_points[1].inputs, spec)
-        for entry in result.log[:2]:
+        log = list(result.log)
+        for entry in log[:2]:
             assert entry["objective"] is None
             assert entry["feasible"] is False
-        assert result.log[2]["objective"] is not None
+        assert log[2]["objective"] is not None
         assert result.feasible
         # 5 grid points, then the polish's two differences at the 100 um
         # bound, where the longest beam has the least R_x.
