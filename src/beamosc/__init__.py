@@ -7,10 +7,10 @@ Modules, in pipeline order:
   transduction  gap transducer: coupling, pull-in, deflection, RLC equivalent
   pierce        sustaining amplifier small-signal impedance
   simulate      time-domain startup simulation and measurements
+  traceio       deterministic CSV/JSON/SVG output, committed whole
   explore       design evaluation, sweeps, optimization
   config        JSON config schema and bundled reference designs
   report        comparison against the bundled reference device table
-  traceio       deterministic CSV/JSON/SVG output
   cli           the `beamosc` command
 """
 

@@ -20,8 +20,9 @@ affine: each step grades finite differences, then a line toward the linear
 program's optimum, in column passes too. An axis whose minimum is <= 0 has
 no log coordinate and keeps the grid point's value. Constraint violations
 are rejected; every request is graded where it is made, and the result is
-never worse than the best grid point. Its log is a RowTable of column
-blocks, one per coarse pass and one of the polish's requests.
+never worse than the best grid point. Its log is a traceio.RowTable of
+column blocks, one per coarse pass and one of the polish's requests, which
+write_json() writes block by block.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .transduction import (
     pull_in_voltage,
     static_deflection,
 )
+from .traceio import RowTable, _length, _row
 
 _SLACK = 1e-9  # relative slack on constraint boundaries
 # The MemsRuleSet field that sets each rule's limit.
@@ -503,37 +505,6 @@ def _check_cap(sizes: list[int], cap: int) -> None:
             f"grid of {total} points exceeds the cap of {cap}; "
             "shrink the axes or raise grid_cap"
         )
-
-
-def _row(columns: dict, i: int) -> dict:
-    """Row i of {name: column}, groups of columns nested, in Python values."""
-    return {name: _row(column, i) if isinstance(column, dict)
-            else column.item(i) if isinstance(column, np.ndarray) else column[i]
-            for name, column in columns.items()}
-
-
-def _length(columns: dict) -> int:
-    column = next(iter(columns.values()))
-    return _length(column) if isinstance(column, dict) else len(column)
-
-
-@dataclass(frozen=True)
-class RowTable:
-    """A table as blocks of columns, each as write_rows() takes them: len()
-    counts its rows, iterating gives each as a dict of Python values, and
-    traceio.write_json() writes it, block by block, as the list of them."""
-
-    blocks: tuple
-
-    def __len__(self) -> int:
-        return sum(map(_length, self.blocks))
-
-    def __iter__(self) -> Iterator[dict]:
-        for block in self.blocks:
-            yield from (_row(block, i) for i in range(_length(block)))
-
-    def __eq__(self, other) -> bool:  # row by row: == on numpy columns gives no bool
-        return isinstance(other, RowTable) and list(self) == list(other)
 
 
 SWEEP_BLOCK = 4096  # points per column pass and per block sweep() yields

@@ -18,7 +18,8 @@ The loop hands its rows out in fresh blocks as it goes, so a caller can
 write them out while it integrates (see simulate_startup's `consume`).
 simulate_startup() joins the blocks into a Trace; summarize_startup()
 feeds them to the same summary that summarize() reads a Trace with, so a
-run of any length is summarized in memory set by the block.
+run of any length is summarized in memory set by the block. The summary
+alone samples a run for its plot (_Summary.plot()).
 """
 from __future__ import annotations
 
@@ -127,7 +128,7 @@ class Trace:
 
 
 class Plot(NamedTuple):
-    """The v_out samples that trace.svg plots, and their times."""
+    """The v_out samples of a run that trace.svg plots, and their times."""
 
     time: np.ndarray
     v_out: np.ndarray
@@ -179,9 +180,9 @@ def summarize_startup(
     consume=None,
 ) -> tuple[dict, np.ndarray | None, Plot]:
     """The run of simulate_startup(), summarized while it is integrated:
-    what summarize() returns for its Trace, and the Plot of v_out that
-    write_trace_svg() draws of it, bit for bit. `consume` is as for
-    simulate_startup().
+    what summarize() returns for its Trace, bit for bit, and the Plot of
+    its time and v_out at every plot_stride()-th row, which
+    write_trace_svg() draws. `consume` is as for simulate_startup().
 
     Memory is set by the block, not by the run, except for what the
     summary itself keeps: one envelope row per cycle and, with the guard

@@ -1,19 +1,19 @@
 """Deterministic file output: CSV/JSON row tables, JSON documents, SVG plots.
 
 One row writer formats every table, alone (write_rows, which streams a
-table given as blocks of columns, such as sweep()'s) or as an
-explore.RowTable of such blocks inside a JSON document (write_json,
-optimize.json's log). Identical inputs produce byte-identical files:
-floats are written with repr() (shortest round-trip form), row order is
-the natural iteration order, and nothing timestamps the output. Formatting
-a float costs far more than writing it, so a value repeated within a chunk
-is formatted once (see _float_texts), and where a second CPU is usable,
-blocks of SPLIT_ROWS rows or more, such as those of a startup trace, are
-formatted by forked children while the caller makes the next blocks (see
-_Pipeline); the bytes are those of the serial path. The blocks that wait
-for a child are capped, so a table streamed block by block is written in
-memory set by the block, not by the table. The SVG plot takes a Trace or
-summarize_startup()'s Plot samples of a run, with the same bytes.
+table given as blocks of columns, such as sweep()'s) or as a RowTable of
+such blocks inside a JSON document (write_json, optimize.json's log).
+Identical inputs produce byte-identical files: floats are written with
+repr() (shortest round-trip form), row order is the natural iteration
+order, and nothing timestamps the output. Formatting a float costs far
+more than writing it, so a value repeated within a chunk is formatted once
+(see _float_texts), and where a second CPU is usable, blocks of SPLIT_ROWS
+rows or more, such as those of a startup trace, are formatted by forked
+children while the caller makes the next blocks (see _Pipeline); the bytes
+are those of the serial path. The blocks that wait for a child are capped,
+so a table streamed block by block is written in memory set by the block,
+not by the table. The SVG plot draws the samples it is given. Every file
+is committed whole or not at all (see _committed).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .explore import RowTable
-from .simulate import Plot, Trace, plot_stride
 
 _SVG_W, _SVG_H = 900, 360
 _PAD_L, _PAD_R, _PAD_T, _PAD_B = 64, 16, 28, 40
@@ -140,14 +138,14 @@ def _constant(column) -> bool:
             and column.strides[0] == 0)
 
 
-def _row(columns: dict, leaves: list) -> dict:
+def _template(columns: dict, leaves: list) -> dict:
     """One row of a table: each constant column's value, _MARK where a cell
     varies. Appends (name, column) of every column to `leaves`, groups
     flattened and a list of Python floats made a float array (same bits)."""
     row = {}
     for name, column in columns.items():
         if isinstance(column, dict):
-            row[name] = _row(column, leaves)
+            row[name] = _template(column, leaves)
             continue
         if not isinstance(column, np.ndarray) and set(map(type, column)) == {float}:
             column = np.array(column)
@@ -157,10 +155,10 @@ def _row(columns: dict, leaves: list) -> dict:
 
 
 def _checked(columns: dict) -> tuple[dict, list]:
-    """_row() of a table and its columns; raises unless they are of one
+    """_template() of a table and its columns; raises unless they are of one
     non-zero length and every value is finite."""
     leaves = []
-    row = _row(columns, leaves)
+    row = _template(columns, leaves)
     if not leaves:
         raise ValueError("no columns to write")
     n = len(leaves[0][1])
@@ -431,30 +429,63 @@ def write_rows(blocks, csv_path=None, json_path=None) -> None:
     the oldest itself, without waiting, so a long stream is written in
     memory set by the block.
 
-    Each file is written to `<path>.tmp` beside it and moved into place by
-    os.replace() once every block is written. On any error the temporary
-    files are removed and the target paths left as they were: a block that
+    Each file is committed as _committed() says, once every block is
+    written: on any error neither target path is touched, and a block that
     holds a non-finite float, refused when it arrives, writes nothing.
     """
-    paths = [path for path in (csv_path, json_path) if path is not None]
-    temps = [f"{os.fspath(path)}.tmp" for path in paths]
+    with contextlib.ExitStack() as stack:
+        csv_fh, json_fh = (None if path is None else stack.enter_context(_committed(path, nl))
+                           for path, nl in ((csv_path, ""), (json_path, None)))
+        _write_table(map(_checked, blocks), csv_fh, json_fh)
+        if json_fh is not None:
+            json_fh.write("\n")
+
+
+@contextlib.contextmanager
+def _committed(path, newline=None):
+    """A text file open for writing at `<path>.tmp`, beside path, moved
+    onto path by os.replace() once the block ends. On any error it is
+    removed instead, and path keeps its bytes."""
+    temp = f"{os.fspath(path)}.tmp"
     try:
-        with contextlib.ExitStack() as stack:
-            csv_fh = json_fh = None
-            if csv_path is not None:
-                csv_fh = stack.enter_context(open(temps[0], "w", encoding="utf-8", newline=""))
-            if json_path is not None:
-                json_fh = stack.enter_context(open(temps[-1], "w", encoding="utf-8"))
-            _write_table(map(_checked, blocks), csv_fh, json_fh)
-            if json_fh is not None:
-                json_fh.write("\n")
+        with open(temp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
     except BaseException:
-        for temp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
         raise
-    for temp, path in zip(temps, paths):
-        os.replace(temp, path)
+    os.replace(temp, path)
+
+
+def _row(columns: dict, i: int) -> dict:
+    """Row i of {name: column}, groups of columns nested, in Python values."""
+    return {name: _row(column, i) if isinstance(column, dict)
+            else column.item(i) if isinstance(column, np.ndarray) else column[i]
+            for name, column in columns.items()}
+
+
+def _length(columns: dict) -> int:
+    column = next(iter(columns.values()))
+    return _length(column) if isinstance(column, dict) else len(column)
+
+
+@dataclass(frozen=True)
+class RowTable:
+    """A table as blocks of columns, each as write_rows() takes them: len()
+    counts its rows, iterating gives each as a dict of Python values, and
+    write_json() writes it, block by block, as the list of them."""
+
+    blocks: tuple
+
+    def __len__(self) -> int:
+        return sum(map(_length, self.blocks))
+
+    def __iter__(self):
+        for block in self.blocks:
+            yield from (_row(block, i) for i in range(_length(block)))
+
+    def __eq__(self, other) -> bool:  # row by row: == on numpy columns gives no bool
+        return isinstance(other, RowTable) and list(self) == list(other)
 
 
 def _floats(obj, path: str = ""):
@@ -483,7 +514,7 @@ def json_text(obj, default=None) -> str:
 def write_json(obj, path) -> None:
     """json_text(obj) and a newline; the row writer writes each RowTable in
     obj, block by block, as json_text() would write the list of its rows.
-    Non-finite values are refused before the file is opened."""
+    Non-finite values are refused before _committed() opens the file."""
     tables = []
 
     def table(value):
@@ -497,7 +528,7 @@ def write_json(obj, path) -> None:
     if len(pieces) != len(tables) + 1:
         raise ValueError("a string in the document holds the row writer's mark")
     checked = [list(map(_checked, blocks)) for blocks in tables]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _committed(path) as fh:
         fh.write(pieces[0])
         for blocks, before, after in zip(checked, pieces, pieces[1:]):
             line = before.rpartition("\n")[2]
@@ -510,14 +541,11 @@ def _polyline(xs: np.ndarray, ys: np.ndarray) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
 
-def write_trace_svg(trace: Trace | Plot, path, env: np.ndarray | None = None) -> None:
-    """Self-contained SVG plot of v_out against time, with optional envelope.
-
-    A Trace is plotted at every plot_stride()-th row; summarize_startup()'s
-    Plot holds those rows already, and gives the same bytes."""
-    stride = plot_stride(len(trace.time))
-    t = trace.time[::stride]
-    v = trace.v_out[::stride]
+def write_trace_svg(plot, path, env: np.ndarray | None = None) -> None:
+    """Self-contained SVG plot of v_out against time, with optional envelope
+    rows (t, amplitude): every sample of `plot`'s time and v_out arrays, a
+    Plot that summarize_startup() took of a run. See _committed()."""
+    t, v = plot.time, plot.v_out
     t0, t1 = float(t[0]), float(t[-1])
     vmax = float(np.abs(v).max())
     if env is not None and len(env):
@@ -562,6 +590,5 @@ def write_trace_svg(trace: Trace | Plot, path, env: np.ndarray | None = None) ->
         f'font-size="11">{-vmax:.3g} V</text>',
         "</svg>",
     ])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    with _committed(path) as fh:
+        fh.write("\n".join(parts) + "\n")

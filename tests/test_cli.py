@@ -1091,6 +1091,32 @@ def test_sweep_failing_in_its_last_block_writes_nothing(capsys, tmp_path):
     assert (kept / "sweep.csv").read_bytes() == b"an earlier sweep\n"
 
 
+def test_sweep_blocks_stay_below_the_fork_threshold(capsys, tmp_path, monkeypatch):
+    # A trace's blocks reach SPLIT_ROWS, so forked children format them;
+    # sweep blocks and optimize.json's log blocks, SWEEP_BLOCK rows at most,
+    # stay below it, where a fork costs more memory than it saves time. A
+    # sweep of three blocks, with two CPUs usable and os.fork() refused,
+    # writes the bytes of an unpatched run.
+    assert simulate.TRACE_BLOCK >= traceio.SPLIT_ROWS > explore.SWEEP_BLOCK
+    axes = [{"path": "beam.q_factor", "min": 1000.0, "max": 8000.0,
+             "steps": 2 * explore.SWEEP_BLOCK + 1}]
+    argv = ["sweep", "--design", "1", "--set", "explore.axes=" + json.dumps(axes), "--out"]
+
+    def run(name):
+        out = tmp_path / name
+        return run_cli(capsys, *argv, str(out)), {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def fork():
+        raise AssertionError("os.fork() called")
+
+    unpatched = run("unpatched")
+    assert unpatched[0][0] == 0
+    assert json.loads(unpatched[0][1])["points"] == 2 * explore.SWEEP_BLOCK + 1
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run("no-fork") == unpatched
+
+
 # Axes of the block-size property around design 1 with a 45 um electrode:
 # valid ranges, a vibration budget whose deflection violation would
 # overflow above some step (a failed check), and an electrode that may

@@ -7,7 +7,8 @@ for the first such point. optimize() grades its coarse grid in the same
 pass and must return, bit for bit, what grading it point by point gives.
 write_rows() must give the bytes of csv.DictWriter and json.dump(indent=2),
 and write_json() those of json.dumps(indent=2) with a row table inside,
-whether one process formats every row or a forked child formats half.
+whether one process formats every row or a forked child formats half. A
+write that fails leaves the file it was to replace as it was.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from beamosc import _num, explore, traceio
+from beamosc import _num, explore, simulate, traceio
 from beamosc.errors import BeamoscError, StageError, ValidationError
 from beamosc.explore import (
     COLUMNS,
@@ -622,6 +623,42 @@ def test_rows_writer_refuses_non_finite_values(tmp_path, bad):
                    json_path=tmp_path / "t.json")
     assert (tmp_path / "t.csv").read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    # write_json() stopped inside a RowTable, after its first block, and
+    # write_trace_svg() stopped by a failing write: each target keeps its
+    # old bytes, and no temporary file is left.
+    for name in ("d.json", "trace.svg"):
+        (tmp_path / name).write_text("old\n")
+    write_table = traceio._write_table
+
+    def stopped(blocks, csv_fh, json_fh, indent=""):
+        write_table(blocks[:1], csv_fh, json_fh, indent)
+        raise RuntimeError("stopped inside the table")
+
+    with mock.patch.object(traceio, "_write_table", stopped), \
+            pytest.raises(RuntimeError, match="inside the table"):
+        write_json({"log": RowTable(({"a": [1.0, 2.0]}, {"a": [3.0]})), "after": 1},
+                   tmp_path / "d.json")
+
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def half_written(text):
+            write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        fh.write = half_written
+        return fh
+
+    monkeypatch.setattr(traceio, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        traceio.write_trace_svg(simulate.Plot(np.arange(5.0), np.sin(np.arange(5.0))),
+                                tmp_path / "trace.svg")
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+        "d.json": "old\n", "trace.svg": "old\n"}
 
 
 # ------------------------------------------------- rows in two processes
