@@ -507,7 +507,10 @@ def _check_cap(sizes: list[int], cap: int) -> None:
         )
 
 
-SWEEP_BLOCK = 4096  # points per column pass and per block sweep() yields
+# Points per column pass and per block sweep() yields: at least
+# traceio.SPLIT_ROWS, so the row writer can give each block to a forked child
+# to format.
+SWEEP_BLOCK = 4096
 
 
 def _column_pass(inputs: DesignInputs, params: dict, read):

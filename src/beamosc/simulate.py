@@ -34,8 +34,9 @@ from .pierce import PierceConfig
 from .transduction import EquivalentCircuit
 
 _MAX_STEPS = 20_000_000  # refusal threshold: keeps desk-scale runs desk-scale
-# Rows per block that simulate_startup() hands its consumer: traceio.SPLIT_ROWS,
-# so the row writer can give each block to a forked child to format.
+# Rows per block that simulate_startup() hands its consumer: at least
+# traceio.SPLIT_ROWS, so the row writer can give each block to a forked child
+# to format.
 TRACE_BLOCK = 8192
 # A plot of a run samples every plot_stride()-th row: 4,000 to 7,999 points
 # of a long run.

@@ -8,12 +8,13 @@ repr() (shortest round-trip form), row order is the natural iteration
 order, and nothing timestamps the output. Formatting a float costs far
 more than writing it, so a value repeated within a chunk is formatted once
 (see _float_texts), and where a second CPU is usable, blocks of SPLIT_ROWS
-rows or more, such as those of a startup trace, are formatted by forked
-children while the caller makes the next blocks (see _Pipeline); the bytes
-are those of the serial path. The blocks that wait for a child are capped,
-so a table streamed block by block is written in memory set by the block,
-not by the table. The SVG plot draws the samples it is given. Every file
-is committed whole or not at all (see _committed).
+rows or more, those of a startup trace and of a sweep, are formatted by
+forked children while the caller makes the next blocks (see _Pipeline); the
+bytes are those of the serial path. The column bytes of the blocks that
+wait for a child are capped, so a table streamed block by block is written
+in memory set by the block, not by the table. The SVG plot draws the
+samples it is given. Every file is committed whole or not at all (see
+_committed).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -43,15 +45,17 @@ ROW_BLOCK = 1024  # rows formatted at a time by write_rows()
 # every block of a stream: a page fault per 4 kB written.
 _WRITE_ROWS = 32
 # From the first block this long on, a table's rows are formatted by forked
-# children (_Pipeline). Sweep blocks and the blocks of optimize.json's log
-# (explore.SWEEP_BLOCK rows at most) stay below it: for them a fork costs
-# more memory than it saves time.
-SPLIT_ROWS = 8 * ROW_BLOCK
-# Rows that wait for a forked child, at most (2 MB of trace columns): a child
-# formats about as fast as simulate_startup() integrates, so a long stream's
-# queue would grow with it. Past the cap this process formats the oldest
-# queued rows itself (see _Pipeline.add).
-_BACKLOG_ROWS = 8 * SPLIT_ROWS
+# children (_Pipeline): a trace's blocks (simulate.TRACE_BLOCK rows), and a
+# sweep's or a large optimize.json log's (explore.SWEEP_BLOCK rows).
+SPLIT_ROWS = 4 * ROW_BLOCK
+# Bytes of queued columns that wait for a forked child, at most: 65,536 rows
+# of a trace's four float columns. A child formats about as fast as
+# simulate_startup() integrates, so a long stream's queue would grow with it.
+# A sweep's row holds about 150 B of columns, five times a trace's, so the
+# cap is counted in bytes: in rows it would hold five times the memory. Past
+# the cap this process formats the oldest queued blocks itself (see
+# _Pipeline.add).
+_BACKLOG_BYTES = 2 << 20
 
 _CSV_BOOL = {True: "True", False: "False"}
 _JSON_BOOL = {True: "true", False: "false"}
@@ -138,6 +142,14 @@ def _constant(column) -> bool:
             and column.strides[0] == 0)
 
 
+def _nbytes(column) -> int:
+    """Bytes a column holds: a numpy array's data (one value's for a
+    zero-stride view), or a list's pointers and the objects they point to."""
+    if isinstance(column, np.ndarray):
+        return column.itemsize if _constant(column) else column.nbytes
+    return sys.getsizeof(column) + sum(map(sys.getsizeof, column))
+
+
 def _template(columns: dict, leaves: list) -> dict:
     """One row of a table: each constant column's value, _MARK where a cell
     varies. Appends (name, column) of every column to `leaves`, groups
@@ -191,7 +203,7 @@ def _write_table(blocks, csv_fh, json_fh, indent: str = "") -> None:
             elif list(row) != names:
                 raise ValueError("every block must hold the columns of the first")
             pipeline.add(_block_rows(row, leaves, csv_fh is not None, indent, known,
-                                     first=i == 0), len(leaves[0]))
+                                     first=i == 0), len(leaves[0]), sum(map(_nbytes, leaves)))
         if names is None:
             raise ValueError("no block to write")
         pipeline.finish()
@@ -280,10 +292,11 @@ class _Pipeline:
     every block is queued, and whenever a block arrives while no child is
     at work, one forked child is given all that was queued before it. Each
     child formats into unnamed temporary files while the caller goes on
-    making blocks. Where more than _BACKLOG_ROWS rows wait while a child
-    works, this process formats the first queued blocks itself, in row
-    order, into temporary files of its own, so the queue does not grow
-    with the table and the next child still finds work. finish()
+    making blocks. Where the queued blocks' columns hold more than
+    _BACKLOG_BYTES while a child works, this process formats the first
+    queued blocks itself, in row order, into temporary files of its own, so
+    the queue does not grow with the table, however wide its rows, and the
+    next child still finds work. finish()
     splits what is still queued at the ROW_BLOCK boundary at or below its
     middle row: this process formats the first part, one last child the
     rest. Every child's text is copied in, in block order.
@@ -296,7 +309,7 @@ class _Pipeline:
 
     def __init__(self, fhs: tuple):
         self.fhs = fhs
-        self.queue: list = []  # (rows, begin, end) that no process formats yet
+        self.queue: list = []  # (rows, begin, end, bytes of columns) no process formats yet
         self.children: list[_Child] = []  # text not copied in yet, in row order
         self.temps = contextlib.ExitStack()
 
@@ -313,8 +326,9 @@ class _Pipeline:
                     os.kill(child.pid, signal.SIGKILL)
                     os.waitpid(child.pid, 0)
 
-    def add(self, rows, n: int) -> None:
-        """One block of n rows, written by rows() (see _block_rows())."""
+    def add(self, rows, n: int, size: int) -> None:
+        """One block of n rows whose columns hold `size` bytes, written by
+        rows() (see _block_rows())."""
         if not self.queue and not self.children and (n < SPLIT_ROWS or not _parallel()):
             rows(0, n, *self.fhs)
             return
@@ -322,9 +336,9 @@ class _Pipeline:
             self._copy_children()
             self.children.append(self._fork(self.queue))
             self.queue = []
-        self.queue.append((rows, 0, n))
-        while self.children and sum(end - begin for _, begin, end in self.queue) > _BACKLOG_ROWS:
-            rows, begin, end = self.queue.pop(0)
+        self.queue.append((rows, 0, n, size))
+        while self.children and sum(nbytes for *_, nbytes in self.queue) > _BACKLOG_BYTES:
+            rows, begin, end, _ = self.queue.pop(0)
             rows(begin, end, *self._here())
 
     def finish(self) -> None:
@@ -336,7 +350,7 @@ class _Pipeline:
             files = self._here()
             if theirs:
                 self.children.append(self._fork(theirs))
-            for rows, begin, end in mine:
+            for rows, begin, end, _ in mine:
                 rows(begin, end, *files)
         self._copy_children()
 
@@ -361,7 +375,7 @@ class _Pipeline:
         if pid == 0:
             code = 1
             try:
-                for rows, begin, end in items:
+                for rows, begin, end, _ in items:
                     rows(begin, end, *parts)
                 for part in parts:
                     if part is not None:
@@ -389,16 +403,17 @@ class _Pipeline:
 
 
 def _halves(items: list) -> tuple[list, list]:
-    """items, (rows, begin, end) in row order, cut at the ROW_BLOCK boundary
-    of its block at or below the middle row: the rows before the cut, which
-    may be none, and the rows from it on."""
-    half = sum(end - begin for _, begin, end in items) // 2
-    for j, (rows, begin, end) in enumerate(items):
+    """items, (rows, begin, end, size) in row order, cut at the ROW_BLOCK
+    boundary of its block at or below the middle row: the rows before the
+    cut, which may be none, and the rows from it on."""
+    half = sum(end - begin for _, begin, end, _ in items) // 2
+    for j, (rows, begin, end, size) in enumerate(items):
         if half < end - begin:
             break
         half -= end - begin
     cut = begin + half // ROW_BLOCK * ROW_BLOCK
-    return items[:j] + [(rows, begin, cut)] * (cut > begin), [(rows, cut, end)] + items[j + 1:]
+    return (items[:j] + [(rows, begin, cut, size)] * (cut > begin),
+            [(rows, cut, end, size)] + items[j + 1:])
 
 
 def write_rows(blocks, csv_path=None, json_path=None) -> None:
@@ -420,14 +435,15 @@ def write_rows(blocks, csv_path=None, json_path=None) -> None:
     On Linux with two or more usable CPUs, from the first block of
     SPLIT_ROWS rows or more on, blocks are formatted by forked children,
     one at a time, into temporary files while `blocks` makes the next ones
-    (simulate_startup() integrating, say); what is left when the last
-    block arrives is split between this process and one last child. Their
-    text is copied in in block order, so the bytes are the same as where
-    one process formats every row. A table of one such block is formatted
-    half by this process and half by a child. At most _BACKLOG_ROWS rows,
-    eight such blocks, wait for a child: past that this process formats
-    the oldest itself, without waiting, so a long stream is written in
-    memory set by the block.
+    (simulate_startup() integrating or sweep() evaluating, say); what is
+    left when the last block arrives is split between this process and one
+    last child. Their text is copied in in block order, so the bytes are
+    the same as where one process formats every row. A table of one such
+    block is formatted half by this process and half by a child. Blocks
+    whose columns hold at most _BACKLOG_BYTES wait for a child, eight of a
+    trace's or three of a sweep's: past that this process formats the
+    oldest itself, without waiting, so a long stream is written in memory
+    set by the block.
 
     Each file is committed as _committed() says, once every block is
     written: on any error neither target path is touched, and a block that

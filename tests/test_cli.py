@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -1091,13 +1092,68 @@ def test_sweep_failing_in_its_last_block_writes_nothing(capsys, tmp_path):
     assert (kept / "sweep.csv").read_bytes() == b"an earlier sweep\n"
 
 
-def test_sweep_blocks_stay_below_the_fork_threshold(capsys, tmp_path, monkeypatch):
-    # A trace's blocks reach SPLIT_ROWS, so forked children format them;
-    # sweep blocks and optimize.json's log blocks, SWEEP_BLOCK rows at most,
-    # stay below it, where a fork costs more memory than it saves time. A
-    # sweep of three blocks, with two CPUs usable and os.fork() refused,
-    # writes the bytes of an unpatched run.
-    assert simulate.TRACE_BLOCK >= traceio.SPLIT_ROWS > explore.SWEEP_BLOCK
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child os.fork() makes in the test."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork() is POSIX only")
+def test_a_failing_forked_sweep_leaves_nothing_behind(capsys, tmp_path, monkeypatch, forks):
+    # Three blocks of four points with two CPUs usable: the second block's
+    # arrival forks a child for the first, which is kept formatting (it
+    # sleeps, then fails) while the third block fails on its first point.
+    # The command exits 1, the child is killed and reaped, and no file is
+    # left.
+    monkeypatch.setattr(explore, "SWEEP_BLOCK", 4)
+    monkeypatch.setattr(traceio, "SPLIT_ROWS", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent = os.getpid()
+    float_texts = traceio._float_texts
+
+    def texts(column, known):
+        if os.getpid() != parent:
+            time.sleep(30)
+            raise RuntimeError("a child outlived the failed sweep")
+        return float_texts(column, known)
+
+    monkeypatch.setattr(traceio, "_float_texts", texts)
+    axes = [{"path": "transducer.electrode_length", "min": 50e-6, "max": 110e-6, "steps": 3},
+            {"path": "beam.q_factor", "min": 1000.0, "max": 8000.0, "steps": 4}]
+    argv = ["sweep", "--design", "1", "--set", "explore.axes=" + json.dumps(axes)]
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "sweep.csv").write_bytes(b"an earlier sweep\n")
+    for out in (tmp_path / "new" / "grid", kept):
+        forks.clear()
+        rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (rc, stdout) == (1, "")
+        assert err.startswith("error: transduction: electrode_length")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+    assert [p.name for p in kept.iterdir()] == ["sweep.csv"]
+    assert (kept / "sweep.csv").read_bytes() == b"an earlier sweep\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork() is POSIX only")
+def test_sweep_blocks_are_formatted_by_forked_children(capsys, tmp_path, monkeypatch, forks):
+    # Every table block of SWEEP_BLOCK rows or more, a trace's and a
+    # sweep's, reaches SPLIT_ROWS, so forked children format it where two
+    # CPUs are usable. A sweep of three blocks forks at least once there,
+    # and writes the files and stdout of the same sweep on one usable CPU.
+    assert min(simulate.TRACE_BLOCK, explore.SWEEP_BLOCK) >= traceio.SPLIT_ROWS
     axes = [{"path": "beam.q_factor", "min": 1000.0, "max": 8000.0,
              "steps": 2 * explore.SWEEP_BLOCK + 1}]
     argv = ["sweep", "--design", "1", "--set", "explore.axes=" + json.dumps(axes), "--out"]
@@ -1106,15 +1162,15 @@ def test_sweep_blocks_stay_below_the_fork_threshold(capsys, tmp_path, monkeypatc
         out = tmp_path / name
         return run_cli(capsys, *argv, str(out)), {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def fork():
-        raise AssertionError("os.fork() called")
-
-    unpatched = run("unpatched")
-    assert unpatched[0][0] == 0
-    assert json.loads(unpatched[0][1])["points"] == 2 * explore.SWEEP_BLOCK + 1
-    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert run("no-fork") == unpatched
+    two_cpus = run("two-cpus")
+    assert two_cpus[0][0] == 0
+    assert json.loads(two_cpus[0][1])["points"] == 2 * explore.SWEEP_BLOCK + 1
+    assert forks
+    forks.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run("one-cpu") == two_cpus
+    assert forks == []
 
 
 # Axes of the block-size property around design 1 with a 45 um electrode:

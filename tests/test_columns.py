@@ -701,14 +701,20 @@ def test_split_blocks_have_the_serial_bytes(tmp_path_factory, case, cuts, row_bl
 @needs_fork
 @settings(max_examples=60)
 @given(n=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=12),
-       row_block=st.integers(1, 7), split_rows=st.integers(1, 4), backlog=st.integers(0, 12))
+       row_block=st.integers(1, 7), split_rows=st.integers(1, 4), backlog=st.integers(0, 12),
+       width=st.sampled_from([3, 40]))
 def test_a_capped_backlog_has_the_serial_bytes(tmp_path_factory, n, cuts, row_block,
-                                               split_rows, backlog):
+                                               split_rows, backlog, width):
     # A child is never seen done while blocks arrive, so they queue up;
-    # past `backlog` rows this process formats the oldest itself. With a
-    # child at work no more than `backlog` rows stay queued, and the bytes
-    # are those of one process formatting every row.
+    # past the bytes of `backlog` rows this process formats the oldest
+    # itself. With a child at work the queued columns hold no more bytes
+    # than that, whatever the table's width: a cap counted in rows would
+    # let the queue hold `row_bytes` times as many. The bytes are those of
+    # one process formatting every row.
     columns = {"t": np.arange(n) * 1e-7, "v": np.sin(np.arange(n)), "step": np.arange(n)}
+    columns.update({f"c{i}": np.cos(np.arange(n) + i) for i in range(width - 3)})
+    row_bytes = sum(column.itemsize for column in columns.values())
+    cap = backlog * row_bytes
     reaped, add, here = traceio._Child.reaped, traceio._Pipeline.add, traceio._Pipeline._here
     calls = {"here": 0, "capped": 0}
 
@@ -719,16 +725,17 @@ def test_a_capped_backlog_has_the_serial_bytes(tmp_path_factory, n, cuts, row_bl
         calls["here"] += 1
         return here(pipeline)
 
-    def checked_add(pipeline, rows, count):
+    def checked_add(pipeline, rows, count, size):
+        assert size == count * row_bytes
         before = calls["here"]
-        add(pipeline, rows, count)
+        add(pipeline, rows, count, size)
         calls["capped"] += calls["here"] > before
-        queued = sum(end - begin for _, begin, end in pipeline.queue)
-        assert not pipeline.children or queued <= backlog
+        queued = sum(end - begin for _, begin, end, _ in pipeline.queue) * row_bytes
+        assert not pipeline.children or queued <= cap
 
     with mock.patch.object(traceio, "ROW_BLOCK", row_block), \
             mock.patch.object(traceio, "SPLIT_ROWS", split_rows), \
-            mock.patch.object(traceio, "_BACKLOG_ROWS", backlog), \
+            mock.patch.object(traceio, "_BACKLOG_BYTES", cap), \
             mock.patch.object(traceio._Child, "reaped", busy), \
             mock.patch.object(traceio._Pipeline, "add", checked_add), \
             mock.patch.object(traceio._Pipeline, "_here", counted_here):
