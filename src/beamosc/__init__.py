@@ -56,15 +56,7 @@ from .pierce import (
     negative_resistance,
     startup_check,
 )
-from .simulate import (
-    SimConfig,
-    Trace,
-    envelope,
-    measure_frequency,
-    simulate_startup,
-    summarize,
-    summarize_startup,
-)
+from .simulate import SimConfig, summarize_startup
 from .explore import (
     ConstraintCheck,
     DesignInputs,
@@ -91,11 +83,9 @@ __all__ = [
     "electrode_capacitance", "extract_circuit", "motional_current",
     "pull_in_voltage", "static_deflection", "PierceConfig", "PierceOptimum",
     "StartupReport", "complex_impedance", "max_negative_resistance",
-    "negative_resistance", "startup_check", "SimConfig", "Trace", "envelope",
-    "measure_frequency", "simulate_startup", "summarize", "summarize_startup",
-    "ConstraintCheck",
-    "DesignInputs", "DesignPoint", "OptimizeResult", "SweepAxis", "SweepSpec",
-    "evaluate", "flatten", "optimize", "set_parameter", "sweep", "ProjectConfig",
-    "load_builtin_design", "load_config", "ComparisonReport", "build_comparison",
-    "load_reference",
+    "negative_resistance", "startup_check", "SimConfig", "summarize_startup",
+    "ConstraintCheck", "DesignInputs", "DesignPoint", "OptimizeResult", "SweepAxis",
+    "SweepSpec", "evaluate", "flatten", "optimize", "set_parameter", "sweep",
+    "ProjectConfig", "load_builtin_design", "load_config", "ComparisonReport",
+    "build_comparison", "load_reference",
 ]

@@ -14,17 +14,16 @@ random factor in [0, 2], otherwise the nominal kick is applied and the run
 is fully deterministic. Mechanical displacement is recovered as x = q / eta
 and the run halts early if |x| reaches x_max (gap collapse).
 
-The loop hands its rows out in fresh blocks as it goes, so a caller can
-write them out while it integrates (see simulate_startup's `consume`).
-simulate_startup() joins the blocks into a Trace; summarize_startup()
-feeds them to the same summary that summarize() reads a Trace with, so a
+summarize_startup() is the one way to run it. The loop hands its rows out
+in fresh blocks as it goes, so a caller can write them out while it
+integrates (see its `consume`), and feeds each block to a _Summary, so a
 run of any length is summarized in memory set by the block. The summary
 alone samples a run for its plot (_Summary.plot()).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -34,16 +33,14 @@ from .pierce import PierceConfig
 from .transduction import EquivalentCircuit
 
 _MAX_STEPS = 20_000_000  # refusal threshold: keeps desk-scale runs desk-scale
-# Rows per block that simulate_startup() hands its consumer: at least
+# Rows per block that summarize_startup() hands its consumer: at least
 # traceio.SPLIT_ROWS, so the row writer can give each block to a forked child
 # to format.
 TRACE_BLOCK = 8192
 # A plot of a run samples every plot_stride()-th row: 4,000 to 7,999 points
 # of a long run.
 PLOT_POINTS = 4000
-_CYCLES = 20  # measure_frequency() averages over the last this many cycles
-
-ENVELOPE_SIGNALS = ("v_out", "v_in", "x")
+_CYCLES = 20  # _Summary.frequency() averages over the last this many cycles
 
 
 @dataclass(frozen=True)
@@ -94,40 +91,6 @@ class SimConfig:
             raise ValidationError("r_feedback and r_output must be > 0")
 
 
-@dataclass
-class Trace:
-    """Simulation output on a uniform time grid.
-
-    time, v_in, v_out, x and branch_current are equal-length arrays;
-    pulled_in marks a run halted by the displacement guard. v_limit is
-    carried along so envelope-based measurements know the saturation scale.
-    """
-
-    time: np.ndarray = field(repr=False)
-    v_in: np.ndarray = field(repr=False)
-    v_out: np.ndarray = field(repr=False)
-    x: np.ndarray = field(repr=False)
-    branch_current: np.ndarray = field(repr=False)
-    pulled_in: bool = False
-    v_limit: float | None = None
-
-    def __post_init__(self):
-        n = len(self.time)
-        for name in ("v_in", "v_out", "x", "branch_current"):
-            if len(getattr(self, name)) != n:
-                raise ValidationError(f"trace field {name} length mismatch")
-        if n < 2:
-            raise ValidationError("trace needs at least two samples")
-        steps = np.diff(self.time)
-        dt = steps[0]
-        if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * dt:
-            raise ValidationError("trace time grid must be uniform and increasing")
-
-    @property
-    def dt(self) -> float:
-        return float(self.time[1] - self.time[0])
-
-
 class Plot(NamedTuple):
     """The v_out samples of a run that trace.svg plots, and their times."""
 
@@ -140,38 +103,6 @@ def plot_stride(rows: int) -> int:
     return max(1, rows // PLOT_POINTS)
 
 
-def simulate_startup(
-    circuit: EquivalentCircuit,
-    amplifier: PierceConfig,
-    sim: SimConfig,
-    eta: float,
-    x_max: float = math.inf,
-    consume=None,
-) -> Trace:
-    """Integrate the closed loop from a small kick and return the Trace.
-
-    `eta` converts branch charge to displacement; `x_max` is the gap-collapse
-    guard (pass math.inf to disable). The run halts at the first sample with
-    |x| >= x_max and the returned trace has pulled_in set.
-
-    consume(blocks), if given, receives the run's rows while they are
-    integrated: an iterator over blocks of up to TRACE_BLOCK rows, each a
-    dict of columns t, v_in, v_out and x with the bits of the Trace's
-    time, v_in, v_out and x. It must exhaust the iterator, which runs the
-    integration; an error of the integrator is raised from it. Each block
-    is freshly allocated, so a consumer may keep it. The Trace is joined
-    from the blocks once the run ends; summarize_startup() runs the same
-    loop and keeps no column of the whole run.
-    """
-    _, blocks = _startup(circuit, amplifier, sim, eta, x_max)
-    kept = []
-    pulled_in = _run(blocks, consume,
-                     lambda columns, current: kept.append([*columns.values(), current]))
-    t, v_in, v_out, x, i_l = (np.concatenate(column) for column in zip(*kept))
-    return Trace(time=t, v_in=v_in, v_out=v_out, x=x, branch_current=i_l,
-                 pulled_in=pulled_in, v_limit=sim.v_limit)
-
-
 def summarize_startup(
     circuit: EquivalentCircuit,
     amplifier: PierceConfig,
@@ -180,10 +111,30 @@ def summarize_startup(
     x_max: float = math.inf,
     consume=None,
 ) -> tuple[dict, np.ndarray | None, Plot]:
-    """The run of simulate_startup(), summarized while it is integrated:
-    what summarize() returns for its Trace, bit for bit, and the Plot of
-    its time and v_out at every plot_stride()-th row, which
-    write_trace_svg() draws. `consume` is as for simulate_startup().
+    """Integrate the closed loop from a small kick, and classify the run
+    while it is integrated. Returns its headline numbers as a JSON-ready
+    dict, the v_out envelope it read (None below 3 full cycles), and the
+    Plot of its time and v_out at every plot_stride()-th row, which
+    write_trace_svg() draws.
+
+    `eta` converts branch charge to displacement; `x_max` is the gap-collapse
+    guard (pass math.inf to disable). The run halts at the first row with
+    |x| >= x_max and is reported pulled_in.
+
+    status is one of pulled_in, growing, stabilized, decayed:
+    pulled_in wins outright; decayed means the envelope lost more than 5%
+    over the second half of the run or the signal died relative to its own
+    peak; growing means it gained more than 5%; anything else stabilized.
+    frequency_hz is null for decayed runs; growth_rate_per_s is null where
+    the envelope does not grow through its small-signal window.
+    Without an envelope, final_amplitude_v is the largest |v_out| of the
+    last tenth of the run.
+
+    consume(blocks), if given, receives the run's rows while they are
+    integrated: an iterator over blocks of up to TRACE_BLOCK rows, each a
+    dict of columns t, v_in, v_out and x. It must exhaust the iterator,
+    which runs the integration; an error of the integrator is raised from
+    it. Each block is freshly allocated, so a consumer may keep it.
 
     Memory is set by the block, not by the run, except for what the
     summary itself keeps: one envelope row per cycle and, with the guard
@@ -192,9 +143,23 @@ def summarize_startup(
     """
     rows, blocks = _startup(circuit, amplifier, sim, eta, x_max)
     summary = _Summary(rows if x_max == math.inf else None)
-    pulled_in = _run(blocks, consume,
-                     lambda columns, _: summary.add(columns["t"], columns["v_out"]))
-    return (*summary.result(pulled_in, sim.v_limit), summary.plot())
+    ended = []
+
+    def columns():
+        halted = False
+        for block, _, halted in blocks:
+            summary.add(block["t"], block["v_out"])
+            yield block
+        ended.append(halted)
+
+    if consume is None:
+        for _ in columns():
+            pass
+    else:
+        consume(columns())
+    if not ended:
+        raise ValueError("consume() returned before the integration ended")
+    return (*summary.result(ended[0], sim.v_limit), summary.plot())
 
 
 def _startup(circuit, amplifier, sim, eta, x_max) -> tuple[int, Iterator]:
@@ -257,9 +222,10 @@ def _startup(circuit, amplifier, sim, eta, x_max) -> tuple[int, Iterator]:
 def _integrate(rhs, state: tuple, n_steps: int, dt: float, q_max: float, eta: float):
     """RK4 from `state` (i_l, q, v1, v2), row 0, to row n_steps, or to the
     first row with |q| >= q_max. Yields each block of TRACE_BLOCK rows as
-    it is made, in fresh arrays: its columns as simulate_startup()
-    describes them (t is step * dt), its branch current, and whether the
-    guard halted the run at its last row."""
+    it is made, in fresh arrays: its columns as summarize_startup()
+    describes them (t is step * dt), its branch current (which only an
+    energy balance reads), and whether the guard halted the run at its
+    last row."""
     i_l, q, v1, v2 = state
     half = dt / 2.0
     sixth = dt / 6.0
@@ -299,32 +265,9 @@ def _integrate(rhs, state: tuple, n_steps: int, dt: float, q_max: float, eta: fl
             return
 
 
-def _run(blocks, consume, keep) -> bool:
-    """Run the integration `blocks` (see _integrate()): keep(columns,
-    branch_current) sees each block, and consume() the blocks of columns
-    as simulate_startup() describes. Returns whether the guard halted it."""
-    ended = []
-
-    def columns():
-        halted = False
-        for block, current, halted in blocks:
-            keep(block, current)
-            yield block
-        ended.append(halted)
-
-    if consume is None:
-        for _ in columns():
-            pass
-    else:
-        consume(columns())
-    if not ended:
-        raise ValueError("consume() returned before the integration ended")
-    return ended[0]
-
-
 class _Summary:
-    """What summarize() reports of a run, gathered from its t and v_out
-    columns fed in row order, one block at a time (add()).
+    """What summarize_startup() reports of a run, gathered from its t and
+    v_out columns fed in row order, one block at a time (add()).
 
     Across blocks it carries the open cycle's first largest |v_out| and its
     time, the last row (whether a cycle starts there is known only from the
@@ -352,15 +295,9 @@ class _Summary:
         self.peak = self.tail = 0.0  # largest |v_out| of the run, and from row tail_from on
         self.kept = []  # v_out at rows 0, keep, 2 * keep, ...
 
-    @classmethod
-    def of(cls, trace: Trace, v: np.ndarray) -> _Summary:
-        """A whole Trace fed as one block, `v` its v_out or another signal."""
-        summary = cls(len(trace.time))
-        summary.add(trace.time, v)
-        return summary
-
     def add(self, t: np.ndarray, v: np.ndarray) -> None:
-        """Feed the run's next rows: their t and v_out."""
+        """Feed the run's next rows: their t and v_out (or any other signal
+        on the same rows)."""
         n0, self.n = self.n, self.n + len(v)
         a = np.abs(v)
         self.peak = max(self.peak, float(a.max()))
@@ -394,7 +331,9 @@ class _Summary:
             self.cycles.append(np.array(closed))
 
     def envelope(self) -> np.ndarray:
-        """envelope()'s rows: one per cycle between two upward crossings."""
+        """Per-cycle amplitude: one row (t_peak, |peak|) per cycle between
+        two upward crossings, at the cycle's first largest |v|. Needs at
+        least 3 full cycles."""
         if self.count < 4:
             raise InsufficientDataError(
                 f"envelope needs >= 3 full cycles, found {max(self.count - 1, 0)}"
@@ -402,7 +341,8 @@ class _Summary:
         return np.concatenate(self.cycles)
 
     def frequency(self) -> float:
-        """measure_frequency()'s value."""
+        """Mean frequency over the last _CYCLES cycles, Hz, each crossing's
+        time refined by linear interpolation between its two samples."""
         if self.count < _CYCLES + 1:
             raise InsufficientDataError(
                 f"frequency over {_CYCLES} cycles needs {_CYCLES + 1} crossings, "
@@ -415,7 +355,7 @@ class _Summary:
         return _CYCLES / (t_last - t_first)
 
     def result(self, pulled_in: bool, v_limit: float | None) -> tuple[dict, np.ndarray | None]:
-        """summarize()'s dict and envelope."""
+        """summarize_startup()'s dict and envelope."""
         try:
             env = self.envelope()
         except InsufficientDataError:
@@ -484,30 +424,6 @@ def _tail(rows: int) -> int:
     return max(2, rows // 10)
 
 
-def _signal(trace: Trace, name: str) -> np.ndarray:
-    if name not in ENVELOPE_SIGNALS:
-        raise ValidationError(f"signal must be one of {ENVELOPE_SIGNALS}")
-    return {"v_out": trace.v_out, "v_in": trace.v_in, "x": trace.x}[name]
-
-
-def envelope(trace: Trace, signal: str = "v_out") -> np.ndarray:
-    """Per-cycle amplitude of an oscillating signal.
-
-    Cycles are delimited by upward zero crossings; each contributes one row
-    (t_peak, |peak|) taken at the largest-magnitude sample of that cycle.
-    Requires at least 3 complete cycles.
-    """
-    return _Summary.of(trace, _signal(trace, signal)).envelope()
-
-
-def measure_frequency(trace: Trace) -> float:
-    """Mean frequency of v_out over its last 20 cycles, Hz.
-
-    Crossing times are refined by linear interpolation between samples.
-    """
-    return _Summary.of(trace, trace.v_out).frequency()
-
-
 def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
     tc = t - t.mean()
     return float(np.dot(tc, y - y.mean()) / np.dot(tc, tc))
@@ -536,20 +452,3 @@ def _fit_growth(env: np.ndarray, v_limit: float | None) -> float:
     if slope <= 0:
         raise InsufficientDataError("envelope is not growing in the fit window")
     return slope
-
-
-def summarize(trace: Trace) -> tuple[dict, np.ndarray | None]:
-    """Classify a run and report its headline numbers as a JSON-ready dict,
-    with the v_out envelope it read (None below 3 full cycles).
-
-    status is one of pulled_in, growing, stabilized, decayed:
-    pulled_in wins outright; decayed means the envelope lost more than 5%
-    over the second half of the run or the signal died relative to its own
-    peak; growing means it gained more than 5%; anything else stabilized.
-    frequency_hz is null for decayed runs; growth_rate_per_s is null where
-    the envelope does not grow through its small-signal window.
-    Without an envelope, final_amplitude_v is the largest |v_out| of the
-    last tenth of the run. The Trace is read as one block of the summary
-    that summarize_startup() feeds block by block.
-    """
-    return _Summary.of(trace, trace.v_out).result(trace.pulled_in, trace.v_limit)

@@ -50,7 +50,7 @@ _WRITE_ROWS = 32
 SPLIT_ROWS = 4 * ROW_BLOCK
 # Bytes of queued columns that wait for a forked child, at most: 65,536 rows
 # of a trace's four float columns. A child formats about as fast as
-# simulate_startup() integrates, so a long stream's queue would grow with it.
+# summarize_startup() integrates, so a long stream's queue would grow with it.
 # A sweep's row holds about 150 B of columns, five times a trace's, so the
 # cap is counted in bytes: in rows it would hold five times the memory. Past
 # the cap this process formats the oldest queued blocks itself (see
@@ -435,7 +435,7 @@ def write_rows(blocks, csv_path=None, json_path=None) -> None:
     On Linux with two or more usable CPUs, from the first block of
     SPLIT_ROWS rows or more on, blocks are formatted by forked children,
     one at a time, into temporary files while `blocks` makes the next ones
-    (simulate_startup() integrating or sweep() evaluating, say); what is
+    (summarize_startup() integrating or sweep() evaluating, say); what is
     left when the last block arrives is split between this process and one
     last child. Their text is copied in in block order, so the bytes are
     the same as where one process formats every row. A table of one such

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import settings
 
 from beamosc.config import BUILTIN_DESIGNS, ProjectConfig, load_builtin_design
 from beamosc.explore import evaluate
+from beamosc import simulate
 from beamosc.report import load_reference
-from beamosc.simulate import SimConfig, simulate_startup
+from beamosc.simulate import SimConfig, summarize_startup
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -42,7 +44,7 @@ def join_blocks(blocks) -> dict:
 
 
 def tanh_nan_from(step: int):
-    """A math.tanh for simulate_startup() that returns NaN from the first
+    """A math.tanh for summarize_startup() that returns NaN from the first
     right-hand side of RK4 step `step` on (four per step), so the state
     turns non-finite at that step."""
     calls = itertools.count()
@@ -55,8 +57,22 @@ def tanh_nan_from(step: int):
     return fake
 
 
-def run_startup(point, gm=None, sim=None, x_max=float("inf")):
-    """Simulate one evaluated design point's startup.
+class Run(NamedTuple):
+    """A startup run: its columns joined over the whole run, and what
+    summarize_startup() returned for it."""
+
+    t: np.ndarray
+    v_in: np.ndarray
+    v_out: np.ndarray
+    x: np.ndarray
+    summary: dict
+    env: np.ndarray | None
+    plot: simulate.Plot
+
+
+def run_startup(point, gm=None, sim=None, x_max=math.inf) -> Run:
+    """Simulate one evaluated design point's startup: one summarize_startup()
+    call, whose blocks are kept and joined.
 
     The default window is 700 cycles: long enough for the loop to reach
     its saturated amplitude and sit there for the whole second half.
@@ -64,9 +80,26 @@ def run_startup(point, gm=None, sim=None, x_max=float("inf")):
     if sim is None:
         sim = SimConfig(noise_seed=7, duration=700.0 / point.circuit.f0)
     amplifier = point.amplifier if gm is None else replace(point.amplifier, gm=gm)
-    return simulate_startup(
-        point.circuit, amplifier, sim, point.eta, x_max=x_max,
-    )
+    blocks = []
+    summary, env, plot = summarize_startup(point.circuit, amplifier, sim, point.eta,
+                                           x_max=x_max, consume=blocks.extend)
+    return Run(**join_blocks(blocks), summary=summary, env=env, plot=plot)
+
+
+def summary_of(t, v) -> simulate._Summary:
+    """The summary of a whole signal `v` on the rows `t`, fed as one block:
+    its .envelope() and .frequency() read v as a run's summary reads v_out."""
+    summary = simulate._Summary(len(v))
+    summary.add(t, v)
+    return summary
+
+
+def startup_columns(circuit, amplifier, sim, eta) -> dict:
+    """An unguarded run's columns and its branch current i_l, joined from
+    the integrator's blocks: what an energy balance needs."""
+    _, blocks = simulate._startup(circuit, amplifier, sim, eta, math.inf)
+    columns, currents, _ = zip(*blocks)
+    return {**join_blocks(columns), "i_l": np.concatenate(currents)}
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import join_blocks, run_startup
+from conftest import join_blocks, run_startup, startup_columns, summary_of
 from beamosc.explore import SweepAxis, SweepSpec, flatten, optimize, sweep
 from beamosc.pierce import (
     PierceConfig,
@@ -23,13 +23,7 @@ from beamosc.pierce import (
     negative_resistance,
 )
 from beamosc.report import QUANTITIES
-from beamosc.simulate import (
-    SimConfig,
-    envelope,
-    measure_frequency,
-    simulate_startup,
-    summarize,
-)
+from beamosc.simulate import SimConfig
 from beamosc.transduction import extract_circuit
 
 COLUMN_OF = {key: column for key, _, _, _, column in QUANTITIES}
@@ -139,10 +133,9 @@ def test_criterion_08_startup_simulation(design_points, startup_trace):
     with criterion(8, "simulated startup grows at the predicted rate, "
                       "stabilizes on frequency, and is reproducible"):
         point = design_points[1]
-        summary, _ = summarize(startup_trace)
+        summary = startup_trace.summary
         assert summary["status"] == "stabilized"
-        assert measure_frequency(startup_trace) == pytest.approx(
-            point.circuit.f0, rel=0.01)
+        assert summary["frequency_hz"] == pytest.approx(point.circuit.f0, rel=0.01)
         theory = (point.re_zc - point.circuit.r_x) / (2 * point.circuit.l_x)
         assert summary["growth_rate_per_s"] == pytest.approx(theory, rel=0.1)
 
@@ -156,11 +149,11 @@ def test_criterion_08_startup_simulation(design_points, startup_trace):
         ring = run_startup(point, gm=gm_half, sim=SimConfig(
             noise_seed=None, initial_kick=0.0, initial_displacement=5e-9,
             duration=160.0 / point.circuit.f0))
-        assert log_slope(envelope(ring, signal="x")) < 0
+        assert log_slope(summary_of(ring.t, ring.x).envelope()) < 0
 
         # With every loss element removed the integrator conserves energy.
         ec = extract_circuit(point.model.k, point.model.m, math.inf, point.eta)
-        lossless = simulate_startup(
+        lossless = startup_columns(
             ec,
             replace(point.amplifier, gm=0.0, f0=ec.f0),
             SimConfig(noise_seed=None, initial_kick=1e-2,
@@ -168,12 +161,13 @@ def test_criterion_08_startup_simulation(design_points, startup_trace):
                       r_feedback=1e15, r_output=1e15),
             point.eta,
         )
-        q = lossless.x * point.eta
-        energy = (0.5 * ec.l_x * lossless.branch_current ** 2
+        q = lossless["x"] * point.eta
+        v_in, v_out = lossless["v_in"], lossless["v_out"]
+        energy = (0.5 * ec.l_x * lossless["i_l"] ** 2
                   + 0.5 * q ** 2 / ec.c_x
-                  + 0.5 * point.inputs.c1 * lossless.v_in ** 2
-                  + 0.5 * point.inputs.c2 * lossless.v_out ** 2
-                  + 0.5 * point.inputs.c0 * (lossless.v_in - lossless.v_out) ** 2)
+                  + 0.5 * point.inputs.c1 * v_in ** 2
+                  + 0.5 * point.inputs.c2 * v_out ** 2
+                  + 0.5 * point.inputs.c0 * (v_in - v_out) ** 2)
         assert (energy.max() - energy.min()) / energy[0] < 1e-3
 
 

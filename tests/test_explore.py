@@ -22,7 +22,7 @@ from beamosc.explore import (
     sweep,
 )
 from beamosc.process import MemsRuleSet, check_mems_rules, metal_stack_heights
-from beamosc.simulate import SimConfig, simulate_startup
+from beamosc.simulate import SimConfig, summarize_startup
 from conftest import join_blocks
 
 
@@ -216,8 +216,8 @@ class TestStageErrors:
                               {"neg_resistance": point.re_zc,
                                "motional_resistance": circuit.r_x}),
             "_gm_roots": (pierce._gm_roots, {**caps, "target_resistance": 3 * circuit.r_x}),
-            "simulate_startup": (partial(simulate_startup, circuit, amp, short),
-                                 {"eta": point.eta, "x_max": 1e-6}),
+            "summarize_startup": (partial(summarize_startup, circuit, amp, short),
+                                  {"eta": point.eta, "x_max": 1e-6}),
             "LumpedBeamModel": (mechanics.LumpedBeamModel, vars(model)),
             "EquivalentCircuit": (transduction.EquivalentCircuit, vars(circuit)),
             "PierceConfig": (pierce.PierceConfig, vars(amp)),

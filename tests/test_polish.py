@@ -235,7 +235,10 @@ def check_polish(inputs, spec, kind):
 
 
 def brute_force_lp(g, rows, lower, upper):
-    """The least g.d over every vertex of the box and rows, with numpy."""
+    """The least g.d over every vertex of the box and rows, with numpy. A
+    vertex within 1e-9 of the box is moved onto it, and may exceed a row by
+    1e-12 in a.d, the slack of _lp()'s own check: a slack of 1e-9 admits
+    a vertex far outside a row of small coefficients."""
     n = len(g)
     planes = [(np.eye(n)[i], b) for i in range(n) for b in (lower[i], upper[i])]
     planes += [(np.array(a), b) for a, b in rows]
@@ -245,8 +248,10 @@ def brute_force_lp(g, rows, lower, upper):
         if abs(np.linalg.det(a)) < 1e-9:
             continue
         d = np.linalg.solve(a, [p[1] for p in chosen])
-        if (np.all(d >= np.array(lower) - 1e-9) and np.all(d <= np.array(upper) + 1e-9)
-                and all(np.dot(r, d) <= b + 1e-9 for r, b in rows)):
+        if not (np.all(d >= np.array(lower) - 1e-9) and np.all(d <= np.array(upper) + 1e-9)):
+            continue
+        d = np.clip(d, lower, upper)
+        if all(np.dot(r, d) <= b + 1e-12 for r, b in rows):
             best = min(best, float(np.dot(g, d)))
     return best
 

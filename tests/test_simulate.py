@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_startup, tanh_nan_from
+from conftest import run_startup, startup_columns, summary_of, tanh_nan_from
 from beamosc import simulate
 from beamosc.errors import (
     InsufficientDataError,
@@ -15,15 +16,7 @@ from beamosc.errors import (
     ValidationError,
 )
 from beamosc.pierce import _gm_roots, negative_resistance
-from beamosc.simulate import (
-    SimConfig,
-    Trace,
-    envelope,
-    measure_frequency,
-    simulate_startup,
-    summarize,
-    summarize_startup,
-)
+from beamosc.simulate import SimConfig, summarize_startup
 from beamosc.traceio import write_trace_svg
 from beamosc.transduction import extract_circuit
 
@@ -43,22 +36,20 @@ def gm_for_margin(point, margin):
     return low
 
 
-def synthetic_trace(rate=800.0, f=10e3, amp0=1e-3, duration=0.02):
+def synthetic_signal(rate=800.0, f=10e3, amp0=1e-3, duration=0.02):
+    """A growing sine's summary, the signal fed as one block."""
     dt = 1.0 / (250.0 * f)
     t = np.arange(0.0, duration, dt)
-    v = amp0 * np.exp(rate * t) * np.sin(2 * np.pi * f * t)
-    zeros = np.zeros_like(t)
-    return Trace(time=t, v_in=zeros, v_out=v, x=v * 1e-9,
-                 branch_current=zeros, v_limit=None)
+    return summary_of(t, amp0 * np.exp(rate * t) * np.sin(2 * np.pi * f * t))
 
 
 class TestIntegrationBasics:
     def test_default_grid(self, design_points):
         trace = run_startup(design_points[1], sim=SimConfig())
         f0 = design_points[1].circuit.f0
-        assert trace.dt == pytest.approx(1.0 / (250.0 * f0), rel=1e-12)
-        assert len(trace.time) == 100001  # 400 cycles, 250 steps each
-        assert not trace.pulled_in
+        assert trace.t[1] - trace.t[0] == pytest.approx(1.0 / (250.0 * f0), rel=1e-12)
+        assert len(trace.t) == 100001  # 400 cycles, 250 steps each
+        assert not trace.summary["pulled_in"]
 
     def test_coarse_dt_rejected(self, design_points):
         point = design_points[1]
@@ -94,14 +85,9 @@ class TestIntegrationBasics:
             SimConfig(**{name: value})
 
     def test_trace_grid_is_uniform(self, startup_trace):
-        steps = np.diff(startup_trace.time)
-        assert np.max(np.abs(steps - startup_trace.dt)) <= 1e-9 * startup_trace.dt
-
-    def test_nonuniform_trace_rejected(self):
-        t = np.array([0.0, 1.0, 3.0, 4.0])
-        z = np.zeros(4)
-        with pytest.raises(ValidationError):
-            Trace(time=t, v_in=z, v_out=z, x=z, branch_current=z)
+        steps = np.diff(startup_trace.t)
+        dt = steps[0]
+        assert np.max(np.abs(steps - dt)) <= 1e-9 * dt
 
     def test_stiff_network_detected(self, design_points):
         # A 1 ohm output load makes the electrical pole explode under RK4.
@@ -137,22 +123,22 @@ class TestDeterminism:
 
 class TestStartupDynamics:
     def test_startup_grows_and_stabilizes(self, startup_trace):
-        summary, _ = summarize(startup_trace)
+        summary = startup_trace.summary
         assert summary["status"] == "stabilized"
         assert not summary["pulled_in"]
         assert summary["final_amplitude_v"] > 1.0  # swings at the supply scale
 
     def test_frequency_within_one_percent(self, design_points, startup_trace):
-        f = measure_frequency(startup_trace)
+        f = startup_trace.summary["frequency_hz"]
         assert f == pytest.approx(design_points[1].circuit.f0, rel=1e-2)
 
     def test_growth_rate_matches_linear_theory(self, design_points, startup_trace):
         theory = linear_growth_theory(design_points[1])
-        measured = summarize(startup_trace)[0]["growth_rate_per_s"]
+        measured = startup_trace.summary["growth_rate_per_s"]
         assert measured == pytest.approx(theory, rel=0.1)
 
     def test_envelope_rises_through_small_signal_window(self, startup_trace):
-        env = envelope(startup_trace)
+        env = startup_trace.env
         small = env[env[:, 1] < 0.01, 1]
         assert len(small) > 10
         assert small[-1] > small[0]
@@ -160,21 +146,21 @@ class TestStartupDynamics:
     def test_halving_dt_barely_moves_the_answer(self, design_points, startup_trace):
         point = design_points[1]
         fine = run_startup(point, sim=SimConfig(
-            noise_seed=7, dt=startup_trace.dt / 2.0,
+            noise_seed=7, dt=float(startup_trace.t[1] - startup_trace.t[0]) / 2.0,
             duration=700.0 / point.circuit.f0))
-        coarse_tail = envelope(startup_trace)[-10:, 1].mean()
-        fine_tail = envelope(fine)[-10:, 1].mean()
+        coarse_tail = startup_trace.env[-10:, 1].mean()
+        fine_tail = fine.env[-10:, 1].mean()
         assert fine_tail == pytest.approx(coarse_tail, rel=5e-3)
 
     def test_pull_in_guard_halts_run(self, design_points):
         point = design_points[1]
         x_max = point.x_limit  # 0.33 * gap
         trace = run_startup(point, x_max=x_max)
-        assert trace.pulled_in
+        assert trace.summary["pulled_in"]
         assert abs(trace.x[-1]) >= x_max
-        assert trace.time[-1] < 400.0 / point.circuit.f0  # halted early
-        assert 1.5e-3 < trace.time[-1] < 3.0e-3  # grows for a couple of ms
-        assert summarize(trace)[0]["status"] == "pulled_in"
+        assert trace.t[-1] < 400.0 / point.circuit.f0  # halted early
+        assert 1.5e-3 < trace.t[-1] < 3.0e-3  # grows for a couple of ms
+        assert trace.summary["status"] == "pulled_in"
 
 
 class TestDichotomy:
@@ -192,7 +178,7 @@ class TestDichotomy:
                         initial_displacement=5e-9,
                         duration=cycles / point.circuit.f0)
         trace = run_startup(point, gm=gm, sim=sim)
-        env = envelope(trace, signal="x")
+        env = summary_of(trace.t, trace.x).envelope()
         env = env[len(env) // 2:]
         t, a = env[:, 0], np.log(env[:, 1])
         tc = t - t.mean()
@@ -233,15 +219,15 @@ class TestEnergyConservation:
                         duration=100.0 / ec.f0,
                         r_feedback=1e15, r_output=1e15)
         amplifier = replace(point.amplifier, gm=0.0, f0=ec.f0)
-        trace = simulate_startup(ec, amplifier, sim, point.eta)
+        run = startup_columns(ec, amplifier, sim, point.eta)
         c0, c1, c2 = point.inputs.c0, point.inputs.c1, point.inputs.c2
-        q = trace.x * point.eta
+        q = run["x"] * point.eta
         energy = (
-            0.5 * ec.l_x * trace.branch_current ** 2
+            0.5 * ec.l_x * run["i_l"] ** 2
             + 0.5 * q ** 2 / ec.c_x
-            + 0.5 * c1 * trace.v_in ** 2
-            + 0.5 * c2 * trace.v_out ** 2
-            + 0.5 * c0 * (trace.v_in - trace.v_out) ** 2
+            + 0.5 * c1 * run["v_in"] ** 2
+            + 0.5 * c2 * run["v_out"] ** 2
+            + 0.5 * c0 * (run["v_in"] - run["v_out"]) ** 2
         )
         drift = (energy.max() - energy.min()) / energy[0]
         assert drift < 1e-3
@@ -250,47 +236,41 @@ class TestEnergyConservation:
 class TestMeasurements:
     def test_synthetic_growth_rate(self):
         # Without a v_limit the fit window reaches up to the envelope's peak.
-        trace = synthetic_trace(rate=800.0)
-        measured = summarize(trace)[0]["growth_rate_per_s"]
+        summary = synthetic_signal(rate=800.0)
+        measured = summary.result(False, None)[0]["growth_rate_per_s"]
         assert measured == pytest.approx(800.0, rel=2e-2)
 
     def test_synthetic_frequency(self):
-        trace = synthetic_trace(rate=100.0, f=10e3)
-        assert measure_frequency(trace) == pytest.approx(10e3, rel=5e-4)
+        summary = synthetic_signal(rate=100.0, f=10e3)
+        assert summary.frequency() == pytest.approx(10e3, rel=5e-4)
 
     def test_envelope_needs_three_cycles(self):
-        trace = synthetic_trace(rate=0.0, f=10e3, duration=2.5e-4)
+        summary = synthetic_signal(rate=0.0, f=10e3, duration=2.5e-4)
         with pytest.raises(InsufficientDataError):
-            envelope(trace)
+            summary.envelope()
 
     def test_growth_rate_rejects_decay(self):
         # At the default 0.1 V saturation scale the fit window [0.33, 10) mV
         # holds the first 55 cycles of the decay: the fitted slope is negative.
         t = np.arange(0.0, 0.02, 1.0 / (250.0 * 10e3))
         v = 1e-3 * np.exp(-200.0 * t) * np.sin(2 * np.pi * 10e3 * t)
-        z = np.zeros_like(t)
-        trace = Trace(time=t, v_in=z, v_out=v, x=z, branch_current=z,
-                      v_limit=0.1)
-        assert summarize(trace)[0]["growth_rate_per_s"] is None
+        assert summary_of(t, v).result(False, 0.1)[0]["growth_rate_per_s"] is None
 
     def test_frequency_needs_enough_cycles(self):
-        trace = synthetic_trace(rate=0.0, f=10e3, duration=1e-3)
+        summary = synthetic_signal(rate=0.0, f=10e3, duration=1e-3)
         with pytest.raises(InsufficientDataError):
-            measure_frequency(trace)
+            summary.frequency()
 
     def test_envelope_signal_selector(self, startup_trace):
-        ex = envelope(startup_trace, signal="x")
-        ev = envelope(startup_trace, signal="v_out")
+        ex = summary_of(startup_trace.t, startup_trace.x).envelope()
+        ev = summary_of(startup_trace.t, startup_trace.v_out).envelope()
         assert len(ex) > 100 and len(ev) > 100
-        with pytest.raises(ValidationError):
-            envelope(startup_trace, signal="branch_current")
 
     def test_summarize_decayed_run(self, design_points):
         point = design_points[1]
         sim = SimConfig(noise_seed=None, initial_kick=1e-3,
                         duration=80.0 / point.circuit.f0)
-        trace = run_startup(point, gm=0.0, sim=sim)
-        summary, _ = summarize(trace)
+        summary = run_startup(point, gm=0.0, sim=sim).summary
         assert summary["status"] == "decayed"
         assert summary["frequency_hz"] is None
 
@@ -305,30 +285,37 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
+def one_block(point, amplifier, sim, x_max=math.inf):
+    """run_startup() with the whole run in one block (TRACE_BLOCK above
+    any run's rows): the reference the block sizes below are held to."""
+    with mock.patch.object(simulate, "TRACE_BLOCK", simulate._MAX_STEPS + 1):
+        return run_startup(point, gm=amplifier.gm, sim=sim, x_max=x_max)
+
+
 _UNGUARDED = {}
 
 
 def unguarded_run(design, point, amplifier, sim):
-    """simulate_startup() without the guard, memoized per (design, gm,
-    initial displacement): the properties below draw the same 50-cycle
-    runs again and again."""
+    """one_block() without the guard, memoized per (design, gm, initial
+    displacement): the properties below draw the same 50-cycle runs again
+    and again."""
     key = (design, amplifier.gm, sim.initial_displacement)
     if key not in _UNGUARDED:
-        _UNGUARDED[key] = simulate_startup(point.circuit, amplifier, sim, point.eta)
+        _UNGUARDED[key] = one_block(point, amplifier, sim)
     return _UNGUARDED[key]
 
 
 def blocked_run(point, sim, x_max, block):
-    """simulate_startup() at TRACE_BLOCK = block: its Trace, or the
+    """summarize_startup() at TRACE_BLOCK = block: what it returned, or the
     SimulationError it raised, and the blocks its consumer received."""
     got = []
     with mock.patch.object(simulate, "TRACE_BLOCK", block):
         try:
-            trace = simulate_startup(point.circuit, point.amplifier, sim, point.eta,
-                                     x_max=x_max, consume=got.extend)
+            result = summarize_startup(point.circuit, point.amplifier, sim, point.eta,
+                                       x_max=x_max, consume=got.extend)
         except SimulationError as err:
             return err, got
-    return trace, got
+    return result, got
 
 
 @settings(max_examples=30)
@@ -344,22 +331,20 @@ def test_blocks_are_the_whole_trace_bit_for_bit(design_points, design, guard, da
     x_max = math.inf
     if guard:
         x_max = data.draw(st.floats(0.05, 1.0)) * float(np.abs(want.x).max())
-        want = simulate_startup(point.circuit, point.amplifier, sim, point.eta, x_max=x_max)
-    end = len(want.time) - 1
+        want = one_block(point, point.amplifier, sim, x_max)
+    end = len(want.t) - 1
     block = data.draw(st.integers(1, 7) | st.sampled_from(divisors(end) + divisors(end + 1)))
     if guard and block > 1:
         event({0: "pull-in on a block's first row", block - 1: "pull-in on a block's last row"}
               .get(end % block, "pull-in inside a block"))
-    trace, blocks = blocked_run(point, sim, x_max, block)
+    (summary, _, _), blocks = blocked_run(point, sim, x_max, block)
     assert [len(b["t"]) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
     assert 1 <= len(blocks[-1]["t"]) <= block
     assert list(blocks[0]) == ["t", "v_in", "v_out", "x"]
-    for name, column in (("t", want.time), ("v_in", want.v_in), ("v_out", want.v_out),
-                         ("x", want.x)):
-        assert np.array_equal(bits(np.concatenate([b[name] for b in blocks])), bits(column))
-    assert trace.pulled_in == want.pulled_in == guard
-    for name in ("time", "v_in", "v_out", "x", "branch_current"):
-        assert np.array_equal(bits(getattr(trace, name)), bits(getattr(want, name)))
+    for name in ("t", "v_in", "v_out", "x"):
+        assert np.array_equal(bits(np.concatenate([b[name] for b in blocks])),
+                              bits(getattr(want, name)))
+    assert summary["pulled_in"] == want.summary["pulled_in"] == guard
 
 
 @settings(max_examples=20)
@@ -371,7 +356,7 @@ def test_a_non_finite_state_fails_the_same_in_blocks(design_points, design, data
     step = data.draw(st.integers(1, n_steps))
     block = data.draw(st.integers(1, 7) | st.sampled_from(divisors(step) + divisors(step + 1)))
     with mock.patch("math.tanh", tanh_nan_from(step)), pytest.raises(SimulationError) as want:
-        simulate_startup(point.circuit, point.amplifier, sim, point.eta)
+        one_block(point, point.amplifier, sim)
     with mock.patch("math.tanh", tanh_nan_from(step)):
         err, blocks = blocked_run(point, sim, math.inf, block)
     assert want.value.step == step
@@ -389,6 +374,16 @@ def same_bits(a, b) -> bool:
         return type(a) in (float, np.float64) and type(b) in (float, np.float64) \
             and bits(a) == bits(b)
     return a == b
+
+
+def assert_same_summary(got, env, want, want_env):
+    """Two summaries and their envelopes are the same, bit for bit."""
+    assert list(got) == list(want)
+    assert all(same_bits(got[key], want[key]) for key in want), (got, want)
+    assert (env is None) == (want_env is None)
+    if env is not None:
+        assert env.shape == want_env.shape
+        assert np.array_equal(bits(env), bits(want_env))
 
 
 @settings(max_examples=40)
@@ -411,8 +406,12 @@ def test_the_streamed_summary_equals_the_trace_one_bit_for_bit(
     x_max = math.inf
     if guard:
         x_max = data.draw(st.floats(0.001, 1.0)) * float(np.abs(trace.x).max())
-        trace = simulate_startup(point.circuit, amplifier, sim, point.eta, x_max=x_max)
-    want, want_env = summarize(trace)
+        trace = one_block(point, amplifier, sim, x_max)
+    # The reference: the run's whole v_out read at once with its length
+    # known, even where a guard halted it. The one-block run reads the same.
+    want, want_env = summary_of(trace.t, trace.v_out).result(trace.summary["pulled_in"],
+                                                             sim.v_limit)
+    assert_same_summary(trace.summary, trace.env, want, want_env)
     v = trace.v_out
     neg = np.signbit(v)
     up = np.nonzero(neg[:-1] & ~neg[1:])[0]
@@ -428,17 +427,12 @@ def test_the_streamed_summary_equals_the_trace_one_bit_for_bit(
     with mock.patch.object(simulate, "TRACE_BLOCK", block):
         got, env, plot = summarize_startup(point.circuit, amplifier, sim, point.eta,
                                            x_max=x_max)
-    assert list(got) == list(want)
-    assert all(same_bits(got[key], want[key]) for key in want), (got, want)
-    assert (env is None) == (want_env is None)
-    if env is not None:
-        assert env.shape == want_env.shape
-        assert np.array_equal(bits(env), bits(want_env))
-    stride = simulate.plot_stride(len(trace.time))
-    assert np.array_equal(bits(plot.time), bits(trace.time[::stride]))
+    assert_same_summary(got, env, want, want_env)
+    stride = simulate.plot_stride(len(trace.t))
+    assert np.array_equal(bits(plot.time), bits(trace.t[::stride]))
     assert np.array_equal(bits(plot.v_out), bits(trace.v_out[::stride]))
     out = tmp_path_factory.mktemp("svg")
-    write_trace_svg(simulate.Plot(trace.time[::stride], trace.v_out[::stride]),
+    write_trace_svg(simulate.Plot(trace.t[::stride], trace.v_out[::stride]),
                     out / "trace.svg", env=want_env)
     write_trace_svg(plot, out / "plot.svg", env=env)
     assert (out / "plot.svg").read_text() == (out / "trace.svg").read_text()
@@ -463,11 +457,25 @@ def test_a_tie_across_blocks_goes_to_the_first_sample():
     # peak, as one argmax over the whole cycle does.
     v = np.array([-1.0, 0.5, 2.0, 1.0, -2.0, -0.5] * 6 + [-1.0])
     t = np.arange(len(v)) * 1e-3
-    zeros = np.zeros_like(v)
-    want = envelope(Trace(time=t, v_in=zeros, v_out=v, x=zeros, branch_current=zeros))
+    want = summary_of(t, v).envelope()
     assert np.array_equal(want, np.column_stack((t[2:-6:6], np.full(5, 2.0))))
     for block in range(1, len(v) + 1):
         summary = simulate._Summary(len(v))
         for start in range(0, len(v), block):
             summary.add(t[start:start + block], v[start:start + block])
         assert np.array_equal(bits(summary.envelope()), bits(want)), block
+
+
+@pytest.mark.parametrize("taken", [0, 2])
+def test_a_consumer_that_stops_early_is_refused(design_points, taken):
+    # A consume() that returns with blocks left has not run the whole
+    # integration, so there is no summary to return.
+    point = design_points[1]
+    sim = SimConfig(noise_seed=7, duration=50.0 / point.circuit.f0)
+    returned = []
+    with mock.patch.object(simulate, "TRACE_BLOCK", 1024), pytest.raises(
+            ValueError, match=r"^consume\(\) returned before the integration ended$"):
+        returned.append(summarize_startup(
+            point.circuit, point.amplifier, sim, point.eta,
+            consume=lambda blocks: list(itertools.islice(blocks, taken))))
+    assert returned == []
