@@ -20,7 +20,6 @@ from .errors import (
     BeamoscError,
     ConfigError,
     GridCapError,
-    InsufficientDataError,
     PullInError,
     SimulationError,
     StageError,
@@ -74,9 +73,9 @@ from .config import ProjectConfig, load_builtin_design, load_config
 from .report import ComparisonReport, build_comparison, load_reference
 
 __all__ = [
-    "BeamoscError", "ConfigError", "GridCapError",
-    "InsufficientDataError", "PullInError", "SimulationError", "StageError",
-    "ValidationError", "MemsRuleSet", "RuleViolation", "check_mems_rules",
+    "BeamoscError", "ConfigError", "GridCapError", "PullInError",
+    "SimulationError", "StageError", "ValidationError", "MemsRuleSet",
+    "RuleViolation", "check_mems_rules",
     "BeamGeometry", "LumpedBeamModel", "area_moment", "lumped_mass",
     "resonant_frequency", "spring_constant", "EPS0", "EquivalentCircuit",
     "Transducer", "coupling_coefficient", "displacement_limit",

@@ -19,10 +19,6 @@ class PullInError(BeamoscError):
     """Electrostatic force exceeds the spring restoring force: the gap collapses."""
 
 
-class InsufficientDataError(BeamoscError):
-    """A trace or envelope is too short for the requested measurement."""
-
-
 class SimulationError(BeamoscError):
     """The time integrator produced a non-finite state."""
 

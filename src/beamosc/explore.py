@@ -562,10 +562,10 @@ def sweep(inputs: DesignInputs, spec: SweepSpec) -> Iterator[dict[str, np.ndarra
     value. Infeasible points are flagged, not dropped. Memory is set by
     the block, not by the grid.
 
-    Each block is one column pass of _grid_blocks(), and every check of
-    set_parameter() and evaluate() runs on each of its points. A block
-    with a point that fails one, or whose arithmetic faults anywhere (a
-    zero divisor, an overflow), is evaluated point by point: iterating
+    Each block is one column pass of _grid_blocks(), running every check
+    of set_parameter() and evaluate() on each of its points. The points
+    the pass does not vouch for, every point where its arithmetic faults
+    anywhere (a zero divisor, an overflow), are evaluated alone: iterating
     raises what set_parameter() and evaluate() raise for the first failing
     point in grid order, after the blocks before it; choose axis bounds
     inside the valid region. A block that only faults gives the same bits.
@@ -582,7 +582,7 @@ def _sweep_blocks(inputs: DesignInputs, axes, grids) -> Iterator[dict[str, np.nd
     for block, (params, values, vouched) in enumerate(_grid_blocks(inputs, axes, grids, read)):
         if not vouched.all():
             points = [evaluate(set_parameter(inputs, _row(params, i)))
-                      for i in range(len(vouched))]
+                      for i in np.flatnonzero(~vouched).tolist()]
             if values is not None:
                 i = block * SWEEP_BLOCK + int(vouched.argmin())
                 raise RuntimeError(f"sweep failed grid point {i} on a check that evaluate() passes")
@@ -608,10 +608,14 @@ class OptimizeResult:
     best: DesignPoint | None
     best_params: dict | None
     objective_value: float | None
-    evaluations: int
     most_violated: str | None
     log: RowTable
     binding: tuple[dict, ...] = ()
+
+    @property
+    def evaluations(self) -> int:
+        """Requests graded, one per log entry."""
+        return len(self.log)
 
 
 _COARSE_LIMIT = 5    # max grid steps per axis in the coarse pass
@@ -920,10 +924,10 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
             raise last_error
         worst = max(range(len(names)), key=closest[1].__getitem__)
         return OptimizeResult(objective=spec.objective, feasible=False, best=None,
-                              best_params=None, objective_value=None, evaluations=len(log),
+                              best_params=None, objective_value=None,
                               most_violated=names[worst], log=log)
     signed, params, _ = best
     return OptimizeResult(objective=spec.objective, feasible=True,
                           best=evaluate(set_parameter(inputs, params)), best_params=params,
-                          objective_value=sign * signed, evaluations=len(log),
-                          most_violated=None, log=log, binding=binding)
+                          objective_value=sign * signed, most_violated=None, log=log,
+                          binding=binding)

@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, SimulationError, ValidationError
+from .errors import SimulationError, ValidationError
 from .pierce import PierceConfig
 from .transduction import EquivalentCircuit
 
@@ -126,7 +126,8 @@ def summarize_startup(
     over the second half of the run or the signal died relative to its own
     peak; growing means it gained more than 5%; anything else stabilized.
     frequency_hz is null for decayed runs; growth_rate_per_s is null where
-    the envelope does not grow through its small-signal window.
+    the envelope does not grow through its small-signal window. A value
+    the run is too short to measure is null, not an error.
     Without an envelope, final_amplitude_v is the largest |v_out| of the
     last tenth of the run.
 
@@ -330,24 +331,18 @@ class _Summary:
         if closed:
             self.cycles.append(np.array(closed))
 
-    def envelope(self) -> np.ndarray:
+    def envelope(self) -> np.ndarray | None:
         """Per-cycle amplitude: one row (t_peak, |peak|) per cycle between
-        two upward crossings, at the cycle's first largest |v|. Needs at
-        least 3 full cycles."""
-        if self.count < 4:
-            raise InsufficientDataError(
-                f"envelope needs >= 3 full cycles, found {max(self.count - 1, 0)}"
-            )
-        return np.concatenate(self.cycles)
+        two upward crossings, at the cycle's first largest |v|. None below
+        3 full cycles."""
+        return np.concatenate(self.cycles) if self.count >= 4 else None
 
-    def frequency(self) -> float:
+    def frequency(self) -> float | None:
         """Mean frequency over the last _CYCLES cycles, Hz, each crossing's
-        time refined by linear interpolation between its two samples."""
+        time refined by linear interpolation between its two samples. None
+        below _CYCLES + 1 upward crossings."""
         if self.count < _CYCLES + 1:
-            raise InsufficientDataError(
-                f"frequency over {_CYCLES} cycles needs {_CYCLES + 1} crossings, "
-                f"found {self.count}"
-            )
+            return None
         # v[j] < 0 <= v[j+1], so the denominator is strictly positive.
         (t0, v0, after0), (t1, v1, after1) = self.crossings[0], self.crossings[-1]
         t_first = t0 + self.dt * v0 / (v0 - after0)
@@ -355,12 +350,9 @@ class _Summary:
         return _CYCLES / (t_last - t_first)
 
     def result(self, pulled_in: bool, v_limit: float | None) -> tuple[dict, np.ndarray | None]:
-        """summarize_startup()'s dict and envelope."""
-        try:
-            env = self.envelope()
-        except InsufficientDataError:
-            env = None
-
+        """summarize_startup()'s dict and envelope; None where the run is too
+        short to measure one (see envelope(), frequency(), _fit_growth())."""
+        env = self.envelope()
         if env is not None:
             amps = env[:, 1]
             peak = float(amps.max())
@@ -387,23 +379,11 @@ class _Summary:
             else:
                 status = "stabilized"
 
-        frequency = None
-        if status != "decayed":
-            try:
-                frequency = self.frequency()
-            except InsufficientDataError:
-                frequency = None
-
-        try:
-            growth = None if env is None else _fit_growth(env, v_limit)
-        except InsufficientDataError:
-            growth = None
-
         return {
             "status": status,
             "pulled_in": pulled_in,
-            "frequency_hz": frequency,
-            "growth_rate_per_s": growth,
+            "frequency_hz": None if status == "decayed" else self.frequency(),
+            "growth_rate_per_s": None if env is None else _fit_growth(env, v_limit),
             "final_amplitude_v": final,
             "peak_amplitude_v": peak,
             "duration_s": float(self.last[0]),
@@ -429,14 +409,14 @@ def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(tc, y - y.mean()) / np.dot(tc, tc))
 
 
-def _fit_growth(env: np.ndarray, v_limit: float | None) -> float:
+def _fit_growth(env: np.ndarray, v_limit: float | None) -> float | None:
     """Exponential growth rate of a startup envelope, 1/s.
 
     Fits log-amplitude against time over the small-signal window
     [ceiling/30, ceiling), stopping at the first ceiling crossing so the fit
     never sees saturation. The ceiling is 0.1*v_limit, or the envelope's
-    peak without a v_limit. Requires at least 10 envelope points in the
-    window and a positive slope.
+    peak without a v_limit. None where the window holds fewer than 10
+    envelope points or the slope is <= 0.
     """
     amps = env[:, 1]
     ceiling = 0.1 * v_limit if v_limit else float(amps.max())
@@ -445,10 +425,6 @@ def _fit_growth(env: np.ndarray, v_limit: float | None) -> float:
     floor = ceiling / 30.0
     sel = np.nonzero(amps[:stop] >= floor)[0]
     if len(sel) < 10:
-        raise InsufficientDataError(
-            f"growth window holds {len(sel)} envelope points, need >= 10"
-        )
+        return None
     slope = _fit_slope(env[sel, 0], np.log(amps[sel]))
-    if slope <= 0:
-        raise InsufficientDataError("envelope is not growing in the fit window")
-    return slope
+    return None if slope <= 0 else slope

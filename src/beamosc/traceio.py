@@ -264,7 +264,7 @@ def _parallel() -> bool:
 
 @dataclass
 class _Child:
-    """A process formatting rows into its own temporary files, `parts`
+    """A process formatting rows into temporary files it owns, `parts`
     (None where its table writes no such file); status is its wait status
     once reaped. Rows this process formats after a child's wait in a
     _Child too, with pid 0 and status 0."""
@@ -281,6 +281,12 @@ class _Child:
                 return False
             self.status = status
         return True
+
+    def close(self) -> None:
+        """Close (and so delete) the child's temporary files."""
+        for part in self.parts:
+            if part is not None:
+                part.close()
 
 
 class _Pipeline:
@@ -305,26 +311,26 @@ class _Pipeline:
     it flushes none of this process's buffers and runs none of its callers'
     cleanup. A child that fails raises OSError. On any error every child
     still running is killed and reaped before the error propagates: no
-    process outlives the table."""
+    process outlives the table, and every child's files are closed."""
 
     def __init__(self, fhs: tuple):
         self.fhs = fhs
         self.queue: list = []  # (rows, begin, end, bytes of columns) no process formats yet
         self.children: list[_Child] = []  # text not copied in yet, in row order
-        self.temps = contextlib.ExitStack()
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, value, traceback):
-        with self.temps:
-            running = [child for child in self.children if child.status is None]
-            if kind is not None and running:
-                import signal  # here only: its import alone adds 0.1 MB to every command's RSS
+        running = [child for child in self.children if child.status is None]
+        if kind is not None and running:
+            import signal  # here only: its import alone adds 0.1 MB to every command's RSS
 
-                for child in running:
-                    os.kill(child.pid, signal.SIGKILL)
-                    os.waitpid(child.pid, 0)
+            for child in running:
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
+        for child in self.children:
+            child.close()
 
     def add(self, rows, n: int, size: int) -> None:
         """One block of n rows whose columns hold `size` bytes, written by
@@ -364,14 +370,18 @@ class _Pipeline:
         return self.children[-1].parts
 
     def _temps(self) -> list:
-        return [None if fh is None else self.temps.enter_context(
-                    tempfile.TemporaryFile("w+", encoding=fh.encoding, newline=""))
+        return [None if fh is None else
+                tempfile.TemporaryFile("w+", encoding=fh.encoding, newline="")
                 for fh in self.fhs]
 
     def _fork(self, items: list) -> _Child:
         """A child that runs rows(begin, end) of each item into its files."""
         parts = self._temps()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            _Child(0, parts).close()
+            raise
         if pid == 0:
             code = 1
             try:
@@ -386,8 +396,9 @@ class _Pipeline:
         return _Child(pid, parts)
 
     def _copy_children(self) -> None:
-        """Wait for each child in turn and copy its text in."""
-        for child in self.children:
+        """Wait for each child in turn, copy its text in and drop it."""
+        while self.children:
+            child = self.children[0]
             child.reaped()
             if os.waitstatus_to_exitcode(child.status) != 0:
                 raise OSError(f"a forked child formatting rows failed (wait status "
@@ -398,8 +409,7 @@ class _Pipeline:
                     part.flush()
                     part.seek(0)
                     shutil.copyfileobj(part.buffer, fh.buffer, 1 << 16)  # 64 kB at a time
-                    part.close()
-        self.children = []
+            self.children.pop(0).close()
 
 
 def _halves(items: list) -> tuple[list, list]:

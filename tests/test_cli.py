@@ -422,6 +422,20 @@ class TestReadmeOptimize:
         digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
         assert digest == "04363f0ccf99b74808c946a7b2db340933f1b214176b5ca6527071810f47d10f"
 
+    def test_two_axis_optimize_json_bytes_are_pinned(self, capsys, tmp_path):
+        # The README's two-axis example: min_Rx over the bias (6-11 V) and the
+        # beam length (60-100 um) on design 1, 41 evaluations, bound by the
+        # bias constraint (-2/3) and the bias axis's maximum (-4/3).
+        rc, payload, _ = run_json(
+            capsys, "optimize", "--design", "1",
+            "--set", "explore.objective=min_Rx",
+            "--set", 'explore.axes=[{"path":"transducer.bias_voltage","min":6,"max":11,'
+                     '"steps":5},{"path":"beam.length","min":60e-6,"max":100e-6,"steps":5}]',
+            "--out", str(tmp_path))
+        assert rc == 0 and payload["evaluations"] == 41
+        digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
+        assert digest == "a021a3c5282aaff5fced0caeb714c64bc77e2734956726ac4271e4758e828e5d"
+
 
 class TestSweepCommand:
     def write_config(self, tmp_path, **explore):

@@ -19,6 +19,8 @@ import itertools
 import json
 import math
 import os
+import tempfile
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -269,13 +271,12 @@ def per_point_optimize(inputs, spec):
             c.violation for c in p.constraints if c.name in enabled))
         worst = max((c for c in closest.constraints if c.name in enabled),
                     key=lambda c: c.violation)
-        return OptimizeResult(spec.objective, False, None, None, None,
-                              len(log), worst.name, tuple(log))
+        return OptimizeResult(spec.objective, False, None, None, None, worst.name, tuple(log))
     binding = explore._polish(spec, best[1], best[3],
                               lambda points: [try_point("refine", p) for p in points])
     signed, params, point, _ = best
-    return OptimizeResult(spec.objective, True, point, params, sign * signed,
-                          len(log), None, tuple(log), binding)
+    return OptimizeResult(spec.objective, True, point, params, sign * signed, None,
+                          tuple(log), binding)
 
 
 def assert_same(a, b, where="result"):
@@ -747,6 +748,42 @@ def test_a_capped_backlog_has_the_serial_bytes(tmp_path_factory, n, cuts, row_bl
     want_csv, want_json = reference_bytes({k: v.tolist() for k, v in columns.items()})
     assert (out / "t.csv").read_text() == want_csv
     assert (out / "t.json").read_text() == want_json
+
+
+@needs_fork
+def test_closed_temporary_files_are_dropped_as_the_table_runs(tmp_path, monkeypatch):
+    # Every child is seen done when the next block arrives, so each block
+    # forks one, twelve in all. A child's two temporary files are closed
+    # and let go once its text is copied in: at most three children's are
+    # alive at once (one at work, this process's rows, the last child),
+    # however many the table forks.
+    reaped, fork, temporary = traceio._Child.reaped, os.fork, tempfile.TemporaryFile
+    forks, files, alive = [], [], []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    def counted_temporary(*args, **kwargs):
+        fh = temporary(*args, **kwargs)
+        files.append(weakref.ref(fh))
+        alive.append(sum(ref() is not None for ref in files))
+        return fh
+
+    monkeypatch.setattr(traceio, "ROW_BLOCK", 2)
+    monkeypatch.setattr(traceio, "SPLIT_ROWS", 4)
+    monkeypatch.setattr(traceio._Child, "reaped", lambda child, options=0: reaped(child))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted_temporary)
+    columns = {"t": np.arange(48) / 7.0, "step": np.arange(48)}
+    write_rows(blocks_of(columns, list(range(4, 48, 4))), csv_path=tmp_path / "t.csv",
+               json_path=tmp_path / "t.json")
+    want_csv, want_json = reference_bytes({k: v.tolist() for k, v in columns.items()})
+    assert (tmp_path / "t.csv").read_text() == want_csv
+    assert (tmp_path / "t.json").read_text() == want_json
+    assert len(forks) == 12
+    assert max(alive) <= 6
 
 
 @needs_fork

@@ -167,6 +167,26 @@ class TestStageErrors:
             list(sweep(inputs, spec))
         assert str(swept.value) == str(direct.value)
 
+    def test_a_failing_sweep_replays_only_the_points_its_pass_flags(self, design_points,
+                                                                   monkeypatch):
+        # Electrodes of 50-120 um on design 1's 100 um beam: the column pass
+        # vouches for the six up to 100 um, so only the first point it flags,
+        # 110 um, is evaluated on its own, and raises.
+        calls = []
+
+        def counted(inputs):
+            calls.append(inputs)
+            return evaluate(inputs)
+
+        monkeypatch.setattr(explore, "evaluate", counted)
+        spec = SweepSpec(axes=(SweepAxis("transducer.electrode_length", 50e-6, 120e-6, 8),),
+                         objective="min_Rx")
+        with pytest.raises(StageError) as raised:
+            list(sweep(design_points[1].inputs, spec))
+        assert str(raised.value) == ("transduction: electrode_length 0.00011 m exceeds "
+                                     "beam length 0.0001 m")
+        assert len(calls) == 1
+
     def test_bad_inputs_rejected_up_front(self, design_points):
         with pytest.raises(ValidationError):
             replace(design_points[1].inputs, q_factor=0.0)

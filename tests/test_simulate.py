@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import run_startup, startup_columns, summary_of, tanh_nan_from
 from beamosc import simulate
-from beamosc.errors import (
-    InsufficientDataError,
-    SimulationError,
-    ValidationError,
-)
+from beamosc.errors import SimulationError, ValidationError
 from beamosc.pierce import _gm_roots, negative_resistance
 from beamosc.simulate import SimConfig, summarize_startup
 from beamosc.traceio import write_trace_svg
@@ -246,8 +242,7 @@ class TestMeasurements:
 
     def test_envelope_needs_three_cycles(self):
         summary = synthetic_signal(rate=0.0, f=10e3, duration=2.5e-4)
-        with pytest.raises(InsufficientDataError):
-            summary.envelope()
+        assert summary.envelope() is None
 
     def test_growth_rate_rejects_decay(self):
         # At the default 0.1 V saturation scale the fit window [0.33, 10) mV
@@ -258,8 +253,7 @@ class TestMeasurements:
 
     def test_frequency_needs_enough_cycles(self):
         summary = synthetic_signal(rate=0.0, f=10e3, duration=1e-3)
-        with pytest.raises(InsufficientDataError):
-            summary.frequency()
+        assert summary.frequency() is None
 
     def test_envelope_signal_selector(self, startup_trace):
         ex = summary_of(startup_trace.t, startup_trace.x).envelope()
