@@ -17,9 +17,11 @@ grid through the same blocks, then polishes the best grid point by
 sequential linear programming in log coordinates, where the objectives and
 the bias, deflection and startup ratios, power laws of the axes, are
 affine: each step grades finite differences, then a line toward the linear
-program's optimum, in column passes too. An axis whose minimum is <= 0 has
-no log coordinate and keeps the grid point's value. Constraint violations
-are rejected; every request is graded where it is made, and the result is
+program's optimum, in column passes too; the line's pass also grades the
+differences around its first two points, where the next step usually
+starts, so most steps take one pass. An axis whose minimum is <= 0 has no log
+coordinate and keeps the grid point's value. Constraint violations are
+rejected; every request is graded when it is requested, and the result is
 never worse than the best grid point. Its log is a traceio.RowTable of
 column blocks, one per coarse pass and one of the polish's requests, which
 write_json() writes block by block.
@@ -531,7 +533,8 @@ def _column_pass(inputs: DesignInputs, params: dict, read):
     try:
         with float_errors():
             candidate = set_parameter(inputs, params, checks)
-            values = [np.broadcast_to(v, (size,)) for v in read(_chain(candidate, checks))]
+            values = [v if getattr(v, "shape", None) == (size,) else np.broadcast_to(v, (size,))
+                      for v in read(_chain(candidate, checks))]
         for mask in checks.failed.values():
             failed |= mask
     except (ArithmeticError, ValueError):  # the pass vouches for no point
@@ -736,10 +739,18 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
     ones, as optimize() keeps it. The polish stops when a step improves on
     nothing, which it does when the program finds no descent.
 
-    grade(points) grades a list of params dicts, all axes in axis order,
-    and returns each point's read() tuple, or None for a point that fails
-    to evaluate. A coordinate at a bound takes the axis's own minimum or
-    maximum; one that does not move keeps its value.
+    Most steps start at the line's t = 1 or t = 1/2 point, so the line
+    search passes grade the stencils of those two points as look-ahead, and
+    a step that starts there requests that stencil, the same list, instead
+    of making a new one.
+
+    grade(points, ahead=()) grades a list of params dicts, all axes in axis
+    order, and returns each point's read() tuple, or None for a point that
+    fails to evaluate. It may grade each group (list of points) in `ahead`
+    in the same pass; when the next request is exactly one of those lists,
+    it returns what grading that group then would. A group that is never
+    requested is dropped. A coordinate at a bound takes the axis's own
+    minimum or maximum; one that does not move keeps its value.
 
     Returns the last program's binding (see OptimizeResult).
     """
@@ -771,9 +782,18 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
                            else min(max(math.exp(y), low), high))
         return point
 
-    def scan(points: list[dict]) -> list:
+    def stencil(x: dict) -> list[dict]:
+        """The 2K points y +- h e_i around x, clipped into the box."""
+        points = []
+        for k, (path, _, _, ylow, yhigh) in enumerate(free):
+            y = math.log(x[path])
+            points += [moved(x, {k: min(y + _POLISH_STEP, yhigh)}),
+                       moved(x, {k: max(y - _POLISH_STEP, ylow)})]
+        return points
+
+    def scan(points: list[dict], ahead=()) -> list:
         nonlocal best
-        readings = grade(points)
+        readings = grade(points, ahead)
         for point, r in zip(points, readings):
             if signed(r) < best[0]:
                 best = (signed(r), point, r)
@@ -781,6 +801,7 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
 
     best = (signed(reading), start, reading)
     binding: tuple[dict, ...] = ()
+    lookahead: list[tuple[dict, list[dict]]] = []  # (point, its stencil) of the last line
     for _ in range(_POLISH_ITER if free else 0):
         incumbent = best
         _, x, at_x = incumbent
@@ -788,10 +809,7 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
         if here is None:
             break
         y0 = [math.log(x[box[0]]) for box in free]
-        points = []
-        for k, (_, _, _, ylow, yhigh) in enumerate(free):
-            points += [moved(x, {k: min(y0[k] + _POLISH_STEP, yhigh)}),
-                       moved(x, {k: max(y0[k] - _POLISH_STEP, ylow)})]
+        points = next((group for point, group in lookahead if point is x), None) or stencil(x)
         readings = scan(points)
         # One column of derivatives per axis. An axis stays put where one of
         # its two points has no terms (it fails to evaluate, say), or where
@@ -825,9 +843,11 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
                 # At t = 1 a coordinate the program put on a bound takes it.
                 snap = {k: free[k][3] if step == low else free[k][4] if step == high else None
                         for k, step, low, high in zip(axes, d, lower, upper)}
-                scan([moved(x, {k: y0[k] + t * d[i] if t < 1.0 or snap[k] is None else snap[k]
-                                for i, k in enumerate(axes) if d[i] != 0.0})
-                      for t in _LINE])
+                line = [moved(x, {k: y0[k] + t * d[i] if t < 1.0 or snap[k] is None else snap[k]
+                                  for i, k in enumerate(axes) if d[i] != 0.0})
+                        for t in _LINE]
+                lookahead = [(point, stencil(point)) for point in line[:2]]
+                scan(line, [group for _, group in lookahead])
         if best is incumbent:
             break
     return binding
@@ -847,8 +867,10 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     polish (see _polish) grades its points in column passes of at most
     SWEEP_BLOCK points too, with the result, log and errors of evaluating
     them point by point: a point a pass does not vouch for is evaluated
-    alone. Every request is graded where it is made, a point the polish
-    revisits included, and logged once: evaluations == len(log). The winner
+    alone. A look-ahead group (see _polish) is graded from its pass only
+    when the polish requests it, and is dropped otherwise. Every request is
+    graded when it is requested, a point the polish revisits included, and
+    logged once: evaluations == len(log). The winner
     is evaluated once more for the DesignPoint the result carries; that
     evaluation is not logged.
     """
@@ -873,13 +895,17 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     closest: tuple[float, tuple[float, ...]] | None = None
     best: tuple[float, dict, tuple] | None = None  # (signed objective, params, reading)
 
-    def graded(params: dict, values, vouched) -> list:
-        """Each point's read() tuple from one column pass over `params`: the
-        pass's where it vouches for the point, else evaluate()'s, None where
-        that fails. Takes the incumbent and `closest` in request order."""
-        nonlocal best, closest, last_error
-        rows = [None] * len(vouched) if values is None else list(
+    def rows_of(values, vouched) -> list:
+        """A column pass's read() tuples, one per point; all None after a fault."""
+        return [None] * len(vouched) if values is None else list(
             zip(*(column.tolist() for column in values)))
+
+    def graded(params: dict, rows: list, vouched) -> list:
+        """Each point's read() tuple from the column pass over `params` that
+        gave `rows`: the pass's where it vouches for the point, else
+        evaluate()'s, None where that fails. Takes the incumbent and
+        `closest` in request order."""
+        nonlocal best, closest, last_error
         for i in np.flatnonzero(~vouched).tolist():
             try:
                 rows[i] = read(evaluate(set_parameter(inputs, _row(params, i))))
@@ -900,18 +926,44 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
                        "objective": [None if r is None else r[0] for r in rows],
                        "feasible": [r is not None and r[1] for r in rows]})
 
-    def grade(points: list[dict]) -> list:
-        """The polish's points, in column passes of up to SWEEP_BLOCK."""
-        readings = []
-        for start in range(0, len(points), SWEEP_BLOCK):
-            params = {path: np.array([p[path] for p in points[start:start + SWEEP_BLOCK]])
-                      for path in points[0]}
-            readings += graded(params, *_column_pass(inputs, params, read))
+    def passed(groups: list[list[dict]]) -> list[tuple]:
+        """(group, params, rows, vouched) for each group of polish points,
+        from column passes of up to SWEEP_BLOCK over all of them in order."""
+        flat = [p for group in groups for p in group]
+        if not flat:
+            return []
+        params = {path: np.array([p[path] for p in flat]) for path in flat[0]}
+        rows, vouched = [], []
+        for start in range(0, len(flat), SWEEP_BLOCK):
+            values, ok = _column_pass(
+                inputs, {path: c[start:start + SWEEP_BLOCK] for path, c in params.items()}, read)
+            rows += rows_of(values, ok)
+            vouched.append(ok)
+        vouched = np.concatenate(vouched)
+        entries, start = [], 0
+        for group in groups:
+            end = start + len(group)
+            entries.append((group, {path: c[start:end] for path, c in params.items()},
+                            rows[start:end], vouched[start:end]))
+            start = end
+        return entries
+
+    deferred: list[tuple] = []  # passed() of the last request's look-ahead groups
+
+    def grade(points: list[dict], ahead=()) -> list:
+        """The polish's points, graded from the last request's pass when they
+        are one of its look-ahead groups, else in a new pass, which grades the
+        groups of `ahead` too; those wait in `deferred` for the next request."""
+        nonlocal deferred
+        waiting = [entry for entry in deferred if entry[0] is points]
+        (_, params, rows, vouched), *deferred = waiting + passed(
+            [*([] if waiting else [points]), *ahead])
+        readings = graded(params, rows, vouched)
         refined.extend(zip(points, readings))
         return readings
 
     for params, values, vouched in _grid_blocks(inputs, spec.axes, grids, read):
-        logged("grid", params, graded(params, values, vouched))
+        logged("grid", params, graded(params, rows_of(values, vouched), vouched))
     binding = () if best is None else _polish(spec, best[1], best[2], grade)
     if refined:
         points, rows = zip(*refined)

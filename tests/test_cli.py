@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -435,6 +436,75 @@ class TestReadmeOptimize:
         assert rc == 0 and payload["evaluations"] == 41
         digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
         assert digest == "a021a3c5282aaff5fced0caeb714c64bc77e2734956726ac4271e4758e828e5d"
+
+
+
+# The design_session benchmark's axes around each bundled design: the beam
+# length, the in-plane width and the bias, 5 steps each.
+SESSION_AXES = {
+    1: ((80e-6, 120e-6), (1.5e-6, 3e-6)),
+    2: ((50e-6, 75e-6), (0.8e-6, 1.6e-6)),
+    3: ((85e-6, 125e-6), (0.8e-6, 1.6e-6)),
+}
+
+
+def session_optimize(capsys, design, objective, out):
+    (l0, l1), (w0, w1) = SESSION_AXES[design]
+    axes = [{"path": "beam.length", "min": l0, "max": l1, "steps": 5},
+            {"path": "beam.in_plane_width", "min": w0, "max": w1, "steps": 5},
+            {"path": "transducer.bias_voltage", "min": 4, "max": 9.4, "steps": 5}]
+    return run_json(capsys, "optimize", "--design", str(design),
+                    "--set", f"explore.objective={objective}",
+                    "--set", "explore.axes=" + json.dumps(axes), "--out", str(out))
+
+
+class TestThreeAxisOptimize:
+    @pytest.mark.parametrize("design, objective, evaluations, pinned", [
+        (1, "startup_margin", 145,
+         "fb5424eba820d0f353bec4372d872bc3aa2e8152d7c2dded87c7c823b54709e5"),
+        (2, "min_Rx", 145,
+         "42d253af7525fb21f3d8ff2265de289aba00a8be4687d329786a2b9385a3345d"),
+        (3, "max_f0", 327,
+         "d5588ee7eb6ba58c1058110ecdd485a37bcac061517a5c053b3f4e5cb3187ca6"),
+    ])
+    def test_optimize_json_bytes_are_pinned(self, capsys, tmp_path, design, objective,
+                                            evaluations, pinned):
+        rc, payload, _ = session_optimize(capsys, design, objective, tmp_path)
+        assert rc == 0 and payload["evaluations"] == evaluations
+        digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
+        assert digest == pinned
+
+    def test_a_look_ahead_pass_that_vouches_for_nothing(self, capsys, tmp_path, monkeypatch):
+        # Every pass that holds look-ahead rows faults: each requested group
+        # of it is evaluated point by point when it is requested, with the
+        # run's log, result and bytes unchanged.
+        rc, payload, _ = session_optimize(capsys, 3, "max_f0", tmp_path / "plain")
+        assert rc == 0
+        polish, column_pass = explore._polish, explore._column_pass
+        ahead, blanked = [False], []
+
+        def flagged(spec, start, reading, grade):
+            def marked(points, ahead_groups=()):
+                ahead[0] = bool(ahead_groups)
+                return grade(points, ahead_groups)
+            return polish(spec, start, reading, marked)
+
+        def faulted(inputs, params, read):
+            if not ahead[0]:
+                return column_pass(inputs, params, read)
+            blanked.append(traceio._length(params))
+            return None, np.zeros(traceio._length(params), dtype=bool)
+
+        monkeypatch.setattr(explore, "_polish", flagged)
+        monkeypatch.setattr(explore, "_column_pass", faulted)
+        rc, blank, _ = session_optimize(capsys, 3, "max_f0", tmp_path / "blank")
+        assert rc == 0 and blanked
+        assert blank == payload
+        plain, faulted_run = (json.loads((tmp_path / run / "optimize.json").read_text())
+                              for run in ("plain", "blank"))
+        assert faulted_run["log"] == plain["log"] and faulted_run["binding"] == plain["binding"]
+        assert ((tmp_path / "blank" / "optimize.json").read_bytes()
+                == (tmp_path / "plain" / "optimize.json").read_bytes())
 
 
 class TestSweepCommand:

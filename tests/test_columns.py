@@ -230,8 +230,9 @@ def test_an_invalid_point_raises_what_the_scalar_path_raises(
 def per_point_optimize(inputs, spec):
     """optimize() with every point graded on its own: set_parameter +
     evaluate for each itertools.product combination, then the same polish
-    with a grader that evaluates one point at a time. A fixed axis
-    (minimum == maximum) is one grid step."""
+    with a grader that evaluates one point at a time as it is requested,
+    ignoring the polish's look-ahead groups. A fixed axis (minimum ==
+    maximum) is one grid step."""
     sense, extract = OBJECTIVES[spec.objective]
     sign = -1.0 if sense == "max" else 1.0
     enabled = spec.enabled_constraints
@@ -273,7 +274,7 @@ def per_point_optimize(inputs, spec):
                     key=lambda c: c.violation)
         return OptimizeResult(spec.objective, False, None, None, None, worst.name, tuple(log))
     binding = explore._polish(spec, best[1], best[3],
-                              lambda points: [try_point("refine", p) for p in points])
+                              lambda points, ahead=(): [try_point("refine", p) for p in points])
     signed, params, point, _ = best
     return OptimizeResult(spec.objective, True, point, params, sign * signed, None,
                           tuple(log), binding)

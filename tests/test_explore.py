@@ -585,6 +585,22 @@ class TestOptimize:
             assert float.hex(entry["objective"]) == float.hex(grade[0])
             assert entry["feasible"] is grade[1]
 
+    def test_the_polish_makes_one_pass_per_step(self, design_points, monkeypatch):
+        # Each line search also grades the stencils of its t = 1 and t = 1/2
+        # points, so a step that starts at either takes its differences from
+        # that pass: 17 column passes, against 30 with a stencil pass per step.
+        passes = []
+        column_pass = explore._column_pass
+        monkeypatch.setattr(explore, "_column_pass",
+                            lambda *args: passes.append(1) or column_pass(*args))
+        spec = SweepSpec(axes=(SweepAxis("beam.length", 85e-6, 125e-6, 5),
+                               SweepAxis("beam.in_plane_width", 0.8e-6, 1.6e-6, 5),
+                               SweepAxis("transducer.bias_voltage", 4.0, 9.4, 5)),
+                         objective="max_f0")
+        result = optimize(design_points[3].inputs, spec)
+        assert result.evaluations == 327
+        assert len(passes) == 17
+
     def test_a_fixed_axis_is_one_grid_step_and_no_simplex_dimension(self, design_points):
         inputs = design_points[1].inputs
         bias = SweepAxis("transducer.bias_voltage", 6.0, 9.4, 5)

@@ -141,7 +141,7 @@ class TestClosedForm:
                          objective="min_Rx", constraints=())
         graded = []
 
-        def grade(points):
+        def grade(points, ahead=()):
             graded.extend(points)
             return [(p["transducer.bias_voltage"] ** -2.0, True) for p in points]
 
