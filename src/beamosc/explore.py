@@ -19,12 +19,13 @@ the bias, deflection and startup ratios, power laws of the axes, are
 affine: each step grades finite differences, then a line toward the linear
 program's optimum, in column passes too; the line's pass also grades the
 differences around its first two points, where the next step usually
-starts, so most steps take one pass. An axis whose minimum is <= 0 has no log
-coordinate and keeps the grid point's value. Constraint violations are
-rejected; every request is graded when it is requested, and the result is
-never worse than the best grid point. Its log is a traceio.RowTable of
-column blocks, one per coarse pass and one of the polish's requests, which
-write_json() writes block by block.
+starts, and the polish keeps those readings, so most steps take one pass.
+An axis whose minimum is <= 0 has no log coordinate and keeps the grid
+point's value. Constraint violations are rejected, and the result is never
+worse than the best grid point. A point a column pass flags reads as
+failed; only a pass that faults is evaluated point by point. optimize()'s
+log is a traceio.RowTable of column blocks, one per coarse pass and one of
+the polish's requests, which write_json() writes block by block.
 """
 
 from __future__ import annotations
@@ -497,7 +498,10 @@ class SweepSpec:
 
     @property
     def enabled_constraints(self) -> tuple[str, ...]:
-        return CONSTRAINT_NAMES if self.constraints is None else self.constraints
+        """The enforced constraints, in CONSTRAINT_NAMES order."""
+        if self.constraints is None:
+            return CONSTRAINT_NAMES
+        return tuple(name for name in CONSTRAINT_NAMES if name in self.constraints)
 
 
 def _check_cap(sizes: list[int], cap: int) -> None:
@@ -566,12 +570,13 @@ def sweep(inputs: DesignInputs, spec: SweepSpec) -> Iterator[dict[str, np.ndarra
     the block, not by the grid.
 
     Each block is one column pass of _grid_blocks(), running every check
-    of set_parameter() and evaluate() on each of its points. The points
-    the pass does not vouch for, every point where its arithmetic faults
-    anywhere (a zero divisor, an overflow), are evaluated alone: iterating
+    of set_parameter() and evaluate() on each of its points. Iterating
     raises what set_parameter() and evaluate() raise for the first failing
     point in grid order, after the blocks before it; choose axis bounds
-    inside the valid region. A block that only faults gives the same bits.
+    inside the valid region. In a pass that does not fault, that is the
+    first point its checks flag, evaluated alone; a block whose arithmetic
+    faults anywhere (a zero divisor, an overflow) is evaluated point by
+    point, with the same bits where it does not fail.
     """
     _check_cap([axis.steps for axis in spec.axes], spec.grid_cap)
     grids = [axis.values() for axis in spec.axes]
@@ -583,13 +588,15 @@ def _sweep_blocks(inputs: DesignInputs, axes, grids) -> Iterator[dict[str, np.nd
         return [get(point) for _, get in COLUMNS]
 
     for block, (params, values, vouched) in enumerate(_grid_blocks(inputs, axes, grids, read)):
-        if not vouched.all():
+        if values is None:
             points = [evaluate(set_parameter(inputs, _row(params, i)))
-                      for i in np.flatnonzero(~vouched).tolist()]
-            if values is not None:
-                i = block * SWEEP_BLOCK + int(vouched.argmin())
-                raise RuntimeError(f"sweep failed grid point {i} on a check that evaluate() passes")
+                      for i in range(len(vouched))]
             values = [np.array(column) for column in zip(*map(read, points))]
+        elif not vouched.all():
+            i = int(vouched.argmin())
+            evaluate(set_parameter(inputs, _row(params, i)))
+            raise RuntimeError(f"sweep failed grid point {block * SWEEP_BLOCK + i} "
+                               "on a check that evaluate() passes")
         yield {name: column for (name, _), column in zip(COLUMNS, values)}
 
 
@@ -598,8 +605,10 @@ class OptimizeResult:
     """Outcome of optimize(): the winning point or an infeasibility report.
 
     log holds the requests in order as blocks of columns, {"phase", "params":
-    {path: column}, "objective" (None where evaluate() failed), "feasible"}:
-    one per coarse column pass, then one "refine" block of the polish's.
+    {path: column}, "objective" (None for a point that failed), "feasible"}:
+    one per coarse column pass, then one "refine" block of the polish's. A
+    point fails where its column pass's checks flag it, or where evaluate()
+    rejects it after its pass faults.
 
     binding lists what holds the optimum, from the polish's last linear
     program: each active constraint and axis bound, with its shadow price
@@ -645,7 +654,7 @@ def _reader(spec: SweepSpec):
     constraint's violation, each enabled smooth constraint's ratio), of a
     DesignPoint or of a column pass."""
     _, extract = OBJECTIVES[spec.objective]
-    names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
+    names = spec.enabled_constraints
     ratios = [_SMOOTH[name][0] for name in names if name in _SMOOTH]
 
     def read(point: DesignPoint) -> tuple:
@@ -720,7 +729,7 @@ def _lp(g: list[float], rows: list[tuple], lower: list[float], upper: list[float
     return None
 
 
-def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, ...]:
+def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple:
     """Sequential linear programming in log coordinates from the feasible
     grid point `start`, whose read() tuple (see _reader) is `reading`.
 
@@ -735,27 +744,27 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
     clipped into the box, for the log-derivatives of the signed objective
     and of each enabled smooth constraint; solves the linear program in the
     box with those constraints (see _lp); and grades y0 + t d for the steps
-    t in _LINE. The incumbent is the best point graded, the first of equal
-    ones, as optimize() keeps it. The polish stops when a step improves on
-    nothing, which it does when the program finds no descent.
+    t in _LINE. The incumbent is the best point requested, the first of
+    equal ones. The polish stops when a step improves on nothing, which it
+    does when the program finds no descent.
 
-    Most steps start at the line's t = 1 or t = 1/2 point, so the line
-    search passes grade the stencils of those two points as look-ahead, and
-    a step that starts there requests that stencil, the same list, instead
-    of making a new one.
+    Most steps start at the line's t = 1 or t = 1/2 point, so each line
+    search is graded together with the stencils of those two points, and
+    the polish keeps their readings: a step that starts there requests
+    that stencil from them instead of grading a new one. A look-ahead
+    point is requested only then.
 
-    grade(points, ahead=()) grades a list of params dicts, all axes in axis
-    order, and returns each point's read() tuple, or None for a point that
-    fails to evaluate. It may grade each group (list of points) in `ahead`
-    in the same pass; when the next request is exactly one of those lists,
-    it returns what grading that group then would. A group that is never
-    requested is dropped. A coordinate at a bound takes the axis's own
-    minimum or maximum; one that does not move keeps its value.
+    grade(points) grades a list of params dicts, all axes in axis order,
+    and returns each point's read() tuple, or None for a point that fails.
+    A coordinate at a bound takes the axis's own minimum or maximum; one
+    that does not move keeps its value.
 
-    Returns the last program's binding (see OptimizeResult).
+    Returns the incumbent's params and read() tuple, the (params, read()
+    tuple) of each point requested, in request order, and the last
+    program's binding (see OptimizeResult).
     """
     sign = -1.0 if OBJECTIVES[spec.objective][0] == "max" else 1.0
-    names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
+    names = spec.enabled_constraints
     smooth = [name for name in names if name in _SMOOTH]
     senses = [_SMOOTH[name][1] for name in smooth]
     skip = 2 + len(names)  # the ratios' place in a read() tuple
@@ -791,17 +800,17 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
                        moved(x, {k: max(y - _POLISH_STEP, ylow)})]
         return points
 
-    def scan(points: list[dict], ahead=()) -> list:
+    def scan(points: list[dict], readings: list) -> None:
         nonlocal best
-        readings = grade(points, ahead)
         for point, r in zip(points, readings):
+            requested.append((point, r))
             if signed(r) < best[0]:
                 best = (signed(r), point, r)
-        return readings
 
     best = (signed(reading), start, reading)
+    requested: list[tuple[dict, tuple | None]] = []
     binding: tuple[dict, ...] = ()
-    lookahead: list[tuple[dict, list[dict]]] = []  # (point, its stencil) of the last line
+    lookahead: list[tuple] = []  # (point, its stencil, their readings) of the last line
     for _ in range(_POLISH_ITER if free else 0):
         incumbent = best
         _, x, at_x = incumbent
@@ -809,8 +818,12 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
         if here is None:
             break
         y0 = [math.log(x[box[0]]) for box in free]
-        points = next((group for point, group in lookahead if point is x), None) or stencil(x)
-        readings = scan(points)
+        points, readings = next(((group, kept) for point, group, kept in lookahead
+                                 if point is x), (None, None))
+        if points is None:
+            points = stencil(x)
+            readings = grade(points)
+        scan(points, readings)
         # One column of derivatives per axis. An axis stays put where one of
         # its two points has no terms (it fails to evaluate, say), or where
         # they are one value (subnormal values an ulp apart).
@@ -846,11 +859,15 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple[dict, 
                 line = [moved(x, {k: y0[k] + t * d[i] if t < 1.0 or snap[k] is None else snap[k]
                                   for i, k in enumerate(axes) if d[i] != 0.0})
                         for t in _LINE]
-                lookahead = [(point, stencil(point)) for point in line[:2]]
-                scan(line, [group for _, group in lookahead])
+                ahead = stencil(line[0]) + stencil(line[1])
+                readings = grade(line + ahead)
+                scan(line, readings[:len(line)])
+                n, m = len(line), 2 * len(free)
+                lookahead = [(line[0], ahead[:m], readings[n:n + m]),
+                             (line[1], ahead[m:], readings[n + m:])]
         if best is incumbent:
             break
-    return binding
+    return best[1], best[2], requested, binding
 
 
 def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
@@ -861,21 +878,21 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     is never worse than the best feasible grid point. Fully deterministic.
 
     If no grid point is feasible the result reports the constraint that was
-    closest to blocking everywhere (most_violated).
+    closest to blocking everywhere (most_violated); if every grid point
+    fails, optimize() raises what evaluating the last one raises.
 
     The coarse grid runs as the column passes of _grid_blocks(), and the
     polish (see _polish) grades its points in column passes of at most
-    SWEEP_BLOCK points too, with the result, log and errors of evaluating
-    them point by point: a point a pass does not vouch for is evaluated
-    alone. A look-ahead group (see _polish) is graded from its pass only
-    when the polish requests it, and is dropped otherwise. Every request is
-    graded when it is requested, a point the polish revisits included, and
-    logged once: evaluations == len(log). The winner
-    is evaluated once more for the DesignPoint the result carries; that
-    evaluation is not logged.
+    SWEEP_BLOCK points too, with the result and log of evaluating them
+    point by point: a point a pass's checks flag is logged as failed, as
+    evaluate() fails it, without a second evaluation, and only a pass whose
+    arithmetic faults is evaluated point by point. Every request, a point
+    the polish revisits included, is logged once: evaluations == len(log).
+    The winner is evaluated once more for the DesignPoint the result
+    carries; that evaluation is not logged.
     """
     sign = -1.0 if OBJECTIVES[spec.objective][0] == "max" else 1.0
-    names = [name for name in CONSTRAINT_NAMES if name in spec.enabled_constraints]
+    names = spec.enabled_constraints
     read = _reader(spec)
 
     # A fixed axis (minimum == maximum) is one coarse step; _polish() skips it.
@@ -887,30 +904,43 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
     _check_cap([len(g) for g in grids], spec.grid_cap)
 
     blocks: list[dict] = []  # the log: a block per grid pass, then the polish's requests
-    refined: list[tuple[dict, tuple | None]] = []  # the polish's (point, reading)
-    last_error: BeamoscError | None = None
-    # (sum, enabled constraint violations) of the first infeasible candidate
-    # with the least sum; read only when no grid point is feasible, so no
-    # polish ran.
+    # (sum, enabled constraint violations) of the first infeasible grid
+    # point with the least sum.
     closest: tuple[float, tuple[float, ...]] | None = None
     best: tuple[float, dict, tuple] | None = None  # (signed objective, params, reading)
 
-    def rows_of(values, vouched) -> list:
-        """A column pass's read() tuples, one per point; all None after a fault."""
-        return [None] * len(vouched) if values is None else list(
-            zip(*(column.tolist() for column in values)))
-
-    def graded(params: dict, rows: list, vouched) -> list:
+    def graded(params: dict, values, vouched) -> list:
         """Each point's read() tuple from the column pass over `params` that
-        gave `rows`: the pass's where it vouches for the point, else
-        evaluate()'s, None where that fails. Takes the incumbent and
-        `closest` in request order."""
-        nonlocal best, closest, last_error
-        for i in np.flatnonzero(~vouched).tolist():
+        returned `values` and `vouched`, None where the pass flags the point.
+        After a fault each point is evaluated alone, None where that fails."""
+        if values is not None:
+            return [row if ok else None for row, ok in
+                    zip(zip(*(column.tolist() for column in values)), vouched.tolist())]
+        rows = []
+        for i in range(len(vouched)):
             try:
-                rows[i] = read(evaluate(set_parameter(inputs, _row(params, i))))
-            except BeamoscError as err:
-                last_error, rows[i] = err, None
+                rows.append(read(evaluate(set_parameter(inputs, _row(params, i)))))
+            except BeamoscError:
+                rows.append(None)
+        return rows
+
+    def grade(points: list[dict]) -> list:
+        """The polish's points, graded in column passes of up to SWEEP_BLOCK."""
+        params = {path: np.array([p[path] for p in points]) for path in points[0]}
+        rows = []
+        for start in range(0, len(points), SWEEP_BLOCK):
+            block = {path: column[start:start + SWEEP_BLOCK] for path, column in params.items()}
+            rows += graded(block, *_column_pass(inputs, block, read))
+        return rows
+
+    def logged(phase: str, params: dict, rows: list) -> None:
+        blocks.append({"phase": np.broadcast_to(phase, (len(rows),)), "params": params,
+                       "objective": [None if r is None else r[0] for r in rows],
+                       "feasible": [r is not None and r[1] for r in rows]})
+
+    for params, values, vouched in _grid_blocks(inputs, spec.axes, grids, read):
+        rows = graded(params, values, vouched)
+        logged("grid", params, rows)
         for i, reading in enumerate(rows):
             value, feasible, *rest = reading or (None, False)
             if not feasible:
@@ -919,67 +949,21 @@ def optimize(inputs: DesignInputs, spec: SweepSpec) -> OptimizeResult:
                     closest = (sum(violations), violations)
             elif best is None or sign * value < best[0]:
                 best = (sign * value, _row(params, i), reading)
-        return rows
-
-    def logged(phase: str, params: dict, rows: list) -> None:
-        blocks.append({"phase": np.broadcast_to(phase, (len(rows),)), "params": params,
-                       "objective": [None if r is None else r[0] for r in rows],
-                       "feasible": [r is not None and r[1] for r in rows]})
-
-    def passed(groups: list[list[dict]]) -> list[tuple]:
-        """(group, params, rows, vouched) for each group of polish points,
-        from column passes of up to SWEEP_BLOCK over all of them in order."""
-        flat = [p for group in groups for p in group]
-        if not flat:
-            return []
-        params = {path: np.array([p[path] for p in flat]) for path in flat[0]}
-        rows, vouched = [], []
-        for start in range(0, len(flat), SWEEP_BLOCK):
-            values, ok = _column_pass(
-                inputs, {path: c[start:start + SWEEP_BLOCK] for path, c in params.items()}, read)
-            rows += rows_of(values, ok)
-            vouched.append(ok)
-        vouched = np.concatenate(vouched)
-        entries, start = [], 0
-        for group in groups:
-            end = start + len(group)
-            entries.append((group, {path: c[start:end] for path, c in params.items()},
-                            rows[start:end], vouched[start:end]))
-            start = end
-        return entries
-
-    deferred: list[tuple] = []  # passed() of the last request's look-ahead groups
-
-    def grade(points: list[dict], ahead=()) -> list:
-        """The polish's points, graded from the last request's pass when they
-        are one of its look-ahead groups, else in a new pass, which grades the
-        groups of `ahead` too; those wait in `deferred` for the next request."""
-        nonlocal deferred
-        waiting = [entry for entry in deferred if entry[0] is points]
-        (_, params, rows, vouched), *deferred = waiting + passed(
-            [*([] if waiting else [points]), *ahead])
-        readings = graded(params, rows, vouched)
-        refined.extend(zip(points, readings))
-        return readings
-
-    for params, values, vouched in _grid_blocks(inputs, spec.axes, grids, read):
-        logged("grid", params, graded(params, rows_of(values, vouched), vouched))
-    binding = () if best is None else _polish(spec, best[1], best[2], grade)
-    if refined:
-        points, rows = zip(*refined)
-        logged("refine", {path: [p[path] for p in points] for path in points[0]}, rows)
-    log = RowTable(tuple(blocks))
 
     if best is None:
-        if closest is None:
-            assert last_error is not None
-            raise last_error
+        if closest is None:  # every grid point failed: raise the last one's error
+            evaluate(set_parameter(inputs, _row(params, -1)))
+            raise RuntimeError(f"optimize failed grid point {math.prod(map(len, grids)) - 1} "
+                               "on a check that evaluate() passes")
         worst = max(range(len(names)), key=closest[1].__getitem__)
         return OptimizeResult(objective=spec.objective, feasible=False, best=None,
                               best_params=None, objective_value=None,
-                              most_violated=names[worst], log=log)
-    signed, params, _ = best
+                              most_violated=names[worst], log=RowTable(tuple(blocks)))
+    params, reading, requested, binding = _polish(spec, best[1], best[2], grade)
+    if requested:
+        points, rows = zip(*requested)
+        logged("refine", {path: [p[path] for p in points] for path in points[0]}, rows)
     return OptimizeResult(objective=spec.objective, feasible=True,
                           best=evaluate(set_parameter(inputs, params)), best_params=params,
-                          objective_value=sign * signed, most_violated=None, log=log,
-                          binding=binding)
+                          objective_value=reading[0], most_violated=None,
+                          log=RowTable(tuple(blocks)), binding=binding)

@@ -474,19 +474,44 @@ class TestThreeAxisOptimize:
         digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
         assert digest == pinned
 
+    @pytest.mark.parametrize("objective, bias, evaluations, pinned", [
+        ("startup_margin", [], 100,
+         "6b136766cdedbfb71a66f5c7a30342c50bf9d7f5800fb73d20f5764b8b5e6d59"),
+        ("min_Rx", [{"path": "transducer.bias_voltage", "min": 5, "max": 12, "steps": 3}], 284,
+         "6e8a9d1458b83a954ec44db64923b5ebadef5b37e6989c62c154cddaf8976750"),
+    ], ids=["startup_margin", "min_Rx"])
+    def test_a_grid_across_the_electrode_length_evaluates_only_its_winner(
+            self, capsys, tmp_path, monkeypatch, objective, bias, evaluations, pinned):
+        # Electrodes of 50-150 um on beams of 60-120 um: the column passes
+        # flag every point whose electrode exceeds its beam, and each is
+        # logged as failed without a second evaluate().
+        calls = []
+        evaluate = explore.evaluate
+        monkeypatch.setattr(explore, "evaluate", lambda inputs: calls.append(1) or evaluate(inputs))
+        axes = [{"path": "transducer.electrode_length", "min": 50e-6, "max": 150e-6, "steps": 5},
+                {"path": "beam.length", "min": 60e-6, "max": 120e-6, "steps": 4}, *bias]
+        rc, payload, _ = run_json(capsys, "optimize", "--design", "1",
+                                  "--set", f"explore.objective={objective}",
+                                  "--set", "explore.axes=" + json.dumps(axes),
+                                  "--out", str(tmp_path))
+        assert rc == 0 and payload["evaluations"] == evaluations
+        assert len(calls) == 1  # the winner's DesignPoint
+        digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
+        assert digest == pinned
+
     def test_a_look_ahead_pass_that_vouches_for_nothing(self, capsys, tmp_path, monkeypatch):
-        # Every pass that holds look-ahead rows faults: each requested group
-        # of it is evaluated point by point when it is requested, with the
-        # run's log, result and bytes unchanged.
+        # Every pass that holds look-ahead rows, a grade() of a line and
+        # more, faults: it is evaluated point by point, with the run's log,
+        # result and bytes unchanged.
         rc, payload, _ = session_optimize(capsys, 3, "max_f0", tmp_path / "plain")
         assert rc == 0
         polish, column_pass = explore._polish, explore._column_pass
         ahead, blanked = [False], []
 
         def flagged(spec, start, reading, grade):
-            def marked(points, ahead_groups=()):
-                ahead[0] = bool(ahead_groups)
-                return grade(points, ahead_groups)
+            def marked(points):
+                ahead[0] = len(points) > len(explore._LINE)
+                return grade(points)
             return polish(spec, start, reading, marked)
 
         def faulted(inputs, params, read):

@@ -230,9 +230,9 @@ def test_an_invalid_point_raises_what_the_scalar_path_raises(
 def per_point_optimize(inputs, spec):
     """optimize() with every point graded on its own: set_parameter +
     evaluate for each itertools.product combination, then the same polish
-    with a grader that evaluates one point at a time as it is requested,
-    ignoring the polish's look-ahead groups. A fixed axis (minimum ==
-    maximum) is one grid step."""
+    with a grader that evaluates each point it is given, one at a time;
+    the refine log and the winner are what the polish returns. A fixed
+    axis (minimum == maximum) is one grid step."""
     sense, extract = OBJECTIVES[spec.objective]
     sign = -1.0 if sense == "max" else 1.0
     enabled = spec.enabled_constraints
@@ -242,29 +242,33 @@ def per_point_optimize(inputs, spec):
     log, infeasible = [], []
     last_error, best = None, None
 
-    def try_point(phase, params):
-        nonlocal last_error, best
+    def try_point(params):
+        """The point's read() tuple and DesignPoint, or None and the error."""
         try:
             point = evaluate(set_parameter(inputs, params))
         except BeamoscError as err:
-            last_error = err
-            log.append({"phase": phase, "params": dict(params),
-                        "objective": None, "feasible": False})
-            return None
+            return None, err
         value = extract(point)
         feasible = all(point.constraint(n).ok for n in enabled)
         reading = read(point)
         assert same(reading[0], value) and reading[1] is feasible
-        log.append({"phase": phase, "params": dict(params),
-                    "objective": value, "feasible": feasible})
-        if not feasible:
-            infeasible.append(point)
-        elif best is None or sign * value < best[0]:
-            best = (sign * value, dict(params), point, reading)
-        return reading
+        return reading, point
+
+    def entry(phase, params, reading):
+        return {"phase": phase, "params": dict(params),
+                "objective": None if reading is None else reading[0],
+                "feasible": reading is not None and reading[1]}
 
     for combo in itertools.product(*grids):
-        try_point("grid", {axis.path: float(v) for axis, v in zip(spec.axes, combo)})
+        params = {axis.path: float(v) for axis, v in zip(spec.axes, combo)}
+        reading, outcome = try_point(params)  # outcome: the DesignPoint or the error
+        log.append(entry("grid", params, reading))
+        if reading is None:
+            last_error = outcome
+        elif not reading[1]:
+            infeasible.append(outcome)
+        elif best is None or sign * reading[0] < best[0]:
+            best = (sign * reading[0], params, reading)
     if best is None:
         if not infeasible:
             raise last_error
@@ -273,11 +277,11 @@ def per_point_optimize(inputs, spec):
         worst = max((c for c in closest.constraints if c.name in enabled),
                     key=lambda c: c.violation)
         return OptimizeResult(spec.objective, False, None, None, None, worst.name, tuple(log))
-    binding = explore._polish(spec, best[1], best[3],
-                              lambda points, ahead=(): [try_point("refine", p) for p in points])
-    signed, params, point, _ = best
-    return OptimizeResult(spec.objective, True, point, params, sign * signed, None,
-                          tuple(log), binding)
+    params, reading, requested, binding = explore._polish(
+        spec, best[1], best[2], lambda points: [try_point(p)[0] for p in points])
+    log += [entry("refine", p, r) for p, r in requested]
+    return OptimizeResult(spec.objective, True, evaluate(set_parameter(inputs, params)), params,
+                          reading[0], None, tuple(log), binding)
 
 
 def assert_same(a, b, where="result"):
@@ -351,6 +355,33 @@ def test_optimize_equals_the_per_point_grid(design_points, data, case):
     assert_same(got.binding, want.binding, "binding")
     if want.best is not None:
         assert_same(flatten(got.best), flatten(want.best), "best")
+
+
+@settings(max_examples=100)
+@given(data=st.data(), case=optimize_specs(), block=st.sampled_from([7, explore.SWEEP_BLOCK]))
+def test_a_pass_vouches_for_exactly_the_points_evaluate_passes(design_points, data, case,
+                                                                 block):
+    # optimize() logs a point its column pass flags as failed without
+    # evaluating it, and sweep() raises at the first one: in a pass that
+    # does not fault, evaluate() must fail every flagged point and pass
+    # every other. Grids coarsened as optimize() coarsens them.
+    kind, spec = case
+    inputs = data.draw(base_inputs(design_points))
+    grids = [replace(axis, steps=min(axis.steps, 5)).values() for axis in spec.axes]
+    with mock.patch.object(explore, "SWEEP_BLOCK", block):
+        passes = list(explore._grid_blocks(inputs, spec.axes, grids, explore._reader(spec)))
+    for params, values, vouched in passes:
+        if values is None:
+            event(f"{kind}: a pass faults")
+            continue
+        event(f"{kind}: {'flags a point' if not vouched.all() else 'vouches for all'}")
+        for i, ok in enumerate(vouched.tolist()):
+            candidate = traceio._row(params, i)
+            if ok:
+                evaluate(set_parameter(inputs, candidate))
+            else:
+                with pytest.raises(BeamoscError):
+                    evaluate(set_parameter(inputs, candidate))
 
 
 def optimize_outcome(inputs, spec):

@@ -187,6 +187,25 @@ class TestStageErrors:
                                      "beam length 0.0001 m")
         assert len(calls) == 1
 
+    def test_a_flagged_point_that_evaluates_cleanly_trips_the_sweep(self, design_points,
+                                                                   monkeypatch):
+        # The pass stops vouching for the valid 60 um electrode, ahead of
+        # the 110 um one that fails: the sweep evaluates only that first
+        # flagged point, and raises because evaluate() passes it.
+        column_pass = explore._column_pass
+
+        def doubting(*args):
+            values, vouched = column_pass(*args)
+            vouched[1] = False
+            return values, vouched
+
+        monkeypatch.setattr(explore, "_column_pass", doubting)
+        spec = SweepSpec(axes=(SweepAxis("transducer.electrode_length", 50e-6, 120e-6, 8),),
+                         objective="min_Rx")
+        with pytest.raises(RuntimeError, match=r"^sweep failed grid point 1 on a check "
+                                               r"that evaluate\(\) passes$"):
+            list(sweep(design_points[1].inputs, spec))
+
     def test_bad_inputs_rejected_up_front(self, design_points):
         with pytest.raises(ValidationError):
             replace(design_points[1].inputs, q_factor=0.0)
@@ -404,6 +423,8 @@ class TestSweep:
         assert SweepSpec(axes=(axis,)).enabled_constraints == CONSTRAINT_NAMES
         assert SweepSpec(axes=(axis,), constraints=("bias",)).enabled_constraints \
             == ("bias",)
+        assert SweepSpec(axes=(axis,), constraints=("rules", "bias")).enabled_constraints \
+            == ("bias", "rules")
 
 
 class TestOptimize:
@@ -516,17 +537,21 @@ class TestOptimize:
                         if entry["feasible"] and entry["phase"] == "grid")
         assert result.objective_value >= grid_best
 
-    @pytest.mark.parametrize("axis, alone", [
+    @pytest.mark.parametrize("axis, alone, faults", [
         # A vibration budget of 1e308, whose deflection violation would
-        # overflow, fails a check in the last block only.
-        (SweepAxis("explore.vibration_amplitude", 0.0, 1e308, 2), 1e308),
+        # overflow, fails a check in the last block only; the pass does not
+        # fault, so those points are logged as failed and not evaluated.
+        pytest.param(SweepAxis("explore.vibration_amplitude", 0.0, 1e308, 2), 1e308, False,
+                     id="axis0-1e+308"),
         # eta = 0 divides by zero in the first block only.
-        (SweepAxis("transducer.bias_voltage", 0.0, 9.0, 2), 0.0),
+        pytest.param(SweepAxis("transducer.bias_voltage", 0.0, 9.0, 2), 0.0, True,
+                     id="axis1-0.0"),
     ])
-    def test_a_fault_stays_in_its_block(self, design_points, monkeypatch, axis, alone):
+    def test_a_fault_stays_in_its_block(self, design_points, monkeypatch, axis, alone, faults):
         # Only the points of the block that faults are graded by evaluate().
         monkeypatch.setattr(explore, "SWEEP_BLOCK", 5)
-        monkeypatch.setattr(explore, "_polish", lambda *args: ())
+        monkeypatch.setattr(explore, "_polish",
+                            lambda spec, start, reading, grade: (start, reading, [], ()))
         calls = []
         monkeypatch.setattr(explore, "evaluate",
                             lambda inputs: calls.append(inputs) or evaluate(inputs))
@@ -534,9 +559,11 @@ class TestOptimize:
         q_axis = SweepAxis("beam.q_factor", 1000.0, 8000.0, 5)
         result = optimize(inputs, SweepSpec(axes=(axis, q_axis)))
         assert result.feasible
+        assert [e["params"][axis.path] for e in result.log if e["objective"] is None] \
+            == [alone] * 5
         # The last call evaluates the winner for the result.
         assert calls[:-1] == [set_parameter(inputs, {axis.path: alone, q_axis.path: q})
-                              for q in q_axis.values().tolist()]
+                              for q in q_axis.values().tolist() if faults]
 
     def test_no_column_pass_sees_more_than_a_block(self, design_points, monkeypatch):
         monkeypatch.setattr(explore, "SWEEP_BLOCK", 7)

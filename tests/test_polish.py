@@ -141,12 +141,12 @@ class TestClosedForm:
                          objective="min_Rx", constraints=())
         graded = []
 
-        def grade(points, ahead=()):
+        def grade(points):
             graded.extend(points)
             return [(p["transducer.bias_voltage"] ** -2.0, True) for p in points]
 
-        binding = explore._polish(spec, {"transducer.bias_voltage": start},
-                                  (start ** -2.0, True), grade)
+        *_, binding = explore._polish(spec, {"transducer.bias_voltage": start},
+                                      (start ** -2.0, True), grade)
         assert graded[2] == {"transducer.bias_voltage": top}  # the line's t = 1
         assert [(b["name"], b["bound"]) for b in binding] == [
             ("transducer.bias_voltage", "max")]
