@@ -15,11 +15,16 @@ so its memory is set by the block, not the grid. sweep() yields the blocks,
 infeasible points flagged rather than dropped. optimize() grades its coarse
 grid through the same blocks, then polishes the best grid point by
 sequential linear programming in log coordinates, where the objectives and
-the bias, deflection and startup ratios, power laws of the axes, are
-affine: each step grades finite differences, then a line toward the linear
-program's optimum, in column passes too; the line's pass also grades the
+the bias and deflection ratios, power laws of the axes, are affine: each
+step grades finite differences, then a line toward the linear program's
+optimum, in column passes too; the line's pass also grades the
 differences around its first two points, where the next step usually
 starts, and the polish keeps those readings, so most steps take one pass.
+The startup ratio is not a power law under a fixed gm, which every bundled
+design sets: |Re(Z_C)| = gm C1 C2 / ((gm C0)^2 + (w S)^2), S = C1 C2 +
+C0 (C1 + C2) (Vittoz et al., IEEE JSSC 23(3), 1988). So a line toward the
+startup limit overshoots it by a second-order amount, and the next program
+aims inside the limit by the overshoot its t = 1 point measured.
 An axis whose minimum is <= 0 has no log coordinate and keeps the grid
 point's value. Constraint violations are rejected, and the result is never
 worse than the best grid point. A point a column pass flags reads as
@@ -729,16 +734,27 @@ def _lp(g: list[float], rows: list[tuple], lower: list[float], upper: list[float
     return None
 
 
+def _overshoot(reading: tuple | None, terms: list[float] | None, n: int) -> list[float]:
+    """How far a line's t = 1 point, read() tuple `reading`, lies past each
+    of the n smooth constraints' limits in log slack: max(0, slack) of its
+    terms (see _polish) where it is infeasible and has them, else 0."""
+    if terms is None or reading[1]:
+        return [0.0] * n
+    return [max(0.0, slack) for slack in terms[1:]]
+
+
 def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple:
     """Sequential linear programming in log coordinates from the feasible
     grid point `start`, whose read() tuple (see _reader) is `reading`.
 
-    The objective and the bias, deflection and startup ratios are power
-    laws of the axes, so in y = ln(value) they are affine and the polish is
-    a linear program over the box of the free axes: those with
-    0 < minimum < maximum. An axis whose minimum is <= 0 has no log
-    coordinate, and it keeps the incumbent's value, as a fixed axis does.
-    The rules constraint is left to the line search.
+    The objective and the bias and deflection ratios are power laws of the
+    axes, so in y = ln(value) they are affine and the polish is a linear
+    program over the box of the free axes: those with 0 < minimum <
+    maximum. The program takes the startup ratio as affine too, which it
+    is not under a fixed gm (see the module docstring). An axis whose
+    minimum is <= 0 has no log coordinate, and it keeps the incumbent's
+    value, as a fixed axis does. The rules constraint is left to the line
+    search.
 
     Each step, from the incumbent y0, grades the 2K points y0 +- h e_i,
     clipped into the box, for the log-derivatives of the signed objective
@@ -747,6 +763,14 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple:
     t in _LINE. The incumbent is the best point requested, the first of
     equal ones. The polish stops when a step improves on nothing, which it
     does when the program finds no descent.
+
+    A smooth constraint's row is a.d <= b, with a its derivatives and b its
+    slack at y0 (-term) less its overshoot at the last line's t = 1 point
+    (see _overshoot), and never below 0. Without an overshoot the row asks
+    for the linearized limit. After a line whose t = 1 point overshoots a
+    curved limit, the next step aims inside it by that much: aimed onto the
+    linearized limit, its t = 1 point would overshoot again, and the walk
+    would halve its way onto the limit, one step per halving.
 
     Most steps start at the line's t = 1 or t = 1/2 point, so each line
     search is graded together with the stencils of those two points, and
@@ -811,6 +835,7 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple:
     requested: list[tuple[dict, tuple | None]] = []
     binding: tuple[dict, ...] = ()
     lookahead: list[tuple] = []  # (point, its stencil, their readings) of the last line
+    overshoot = [0.0] * len(smooth)  # of the last line's t = 1 point, see _overshoot
     for _ in range(_POLISH_ITER if free else 0):
         incumbent = best
         _, x, at_x = incumbent
@@ -836,12 +861,13 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple:
                 columns.append([(u - v) / span for u, v in zip(a, b)])
         solution = None
         if axes:
-            rows = [([column[1 + j] for column in columns], max(0.0, -here[1 + j]))
-                    for j in range(len(smooth))]
+            rows = [([column[1 + j] for column in columns],
+                     max(0.0, -here[1 + j] - overshoot[j])) for j in range(len(smooth))]
             lower = [free[k][3] - y0[k] for k in axes]
             upper = [free[k][4] - y0[k] for k in axes]
             solution = _lp([column[0] for column in columns], rows, lower, upper)
         binding = ()
+        overshoot = [0.0] * len(smooth)
         if solution is not None:
             d, reduced, prices = solution
             binding = tuple(
@@ -862,6 +888,7 @@ def _polish(spec: SweepSpec, start: dict, reading: tuple, grade) -> tuple:
                 ahead = stencil(line[0]) + stencil(line[1])
                 readings = grade(line + ahead)
                 scan(line, readings[:len(line)])
+                overshoot = _overshoot(readings[0], terms(readings[0]), len(smooth))
                 n, m = len(line), 2 * len(free)
                 lookahead = [(line[0], ahead[:m], readings[n:n + m]),
                              (line[1], ahead[m:], readings[n + m:])]

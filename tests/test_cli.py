@@ -464,8 +464,8 @@ class TestThreeAxisOptimize:
          "fb5424eba820d0f353bec4372d872bc3aa2e8152d7c2dded87c7c823b54709e5"),
         (2, "min_Rx", 145,
          "42d253af7525fb21f3d8ff2265de289aba00a8be4687d329786a2b9385a3345d"),
-        (3, "max_f0", 327,
-         "d5588ee7eb6ba58c1058110ecdd485a37bcac061517a5c053b3f4e5cb3187ca6"),
+        (3, "max_f0", 173,
+         "355551c178ef532667989465c13e59c837256a01649496812f8d00591d3b1dfa"),
     ])
     def test_optimize_json_bytes_are_pinned(self, capsys, tmp_path, design, objective,
                                             evaluations, pinned):

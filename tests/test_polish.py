@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from beamosc import explore
 from beamosc.explore import OBJECTIVES, SweepAxis, SweepSpec, evaluate, optimize, set_parameter
-from test_columns import base_inputs, optimize_specs
+from test_columns import assert_same, base_inputs, optimize_specs
 
 
 def with_transducer(inputs, **fields):
@@ -232,6 +232,58 @@ def check_polish(inputs, spec, kind):
         for axis in spec.axes:
             assert axis.minimum <= entry["params"][axis.path] <= axis.maximum
     assert list(result.best_params) == [axis.path for axis in spec.axes]
+
+
+# The design_session benchmark's boxes: the beam length, the in-plane width
+# and the bias, each end jittered by up to 5%, 5 steps each.
+SESSION_BOXES = {
+    2: (("beam.length", 50e-6, 75e-6), ("beam.in_plane_width", 0.8e-6, 1.6e-6),
+        ("transducer.bias_voltage", 4.0, 9.4)),
+    3: (("beam.length", 85e-6, 125e-6), ("beam.in_plane_width", 0.8e-6, 1.6e-6),
+        ("transducer.bias_voltage", 4.0, 9.4)),
+}
+jitter = st.floats(-0.05, 0.05)
+
+
+def counted_optimize(inputs, spec, overshoot):
+    """optimize() with `overshoot` in place of _overshoot(), its column
+    passes, and whether any line's t = 1 point overshot a smooth limit."""
+    passes, overshoots = [], []
+    column_pass = explore._column_pass
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explore, "_column_pass",
+                      lambda *args: passes.append(1) or column_pass(*args))
+        patch.setattr(explore, "_overshoot",
+                      lambda *args: overshoots.append(overshoot(*args)) or overshoots[-1])
+        result = optimize(inputs, spec)
+    return result, len(passes), any(map(any, overshoots))
+
+
+@settings(max_examples=60)
+@given(design=st.sampled_from(sorted(SESSION_BOXES)),
+       objective=st.sampled_from(sorted(OBJECTIVES)),
+       ends=st.lists(st.tuples(jitter, jitter), min_size=3, max_size=3))
+def test_backing_off_by_the_overshoot_keeps_the_halving_walk_s_optimum(
+        design_points, design, objective, ends):
+    # Every bundled design fixes gm, so the startup ratio is not a power law
+    # and a line's t = 1 point can overshoot its limit. The reference walk
+    # never backs off, so it halves its way onto the limit.
+    spec = SweepSpec(axes=tuple(
+        SweepAxis(path, low * (1.0 + a), high * (1.0 + b), 5)
+        for (path, low, high), (a, b) in zip(SESSION_BOXES[design], ends)), objective=objective)
+    inputs = design_points[design].inputs
+    result, passes, overshot = counted_optimize(inputs, spec, explore._overshoot)
+    halving, halving_passes, _ = counted_optimize(inputs, spec,
+                                                  lambda reading, terms, n: [0.0] * n)
+    event(f"design {design} {objective}: {'backs off' if overshot else 'no overshoot'}")
+    assert result.feasible == halving.feasible
+    if result.feasible:
+        assert result.objective_value == pytest.approx(halving.objective_value, rel=1e-9)
+        assert [b["name"] for b in result.binding] == [b["name"] for b in halving.binding]
+    assert passes <= halving_passes
+    if not overshot:  # so the same rows, requests and bytes
+        assert len(result.log.blocks) == len(halving.log.blocks)
+        assert_same(list(result.log), list(halving.log), "log")
 
 
 def brute_force_lp(g, rows, lower, upper):
