@@ -5,7 +5,7 @@ Modules, in pipeline order:
   process       metal-stack heights and manufacturability rules
   mechanics     lumped spring/mass/frequency model of the beam
   transduction  gap transducer: coupling, pull-in, deflection, RLC equivalent
-  pierce        sustaining amplifier small-signal impedance
+  pierce        the sustaining amplifier: its circuit and small-signal impedance
   simulate      time-domain startup simulation and measurements
   traceio       deterministic CSV/JSON/SVG output, committed whole
   explore       design evaluation, sweeps, optimization

@@ -165,10 +165,10 @@ def cmd_simulate(args) -> int:
         # run is held.
         consume = None if out is None else functools.partial(
             write_rows, csv_path=out / "trace.csv")
-        summary, env, plot = summarize_startup(point.circuit, point.amplifier, sim,
-                                               point.eta, x_max=x_max, consume=consume)
+        summary, env, plot = summarize_startup(point.circuit, point.inputs.amplifier, point.gm,
+                                               sim, point.eta, x_max=x_max, consume=consume)
         summary["expected_f0_hz"] = point.circuit.f0
-        summary["gm"] = point.amplifier.gm
+        summary["gm"] = point.gm
         summary["x_max_m"] = x_max if x_max != float("inf") else None
         print(json_text(summary))
         if out is not None:

@@ -25,6 +25,7 @@ from .explore import (
     SweepSpec,
 )
 from .mechanics import BeamGeometry, MASS_MODELS, STIFFNESS_COEFF
+from .pierce import PierceConfig
 from .process import MemsRuleSet, metal_stack_heights
 from .simulate import SimConfig
 from .transduction import DEFLECTION_MODES, Transducer, VALID_PORTS
@@ -166,9 +167,9 @@ SCHEMA = {
         "x_amplitude": (None, _nullable(_number), {"minimum": 0}),
     },
     "pierce": {
-        "c1": (DesignInputs.c1, _number, {"exclusive_minimum": 0}),
-        "c2": (DesignInputs.c2, _number, {"exclusive_minimum": 0}),
-        "c0": (DesignInputs.c0, _number, {"exclusive_minimum": 0}),
+        "c1": (PierceConfig.c1, _number, {"exclusive_minimum": 0}),
+        "c2": (PierceConfig.c2, _number, {"exclusive_minimum": 0}),
+        "c0": (PierceConfig.c0, _number, {"exclusive_minimum": 0}),
         "gm": ("auto", _gm, {}),
         "target_margin": (DesignInputs.target_margin, _number, {"exclusive_minimum": 0}),
     },
@@ -178,9 +179,9 @@ SCHEMA = {
         "noise_seed": (SimConfig.noise_seed, _nullable(_integer), {"minimum": 0}),
         "initial_kick": (SimConfig.initial_kick, _number, {"minimum": 0}),
         "initial_displacement": (SimConfig.initial_displacement, _number, {}),
-        "v_limit": (SimConfig.v_limit, _number, {"exclusive_minimum": 0}),
-        "r_feedback": (SimConfig.r_feedback, _number, {"exclusive_minimum": 0}),
-        "r_output": (SimConfig.r_output, _number, {"exclusive_minimum": 0}),
+        "v_limit": (PierceConfig.v_limit, _number, {"exclusive_minimum": 0}),
+        "r_feedback": (PierceConfig.r_feedback, _number, {"exclusive_minimum": 0}),
+        "r_output": (PierceConfig.r_output, _number, {"exclusive_minimum": 0}),
         "displacement_guard": (True, _boolean, {}),
         "x_max": (None, _nullable(_number), {"exclusive_minimum": 0}),
     },
@@ -318,6 +319,7 @@ class ProjectConfig:
         parts = {
             "beam": {"anchor": d["beam"]["anchor"], "W": heights[mat["top_metal_index"] - 1]},
             "transducer": {"port": d["transducer"]["port"]},
+            "amplifier": {key: d["sim"][key] for key in ("v_limit", "r_feedback", "r_output")},
             None: dict(d["analysis"]),
         }
         # Every key an axis can set goes through the axes' own table; an
@@ -329,6 +331,7 @@ class ProjectConfig:
         return DesignInputs(
             beam=BeamGeometry(**parts["beam"]),
             transducer=Transducer(**parts["transducer"]),
+            amplifier=PierceConfig(**parts["amplifier"]),
             rules=MemsRuleSet(**d["rules"], metal_thickness_grid=heights),
             **parts[None],
         )

@@ -97,20 +97,18 @@ class DesignInputs:
     electrode area is transducer.electrode_length * beam.W. youngs_modulus
     and density are the effective laminate constants.
 
-    gm = None sizes the amplifier automatically: the smallest
-    transconductance that reaches target_margin, falling back to the
-    |Re(Z_C)| peak when the margin is out of reach. x_amplitude is the
-    assumed operating vibration amplitude (used only to report motional
-    current); vibration_amplitude is the amplitude budget enforced by the
-    deflection constraint, defaulting to the remaining headroom.
+    amplifier is the Pierce circuit, graded here and integrated by the
+    startup simulation. gm = None sizes its transconductance: the smallest
+    that reaches target_margin, or the |Re(Z_C)| peak when the margin is out
+    of reach. x_amplitude is the assumed operating vibration amplitude (used
+    only to report motional current); vibration_amplitude is the amplitude
+    budget enforced by the deflection constraint, defaulting to the headroom.
     """
 
     beam: BeamGeometry
     transducer: Transducer
     q_factor: float
-    c1: float = 2e-12
-    c2: float = 2e-12
-    c0: float = 10e-15
+    amplifier: PierceConfig = PierceConfig()
     gm: float | None = None
     target_margin: float = 3.0
     alpha_pull_in: float = 0.97
@@ -125,9 +123,6 @@ class DesignInputs:
     def __post_init__(self, check=RAISE):
         q = self.q_factor
         check((q != q) | (q <= 0), "q_factor must be > 0")
-        c1, c2, c0 = self.c1, self.c2, self.c0
-        check((c1 != c1) | (c2 != c2) | (c0 != c0) | (c1 <= 0) | (c2 <= 0) | (c0 <= 0),
-              "c1, c2 and c0 must all be > 0")
         gm = self.gm
         if gm is not None:
             check((gm != gm) | (gm < 0), "gm must be >= 0 (or None for automatic sizing)")
@@ -175,7 +170,7 @@ class DesignPoint:
     i_x: float | None
     re_max: float
     gm_opt: float
-    amplifier: PierceConfig
+    gm: float  # inputs.gm, or the automatic sizing's where that is None
     re_zc: float
     startup: StartupReport
     rule_violation_count: int
@@ -230,21 +225,22 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
         check(overflows, "vibration_amplitude {:.6g} m overflows the deflection constraint "
               "against x_limit {:.6g} m", allowance, x_limit)
         allowance = select(overflows, 0.0, allowance)
+    check(tr.bias_voltage == 0.0,  # named here, not as the eta = 0 extract_circuit() refuses
+          "bias_voltage must be > 0 to couple the beam to the amplifier")
     circuit = extract_circuit(model.k, model.m, model.q, eta, check)
     i_x = None
     if inputs.x_amplitude is not None:
         i_x = motional_current(eta, circuit.f0, inputs.x_amplitude, check)
 
     check.stage = "pierce"
-    c1, c2, c0 = inputs.c1, inputs.c2, inputs.c0
-    opt = max_negative_resistance(c1, c2, c0, circuit.f0, check)
+    amplifier = inputs.amplifier
+    opt = max_negative_resistance(amplifier, circuit.f0, check)
     gm = inputs.gm
     if gm is None:
         reachable, _, gm_low, _ = _gm_roots(
-            c1, c2, c0, circuit.f0, inputs.target_margin * circuit.r_x, check)
+            amplifier, circuit.f0, inputs.target_margin * circuit.r_x, check)
         gm = select(reachable, gm_low, opt.gm_opt)
-    amplifier = build(PierceConfig, check, c1=c1, c2=c2, c0=c0, gm=gm, f0=circuit.f0)
-    re_zc = negative_resistance(amplifier)
+    re_zc = negative_resistance(amplifier, gm, circuit.f0, check)
     startup = startup_check(re_zc, circuit.r_x, check)
 
     check.stage = "rules"
@@ -296,7 +292,7 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
         i_x=i_x,
         re_max=opt.re_max,
         gm_opt=opt.gm_opt,
-        amplifier=amplifier,
+        gm=gm,
         re_zc=re_zc,
         startup=startup,
         rule_violation_count=n_broken,
@@ -344,9 +340,9 @@ COLUMNS = tuple((name, operator.attrgetter(path)) for name, path in (
     ("transducer.electrode_length", "inputs.transducer.electrode_length"),
     ("transducer.bias_voltage", "inputs.transducer.bias_voltage"),
     ("transducer.port", "inputs.transducer.port"),
-    ("pierce.c1", "inputs.c1"),
-    ("pierce.c2", "inputs.c2"),
-    ("pierce.c0", "inputs.c0"),
+    ("pierce.c1", "inputs.amplifier.c1"),
+    ("pierce.c2", "inputs.amplifier.c2"),
+    ("pierce.c0", "inputs.amplifier.c0"),
     ("derived.spring_constant", "model.k"),
     ("derived.mass", "model.m"),
     ("derived.f0", "model.f0"),
@@ -362,7 +358,7 @@ COLUMNS = tuple((name, operator.attrgetter(path)) for name, path in (
     ("derived.re_zc", "re_zc"),
     ("derived.re_zc_max", "re_max"),
     ("derived.gm_opt", "gm_opt"),
-    ("derived.gm", "amplifier.gm"),
+    ("derived.gm", "gm"),
     ("derived.startup_margin", "startup.margin"),
     ("derived.oscillates", "startup.oscillates"),
     ("derived.meets_3x", "startup.meets_3x"),
@@ -390,9 +386,9 @@ PARAMETER_PATHS = {
     "transducer.gap": ("transducer", "gap"),
     "transducer.electrode_length": ("transducer", "electrode_length"),
     "transducer.bias_voltage": ("transducer", "bias_voltage"),
-    "pierce.c0": (None, "c0"),
-    "pierce.c1": (None, "c1"),
-    "pierce.c2": (None, "c2"),
+    "pierce.c0": ("amplifier", "c0"),
+    "pierce.c1": ("amplifier", "c1"),
+    "pierce.c2": ("amplifier", "c2"),
     "pierce.gm": (None, "gm"),
     "pierce.target_margin": (None, "target_margin"),
     "materials.youngs_modulus": (None, "youngs_modulus"),
@@ -423,7 +419,7 @@ def set_parameter(inputs: DesignInputs, params: dict, check=RAISE) -> DesignInpu
             ) from None
         changes.setdefault(part, {})[field] = value
     fields = changes.pop(None, {})
-    for part in ("beam", "transducer"):
+    for part in ("beam", "transducer", "amplifier"):
         if part in changes:
             fields[part] = rebuild(getattr(inputs, part), check, **changes[part])
     return rebuild(inputs, check, **fields)

@@ -13,6 +13,8 @@ whose real part is negative with magnitude
 The magnitude is unimodal in g_m: it peaks at g_m_opt = w*S/C0 with value
 Re_max = C1*C2 / (2*w*C0*S). Oscillation builds up while |Re(Z_C)| exceeds
 the motional resistance R_x; design practice asks for a 3x margin.
+PierceConfig is the amplifier's circuit, which evaluate() grades and the
+startup simulation integrates; the closed form reads only C1, C2 and C0.
 """
 
 from __future__ import annotations
@@ -27,32 +29,32 @@ from .errors import RAISE, build
 
 @dataclass(frozen=True)
 class PierceConfig:
-    """Amplifier operating point: load caps, shunt cap, g_m, frequency.
+    """The amplifier's circuit: every loop element but the resonator. Its
+    operating point, g_m and the frequency, is given alongside.
 
-    c1, c2  input/output ground capacitors, F
-    c0      static (feedthrough) capacitance across the resonator, F
-    gm      transconductance, A/V (zero models a switched-off amplifier)
-    f0      evaluation frequency, Hz
+    c1, c2      input/output ground capacitors, F
+    c0          static (feedthrough) capacitance across the resonator, F
+    v_limit     transconductor saturation scale, V
+    r_feedback  bias resistor across the resonator port, ohm
+    r_output    amplifier output resistance to ground, ohm
     """
 
-    c1: float
-    c2: float
-    c0: float
-    gm: float
-    f0: float
+    c1: float = 2e-12
+    c2: float = 2e-12
+    c0: float = 10e-15
+    v_limit: float = 0.1
+    r_feedback: float = 1e10
+    r_output: float = 1e9
 
     def __post_init__(self, check=RAISE):
-        c1, c2, c0, gm, f0 = self.c1, self.c2, self.c0, self.gm, self.f0
+        c1, c2, c0 = self.c1, self.c2, self.c0
         check((c1 != c1) | (c2 != c2) | (c0 != c0) | (c1 <= 0) | (c2 <= 0) | (c0 <= 0),
               "c1, c2 and c0 must all be > 0")
-        check((gm != gm) | (gm < 0), "gm must be >= 0")
-        check((f0 != f0) | (f0 <= 0), "f0 must be > 0")
-
-
-def _bad_caps(c1, c2, c0, f0):
-    """Whether any of c1, c2, c0 or f0 is NaN or not > 0."""
-    return ((c1 != c1) | (c2 != c2) | (c0 != c0) | (f0 != f0)
-            | (c1 <= 0) | (c2 <= 0) | (c0 <= 0) | (f0 <= 0))
+        for name in ("v_limit", "r_feedback", "r_output"):
+            value = getattr(self, name)  # never a column: no axis sets it
+            check(not -math.inf < value < math.inf, "{} must be finite, got {!r}", name, value)
+        check(self.v_limit <= 0, "v_limit must be > 0")
+        check((self.r_feedback <= 0) | (self.r_output <= 0), "r_feedback and r_output must be > 0")
 
 
 def _sum_products(c1: float, c2: float, c0: float) -> float:
@@ -63,21 +65,28 @@ def _sum_products(c1: float, c2: float, c0: float) -> float:
 # runs each precondition (errors.RAISE by default).
 
 
-def negative_resistance(config: PierceConfig) -> float:
-    """Magnitude of the negative real part of Z_C, ohm (>= 0)."""
-    w = 2.0 * math.pi * config.f0
+def _omega(f0, check) -> float:
+    check((f0 != f0) | (f0 <= 0), "f0 must be > 0")
+    return 2.0 * math.pi * f0
+
+
+def negative_resistance(config: PierceConfig, gm: float, f0: float, check=RAISE) -> float:
+    """|Re(Z_C)| at transconductance gm (0: switched off) and frequency f0, ohm."""
+    check((gm != gm) | (gm < 0), "gm must be >= 0")
+    w = _omega(f0, check)
     s = _sum_products(config.c1, config.c2, config.c0)
-    num = config.gm * config.c1 * config.c2
-    den = power(config.gm * config.c0, 2) + power(w * s, 2)
+    num = gm * config.c1 * config.c2
+    den = power(gm * config.c0, 2) + power(w * s, 2)
     return num / den
 
 
-def complex_impedance(config: PierceConfig) -> complex:
-    """Full small-signal impedance of the amplifier at the resonator port, ohm."""
-    w = 2.0 * math.pi * config.f0
+def complex_impedance(config: PierceConfig, gm: float, f0: float, check=RAISE) -> complex:
+    """Small-signal Z_C at the resonator port at gm and f0, ohm."""
+    check((gm != gm) | (gm < 0), "gm must be >= 0")
+    w = _omega(f0, check)
     s = _sum_products(config.c1, config.c2, config.c0)
-    num = complex(config.gm, w * (config.c1 + config.c2))
-    den = complex(-w * w * s, w * config.gm * config.c0)
+    num = complex(gm, w * (config.c1 + config.c2))
+    den = complex(-w * w * s, w * gm * config.c0)
     return num / den
 
 
@@ -88,11 +97,10 @@ class PierceOptimum(NamedTuple):
     gm_opt: float  # A/V
 
 
-def max_negative_resistance(c1: float, c2: float, c0: float, f0: float,
-                            check=RAISE) -> PierceOptimum:
-    """Best achievable |Re(Z_C)| and the transconductance that reaches it."""
-    check(_bad_caps(c1, c2, c0, f0), "c1, c2, c0 and f0 must all be > 0")
-    w = 2.0 * math.pi * f0
+def max_negative_resistance(config: PierceConfig, f0: float, check=RAISE) -> PierceOptimum:
+    """Best achievable |Re(Z_C)| at f0 and the transconductance that reaches it."""
+    w = _omega(f0, check)
+    c1, c2, c0 = config.c1, config.c2, config.c0
     s = _sum_products(c1, c2, c0)
     return PierceOptimum(
         re_max=c1 * c2 / (2.0 * w * c0 * s),
@@ -100,19 +108,19 @@ def max_negative_resistance(c1: float, c2: float, c0: float, f0: float,
     )
 
 
-def _gm_roots(c1, c2, c0, f0, target_resistance, check=RAISE):
-    """Transconductances giving |Re(Z_C)| = target_resistance, on floats
-    or columns: (reachable, double, low, high).
+def _gm_roots(config, f0, target_resistance, check=RAISE):
+    """Transconductances giving |Re(Z_C)| = target_resistance at f0, on
+    floats or columns: (reachable, double, low, high).
 
     Solves target*(C0*gm)^2 - C1*C2*gm + target*(w*S)^2 = 0. The roots lie
     below and above g_m_opt; at a double root (the target equals Re_max)
     low == high, at g_m_opt. Where the target exceeds Re_max it is not
     reachable and the roots are meaningless.
     """
-    check(_bad_caps(c1, c2, c0, f0), "c1, c2, c0 and f0 must all be > 0")
+    w = _omega(f0, check)
     target = target_resistance
     check((target != target) | (target <= 0), "target_resistance must be > 0")
-    w = 2.0 * math.pi * f0
+    c1, c2, c0 = config.c1, config.c2, config.c0
     s = _sum_products(c1, c2, c0)
     a = target * c0 * c0
     b = -c1 * c2

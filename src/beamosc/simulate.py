@@ -2,11 +2,11 @@
 
 The loop is reduced to four states: the motional branch current i_L and
 charge q of the series RLC resonator, plus the two amplifier node voltages
-v1 (input) and v2 (output). The transconductor saturates smoothly,
-i = gm * v_limit * tanh(v1 / v_limit), which is what limits the final
-amplitude. Bias resistors r_feedback (across the resonator) and r_output
-(amplifier output to ground) set the DC operating point without loading the
-loop at resonance.
+v1 (input) and v2 (output), with the amplifier's pierce.PierceConfig. The
+transconductor saturates smoothly, i = gm * v_limit * tanh(v1 / v_limit),
+which is what limits the final amplitude. Bias resistors r_feedback (across
+the resonator) and r_output (amplifier output to ground) set the DC
+operating point without loading the loop at resonance.
 
 Integration is classical fixed-step RK4. Startup noise is modeled in the
 initial condition only: with a noise_seed the input-node kick is scaled by a
@@ -45,7 +45,7 @@ _CYCLES = 20  # _Summary.frequency() averages over the last this many cycles
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integrator settings and loop bias elements.
+    """Integrator settings; the loop's elements are pierce.PierceConfig's.
 
     dt                    step, s; default 1/(250*f0), must be <= 1/(200*f0)
     duration              simulated span, s; default 400/f0, must be >= 50/f0
@@ -53,9 +53,6 @@ class SimConfig:
     initial_kick          input-node voltage at t=0, V
     initial_displacement  beam displacement at t=0, m (energizes the
                           resonator directly, useful for ring-down tests)
-    v_limit               transconductor saturation scale, V
-    r_feedback            bias resistor across the resonator port, ohm
-    r_output              amplifier output resistance to ground, ohm
     """
 
     dt: float | None = None
@@ -63,13 +60,9 @@ class SimConfig:
     noise_seed: int | None = None
     initial_kick: float = 1e-6
     initial_displacement: float = 0.0
-    v_limit: float = 0.1
-    r_feedback: float = 1e10
-    r_output: float = 1e9
 
     def __post_init__(self):
-        for name in ("dt", "duration", "initial_kick", "initial_displacement", "v_limit",
-                     "r_feedback", "r_output"):
+        for name in ("dt", "duration", "initial_kick", "initial_displacement"):
             value = getattr(self, name)
             if value is not None and not -math.inf < value < math.inf:
                 raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -85,10 +78,6 @@ class SimConfig:
                 raise ValidationError("noise_seed must be >= 0")
         if self.initial_kick < 0:
             raise ValidationError("initial_kick must be >= 0")
-        if self.v_limit <= 0:
-            raise ValidationError("v_limit must be > 0")
-        if self.r_feedback <= 0 or self.r_output <= 0:
-            raise ValidationError("r_feedback and r_output must be > 0")
 
 
 class Plot(NamedTuple):
@@ -106,16 +95,18 @@ def plot_stride(rows: int) -> int:
 def summarize_startup(
     circuit: EquivalentCircuit,
     amplifier: PierceConfig,
+    gm: float,
     sim: SimConfig,
     eta: float,
     x_max: float = math.inf,
     consume=None,
 ) -> tuple[dict, np.ndarray | None, Plot]:
-    """Integrate the closed loop from a small kick, and classify the run
-    while it is integrated. Returns its headline numbers as a JSON-ready
-    dict, the v_out envelope it read (None below 3 full cycles), and the
-    Plot of its time and v_out at every plot_stride()-th row, which
-    write_trace_svg() draws.
+    """Integrate the closed loop of `circuit` and `amplifier` at
+    transconductance gm from a small kick, and classify the run while it
+    is integrated. Returns its headline numbers as a JSON-ready dict, the
+    v_out envelope it read (None below 3 full cycles), and the Plot of its
+    time and v_out at every plot_stride()-th row, which write_trace_svg()
+    draws.
 
     `eta` converts branch charge to displacement; `x_max` is the gap-collapse
     guard (pass math.inf to disable). The run halts at the first row with
@@ -142,7 +133,7 @@ def summarize_startup(
     on (finite x_max), v_out at every row, 8 bytes a step, since a halt
     leaves the run's length unknown until it ends.
     """
-    rows, blocks = _startup(circuit, amplifier, sim, eta, x_max)
+    rows, blocks = _startup(circuit, amplifier, gm, sim, eta, x_max)
     summary = _Summary(rows if x_max == math.inf else None)
     ended = []
 
@@ -160,13 +151,15 @@ def summarize_startup(
         consume(columns())
     if not ended:
         raise ValueError("consume() returned before the integration ended")
-    return (*summary.result(ended[0], sim.v_limit), summary.plot())
+    return (*summary.result(ended[0], amplifier.v_limit), summary.plot())
 
 
-def _startup(circuit, amplifier, sim, eta, x_max) -> tuple[int, Iterator]:
+def _startup(circuit, amplifier, gm, sim, eta, x_max) -> tuple[int, Iterator]:
     """Check a run's settings; return its length in rows, should no guard
     halt it, and the generator that integrates it (see _integrate())."""
-    if not eta > 0:  # NaN too
+    if not gm >= 0:  # NaN too
+        raise ValidationError("gm must be >= 0")
+    if not eta > 0:
         raise ValidationError("eta must be > 0")
     if not x_max > 0:
         raise ValidationError("x_max must be > 0")
@@ -195,10 +188,10 @@ def _startup(circuit, amplifier, sim, eta, x_max) -> tuple[int, Iterator]:
     # Locals for the hot loop.
     rx, lx, cx = circuit.r_x, circuit.l_x, circuit.c_x
     c0, c1, c2 = amplifier.c0, amplifier.c1, amplifier.c2
-    gm, vlim = amplifier.gm, sim.v_limit
+    vlim = amplifier.v_limit
     gm_vlim = gm * vlim  # gm * vlim * tanh(...) multiplies left to right: same bits
-    g_fb = 1.0 / sim.r_feedback
-    g_out = 1.0 / sim.r_output
+    g_fb = 1.0 / amplifier.r_feedback
+    g_out = 1.0 / amplifier.r_output
     c10 = c1 + c0
     c20 = c2 + c0
     det = c1 * c2 + c2 * c0 + c0 * c1

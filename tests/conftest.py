@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -70,19 +69,20 @@ class Run(NamedTuple):
     plot: simulate.Plot
 
 
-def run_startup(point, gm=None, sim=None, x_max=math.inf) -> Run:
+def run_startup(point, gm=None, sim=None, x_max=math.inf, amplifier=None) -> Run:
     """Simulate one evaluated design point's startup: one summarize_startup()
-    call, whose blocks are kept and joined.
+    call, whose blocks are kept and joined. gm and amplifier default to the
+    point's own.
 
     The default window is 700 cycles: long enough for the loop to reach
     its saturated amplitude and sit there for the whole second half.
     """
     if sim is None:
         sim = SimConfig(noise_seed=7, duration=700.0 / point.circuit.f0)
-    amplifier = point.amplifier if gm is None else replace(point.amplifier, gm=gm)
     blocks = []
-    summary, env, plot = summarize_startup(point.circuit, amplifier, sim, point.eta,
-                                           x_max=x_max, consume=blocks.extend)
+    summary, env, plot = summarize_startup(
+        point.circuit, point.inputs.amplifier if amplifier is None else amplifier,
+        point.gm if gm is None else gm, sim, point.eta, x_max=x_max, consume=blocks.extend)
     return Run(**join_blocks(blocks), summary=summary, env=env, plot=plot)
 
 
@@ -94,10 +94,10 @@ def summary_of(t, v) -> simulate._Summary:
     return summary
 
 
-def startup_columns(circuit, amplifier, sim, eta) -> dict:
+def startup_columns(circuit, amplifier, gm, sim, eta) -> dict:
     """An unguarded run's columns and its branch current i_l, joined from
     the integrator's blocks: what an energy balance needs."""
-    _, blocks = simulate._startup(circuit, amplifier, sim, eta, math.inf)
+    _, blocks = simulate._startup(circuit, amplifier, gm, sim, eta, math.inf)
     columns, currents, _ = zip(*blocks)
     return {**join_blocks(columns), "i_l": np.concatenate(currents)}
 

@@ -116,15 +116,14 @@ def test_criterion_07_circuit_identities():
         c0s = draw(5e-15, 50e-15, 200)
         f0s = draw(50e3, 500e3, 200)
         for c1, c2, c0, f0 in zip(c1s, c2s, c0s, f0s):
-            opt = max_negative_resistance(c1, c2, c0, f0)
-            at_peak = negative_resistance(
-                PierceConfig(c1=c1, c2=c2, c0=c0, gm=opt.gm_opt, f0=f0))
+            amplifier = PierceConfig(c1=c1, c2=c2, c0=c0)
+            opt = max_negative_resistance(amplifier, f0)
+            at_peak = negative_resistance(amplifier, opt.gm_opt, f0)
             assert at_peak == pytest.approx(opt.re_max, rel=1e-12)
             for factor in (0.999, 1.001):
-                off = negative_resistance(PierceConfig(
-                    c1=c1, c2=c2, c0=c0, gm=factor * opt.gm_opt, f0=f0))
+                off = negative_resistance(amplifier, factor * opt.gm_opt, f0)
                 assert off <= at_peak * (1 + 1e-12)
-            reachable, double, lo, hi = _gm_roots(c1, c2, c0, f0, 0.5 * opt.re_max)
+            reachable, double, lo, hi = _gm_roots(amplifier, f0, 0.5 * opt.re_max)
             assert reachable and not double
             assert lo < opt.gm_opt < hi
 
@@ -143,9 +142,8 @@ def test_criterion_08_startup_simulation(design_points, startup_trace):
         assert np.array_equal(startup_trace.v_out, again.v_out)
 
         # Below unity loop gain the same model must ring down, not grow.
-        _, _, gm_half, _ = _gm_roots(point.inputs.c1, point.inputs.c2,
-                                     point.inputs.c0, point.circuit.f0,
-                                     0.5 * point.circuit.r_x)
+        amp = point.inputs.amplifier
+        _, _, gm_half, _ = _gm_roots(amp, point.circuit.f0, 0.5 * point.circuit.r_x)
         ring = run_startup(point, gm=gm_half, sim=SimConfig(
             noise_seed=None, initial_kick=0.0, initial_displacement=5e-9,
             duration=160.0 / point.circuit.f0))
@@ -155,19 +153,19 @@ def test_criterion_08_startup_simulation(design_points, startup_trace):
         ec = extract_circuit(point.model.k, point.model.m, math.inf, point.eta)
         lossless = startup_columns(
             ec,
-            replace(point.amplifier, gm=0.0, f0=ec.f0),
+            replace(amp, r_feedback=1e15, r_output=1e15),
+            0.0,
             SimConfig(noise_seed=None, initial_kick=1e-2,
-                      initial_displacement=1e-7, duration=60.0 / ec.f0,
-                      r_feedback=1e15, r_output=1e15),
+                      initial_displacement=1e-7, duration=60.0 / ec.f0),
             point.eta,
         )
         q = lossless["x"] * point.eta
         v_in, v_out = lossless["v_in"], lossless["v_out"]
         energy = (0.5 * ec.l_x * lossless["i_l"] ** 2
                   + 0.5 * q ** 2 / ec.c_x
-                  + 0.5 * point.inputs.c1 * v_in ** 2
-                  + 0.5 * point.inputs.c2 * v_out ** 2
-                  + 0.5 * point.inputs.c0 * (v_in - v_out) ** 2)
+                  + 0.5 * amp.c1 * v_in ** 2
+                  + 0.5 * amp.c2 * v_out ** 2
+                  + 0.5 * amp.c0 * (v_in - v_out) ** 2)
         assert (energy.max() - energy.min()) / energy[0] < 1e-3
 
 

@@ -83,6 +83,18 @@ class TestAnalyze:
         assert line.startswith("error:") and "gap" in line
         assert "Traceback" not in err
 
+    def test_zero_bias_is_named(self, capsys):
+        # The config, Transducer and the rules accept 0 V; evaluating it
+        # leaves eta = 0, and the refusal names the bias, not eta.
+        rc, out, err = run_cli(capsys, "analyze", "--design", "1",
+                               "--set", "transducer.bias_voltage=0")
+        assert (rc, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: transduction: bias_voltage")
+        rc, out, _ = run_cli(capsys, "check-rules", "--design", "1",
+                             "--set", "transducer.bias_voltage=0")
+        assert (rc, out) == (0, "all manufacturability rules pass\n")
+
     def test_non_finite_json_refusal_names_the_value(self):
         # No input of analyze is known to compute a non-finite value, so the
         # refusal is checked on a payload that holds one.

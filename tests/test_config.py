@@ -17,8 +17,16 @@ from beamosc.config import (
     validate_config,
 )
 from beamosc.errors import ConfigError, ValidationError
-from beamosc.explore import PARAMETER_PATHS, DesignInputs, SweepSpec, evaluate, set_parameter
+from beamosc.explore import (
+    PARAMETER_PATHS,
+    DesignInputs,
+    SweepSpec,
+    evaluate,
+    flatten,
+    set_parameter,
+)
 from beamosc.process import MemsRuleSet
+from beamosc.pierce import PierceConfig
 from beamosc.simulate import SimConfig
 from beamosc.transduction import Transducer
 
@@ -187,8 +195,8 @@ class TestBuilders:
         assert cfg.build_sim() == SimConfig()
         inputs = cfg.build_inputs()
         assert inputs.rules == MemsRuleSet()
-        for field in ("c1", "c2", "c0", "target_margin", "alpha_pull_in",
-                      "mass_model", "deflection_mode"):
+        assert inputs.amplifier == PierceConfig()
+        for field in ("target_margin", "alpha_pull_in", "mass_model", "deflection_mode"):
             assert getattr(inputs, field) == getattr(DesignInputs, field), field
         assert inputs.transducer.port == Transducer.port
         assert cfg.data["explore"]["objective"] == SweepSpec.objective
@@ -228,6 +236,26 @@ class TestBuilders:
     def test_from_raw_applies_overrides(self):
         cfg = ProjectConfig.from_raw({}, overrides=["beam.q_factor=9000"])
         assert cfg.data["beam"]["q_factor"] == 9000.0
+
+    @given(design=st.sampled_from(BUILTIN_DESIGNS), loop=st.fixed_dictionaries({}, optional={
+        name: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        for name in ("v_limit", "r_feedback", "r_output")}))
+    def test_the_loop_elements_reach_the_amplifier_not_the_closed_form(self, design, loop):
+        # sim.v_limit, sim.r_feedback and sim.r_output set the amplifier that
+        # analyze and simulate share, and the closed form ignores them: every
+        # value analyze reports is the default loop's, bit for bit.
+        raw = load_builtin_design(design)
+        cfg = ProjectConfig.from_raw({**raw, "sim": {**raw.get("sim", {}), **loop}})
+        inputs = cfg.build_inputs()
+        pierce, sim = cfg.data["pierce"], cfg.data["sim"]
+        assert inputs.amplifier == PierceConfig(
+            c1=pierce["c1"], c2=pierce["c2"], c0=pierce["c0"], v_limit=sim["v_limit"],
+            r_feedback=sim["r_feedback"], r_output=sim["r_output"])
+        for name, value in loop.items():
+            assert getattr(inputs.amplifier, name) == value
+        default = flatten(evaluate(ProjectConfig.from_raw(raw).build_inputs()))
+        assert {k: repr(v) for k, v in flatten(evaluate(inputs)).items()} == {
+            k: repr(v) for k, v in default.items()}
 
 
 @st.composite

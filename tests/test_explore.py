@@ -90,14 +90,15 @@ class TestAmplifierSizing:
         point = evaluate(inputs)
         assert point.startup.margin == pytest.approx(point.inputs.target_margin,
                                                      rel=1e-9)
-        assert point.amplifier.gm < point.gm_opt
+        assert point.gm < point.gm_opt
         assert point.constraint("startup").ok
 
     def test_auto_gm_falls_back_to_peak_when_unreachable(self, design_points):
         # A 1 nF bridging capacitance caps |Re(Z_C)| far below 3 R_x.
-        inputs = replace(design_points[1].inputs, gm=None, c0=1e-9)
+        inputs = design_points[1].inputs
+        inputs = replace(inputs, gm=None, amplifier=replace(inputs.amplifier, c0=1e-9))
         point = evaluate(inputs)
-        assert point.amplifier.gm == pytest.approx(point.gm_opt, rel=1e-12)
+        assert point.gm == pytest.approx(point.gm_opt, rel=1e-12)
         assert point.startup.margin == pytest.approx(point.re_max / point.circuit.r_x,
                                                      rel=1e-12)
         assert not point.constraint("startup").ok
@@ -105,7 +106,7 @@ class TestAmplifierSizing:
 
     def test_explicit_gm_is_respected(self, design_points):
         inputs = replace(design_points[1].inputs, gm=1e-5)
-        assert evaluate(inputs).amplifier.gm == 1e-5
+        assert evaluate(inputs).gm == 1e-5
 
 
 class TestConstraints:
@@ -228,12 +229,12 @@ class TestStageErrors:
     def test_nan_is_refused_where_it_enters(self, design_points, data, nan):
         # Each library function and validated type refuses a NaN in any
         # numeric argument with ValidationError, where the value enters.
-        # The draws span 171 cases, fewer than max_examples, so Hypothesis,
+        # The draws span 156 cases, fewer than max_examples, so Hypothesis,
         # which repeats no draw, tries every one.
         point = design_points[1]
-        inputs, model, circuit, amp = point.inputs, point.model, point.circuit, point.amplifier
-        beam, tr = inputs.beam, inputs.transducer
-        caps = {"c1": amp.c1, "c2": amp.c2, "c0": amp.c0, "f0": amp.f0}
+        inputs, model, circuit = point.inputs, point.model, point.circuit
+        beam, tr, amp = inputs.beam, inputs.transducer, inputs.amplifier
+        operating_point = {"gm": point.gm, "f0": circuit.f0}
         short = SimConfig(duration=60.0 / circuit.f0)
         cases = {  # name: (call, valid keyword arguments)
             "spring_constant": (partial(mechanics.spring_constant, beam),
@@ -250,13 +251,16 @@ class TestStageErrors:
                                 {"k": model.k, "m": model.m, "q": model.q, "eta": point.eta}),
             "motional_current": (transduction.motional_current,
                                  {"eta": point.eta, "f0": circuit.f0, "x_amplitude": 1e-8}),
-            "max_negative_resistance": (pierce.max_negative_resistance, caps),
+            "max_negative_resistance": (partial(pierce.max_negative_resistance, amp),
+                                        {"f0": circuit.f0}),
+            "negative_resistance": (partial(pierce.negative_resistance, amp), operating_point),
             "startup_check": (pierce.startup_check,
                               {"neg_resistance": point.re_zc,
                                "motional_resistance": circuit.r_x}),
-            "_gm_roots": (pierce._gm_roots, {**caps, "target_resistance": 3 * circuit.r_x}),
-            "summarize_startup": (partial(summarize_startup, circuit, amp, short),
-                                  {"eta": point.eta, "x_max": 1e-6}),
+            "_gm_roots": (partial(pierce._gm_roots, amp),
+                          {"f0": circuit.f0, "target_resistance": 3 * circuit.r_x}),
+            "summarize_startup": (partial(summarize_startup, circuit, amp, sim=short),
+                                  {"gm": point.gm, "eta": point.eta, "x_max": 1e-6}),
             "LumpedBeamModel": (mechanics.LumpedBeamModel, vars(model)),
             "EquivalentCircuit": (transduction.EquivalentCircuit, vars(circuit)),
             "PierceConfig": (pierce.PierceConfig, vars(amp)),
@@ -268,8 +272,7 @@ class TestStageErrors:
                 {"height": 2.4e-6}),
             "metal_stack_heights": (metal_stack_heights, {"thickness_per_pair": 1e-6}),
             "DesignInputs": (partial(replace, inputs),
-                             {"q_factor": inputs.q_factor, "c1": inputs.c1, "c2": inputs.c2,
-                              "c0": inputs.c0, "gm": 1e-5, "target_margin": 3.0,
+                             {"q_factor": inputs.q_factor, "gm": 1e-5, "target_margin": 3.0,
                               "alpha_pull_in": 0.97, "vibration_amplitude": 1e-8,
                               "x_amplitude": 1e-8}),
         }

@@ -172,7 +172,7 @@ class TestClosedForm:
 NEAR = {path: operator.attrgetter(field) for path, field in (
     ("beam.length", "beam.L"), ("beam.in_plane_width", "beam.H"),
     ("transducer.bias_voltage", "transducer.bias_voltage"), ("transducer.gap", "transducer.gap"),
-    ("beam.q_factor", "q_factor"), ("pierce.c1", "c1"), ("pierce.c2", "c2"),
+    ("beam.q_factor", "q_factor"), ("pierce.c1", "amplifier.c1"), ("pierce.c2", "amplifier.c2"),
     ("explore.alpha_pull_in", "alpha_pull_in"))}
 
 

@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import run_startup, startup_columns, summary_of, tanh_nan_from
 from beamosc import simulate
 from beamosc.errors import SimulationError, ValidationError
-from beamosc.pierce import _gm_roots, negative_resistance
+from beamosc.pierce import PierceConfig, _gm_roots, negative_resistance
 from beamosc.simulate import SimConfig, summarize_startup
 from beamosc.traceio import write_trace_svg
 from beamosc.transduction import extract_circuit
@@ -22,13 +22,13 @@ def linear_growth_theory(point, gm=None):
     if gm is None:
         re = point.re_zc
     else:
-        re = negative_resistance(replace(point.amplifier, gm=gm))
+        re = negative_resistance(point.inputs.amplifier, gm, point.circuit.f0)
     return (re - point.circuit.r_x) / (2 * point.circuit.l_x)
 
 
 def gm_for_margin(point, margin):
-    _, _, low, _ = _gm_roots(point.inputs.c1, point.inputs.c2, point.inputs.c0,
-                             point.circuit.f0, margin * point.circuit.r_x)
+    _, _, low, _ = _gm_roots(point.inputs.amplifier, point.circuit.f0,
+                             margin * point.circuit.r_x)
     return low
 
 
@@ -77,8 +77,11 @@ class TestIntegrationBasics:
     def test_non_finite_settings_rejected(self, name, value):
         # Refused at construction, not met later as a stray ValueError,
         # OverflowError or "reduce dt" SimulationError from the integrator.
-        with pytest.raises(ValidationError, match=f"{name} must be finite"):
-            SimConfig(**{name: value})
+        # v_limit, r_feedback and r_output are the amplifier's loop elements,
+        # refused by PierceConfig; the rest are SimConfig's.
+        owner = PierceConfig if name in {f.name for f in fields(PierceConfig)} else SimConfig
+        with pytest.raises(ValidationError, match=f"^{name} must be finite, got {value!r}$"):
+            owner(**{name: value})
 
     def test_trace_grid_is_uniform(self, startup_trace):
         steps = np.diff(startup_trace.t)
@@ -88,9 +91,9 @@ class TestIntegrationBasics:
     def test_stiff_network_detected(self, design_points):
         # A 1 ohm output load makes the electrical pole explode under RK4.
         point = design_points[1]
-        sim = SimConfig(r_output=1.0, duration=60.0 / point.circuit.f0)
+        sim = SimConfig(duration=60.0 / point.circuit.f0)
         with pytest.raises(SimulationError) as err:
-            run_startup(point, sim=sim)
+            run_startup(point, sim=sim, amplifier=replace(point.inputs.amplifier, r_output=1.0))
         assert err.value.step is not None
 
 
@@ -199,9 +202,9 @@ class TestDichotomy:
     def test_gm_zero_input_kick_dies(self, design_points):
         point = design_points[1]
         sim = SimConfig(noise_seed=None, initial_kick=1e-3,
-                        duration=100.0 / point.circuit.f0,
-                        r_feedback=1e7, r_output=1e6)
-        trace = run_startup(point, gm=0.0, sim=sim)
+                        duration=100.0 / point.circuit.f0)
+        amplifier = replace(point.inputs.amplifier, r_feedback=1e7, r_output=1e6)
+        trace = run_startup(point, gm=0.0, sim=sim, amplifier=amplifier)
         v = np.abs(trace.v_in)
         assert v[-len(v) // 10:].max() < 0.05 * v.max()
 
@@ -212,11 +215,10 @@ class TestEnergyConservation:
         ec = extract_circuit(point.model.k, point.model.m, math.inf, point.eta)
         sim = SimConfig(noise_seed=None, initial_kick=1e-2,
                         initial_displacement=1e-7,
-                        duration=100.0 / ec.f0,
-                        r_feedback=1e15, r_output=1e15)
-        amplifier = replace(point.amplifier, gm=0.0, f0=ec.f0)
-        run = startup_columns(ec, amplifier, sim, point.eta)
-        c0, c1, c2 = point.inputs.c0, point.inputs.c1, point.inputs.c2
+                        duration=100.0 / ec.f0)
+        amplifier = replace(point.inputs.amplifier, r_feedback=1e15, r_output=1e15)
+        run = startup_columns(ec, amplifier, 0.0, sim, point.eta)
+        c0, c1, c2 = amplifier.c0, amplifier.c1, amplifier.c2
         q = run["x"] * point.eta
         energy = (
             0.5 * ec.l_x * run["i_l"] ** 2
@@ -279,23 +281,23 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-def one_block(point, amplifier, sim, x_max=math.inf):
+def one_block(point, gm, sim, x_max=math.inf):
     """run_startup() with the whole run in one block (TRACE_BLOCK above
     any run's rows): the reference the block sizes below are held to."""
     with mock.patch.object(simulate, "TRACE_BLOCK", simulate._MAX_STEPS + 1):
-        return run_startup(point, gm=amplifier.gm, sim=sim, x_max=x_max)
+        return run_startup(point, gm=gm, sim=sim, x_max=x_max)
 
 
 _UNGUARDED = {}
 
 
-def unguarded_run(design, point, amplifier, sim):
+def unguarded_run(design, point, gm, sim):
     """one_block() without the guard, memoized per (design, gm, initial
     displacement): the properties below draw the same 50-cycle runs again
     and again."""
-    key = (design, amplifier.gm, sim.initial_displacement)
+    key = (design, gm, sim.initial_displacement)
     if key not in _UNGUARDED:
-        _UNGUARDED[key] = one_block(point, amplifier, sim)
+        _UNGUARDED[key] = one_block(point, gm, sim)
     return _UNGUARDED[key]
 
 
@@ -305,8 +307,8 @@ def blocked_run(point, sim, x_max, block):
     got = []
     with mock.patch.object(simulate, "TRACE_BLOCK", block):
         try:
-            result = summarize_startup(point.circuit, point.amplifier, sim, point.eta,
-                                       x_max=x_max, consume=got.extend)
+            result = summarize_startup(point.circuit, point.inputs.amplifier, point.gm, sim,
+                                       point.eta, x_max=x_max, consume=got.extend)
         except SimulationError as err:
             return err, got
     return result, got
@@ -321,11 +323,11 @@ def test_blocks_are_the_whole_trace_bit_for_bit(design_points, design, guard, da
     # the first or the last row of a block.
     point = design_points[design]
     sim = SimConfig(noise_seed=7, duration=50.0 / point.circuit.f0)
-    want = unguarded_run(design, point, point.amplifier, sim)
+    want = unguarded_run(design, point, point.gm, sim)
     x_max = math.inf
     if guard:
         x_max = data.draw(st.floats(0.05, 1.0)) * float(np.abs(want.x).max())
-        want = one_block(point, point.amplifier, sim, x_max)
+        want = one_block(point, point.gm, sim, x_max)
     end = len(want.t) - 1
     block = data.draw(st.integers(1, 7) | st.sampled_from(divisors(end) + divisors(end + 1)))
     if guard and block > 1:
@@ -350,7 +352,7 @@ def test_a_non_finite_state_fails_the_same_in_blocks(design_points, design, data
     step = data.draw(st.integers(1, n_steps))
     block = data.draw(st.integers(1, 7) | st.sampled_from(divisors(step) + divisors(step + 1)))
     with mock.patch("math.tanh", tanh_nan_from(step)), pytest.raises(SimulationError) as want:
-        one_block(point, point.amplifier, sim)
+        one_block(point, point.gm, sim)
     with mock.patch("math.tanh", tanh_nan_from(step)):
         err, blocks = blocked_run(point, sim, math.inf, block)
     assert want.value.step == step
@@ -393,18 +395,18 @@ def test_the_streamed_summary_equals_the_trace_one_bit_for_bit(
     # a block's first or last row: r is an upward crossing, the row after
     # it, a cycle's peak or the last row, the pull-in where the guard halts.
     point = design_points[design]
-    amplifier = replace(point.amplifier, gm=0.0) if dead else point.amplifier
+    gm = 0.0 if dead else point.gm
     sim = SimConfig(noise_seed=7, duration=50.0 / point.circuit.f0,
                     initial_displacement=displacement)
-    trace = unguarded_run(design, point, amplifier, sim)
+    trace = unguarded_run(design, point, gm, sim)
     x_max = math.inf
     if guard:
         x_max = data.draw(st.floats(0.001, 1.0)) * float(np.abs(trace.x).max())
-        trace = one_block(point, amplifier, sim, x_max)
+        trace = one_block(point, gm, sim, x_max)
     # The reference: the run's whole v_out read at once with its length
     # known, even where a guard halted it. The one-block run reads the same.
     want, want_env = summary_of(trace.t, trace.v_out).result(trace.summary["pulled_in"],
-                                                             sim.v_limit)
+                                                             point.inputs.amplifier.v_limit)
     assert_same_summary(trace.summary, trace.env, want, want_env)
     v = trace.v_out
     neg = np.signbit(v)
@@ -419,8 +421,8 @@ def test_the_streamed_summary_equals_the_trace_one_bit_for_bit(
           if row % block in (0, block - 1) else f"{kind} inside a block")
     event("no envelope" if want_env is None else "an envelope")
     with mock.patch.object(simulate, "TRACE_BLOCK", block):
-        got, env, plot = summarize_startup(point.circuit, amplifier, sim, point.eta,
-                                           x_max=x_max)
+        got, env, plot = summarize_startup(point.circuit, point.inputs.amplifier, gm, sim,
+                                           point.eta, x_max=x_max)
     assert_same_summary(got, env, want, want_env)
     stride = simulate.plot_stride(len(trace.t))
     assert np.array_equal(bits(plot.time), bits(trace.t[::stride]))
@@ -435,11 +437,10 @@ def test_the_streamed_summary_equals_the_trace_one_bit_for_bit(
 def test_a_dead_loop_has_no_envelope(design_points):
     # The no-envelope branch of the property above, with and without guard.
     point = design_points[1]
-    amplifier = replace(point.amplifier, gm=0.0)
     sim = SimConfig(noise_seed=7, duration=50.0 / point.circuit.f0)
     for x_max in (math.inf, 1.0):
-        summary, env, _ = summarize_startup(point.circuit, amplifier, sim, point.eta,
-                                            x_max=x_max)
+        summary, env, _ = summarize_startup(point.circuit, point.inputs.amplifier, 0.0, sim,
+                                            point.eta, x_max=x_max)
         assert env is None
         assert summary["status"] == "decayed"
         assert 0 < summary["final_amplitude_v"] <= summary["peak_amplitude_v"]
@@ -470,6 +471,6 @@ def test_a_consumer_that_stops_early_is_refused(design_points, taken):
     with mock.patch.object(simulate, "TRACE_BLOCK", 1024), pytest.raises(
             ValueError, match=r"^consume\(\) returned before the integration ended$"):
         returned.append(summarize_startup(
-            point.circuit, point.amplifier, sim, point.eta,
+            point.circuit, point.inputs.amplifier, point.gm, sim, point.eta,
             consume=lambda blocks: list(itertools.islice(blocks, taken))))
     assert returned == []
