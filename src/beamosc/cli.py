@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import json
@@ -119,11 +118,14 @@ def _manifest(cfg: ProjectConfig, command: str, **extra) -> dict:
 
 
 def _point_payload(point) -> dict:
+    """flatten(point), its constraints and its rule violations. Each check is
+    a dict of its fields in order: a dataclass's vars(), which hold only
+    floats, bools and strs here, need no dataclasses.asdict() deep copy."""
     payload = flatten(point)
-    payload["constraints"] = [dataclasses.asdict(c) for c in point.constraints]
+    payload["constraints"] = [dict(vars(c)) for c in point.constraints]
     inputs = point.inputs
     violations = check_mems_rules(inputs.beam, inputs.transducer, inputs.rules)
-    payload["rule_violations"] = [dataclasses.asdict(v) for v in violations]
+    payload["rule_violations"] = [dict(vars(v)) for v in violations]
     return payload
 
 

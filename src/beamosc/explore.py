@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._num import float_errors, fmax, select
+from ._num import float_errors, fmax, select, sqrt
 from .errors import (
     RAISE,
     BeamoscError,
@@ -225,8 +225,16 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
         check(overflows, "vibration_amplitude {:.6g} m overflows the deflection constraint "
               "against x_limit {:.6g} m", allowance, x_limit)
         allowance = select(overflows, 0.0, allowance)
-    check(tr.bias_voltage == 0.0,  # named here, not as the eta = 0 extract_circuit() refuses
-          "bias_voltage must be > 0 to couple the beam to the amplifier")
+    # Named here, not as what extract_circuit() meets: eta = 0 at 0 V, and
+    # below about 1e-70 V (the bundled designs) eta^2 underflows or
+    # Lx/Cx = k*m/eta^4 overflows. The motional branch's sqrt(Lx/Cx) =
+    # sqrt(k*m)/eta^2 must stay below 2**500 ohm; a flagged column point
+    # couples with eta = 1 instead, so the pass does not fault.
+    check(tr.bias_voltage == 0.0, "bias_voltage must be > 0 to couple the beam to the amplifier")
+    weak = eta * eta < sqrt(model.k * model.m) * 2.0**-500
+    check(weak, "bias_voltage {!r} V is too small: the motional branch's "
+          "sqrt(Lx/Cx) = sqrt(k*m)/eta^2 passes 2**500 ohm", tr.bias_voltage)
+    eta = select(weak, 1.0, eta)
     circuit = extract_circuit(model.k, model.m, model.q, eta, check)
     i_x = None
     if inputs.x_amplitude is not None:

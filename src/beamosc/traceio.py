@@ -15,15 +15,24 @@ wait for a child are capped, so a table streamed block by block is written
 in memory set by the block, not by the table. The SVG plot draws the
 samples it is given. Every file is committed whole or not at all (see
 _committed).
+
+Every JSON document, and the literal text of each JSON row, is written by
+one encoder, json_text(), with the bytes of json.dumps(indent=2,
+allow_nan=False). CPython takes its pure-Python encoder whenever an indent
+is set, so json_text() hands each run of scalar members of a dict or list
+to the C encoder instead, one call per run with the item separator of its
+depth, and recurses only into nested containers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
+import json.encoder
 import math
 import os
 import shutil
@@ -59,7 +68,10 @@ _BACKLOG_BYTES = 2 << 20
 
 _CSV_BOOL = {True: "True", False: "False"}
 _JSON_BOOL = {True: "true", False: "false"}
-_MARK = "\0"  # stands for a varying cell, or a RowTable, in text that json.dumps() writes
+_MARK = "\0"  # stands for a varying cell, or a RowTable, in text that json_text() writes
+_JSON_MARK = json.dumps(_MARK)
+_INDENT = "  "  # one level of json_text()'s indent
+_SCALARS = frozenset({str, int, float, bool, type(None)})  # JSON scalars, by exact type
 
 
 def _csv_string(text: str) -> str:
@@ -183,11 +195,12 @@ def _checked(columns: dict) -> tuple[dict, list]:
     return row, [column for _, column in leaves]
 
 
-def _write_table(blocks, csv_fh, json_fh, indent: str = "") -> None:
+def _write_table(blocks, csv_fh, json_fh, depth: int = 0) -> None:
     """Stream the rows of a table given as blocks, each the `row`, `leaves`
     that _checked() gives, as they arrive: a CSV header line and the rows,
-    and a JSON list whose lines after the first start at `indent`, with no
-    newline after its closing bracket."""
+    and a JSON list `depth` levels in, as json_text() writes one there
+    (its first line not indented), with no newline after its closing
+    bracket."""
     names = None
     known: dict = {}  # _texts() repeats flag of each leaf, by its index
     if json_fh is not None:
@@ -202,23 +215,22 @@ def _write_table(blocks, csv_fh, json_fh, indent: str = "") -> None:
                     csv_fh.write(",".join(map(_csv_cell, names)) + "\n")
             elif list(row) != names:
                 raise ValueError("every block must hold the columns of the first")
-            pipeline.add(_block_rows(row, leaves, csv_fh is not None, indent, known,
+            pipeline.add(_block_rows(row, leaves, csv_fh is not None, depth, known,
                                      first=i == 0), len(leaves[0]), sum(map(_nbytes, leaves)))
         if names is None:
             raise ValueError("no block to write")
         pipeline.finish()
     if json_fh is not None:
-        json_fh.write(f"\n{indent}]")
+        json_fh.write("\n" + _INDENT * depth + "]")
 
 
-def _block_rows(row: dict, leaves: list, csv: bool, indent: str, known: dict, first: bool):
+def _block_rows(row: dict, leaves: list, csv: bool, depth: int, known: dict, first: bool):
     """rows(begin, end, csv_fh, json_fh), which writes rows begin..end of
     one block of _write_table() to the files given. Each block has its own
     literal row text: a column may repeat one value in one block and vary
     in the next."""
     varying = [(i, column) for i, column in enumerate(leaves) if not _constant(column)]
-    json_pieces = (f"{indent}  " + json.dumps(row, indent=2).replace("\n", f"\n{indent}  ")
-                   ).split(json.dumps(_MARK))
+    json_pieces = (_INDENT * (depth + 1) + _document(row, depth=depth + 1)).split(_JSON_MARK)
     csv_pieces = ",".join(v if v == _MARK else _csv_cell(v) for v in row.values()).split(_MARK)
     csv_pieces[-1] += "\n"
     if len(json_pieces) != len(varying) + 1 or csv and len(csv_pieces) != len(varying) + 1:
@@ -526,11 +538,103 @@ def _floats(obj, path: str = ""):
             yield from _floats(value, f"{path}[{i}]")
 
 
+def _unserializable(value):
+    """What json.JSONEncoder.default() does: refuse an object json cannot encode."""
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@functools.cache
+def _run_encoder(depth: int):
+    """CPython's C encoder, encoder(obj, 0) -> chunks, writing a dict or
+    list of scalars compactly with the item separator that indent=2 puts
+    between members `depth` levels in: ",\n" then the members' indent."""
+    separator = ",\n" + _INDENT * depth
+    if json.encoder.c_make_encoder is None:  # an interpreter without the _json module
+        encoder = json.JSONEncoder(separators=(separator, ": "), allow_nan=False,
+                                   default=_unserializable)
+        return lambda obj, _: encoder.iterencode(obj)
+    return json.encoder.c_make_encoder(None, _unserializable, json.encoder.encode_basestring_ascii,
+                                       None, ": ", separator, False, False, False)
+
+
+def _run(members, depth: int) -> str:
+    """A dict or list of scalars as the members json.dumps(indent=2) writes
+    inside a container at `depth`: the C encoder's text, brackets cut off."""
+    return "".join(_run_encoder(depth + 1)(members, 0))[1:-1]
+
+
+def _key(key) -> str:
+    """A dict key's JSON text, converted as json.dumps() converts it."""
+    if type(key) is str:
+        return json.encoder.encode_basestring_ascii(key)
+    return "".join(_run_encoder(0)({key: 0}, 0))[1:-4]  # '{"key": 0}'
+
+
+def _defaulted(value, default):
+    """value, through default() until json knows its type, as json.dumps() does."""
+    if isinstance(value, (str, int, float, list, tuple, dict)) or value is None:
+        return value
+    return _defaulted(default(value), default)
+
+
+def _members(obj, is_dict: bool, depth: int, default):
+    """The text of the members of a dict or list `depth` levels in, for the
+    caller to join: each run of members of a JSON scalar type in one C
+    encoder call, each other member alone, through default() where json
+    does not know its type. A run is written before the member after it
+    is converted, so errors come in the order json.dumps() raises them."""
+    items = list(obj.items()) if is_dict else obj
+    cuts = [i for i, kind in enumerate(map(type, obj.values() if is_dict else obj))
+            if kind not in _SCALARS]
+    start = 0
+    for i in cuts + [len(items)]:
+        if start < i:
+            yield _run(dict(items[start:i]) if is_dict else items[start:i], depth)
+        if i == len(items):
+            break
+        key, value = items[i] if is_dict else (None, items[i])
+        value = _defaulted(value, default)
+        if isinstance(value, (list, tuple, dict)):
+            yield (_key(key) + ": " if is_dict else "") + _indented(value, depth + 1, default)
+        else:  # a subclass of a scalar type, or what default() made of a value
+            yield _run({key: value} if is_dict else [value], depth)
+        start = i + 1
+
+
+def _indented(obj, depth: int, default) -> str:
+    """A dict, list or tuple `depth` levels in, as json.dumps(indent=2,
+    allow_nan=False) writes it: a container of scalars in one C encoder
+    call, any other as its _members()."""
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    pad = "\n" + _INDENT * depth
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        body = _run(obj, depth)
+    else:
+        body = ("," + pad + _INDENT).join(_members(obj, is_dict, depth, default))
+    return ("{" if is_dict else "[") + pad + _INDENT + body + pad + ("}" if is_dict else "]")
+
+
+def _document(obj, default=_unserializable, depth: int = 0) -> str:
+    """obj as json.dumps(obj, indent=2, allow_nan=False, default=default)
+    writes it; with `depth`, as it reads nested that many levels in (its
+    first line not indented)."""
+    obj = _defaulted(obj, default)
+    if isinstance(obj, (list, tuple, dict)):
+        return _indented(obj, depth, default)
+    return "".join(_run_encoder(0)(obj, 0))
+
+
 def json_text(obj, default=None) -> str:
-    """obj as indented JSON (json.dumps() `default`); non-finite floats are
-    refused, naming where the first one sits."""
+    """obj as indented JSON: the bytes of json.dumps(obj, indent=2,
+    allow_nan=False, default=default). CPython takes its pure-Python
+    encoder whenever an indent is set; here each run of scalar members of
+    a dict or list is written by the C encoder, one call per run with the
+    item separator of its depth, and only nested containers recurse.
+    Non-finite floats are refused, naming where the first one sits."""
     try:
-        return json.dumps(obj, indent=2, allow_nan=False, default=default)
+        return _document(obj, default or _unserializable)
     except ValueError as err:
         found = next(((at, v) for at, v in _floats(obj) if not math.isfinite(v)), None)
         where = f"{found[0] or 'the value'} is {float(found[1])!r}" if found else err
@@ -545,12 +649,12 @@ def write_json(obj, path) -> None:
 
     def table(value):
         if not isinstance(value, RowTable):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            _unserializable(value)
         tables.append(value.blocks)
         return _MARK
 
     text = json_text(obj, default=table)
-    pieces = text.split(json.dumps(_MARK)) if tables else [text]
+    pieces = text.split(_JSON_MARK) if tables else [text]
     if len(pieces) != len(tables) + 1:
         raise ValueError("a string in the document holds the row writer's mark")
     checked = [list(map(_checked, blocks)) for blocks in tables]
@@ -558,7 +662,7 @@ def write_json(obj, path) -> None:
         fh.write(pieces[0])
         for blocks, before, after in zip(checked, pieces, pieces[1:]):
             line = before.rpartition("\n")[2]
-            _write_table(blocks, None, fh, line[:len(line) - len(line.lstrip(" "))])
+            _write_table(blocks, None, fh, (len(line) - len(line.lstrip(" "))) // len(_INDENT))
             fh.write(after)
         fh.write("\n")
 

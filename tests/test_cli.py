@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tanh_nan_from
@@ -94,6 +94,50 @@ class TestAnalyze:
         rc, out, _ = run_cli(capsys, "check-rules", "--design", "1",
                              "--set", "transducer.bias_voltage=0")
         assert (rc, out) == (0, "all manufacturability rules pass\n")
+
+    # SHA-256 of stdout (the file's bytes too) and of manifest.json.
+    ANALYZE_PINS = {
+        "1": ("4e0294ecc7a1e31280bb21002e3384545dd547979c4dea616de15e97e7fe9cb7",
+              "7059929806f94ad997ec86bbe7023e08f28a359855ad0feb9e690bcba1c338c6"),
+        "2": ("e7ddd1b367474195cafb613686deb8cd5952b864d6a0059f2d5f1f5982067d51",
+              "042e48340474315b8acea172d1122d7fa18a336b5a080363d61194fd08446696"),
+        "3": ("38418b2fd5e335a152f2fc8f9a2ae7d7f1cfb19a5b79102f262e6b9002b4ccc0",
+              "417642dc490e6fcbcee8fb7b03177fcf312e2173096981919a90381ed18dccd1"),
+    }
+
+    @pytest.mark.parametrize("design", sorted(ANALYZE_PINS))
+    def test_analyze_bytes_are_pinned(self, capsys, tmp_path, design):
+        rc, out, _ = run_cli(capsys, "analyze", "--design", design, "--out", str(tmp_path))
+        assert rc == (2 if design == "2" else 0)
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+            out.encode(), (tmp_path / "analyze.json").read_bytes(),
+            (tmp_path / "manifest.json").read_bytes()))
+        stdout, manifest = self.ANALYZE_PINS[design]
+        assert digests == (stdout, stdout, manifest)
+
+    @settings(max_examples=40, deadline=None)
+    @given(design=st.sampled_from(["1", "2", "3"]),
+           bias=st.floats(math.log(5e-324), math.log(1e-40)).map(lambda e: max(math.exp(e), 5e-324)))
+    @example(design="1", bias=5e-324)
+    @example(design="1", bias=1e-320)
+    @example(design="1", bias=1e-300)
+    @example(design="2", bias=1e-200)
+    @example(design="3", bias=1e-80)
+    @example(design="1", bias=1e-60)
+    def test_a_tiny_bias_evaluates_or_is_named(self, design, bias):
+        # Below about 1e-70 V, eta^2 underflows or Lx/Cx overflows; the
+        # refusal names the bias, not what extract_circuit() meets.
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["analyze", "--design", design, "--set", f"transducer.bias_voltage={bias!r}"])
+        out, err = stdout.getvalue(), stderr.getvalue()
+        event(f"exit {rc}")
+        if rc == 1:
+            assert out == ""
+            [line] = err.splitlines()
+            assert line.startswith(f"error: transduction: bias_voltage {bias!r} V is too small")
+        else:
+            assert rc in (0, 2) and json.loads(out)["transducer.bias_voltage"] == bias
 
     def test_non_finite_json_refusal_names_the_value(self):
         # No input of analyze is known to compute a non-finite value, so the
@@ -211,6 +255,23 @@ class TestSimulate:
         assert digests == {
             "trace.csv": "49b1652ee03e006016acbd2989eddcf857e818e0b8a568f0a904d1c3023f2edf",
             "envelope.csv": "42a0316be9bb5d6300c62de3020915e2c4175e0c59f3e76f2ae35d6790e1d139",
+        }
+
+    def test_seed_7_summary_bytes_are_pinned(self, capsys, tmp_path):
+        # The run above: stdout and summary.json hold the same JSON.
+        f0 = 75901.52851033452
+        rc, out, _ = run_cli(
+            capsys, "simulate", "--design", "1", "--seed", "7",
+            "--set", "sim.displacement_guard=false",
+            "--set", f"sim.duration={700 / f0!r}", "--out", str(tmp_path))
+        assert rc == 0
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in (
+            ("stdout", out.encode()), ("summary.json", (tmp_path / "summary.json").read_bytes()),
+            ("manifest.json", (tmp_path / "manifest.json").read_bytes()))}
+        assert digests == {
+            "stdout": "26e7fefafdd9b58d433103ad21b2223b46cdb6737cb5c302071188e2610e1104",
+            "summary.json": "26e7fefafdd9b58d433103ad21b2223b46cdb6737cb5c302071188e2610e1104",
+            "manifest.json": "d2d4706311103cc7c618a5c30d0067b873cdc3b1c3931aa6f32753e98f4fe726",
         }
 
     def test_out_computes_the_envelope_once(self, capsys, tmp_path, monkeypatch):

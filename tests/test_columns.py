@@ -72,11 +72,12 @@ PATH_RANGES = {
 
 # Wider ranges that fail somewhere: evaluate() raises an overflow (gm) or a
 # zero division (c1), or refuses a vibration budget whose deflection
-# violation would overflow.
+# violation would overflow, or a bias too small to couple the beam.
 FAULT_RANGES = {
     "pierce.gm": (1e-6, 1e300),
     "pierce.c1": (1e-320, 5e-12),
     "explore.vibration_amplitude": (1e303, 1e308),
+    "transducer.bias_voltage": (5e-324, 12.0),
 }
 
 
@@ -95,6 +96,20 @@ def test_an_overflowing_vibration_budget_is_a_failed_check_not_a_fault(design_po
     assert vouched.tolist() == [True, False]
     with pytest.raises(StageError, match="^transduction: vibration_amplitude 1e\\+308 m"):
         evaluate(replace(inputs, vibration_amplitude=1e308))
+
+
+def test_a_tiny_bias_is_a_failed_check_not_a_fault(design_points):
+    # 1e-300 V underflows eta^2 and 3e-150 V overflows Lx/Cx: the pass flags
+    # both, which evaluate() refuses by naming the bias, and vouches for 9 V.
+    inputs = design_points[1].inputs
+    axis = SweepAxis("transducer.bias_voltage", 1e-300, 9.0, 3, "log")
+    [(_, values, vouched)] = explore._grid_blocks(inputs, (axis,), [axis.values()],
+                                                  lambda point: [point.circuit.r_x])
+    assert values is not None
+    assert vouched.tolist() == [False, False, True]
+    for bias in axis.values()[:2].tolist():
+        with pytest.raises(StageError, match=f"^transduction: bias_voltage {bias!r} V is too small"):
+            evaluate(set_parameter(inputs, {"transducer.bias_voltage": bias}))
 
 
 @st.composite
@@ -453,8 +468,9 @@ class TestInvalidPoints:
                 row["derived.re_zc_max"] / row["derived.r_x"] for row in want]
 
     def test_an_unbiased_point_fails_like_evaluate(self, design_points):
-        # eta = 0 divides by zero in the column pass; under the suite's
-        # RuntimeWarning filter this also checks that np.errstate holds it.
+        # The pass flags eta = 0 and goes on with eta = 1 there, so it
+        # neither divides by zero nor faults; under the suite's
+        # RuntimeWarning filter this also checks that np.errstate holds.
         spec = SweepSpec(axes=(SweepAxis("transducer.bias_voltage", 0.0, 9.0, 3),))
         _, error = scalar_path(self.base(design_points), spec)
         with pytest.raises(StageError) as raised:

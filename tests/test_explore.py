@@ -546,9 +546,11 @@ class TestOptimize:
         # fault, so those points are logged as failed and not evaluated.
         pytest.param(SweepAxis("explore.vibration_amplitude", 0.0, 1e308, 2), 1e308, False,
                      id="axis0-1e+308"),
-        # eta = 0 divides by zero in the first block only.
-        pytest.param(SweepAxis("transducer.bias_voltage", 0.0, 9.0, 2), 0.0, True,
+        # So does a bias of 0 V, which couples with eta = 1 in the pass.
+        pytest.param(SweepAxis("transducer.bias_voltage", 0.0, 9.0, 2), 0.0, False,
                      id="axis1-0.0"),
+        # gm = 1e300 overflows in the last block only.
+        pytest.param(SweepAxis("pierce.gm", 1e-4, 1e300, 2), 1e300, True, id="axis2-1e+300"),
     ])
     def test_a_fault_stays_in_its_block(self, design_points, monkeypatch, axis, alone, faults):
         # Only the points of the block that faults are graded by evaluate().
