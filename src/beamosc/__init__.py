@@ -5,7 +5,7 @@ Modules, in pipeline order:
   process       metal-stack heights and manufacturability rules
   mechanics     lumped spring/mass/frequency model of the beam
   transduction  gap transducer: coupling, pull-in, deflection, RLC equivalent
-  pierce        the sustaining amplifier: its circuit and small-signal impedance
+  pierce        the sustaining amplifier: its circuit, |Re(Zc)| and gm sizing
   simulate      time-domain startup simulation and measurements
   traceio       deterministic CSV/JSON/SVG output, committed whole
   explore       design evaluation, sweeps, optimization
@@ -49,11 +49,8 @@ from .transduction import (
 from .pierce import (
     PierceConfig,
     PierceOptimum,
-    StartupReport,
-    complex_impedance,
     max_negative_resistance,
     negative_resistance,
-    startup_check,
 )
 from .simulate import SimConfig, summarize_startup
 from .explore import (
@@ -81,8 +78,7 @@ __all__ = [
     "Transducer", "coupling_coefficient", "displacement_limit",
     "electrode_capacitance", "extract_circuit", "motional_current",
     "pull_in_voltage", "static_deflection", "PierceConfig", "PierceOptimum",
-    "StartupReport", "complex_impedance", "max_negative_resistance",
-    "negative_resistance", "startup_check", "SimConfig", "summarize_startup",
+    "max_negative_resistance", "negative_resistance", "SimConfig", "summarize_startup",
     "ConstraintCheck", "DesignInputs", "DesignPoint", "OptimizeResult", "SweepAxis",
     "SweepSpec", "evaluate", "flatten", "optimize", "set_parameter", "sweep",
     "ProjectConfig", "load_builtin_design", "load_config", "ComparisonReport",

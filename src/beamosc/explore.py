@@ -57,11 +57,9 @@ from .errors import (
 from .mechanics import BeamGeometry, LumpedBeamModel
 from .pierce import (
     PierceConfig,
-    StartupReport,
     _gm_roots,
     max_negative_resistance,
     negative_resistance,
-    startup_check,
 )
 from .process import (
     DEFAULT_DENSITY,
@@ -157,7 +155,12 @@ CONSTRAINT_NAMES = ("bias", "deflection", "startup", "rules")
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """Fully evaluated candidate: resolved parts, derived figures, verdict."""
+    """Fully evaluated candidate: resolved parts, derived figures, verdict.
+
+    startup_margin is |Re(Z_C)| / R_x: the loop oscillates where it exceeds
+    1, and design practice asks for 3 (COLUMNS' derived.oscillates and
+    derived.meets_3x).
+    """
 
     inputs: DesignInputs
     model: LumpedBeamModel
@@ -172,7 +175,7 @@ class DesignPoint:
     gm_opt: float
     gm: float  # inputs.gm, or the automatic sizing's where that is None
     re_zc: float
-    startup: StartupReport
+    startup_margin: float
     rule_violation_count: int
     constraints: tuple[ConstraintCheck, ...]
     feasible: bool
@@ -249,7 +252,10 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
             amplifier, circuit.f0, inputs.target_margin * circuit.r_x, check)
         gm = select(reachable, gm_low, opt.gm_opt)
     re_zc = negative_resistance(amplifier, gm, circuit.f0, check)
-    startup = startup_check(re_zc, circuit.r_x, check)
+    check((re_zc != re_zc) | (re_zc < 0), "neg_resistance must be >= 0")
+    check((circuit.r_x != circuit.r_x) | (circuit.r_x <= 0),
+          "motional_resistance must be > 0")
+    startup_margin = re_zc / circuit.r_x
 
     check.stage = "rules"
     rules = rule_checks(tr.gap, beam.H, beam.W, inputs.rules)
@@ -272,7 +278,7 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
     target = inputs.target_margin
     bias_ok = tr.bias_voltage <= bias_limit * (1.0 + _SLACK)
     deflection_ok = deflection <= x_limit * (1.0 + _SLACK)
-    startup_ok = startup.margin >= target * (1.0 - _SLACK)
+    startup_ok = startup_margin >= target * (1.0 - _SLACK)
     rules_ok = n_broken == 0
     constraints = (
         build(ConstraintCheck, check, name="bias", ok=bias_ok,
@@ -282,8 +288,8 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
                    measured=deflection, limit=x_limit,
                    violation=fmax(0.0, deflection / x_limit - 1.0)),
         build(ConstraintCheck, check, name="startup", ok=startup_ok,
-                   measured=startup.margin, limit=target,
-                   violation=fmax(0.0, 1.0 - startup.margin / target)),
+                   measured=startup_margin, limit=target,
+                   violation=fmax(0.0, 1.0 - startup_margin / target)),
         build(ConstraintCheck, check, name="rules", ok=rules_ok,
                    measured=n_broken + 0.0, limit=0.0, violation=rules_violation),
     )
@@ -302,7 +308,7 @@ def _chain(inputs: DesignInputs, check) -> DesignPoint:
         gm_opt=opt.gm_opt,
         gm=gm,
         re_zc=re_zc,
-        startup=startup,
+        startup_margin=startup_margin,
         rule_violation_count=n_broken,
         constraints=constraints,
         feasible=bias_ok & deflection_ok & startup_ok & rules_ok,
@@ -367,10 +373,11 @@ COLUMNS = tuple((name, operator.attrgetter(path)) for name, path in (
     ("derived.re_zc_max", "re_max"),
     ("derived.gm_opt", "gm_opt"),
     ("derived.gm", "gm"),
-    ("derived.startup_margin", "startup.margin"),
-    ("derived.oscillates", "startup.oscillates"),
-    ("derived.meets_3x", "startup.meets_3x"),
-)) + tuple(
+    ("derived.startup_margin", "startup_margin"),
+)) + (
+    ("derived.oscillates", lambda p: p.startup_margin > 1.0),
+    ("derived.meets_3x", lambda p: p.startup_margin >= 3.0),
+) + tuple(
     (f"constraint.{name}_ok", lambda p, name=name: p.constraint(name).ok)
     for name in CONSTRAINT_NAMES
 ) + (
@@ -654,7 +661,7 @@ _SMOOTH = {
     "deflection": (lambda p: (p.x_static if p.inputs.vibration_amplitude is None
                               else p.constraint("deflection").measured) / p.x_limit, 1.0),
     "startup": (lambda p: (p.re_max / p.circuit.r_x if p.inputs.gm is None
-                           else p.startup.margin) / p.inputs.target_margin, -1.0),
+                           else p.startup_margin) / p.inputs.target_margin, -1.0),
 }
 
 

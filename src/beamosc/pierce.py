@@ -12,9 +12,11 @@ whose real part is negative with magnitude
 
 The magnitude is unimodal in g_m: it peaks at g_m_opt = w*S/C0 with value
 Re_max = C1*C2 / (2*w*C0*S). Oscillation builds up while |Re(Z_C)| exceeds
-the motional resistance R_x; design practice asks for a 3x margin.
+the motional resistance R_x; design practice asks for a 3x margin, which
+explore grades as DesignPoint.startup_margin = |Re(Z_C)| / R_x.
 PierceConfig is the amplifier's circuit, which evaluate() grades and the
-startup simulation integrates; the closed form reads only C1, C2 and C0.
+startup simulation integrates. Of it, the figures here (|Re(Z_C)|, its peak
+over g_m and the g_m that reaches a target) read only C1, C2 and C0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._num import fmax, power, select, sqrt
-from .errors import RAISE, build
+from .errors import RAISE
 
 
 @dataclass(frozen=True)
@@ -80,16 +82,6 @@ def negative_resistance(config: PierceConfig, gm: float, f0: float, check=RAISE)
     return num / den
 
 
-def complex_impedance(config: PierceConfig, gm: float, f0: float, check=RAISE) -> complex:
-    """Small-signal Z_C at the resonator port at gm and f0, ohm."""
-    check((gm != gm) | (gm < 0), "gm must be >= 0")
-    w = _omega(f0, check)
-    s = _sum_products(config.c1, config.c2, config.c0)
-    num = complex(gm, w * (config.c1 + config.c2))
-    den = complex(-w * w * s, w * gm * config.c0)
-    return num / den
-
-
 class PierceOptimum(NamedTuple):
     """Peak of |Re(Z_C)| over g_m: the value and where it occurs."""
 
@@ -137,37 +129,4 @@ def _gm_roots(config, f0, target_resistance, check=RAISE):
     gm_double = -b / (2.0 * a)
     return (reachable, double, select(double, gm_double, gm_low),
             select(double, gm_double, gm_high))
-
-
-@dataclass(frozen=True)
-class StartupReport:
-    """Startup margin of a resonator/amplifier pairing.
-
-    margin = |Re(Z_C)| / R_x. Oscillation requires margin > 1 strictly;
-    meets_3x reports the margin >= 3 design rule.
-    """
-
-    margin: float
-    oscillates: bool
-    meets_3x: bool
-
-    def __post_init__(self, check=RAISE):
-        # On bools, a > b is "a and not b".
-        check(self.meets_3x > self.oscillates, "meets_3x implies oscillates")
-
-
-def startup_check(neg_resistance: float, motional_resistance: float,
-                  check=RAISE) -> StartupReport:
-    """Compare achievable |Re(Z_C)| against the motional resistance."""
-    check((neg_resistance != neg_resistance) | (neg_resistance < 0),
-          "neg_resistance must be >= 0")
-    check((motional_resistance != motional_resistance) | (motional_resistance <= 0),
-          "motional_resistance must be > 0")
-    margin = neg_resistance / motional_resistance
-    return build(
-        StartupReport, check,
-        margin=margin,
-        oscillates=margin > 1.0,
-        meets_3x=margin >= 3.0,
-    )
 

@@ -103,6 +103,38 @@ def startup_columns(circuit, amplifier, gm, sim, eta) -> dict:
     return {**join_blocks(columns), "i_l": np.concatenate(currents)}
 
 
+def amplifier_nodes(amplifier, gm, resistors=True):
+    """The amplifier's node equations, C·dv/dt + G·v = i, on v = (v1, v2):
+    the input node and the output node, where the resonator's branch
+    current i_l leaves v1 and enters v2 (i = (-i_l, i_l)). C holds C1 and
+    C2 to ground and C0 between the nodes; G the bias resistor between the
+    nodes, the output resistor to ground and the transconductor, which draws
+    gm·v1 from the output node. resistors=False leaves both resistors open.
+    """
+    c0, c1, c2 = amplifier.c0, amplifier.c1, amplifier.c2
+    cap = np.array([[c1 + c0, -c0], [-c0, c2 + c0]])
+    g_fb, g_out = ((1.0 / amplifier.r_feedback, 1.0 / amplifier.r_output)
+                   if resistors else (0.0, 0.0))
+    cond = np.array([[g_fb, -g_fb], [gm - g_fb, g_fb + g_out]])
+    return cap, cond
+
+
+def loop_matrix(circuit, amplifier, gm) -> np.ndarray:
+    """A of the small-signal loop dy/dt = A·y, y = (i_l, q, v1, v2): the
+    motional branch L_x·di_l/dt = v1 - v2 - R_x·i_l - q/C_x, dq/dt = i_l,
+    closed by the amplifier's node equations with tanh linear."""
+    rx, lx, cx = circuit.r_x, circuit.l_x, circuit.c_x
+    cap, cond = amplifier_nodes(amplifier, gm)
+    currents = np.zeros((2, 4))
+    currents[:, 0] = -1.0, 1.0  # i_l
+    currents[:, 2:] = -cond
+    a = np.zeros((4, 4))
+    a[0] = -rx / lx, -1.0 / (lx * cx), 1.0 / lx, -1.0 / lx
+    a[1, 0] = 1.0
+    a[2:] = np.linalg.solve(cap, currents)
+    return a
+
+
 @pytest.fixture(scope="session")
 def startup_trace(design_points):
     """Unguarded design-1 startup, seed 7, 700 cycles. Reused widely."""

@@ -1,18 +1,28 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from beamosc.errors import ValidationError
+from beamosc.errors import StageError, ValidationError
+from beamosc.explore import (
+    COLUMNS,
+    SweepAxis,
+    SweepSpec,
+    evaluate,
+    flatten,
+    set_parameter,
+    sweep,
+)
 from beamosc.pierce import (
     PierceConfig,
     _gm_roots,
-    complex_impedance,
     max_negative_resistance,
     negative_resistance,
-    startup_check,
 )
+from conftest import amplifier_nodes, join_blocks
 
 C1 = C2 = 2e-12
 C0 = 10e-15
@@ -25,6 +35,15 @@ freqs = st.floats(min_value=1e4, max_value=1e7)
 
 def cfg(c0=C0):
     return PierceConfig(c1=C1, c2=C2, c0=c0)
+
+
+def port_impedance(config, gm, f0) -> complex:
+    """Z_C at the resonator port, from a 2x2 complex solve of the node
+    equations at w = 2*pi*f0, the resistors open: a unit current drawn from
+    the input node into the output node sets Z_C = v2 - v1."""
+    cap, cond = amplifier_nodes(config, gm, resistors=False)
+    v1, v2 = np.linalg.solve(cond + 2j * math.pi * f0 * cap, [-1.0, 1.0])
+    return complex(v2 - v1)
 
 
 class TestNegativeResistance:
@@ -45,7 +64,7 @@ class TestNegativeResistance:
            c1=caps, c2=caps, c0=shunts, f0=freqs)
     def test_matches_real_part_of_full_impedance(self, gm, c1, c2, c0, f0):
         config = PierceConfig(c1=c1, c2=c2, c0=c0)
-        z = complex_impedance(config, gm, f0)
+        z = port_impedance(config, gm, f0)
         assert -z.real == pytest.approx(negative_resistance(config, gm, f0), rel=1e-9)
         assert z.imag < 0  # the port always looks capacitive
 
@@ -56,7 +75,7 @@ class TestNegativeResistance:
         s = C1 * C2 + C2 * C0 + C0 * C1
         num = gm ** 2 * C0 + w ** 2 * (C1 + C2) * s
         den = w * (w ** 2 * s ** 2 + gm ** 2 * C0 ** 2)
-        assert complex_impedance(cfg(), gm, F0).imag == pytest.approx(-num / den, rel=1e-9)
+        assert port_impedance(cfg(), gm, F0).imag == pytest.approx(-num / den, rel=1e-9)
 
     def test_small_c0_limit(self):
         # As C0 -> 0 the magnitude approaches gm / (w^2 C1 C2).
@@ -67,11 +86,10 @@ class TestNegativeResistance:
         assert val == pytest.approx(limit, rel=1e-3)
 
     def test_invalid_inputs_rejected(self):
-        for zc in (negative_resistance, complex_impedance):
-            with pytest.raises(ValidationError, match="^gm must be >= 0$"):
-                zc(cfg(), -1e-6, F0)
-            with pytest.raises(ValidationError, match="^f0 must be > 0$"):
-                zc(cfg(), 1e-6, 0.0)
+        with pytest.raises(ValidationError, match="^gm must be >= 0$"):
+            negative_resistance(cfg(), -1e-6, F0)
+        with pytest.raises(ValidationError, match="^f0 must be > 0$"):
+            negative_resistance(cfg(), 1e-6, 0.0)
         with pytest.raises(ValidationError):
             PierceConfig(c1=0.0, c2=C2, c0=C0)
 
@@ -182,36 +200,59 @@ class TestRequiredGm:
 
 
 class TestStartupCheck:
+    """The startup margin |Re(Z_C)| / R_x that evaluate() keeps, and the
+    two readings of it that COLUMNS gives."""
+
     def test_bundled_margins(self, design_points):
-        margins = {n: design_points[n].startup.margin for n in (1, 2, 3)}
+        margins = {n: design_points[n].startup_margin for n in (1, 2, 3)}
         assert margins[1] == pytest.approx(90.238, rel=1e-3)
         assert margins[2] == pytest.approx(45.550, rel=1e-3)
         assert margins[3] == pytest.approx(4.661, rel=1e-3)
+        getters = dict(COLUMNS)
         for n in (1, 2, 3):
-            assert design_points[n].startup.meets_3x
-            assert design_points[n].startup.oscillates
+            assert getters["derived.meets_3x"](design_points[n]) is True
+            assert getters["derived.oscillates"](design_points[n]) is True
 
-    def test_margin_of_exactly_one_does_not_oscillate(self):
-        report = startup_check(717e3, 717e3)
-        assert report.margin == 1.0
-        assert not report.oscillates
-        assert not report.meets_3x
+    def test_readings_at_their_edges(self):
+        # Oscillation needs a margin above 1 strictly; the design rule is
+        # met at 3 itself. A float reads as a bool, a column as a bool column.
+        getters = dict(COLUMNS)
+        margins = [0.0, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+                   math.nextafter(3.0, 0.0), 3.0, math.nextafter(3.0, 4.0)]
+        expected = {"derived.oscillates": [False, False, False, True, True, True, True],
+                    "derived.meets_3x": [False, False, False, False, False, True, True]}
+        for name, readings in expected.items():
+            get = getters[name]
+            floats = [get(SimpleNamespace(startup_margin=m)) for m in margins]
+            assert floats == readings
+            assert all(type(reading) is bool for reading in floats)
+            column = get(SimpleNamespace(startup_margin=np.array(margins)))
+            assert column.dtype == bool
+            assert column.tolist() == readings
 
-    def test_margin_of_exactly_three_meets_rule(self):
-        report = startup_check(3 * 717e3, 717e3)
-        assert report.meets_3x
-        assert report.oscillates
+    def test_gm_sweep_reads_as_evaluate_reads(self, design_points):
+        # Across margins of about 0.5-5 both readings are seen False and
+        # True, and a column pass gives each point what evaluate() gives it.
+        point = design_points[1]
+        low, high = (_gm_roots(point.inputs.amplifier, point.circuit.f0,
+                               margin * point.circuit.r_x)[2] for margin in (0.5, 5.0))
+        spec = SweepSpec(axes=(SweepAxis("pierce.gm", low, high, 13, "log"),))
+        columns = join_blocks(sweep(point.inputs, spec))
+        names = ("derived.startup_margin", "derived.oscillates", "derived.meets_3x")
+        rows = [flatten(evaluate(set_parameter(point.inputs, {"pierce.gm": gm})))
+                for gm in spec.axes[0].values()]
+        for name in names:
+            assert columns[name].tolist() == [row[name] for row in rows]
+        for name in names[1:]:
+            assert set(columns[name].tolist()) == {False, True}
+        assert columns["derived.startup_margin"][[0, -1]] == pytest.approx([0.5, 5.0])
 
-    def test_zero_negative_resistance(self):
-        report = startup_check(0.0, 717e3)
-        assert report.margin == 0.0
-        assert not report.oscillates
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValidationError):
-            startup_check(-1.0, 717e3)
-        with pytest.raises(ValidationError):
-            startup_check(64.7e6, 0.0)
+    def test_lossless_design_is_refused_at_pierce(self, design_points):
+        # An infinite Q gives R_x = 0: no margin to read.
+        inputs = replace(design_points[1].inputs, q_factor=math.inf)
+        with pytest.raises(StageError, match="^pierce: motional_resistance must be > 0$") as info:
+            evaluate(inputs)
+        assert info.value.stage == "pierce"
 
 
 class TestLocus:
@@ -219,7 +260,7 @@ class TestLocus:
         # Z_C traced over g_m: |Re| peaks at Re_max, Re <= 0 and Im < 0 throughout.
         f0 = 75901.5285
         re_max, gm_opt = max_negative_resistance(cfg(), f0)
-        locus = [complex_impedance(cfg(), gm, f0)
+        locus = [port_impedance(cfg(), gm, f0)
                  for gm in gm_opt * np.logspace(-2, 2, 201)]
         assert max(-z.real for z in locus) == pytest.approx(re_max, rel=1e-3)
         assert all(z.real <= 0 for z in locus)
