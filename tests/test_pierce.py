@@ -213,22 +213,37 @@ class TestStartupCheck:
             assert getters["derived.meets_3x"](design_points[n]) is True
             assert getters["derived.oscillates"](design_points[n]) is True
 
-    def test_readings_at_their_edges(self):
-        # Oscillation needs a margin above 1 strictly; the design rule is
-        # met at 3 itself. A float reads as a bool, a column as a bool column.
+    @staticmethod
+    def _readings(margins):
+        # Each COLUMNS reading of these margins, taken one float at a time
+        # and as one column; both must agree and read as bools.
         getters = dict(COLUMNS)
-        margins = [0.0, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
-                   math.nextafter(3.0, 0.0), 3.0, math.nextafter(3.0, 4.0)]
-        expected = {"derived.oscillates": [False, False, False, True, True, True, True],
-                    "derived.meets_3x": [False, False, False, False, False, True, True]}
-        for name, readings in expected.items():
+        readings = {}
+        for name in ("derived.oscillates", "derived.meets_3x"):
             get = getters[name]
             floats = [get(SimpleNamespace(startup_margin=m)) for m in margins]
-            assert floats == readings
             assert all(type(reading) is bool for reading in floats)
             column = get(SimpleNamespace(startup_margin=np.array(margins)))
             assert column.dtype == bool
-            assert column.tolist() == readings
+            assert column.tolist() == floats
+            readings[name] = floats
+        return readings
+
+    def test_margin_of_exactly_one_does_not_oscillate(self):
+        # Oscillation needs a margin above 1 strictly.
+        readings = self._readings([math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)])
+        assert readings["derived.oscillates"] == [False, False, True]
+        assert readings["derived.meets_3x"] == [False, False, False]
+
+    def test_margin_of_exactly_three_meets_rule(self):
+        # The design rule is met at 3 itself.
+        readings = self._readings([math.nextafter(3.0, 0.0), 3.0, math.nextafter(3.0, 4.0)])
+        assert readings["derived.meets_3x"] == [False, True, True]
+        assert readings["derived.oscillates"] == [True, True, True]
+
+    def test_zero_negative_resistance(self):
+        readings = self._readings([0.0])
+        assert readings == {"derived.oscillates": [False], "derived.meets_3x": [False]}
 
     def test_gm_sweep_reads_as_evaluate_reads(self, design_points):
         # Across margins of about 0.5-5 both readings are seen False and
