@@ -270,6 +270,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache  # parse_args() keeps no state, so one parser serves every main()
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser. Its `commands` maps each command name to the
+    parser of the words after it, so main() can skip the top level."""
     parser = _Parser(
         prog="beamosc",
         description="MEMS beam resonator / Pierce oscillator design toolkit",
@@ -277,16 +279,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"beamosc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, (func, help_, options) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_)
+        sp = parser.commands[name] = sub.add_parser(name, help=help_)
         for flag in options.split():
             sp.add_argument(flag, **_OPTIONS[flag])
         sp.set_defaults(func=func)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), skipping the top level when argv
+    starts with a command: the words after it go to that command's parser,
+    as the full parser would hand them. A word it leaves unparsed, or an
+    argv that starts with no command, goes through the full parser, so
+    every usage error keeps its text and exit code."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, unparsed = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not unparsed:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except BeamoscError as err:

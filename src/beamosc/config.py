@@ -107,7 +107,7 @@ def _axes(path, v):
         for req in ("path", "min", "max", "steps"):
             if req not in item:
                 raise ConfigError(f"{p}.{req}: required")
-        axis_path = _string(f"{p}.path", item["path"], choices=set(PARAMETER_PATHS))
+        axis_path = _string(f"{p}.path", item["path"], choices=_AXIS_PATHS)
         earlier = [axis["path"] for axis in out]
         if axis_path in earlier:
             raise ConfigError(f"{p}.path: duplicates {path}[{earlier.index(axis_path)}]")
@@ -138,7 +138,7 @@ def _constraints(path, v):
         return None
     if not isinstance(v, list):
         raise ConfigError(f"{path}: expected a list of constraint names or null")
-    return [_string(f"{path}[{i}]", n, choices=set(CONSTRAINT_NAMES))
+    return [_string(f"{path}[{i}]", n, choices=_CONSTRAINT_NAMES)
             for i, n in enumerate(v)]
 
 
@@ -207,13 +207,30 @@ SCHEMA = {
 }
 
 
+# The schema compiled once, at import: each block's defaults (only a mutable
+# one, such as explore.axes, is copied per config), one (dotted path,
+# validator, keywords) row per key, and the route of every key an axis can
+# set into the DesignInputs part and field it sets.
+_DEFAULTS = {block: {name: default for name, (default, _, _) in entries.items()}
+             for block, entries in SCHEMA.items()}
+_MUTABLE_DEFAULTS = tuple((block, name) for block, defaults in _DEFAULTS.items()
+                          for name, default in defaults.items()
+                          if isinstance(default, (list, dict)))
+_ROWS = {block: {name: (f"{block}.{name}", fn, kw) for name, (_, fn, kw) in entries.items()}
+         for block, entries in SCHEMA.items()}
+_AXIS_PATHS = frozenset(PARAMETER_PATHS)
+_CONSTRAINT_NAMES = frozenset(CONSTRAINT_NAMES)
+_ROUTES = tuple((*key.split("."), part, field) for key, (part, field) in PARAMETER_PATHS.items())
+
+
 def default_config() -> dict:
     """The full default config as a plain dict of its own: each mutable
     default (a list or dict, such as explore.axes) is a fresh copy."""
     out = {"description": ""}
-    for block, entries in SCHEMA.items():
-        out[block] = {name: copy.deepcopy(default) if isinstance(default, (list, dict))
-                      else default for name, (default, _, _) in entries.items()}
+    for block, defaults in _DEFAULTS.items():
+        out[block] = dict(defaults)
+    for block, name in _MUTABLE_DEFAULTS:
+        out[block][name] = copy.deepcopy(out[block][name])
     return out
 
 
@@ -230,15 +247,18 @@ def validate_config(raw: dict) -> dict:
         if block == "description":
             resolved["description"] = _string("description", content)
             continue
-        if block not in SCHEMA:
+        rows = _ROWS.get(block)
+        if rows is None:
             raise ConfigError(f"unknown config key: {block}")
         if not isinstance(content, dict):
             raise ConfigError(f"{block}: expected an object")
+        target = resolved[block]
         for field, value in content.items():
-            if field not in SCHEMA[block]:
+            row = rows.get(field)
+            if row is None:
                 raise ConfigError(f"unknown config key: {block}.{field}")
-            _, fn, kw = SCHEMA[block][field]
-            resolved[block][field] = fn(f"{block}.{field}", value, **kw)
+            path, fn, kw = row
+            target[field] = fn(path, value, **kw)
     return resolved
 
 
@@ -251,6 +271,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path} is not UTF-8 text: {err}") from err
+    except RecursionError as err:
+        raise ConfigError(f"config {path} is nested too deeply to parse") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: root must be a JSON object")
     return raw
@@ -275,9 +299,11 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     """Apply --set style `block.field=value` assignments to a raw config.
 
     Values parse as JSON with a bare-string fallback. The result still goes
-    through validate_config, so unknown keys are caught there.
+    through validate_config, so unknown keys are caught there. Only the
+    root and its blocks are copied, the levels an assignment writes to: a
+    deep copy of a deeply nested value would overflow the stack.
     """
-    out = copy.deepcopy(raw)
+    out = {key: dict(value) if isinstance(value, dict) else value for key, value in raw.items()}
     for assignment in assignments:
         if "=" not in assignment:
             raise ConfigError(
@@ -287,7 +313,10 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         parts = path.strip().split(".")
         if not all(parts) or len(parts) > 2:
             raise ConfigError(f"override path {path!r} must be block.field")
-        value = _parse_set_value(text.strip())
+        try:
+            value = _parse_set_value(text.strip())
+        except RecursionError as err:
+            raise ConfigError(f"{path.strip()}: value is nested too deeply to parse") from err
         node = out
         for part in parts[:-1]:
             node = node.setdefault(part, {})
@@ -324,10 +353,10 @@ class ProjectConfig:
         }
         # Every key an axis can set goes through the axes' own table; an
         # unset one (null, or pierce.gm "auto") keeps its DesignInputs default.
-        for key, (part, field) in PARAMETER_PATHS.items():
-            block, name = key.split(".")
-            if d[block][name] not in (None, "auto"):
-                parts[part][field] = d[block][name]
+        for block, name, part, field in _ROUTES:
+            value = d[block][name]
+            if value not in (None, "auto"):
+                parts[part][field] = value
         return DesignInputs(
             beam=BeamGeometry(**parts["beam"]),
             transducer=Transducer(**parts["transducer"]),

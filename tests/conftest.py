@@ -27,10 +27,18 @@ def reference():
     return load_reference()["designs"]
 
 
+class DesignPoints(dict):
+    """{design number: DesignPoint} that a falsifying example shows in one
+    line, ahead of the drawn arguments, not as three full reprs."""
+
+    def __repr__(self):
+        return f"<evaluated designs {', '.join(map(str, self))}>"
+
+
 @pytest.fixture(scope="session")
 def design_points():
     """Evaluated bundled designs {1: DesignPoint, 2: ..., 3: ...}."""
-    points = {}
+    points = DesignPoints()
     for n in BUILTIN_DESIGNS:
         cfg = ProjectConfig.from_raw(load_builtin_design(n))
         points[n] = evaluate(cfg.build_inputs())

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -22,7 +23,7 @@ from conftest import tanh_nan_from
 import beamosc
 import beamosc.cli
 from beamosc import explore, simulate, traceio
-from beamosc.cli import _point_payload, build_parser, main
+from beamosc.cli import _COMMANDS, _OPTIONS, _parse, _point_payload, build_parser, main
 from beamosc.config import SCHEMA
 from beamosc.errors import ValidationError
 from beamosc.explore import optimize
@@ -1073,6 +1074,52 @@ class TestUsage:
             parser.parse_args(argv)
 
 
+_VALUES = ["1", "2", "4", "-1", "1e-3", "nan", "x.json", "csv", "xml", "beam.length=1e-4", ""]
+_FITS = {"--design": ["1", "3"], "--set": ["beam.length=1e-4"], "--format": ["csv", "json"],
+         "--seed": ["7"]}
+_LOOSE = ["--", "-h", "--help", "--version", "--conf", "--se", "--x-max=1", "--design=2",
+          "--bogus", "-x", "junk", "analyze"]
+
+
+@st.composite
+def command_lines(draw):
+    """argv: a command or another first word, then options of that command
+    or of another, values, and junk words, '--', -h and --version."""
+    head = draw(st.sampled_from([*_COMMANDS, *_COMMANDS, "--version", "-h", "--", "bogus"]))
+    argv = [] if draw(st.integers(0, 9)) == 0 else [head]
+    own = _COMMANDS[head][2].split() if head in _COMMANDS else sorted(_OPTIONS)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 5))
+        if kind < 3:  # one of its own options, with a value that fits
+            flag = draw(st.sampled_from(own))
+            argv += [flag, draw(st.sampled_from(_FITS.get(flag, ["x.json", "1e-3"])))]
+        elif kind == 3:
+            argv += [draw(st.sampled_from(sorted(_OPTIONS))), draw(st.sampled_from(_VALUES))]
+        else:
+            argv.append(draw(st.sampled_from(_LOOSE + _VALUES)))
+    return argv
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    return args, out.getvalue(), err.getvalue()
+
+
+@given(argv=command_lines())
+def test_main_parses_as_the_full_parser(argv):
+    """main() hands the words after a command to that command's parser, and
+    falls back to the full one: either way it gets the full parser's
+    Namespace, or its exit code, stdout and stderr bytes."""
+    want = _parse_outcome(build_parser().parse_args, argv)
+    event("parsed" if isinstance(want[0], argparse.Namespace) else f"exit {want[0]}")
+    assert _parse_outcome(_parse, argv) == want
+
+
 class TestParserReuse:
     """main() parses with one parser per process; no call may see another's
     arguments."""
@@ -1173,6 +1220,41 @@ class TestNonFiniteInputs:
         assert stdout == ""
         assert "pierce.gm" in err
         assert not out.exists()
+
+
+class TestUnparseableConfigs:
+    """A config that JSON cannot read is refused in one line that names the
+    file or the key, not with a traceback."""
+
+    def test_a_config_that_is_not_utf8_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"description": "\xff\xfe"}')
+        rc, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert (rc, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: config {cfg} is not UTF-8 text: ")
+
+    def test_a_deeply_nested_config_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"beam": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        rc, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert (rc, out, err) == (1, "", f"error: config {cfg} is nested too deeply to parse\n")
+
+    def test_a_deeply_nested_set_value_is_refused(self, capsys):
+        value = "[" * 100_000 + "]" * 100_000
+        rc, out, err = run_cli(capsys, "analyze", "--set", f"beam.length={value}")
+        assert (rc, out, err) == (1, "", "error: beam.length: value is nested too deeply to parse\n")
+
+    def test_a_nested_value_survives_an_override(self, capsys, tmp_path):
+        # --set copies the blocks it writes to, not the values below them,
+        # so a value nested deeper than a deep copy can follow, though the
+        # parser reads it, still reaches the check.
+        cfg = tmp_path / "nested.json"
+        cfg.write_text('{"beam": {"length": ' + "[" * 600 + "]" * 600 + "}}")
+        rc, out, err = run_cli(capsys, "analyze", "--config", str(cfg),
+                               "--set", "beam.q_factor=100")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: beam.length: expected a number, got [[")
 
 
 class TestStackThickness:

@@ -1,8 +1,9 @@
+import copy
 import json
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from test_columns import PATH_RANGES
@@ -18,6 +19,7 @@ from beamosc.config import (
 )
 from beamosc.errors import ConfigError, ValidationError
 from beamosc.explore import (
+    CONSTRAINT_NAMES,
     PARAMETER_PATHS,
     DesignInputs,
     SweepSpec,
@@ -120,6 +122,127 @@ class TestValidation:
             validate_config([1, 2, 3])
         with pytest.raises(ConfigError, match="beam"):
             validate_config({"beam": 7})
+
+
+def plain_walk(raw):
+    """validate_config as a walk of SCHEMA itself, deriving every default,
+    dotted path and validator call afresh."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    resolved = {"description": ""}
+    for block, entries in SCHEMA.items():
+        resolved[block] = {name: copy.deepcopy(default)
+                           for name, (default, _, _) in entries.items()}
+    for block, content in raw.items():
+        if block == "description":
+            if not isinstance(content, str):
+                raise ConfigError(f"description: expected a string, got {content!r}")
+            resolved["description"] = content
+            continue
+        if block not in SCHEMA:
+            raise ConfigError(f"unknown config key: {block}")
+        if not isinstance(content, dict):
+            raise ConfigError(f"{block}: expected an object")
+        for field, value in content.items():
+            if field not in SCHEMA[block]:
+                raise ConfigError(f"unknown config key: {block}.{field}")
+            _, fn, kw = SCHEMA[block][field]
+            resolved[block][field] = fn(f"{block}.{field}", value, **kw)
+    return resolved
+
+
+def _edges(kw):
+    """Each bound of a schema row and its two float neighbours."""
+    bounds = [kw[k] for k in ("minimum", "exclusive_minimum", "maximum") if k in kw]
+    return [b + step for b in bounds for step in (0, -1, 1)] + [
+        math.nextafter(b, side) for b in bounds for side in (-math.inf, math.inf)]
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-10, 10),
+                  st.integers(10**308, 10**400), st.floats(), st.just("auto"),
+                  st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_AXIS_VALUES = {
+    "path": st.sampled_from([*sorted(PARAMETER_PATHS), "beam.anchor", "bogus"]),
+    "min": st.sampled_from([-1.0, 0.0, 1e-6, 2e-6, 5, math.inf, math.nan, True, "1"]),
+    "max": st.sampled_from([-1.0, 0.0, 1e-6, 2e-6, 5, math.inf, math.nan, True, "1"]),
+    "steps": st.sampled_from([0, 1, 3, 2.0, True, -1]),
+    "scale": st.sampled_from(["linear", "log", "cubic", 1]),
+    "bogus": st.integers(),
+}
+
+
+@st.composite
+def axis_objects(draw):
+    """An axis object with fields missing, extra or bad."""
+    fields = draw(st.lists(st.sampled_from(sorted(_AXIS_VALUES)), unique=True))
+    return {field: draw(_AXIS_VALUES[field]) for field in fields}
+
+
+@st.composite
+def schema_values(draw, block, name):
+    _, _, kw = SCHEMA[block][name]
+    if name == "axes":
+        return draw(st.lists(st.one_of(axis_objects(), _JUNK), max_size=3))
+    if name == "constraints":
+        names = st.sampled_from([*CONSTRAINT_NAMES, "bogus", 3])
+        return draw(st.one_of(st.none(), st.lists(names, max_size=3), _JUNK))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_JUNK)
+    near = sorted(kw.get("choices", ())) or _edges(kw)
+    return draw(st.one_of(st.sampled_from(near or ["auto"]), st.floats(1e-9, 1e3),
+                          st.integers(0, 10)))
+
+
+@st.composite
+def raw_configs(draw):
+    """A random subset of SCHEMA's keys, with unknown blocks and keys too."""
+    keys = [(block, name) for block, entries in SCHEMA.items() for name in entries]
+    keys += [("bogus", "x"), ("beam", "bogus"), ("description", None), ("beam", None)]
+    raw = {}
+    for block, name in draw(st.lists(st.sampled_from(keys), unique=True, max_size=6)):
+        if block == "description":
+            raw[block] = draw(st.one_of(st.text(max_size=3), _JUNK))
+        elif name is None:
+            raw[block] = draw(_JUNK)
+        elif not isinstance(raw.setdefault(block, {}), dict):
+            continue  # a junk block stays junk
+        elif block not in SCHEMA or name not in SCHEMA[block]:
+            raw[block][name] = 1
+        else:
+            raw[block][name] = draw(schema_values(block, name))
+    return raw
+
+
+def _mutables(value):
+    """Every list and dict in `value`, nested ones too."""
+    if isinstance(value, (list, dict)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _mutables(item)
+
+
+def _outcome(validate, raw):
+    try:
+        return "ok", repr(validate(raw))
+    except ConfigError as err:
+        return "refused", str(err)
+
+
+@given(raw=raw_configs())
+def test_the_compiled_schema_validates_as_the_plain_walk(raw):
+    """validate_config's compiled tables give what a walk of SCHEMA gives:
+    the same resolved config or the same message, and no list or dict of
+    one result is shared with another result or with SCHEMA."""
+    want = _outcome(plain_walk, raw)
+    event(want[0])
+    assert _outcome(validate_config, raw) == want
+    if want[0] == "ok":
+        first, second = validate_config(raw), validate_config(raw)
+        defaults = [d for entries in SCHEMA.values() for d, _, _ in entries.values()]
+        shared = {id(v) for v in _mutables(first)} & {
+            id(v) for v in [*_mutables(second), *_mutables(defaults)]}
+        assert not shared
 
 
 class TestOverrides:
